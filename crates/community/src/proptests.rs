@@ -1,13 +1,13 @@
 //! Property tests over selection policies (totality, candidate membership,
-//! round-robin fairness) and the replicated-membership merge algebra
-//! (commutative, idempotent, associative, tombstone-wins — the same laws
-//! `selfserv-discovery` proves for the directory, because membership rides
-//! the same gossip schedule and must converge under any exchange order).
+//! round-robin fairness), and the replicated-table laws for membership
+//! rows (the one suite `selfserv-net` also runs for directory rows:
+//! membership rides the same gossip schedule and must converge under any
+//! exchange order).
 
 use crate::history::{ExecutionHistory, Outcome};
 use crate::membership::{Member, MemberId, QosProfile};
 use crate::policy::*;
-use crate::replication::{MemberEntry, MembershipState};
+use crate::replication::MemberEntry;
 use proptest::prelude::*;
 use selfserv_net::NodeId;
 use selfserv_wsdl::MessageDoc;
@@ -134,7 +134,7 @@ fn arb_row() -> impl Strategy<Value = (MemberId, MemberEntry)> {
             (
                 id.clone(),
                 MemberEntry {
-                    member: Member {
+                    value: Member {
                         id,
                         provider: format!("P{endpoint}"),
                         endpoint: NodeId::new(format!("svc.e{endpoint}")),
@@ -151,105 +151,4 @@ fn arb_row() -> impl Strategy<Value = (MemberId, MemberEntry)> {
     )
 }
 
-fn arb_rows() -> impl Strategy<Value = Vec<(MemberId, MemberEntry)>> {
-    proptest::collection::vec(arb_row(), 0..12)
-}
-
-/// Merges row batches into a fresh table and returns its canonical state.
-fn apply(batches: &[&[(MemberId, MemberEntry)]]) -> Vec<(MemberId, MemberEntry)> {
-    let mut state = MembershipState::new();
-    for batch in batches {
-        state.merge_rows(batch.iter().cloned());
-    }
-    state.snapshot()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Commutativity: A then B converges to the same table as B then A.
-    #[test]
-    fn membership_merge_is_commutative(a in arb_rows(), b in arb_rows()) {
-        prop_assert_eq!(apply(&[&a, &b]), apply(&[&b, &a]));
-    }
-
-    /// Idempotence: replaying a batch (gossip redelivery, the eager push
-    /// racing the anti-entropy snapshot) changes nothing.
-    #[test]
-    fn membership_merge_is_idempotent(a in arb_rows(), b in arb_rows()) {
-        prop_assert_eq!(apply(&[&a, &b]), apply(&[&a, &b, &a, &b, &b]));
-    }
-
-    /// Associativity: a relay replica pre-combining B and C and forwarding
-    /// its snapshot equals receiving both directly.
-    #[test]
-    fn membership_merge_is_associative(a in arb_rows(), b in arb_rows(), c in arb_rows()) {
-        let via_relay = {
-            let mut relay = MembershipState::new();
-            relay.merge_rows(b.iter().cloned());
-            relay.merge_rows(c.iter().cloned());
-            let combined = relay.snapshot();
-            apply(&[&a, &combined])
-        };
-        prop_assert_eq!(apply(&[&a, &b, &c]), via_relay);
-    }
-
-    /// Tombstone-wins: once any replica has merged a tombstone, no
-    /// same-or-lower-versioned live row for that member ever resurrects it.
-    #[test]
-    fn membership_tombstone_wins_at_equal_version(
-        (id, mut row) in arb_row(),
-        later in arb_rows(),
-    ) {
-        row.evicted = true;
-        let tombstone_version = row.version;
-        let mut state = MembershipState::new();
-        state.merge_entry(id.clone(), row);
-        // Only rows for this id at <= the tombstone's version: none may
-        // bring the member back.
-        let stale: Vec<_> = later
-            .into_iter()
-            .filter(|(rid, e)| *rid == id && e.version <= tombstone_version && !e.evicted)
-            .collect();
-        state.merge_rows(stale);
-        prop_assert!(state.member(&id).is_none(), "tombstone was resurrected");
-    }
-
-    /// Convergence: two replicas exchanging snapshots (either order,
-    /// different histories) end with identical tables and fingerprints —
-    /// the guarantee the churn test polls for after quiescence.
-    #[test]
-    fn membership_snapshot_exchange_converges(a in arb_rows(), b in arb_rows()) {
-        let mut left = MembershipState::new();
-        let mut right = MembershipState::new();
-        left.merge_rows(a.iter().cloned());
-        right.merge_rows(b.iter().cloned());
-        left.merge_rows(right.snapshot());
-        right.merge_rows(left.snapshot());
-        prop_assert_eq!(left.snapshot(), right.snapshot());
-        prop_assert_eq!(left.fingerprint(), right.fingerprint());
-    }
-
-    /// The pull half is exact: after one push-pull round the two tables
-    /// are identical, and the delta the receiver answers with contains
-    /// only rows that actually beat what the sender held.
-    #[test]
-    fn membership_push_pull_delta_is_exact(a in arb_rows(), b in arb_rows()) {
-        let mut sender = MembershipState::new();
-        let mut receiver = MembershipState::new();
-        sender.merge_rows(a.iter().cloned());
-        receiver.merge_rows(b.iter().cloned());
-        let push = sender.snapshot();
-        let delta = receiver.delta_against(&push);
-        for (id, row) in &delta {
-            let held = push.iter().find(|(pid, _)| pid == id);
-            prop_assert!(
-                held.is_none_or(|(_, sent)| sent.loses_to(row)),
-                "delta row for {:?} does not beat the pushed row", id
-            );
-        }
-        receiver.merge_rows(push);
-        sender.merge_rows(delta);
-        prop_assert_eq!(sender.fingerprint(), receiver.fingerprint());
-    }
-}
+selfserv_net::lww_law_suite!(Member, arb_row());

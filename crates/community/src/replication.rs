@@ -1,87 +1,119 @@
-//! Replicated community membership: a versioned, tombstoned member table
-//! with the [`PeerDirectory`]'s last-writer-wins merge discipline.
+//! Replicated community membership: the member table of one replica, as
+//! a [`LwwTable`] of [`Member`] rows.
 //!
 //! Each community replica owns a private [`MembershipState`] — no shared
 //! `Arc` between replicas, no shared memory between hubs. Joins, leaves,
-//! and QoS re-advertisements mutate the local table under a per-member
-//! **version counter**; departures become **tombstones** (the row stays,
-//! flagged evicted, so the departure travels as far as the arrival did).
-//! Replicas converge by exchanging rows: a full snapshot out, a delta of
-//! exactly the missing rows back — over the replica-to-replica
+//! and QoS re-advertisements are owner-side writes to the local table
+//! (version bump; a departure leaves a tombstone, so it travels as far as
+//! the arrival did). Replicas converge by exchanging rows, push-pull,
+//! under the table's total merge order — over the replica-to-replica
 //! `community.msync`/`community.mdelta` kinds, and piggybacked on the
-//! discovery gossip via [`MembershipGossip`].
+//! discovery gossip via [`MembershipGossip`]. Both channels, and the
+//! directory's, answer through the one [`LwwTable::respond`].
 //!
-//! The merge is deterministic and total: between two rows for one member
-//! the greater `(version, evicted, payload)` triple wins everywhere, so
-//! any exchange order — any gossip schedule, any loss pattern, any
-//! replay — converges every replica to the same table. At equal versions
-//! a tombstone beats a live row (departure wins the race it lost by a
-//! heartbeat), and equal-version same-eviction rows fall back to the
-//! canonical payload encoding, an arbitrary but *agreed* order.
-//!
-//! [`PeerDirectory`]: selfserv_net::PeerDirectory
+//! This module supplies what is particular to membership: the `<member>`
+//! attribute codec (shared with the join/update requests), the value
+//! order, and the join/update/leave preconditions.
 
 use crate::membership::{Community, CommunityError, Member, MemberId, QosProfile};
 use parking_lot::RwLock;
 use selfserv_net::gossip::{GossipPayload, PAYLOAD_ELEMENT};
+use selfserv_net::lww::{rows_from_xml, rows_to_xml, LwwTable, LwwValue, Row, Rows};
 use selfserv_net::NodeId;
 use selfserv_xml::Element;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// One member's row in the replicated table: the advertised member data
-/// under a version counter and a departure tombstone.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MemberEntry {
-    /// The advertised member (id, provider, endpoint, QoS). Tombstones
-    /// keep the last-known payload — useful for forensics and required
-    /// for the merge order to stay total.
-    pub member: Member,
-    /// Version counter: bumped by every local mutation of this member
-    /// (join, leave, QoS update). Higher version wins every merge.
-    pub version: u64,
-    /// True once the member left: the row is a tombstone, excluded from
-    /// selection but still gossiped so the departure propagates.
-    pub evicted: bool,
+/// One member's row in the replicated table: the advertised member under
+/// a version counter (bumped by every join, leave, and QoS update) and a
+/// departure tombstone (excluded from selection, still gossiped). The
+/// `<member>` element with `version`/`evicted` attributes is its wire
+/// form.
+pub type MemberEntry = Row<Member>;
+
+/// A row set as it travels between replicas.
+type MemberRows = Rows<MemberId, Member>;
+
+/// Encodes a member as a `<member>` element: the body of a join/update
+/// request and the value half of a gossiped row.
+pub(crate) fn member_to_xml(m: &Member) -> Element {
+    Element::new("member")
+        .with_attr("id", &m.id.0)
+        .with_attr("provider", &m.provider)
+        .with_attr("endpoint", m.endpoint.as_str())
+        .with_attr("cost", m.qos.cost.to_string())
+        .with_attr("duration_ms", m.qos.duration_ms.to_string())
+        .with_attr("reliability", m.qos.reliability.to_string())
+        .with_attr("reputation", m.qos.reputation.to_string())
 }
 
-impl MemberEntry {
-    /// The total merge order. Version dominates; at equal versions a
-    /// tombstone wins (`true > false`); at equal version and eviction the
-    /// canonical payload encoding breaks the tie identically on every
-    /// replica.
-    fn merge_key(&self) -> (u64, bool, String) {
-        (self.version, self.evicted, canonical_payload(&self.member))
-    }
-
-    /// True when `other` beats this row under the merge order. Equal rows
-    /// lose (idempotence: re-merging what we hold changes nothing).
-    pub fn loses_to(&self, other: &MemberEntry) -> bool {
-        self.merge_key() < other.merge_key()
-    }
+/// Decodes a member's attributes. An absent QoS attribute takes its value
+/// from `absent_qos` — the advertised defaults on the join/update path,
+/// `None` for gossiped rows, which always carry all four. A QoS figure
+/// that is present must be a finite number on either path: member scoring
+/// normalises each criterion between the pool's minimum and maximum, so
+/// one infinite or NaN figure would erase that criterion for every
+/// member, on every replica the row reached.
+pub(crate) fn member_from_xml(
+    el: &Element,
+    absent_qos: Option<QosProfile>,
+) -> Result<Member, String> {
+    let qos = |name: &str, absent: fn(&QosProfile) -> f64| match el.attr(name) {
+        Some(text) => text
+            .parse::<f64>()
+            .ok()
+            .filter(|v| v.is_finite())
+            .ok_or_else(|| format!("member attribute {name}={text:?} is not a finite number")),
+        None => absent_qos
+            .as_ref()
+            .map(absent)
+            .ok_or_else(|| format!("member attribute {name:?} is missing")),
+    };
+    Ok(Member {
+        id: MemberId(el.require_attr("id")?.to_string()),
+        provider: el.attr("provider").unwrap_or("").to_string(),
+        endpoint: NodeId::new(el.require_attr("endpoint")?),
+        qos: QosProfile {
+            cost: qos("cost", |q| q.cost)?,
+            duration_ms: qos("duration_ms", |q| q.duration_ms)?,
+            reliability: qos("reliability", |q| q.reliability)?,
+            reputation: qos("reputation", |q| q.reputation)?,
+        },
+    })
 }
 
-/// The member payload in a canonical, replica-independent encoding — the
-/// final tiebreak of the merge order and an input to the fingerprint.
-fn canonical_payload(m: &Member) -> String {
-    format!(
-        "{}|{}|{}|{}|{}|{}",
-        m.provider,
-        m.endpoint.as_str(),
-        m.qos.cost,
-        m.qos.duration_ms,
-        m.qos.reliability,
-        m.qos.reputation
-    )
+impl LwwValue for Member {
+    type Key = MemberId;
+    /// Provider, endpoint, and the four QoS figures by bit pattern — an
+    /// arbitrary but *agreed* order, which is all a tiebreak needs.
+    type Order<'a> = (&'a str, &'a str, [u64; 4]);
+
+    fn order(&self) -> Self::Order<'_> {
+        let q = &self.qos;
+        (
+            &self.provider,
+            self.endpoint.as_str(),
+            [q.cost, q.duration_ms, q.reliability, q.reputation].map(f64::to_bits),
+        )
+    }
+
+    fn to_xml(&self, _id: &MemberId) -> Element {
+        member_to_xml(self)
+    }
+
+    fn from_xml(el: &Element) -> Option<(MemberId, Member)> {
+        if el.name != "member" {
+            return None;
+        }
+        let member = member_from_xml(el, None).ok()?;
+        Some((member.id.clone(), member))
+    }
 }
 
 /// One replica's membership table. Plain data — the community server
 /// wraps it in its own lock; property tests drive it directly.
 #[derive(Debug, Clone, Default)]
 pub struct MembershipState {
-    entries: BTreeMap<MemberId, MemberEntry>,
+    table: LwwTable<MemberId, Member>,
 }
 
 impl MembershipState {
@@ -104,116 +136,72 @@ impl MembershipState {
     /// over a tombstone (rejoining after a departure is a new life for
     /// the same id). Returns the row to gossip.
     pub fn join(&mut self, member: Member) -> Result<MemberEntry, CommunityError> {
-        let version = match self.entries.get(&member.id) {
-            Some(e) if !e.evicted => {
-                return Err(CommunityError::DuplicateMember(member.id));
-            }
-            Some(tombstone) => tombstone.version + 1,
-            None => 1,
-        };
-        let entry = MemberEntry {
-            member,
-            version,
-            evicted: false,
-        };
-        self.entries.insert(entry.member.id.clone(), entry.clone());
-        Ok(entry)
+        if self.table.live(&member.id).is_some() {
+            return Err(CommunityError::DuplicateMember(member.id));
+        }
+        Ok(self.table.put(member.id.clone(), member))
     }
 
     /// Re-advertises a live member's data (typically new QoS figures).
     /// Unknown or departed members error. Returns the row to gossip.
     pub fn update(&mut self, member: Member) -> Result<MemberEntry, CommunityError> {
-        match self.entries.get_mut(&member.id) {
-            Some(e) if !e.evicted => {
-                e.member = member;
-                e.version += 1;
-                Ok(e.clone())
-            }
-            _ => Err(CommunityError::UnknownMember(member.id)),
+        if self.table.live(&member.id).is_none() {
+            return Err(CommunityError::UnknownMember(member.id));
         }
+        Ok(self.table.put(member.id.clone(), member))
     }
 
     /// Removes a member by tombstoning its row at `version + 1`. Unknown
     /// or already-departed members error. Returns the tombstone to
     /// gossip.
     pub fn leave(&mut self, id: &MemberId) -> Result<MemberEntry, CommunityError> {
-        match self.entries.get_mut(id) {
-            Some(e) if !e.evicted => {
-                e.evicted = true;
-                e.version += 1;
-                Ok(e.clone())
-            }
-            _ => Err(CommunityError::UnknownMember(id.clone())),
-        }
+        self.table
+            .bury(id)
+            .ok_or_else(|| CommunityError::UnknownMember(id.clone()))
     }
 
     /// Merges one remote row under the total order; returns whether the
     /// local table changed.
     pub fn merge_entry(&mut self, id: MemberId, incoming: MemberEntry) -> bool {
-        match self.entries.get_mut(&id) {
-            Some(current) if current.loses_to(&incoming) => {
-                *current = incoming;
-                true
-            }
-            Some(_) => false,
-            None => {
-                self.entries.insert(id, incoming);
-                true
-            }
-        }
+        self.table.merge_entry(id, incoming)
     }
 
     /// Merges a batch of remote rows; returns how many changed the table.
     pub fn merge_rows(&mut self, rows: impl IntoIterator<Item = (MemberId, MemberEntry)>) -> usize {
-        rows.into_iter()
-            .filter(|(id, entry)| self.merge_entry(id.clone(), entry.clone()))
-            .count()
+        self.table.merge_rows(rows)
     }
 
     /// Rows of this table that strictly dominate (or are absent from) a
-    /// peer's snapshot — the delta half of push-pull: the receiver of a
-    /// full snapshot answers with exactly what the sender is missing.
-    pub fn delta_against(
-        &self,
-        theirs: &[(MemberId, MemberEntry)],
-    ) -> Vec<(MemberId, MemberEntry)> {
-        self.entries
-            .iter()
-            .filter(|(id, mine)| match theirs.iter().find(|(t, _)| t == *id) {
-                Some((_, their_row)) => their_row.loses_to(mine),
-                None => true,
-            })
-            .map(|(id, e)| (id.clone(), e.clone()))
-            .collect()
+    /// peer's snapshot: exactly what the peer is missing.
+    pub fn delta_against(&self, theirs: &[(MemberId, MemberEntry)]) -> MemberRows {
+        self.table.delta_against(theirs)
+    }
+
+    /// The receiving half of push-pull ([`LwwTable::respond`]): merges
+    /// `rows` and returns what their sender is missing — nothing for a
+    /// delta, which is itself such an answer.
+    pub fn respond(&mut self, rows: MemberRows, is_delta: bool) -> MemberRows {
+        self.table.respond(rows, is_delta)
     }
 
     /// The gossip-able view: every row, tombstones included, in id order.
-    pub fn snapshot(&self) -> Vec<(MemberId, MemberEntry)> {
-        self.entries
-            .iter()
-            .map(|(id, e)| (id.clone(), e.clone()))
-            .collect()
+    pub fn snapshot(&self) -> MemberRows {
+        self.table.snapshot()
     }
 
     /// Live members in id order (the selection candidates).
     pub fn members(&self) -> impl Iterator<Item = &Member> {
-        self.entries
-            .values()
-            .filter(|e| !e.evicted)
-            .map(|e| &e.member)
+        self.table.live_rows().map(|(_, member)| member)
     }
 
     /// A live member by id.
     pub fn member(&self, id: &MemberId) -> Option<&Member> {
-        self.entries
-            .get(id)
-            .filter(|e| !e.evicted)
-            .map(|e| &e.member)
+        self.table.live(id)
     }
 
     /// Number of live members.
     pub fn member_count(&self) -> usize {
-        self.entries.values().filter(|e| !e.evicted).count()
+        self.members().count()
     }
 
     /// True when no live member exists.
@@ -225,89 +213,29 @@ impl MembershipState {
     /// included). Replicas that have converged report equal fingerprints;
     /// the churn and convergence tests poll this.
     pub fn fingerprint(&self) -> u64 {
-        let mut acc = 0u64;
-        for (id, e) in &self.entries {
-            let mut h = DefaultHasher::new();
-            id.0.hash(&mut h);
-            e.version.hash(&mut h);
-            e.evicted.hash(&mut h);
-            canonical_payload(&e.member).hash(&mut h);
-            acc ^= h.finish();
-        }
-        acc
+        self.table.fingerprint()
     }
 }
 
 // ---------------------------------------------------------------------------
-// Wire codec: membership rows as XML elements
+// Replica sync bodies: rows under a `<membership>` header
 // ---------------------------------------------------------------------------
-
-/// Encodes one membership row as a `<member>` element — the row format of
-/// both the replica sync kinds and the discovery piggyback.
-pub fn member_entry_to_xml(entry: &MemberEntry) -> Element {
-    let m = &entry.member;
-    let mut el = Element::new("member")
-        .with_attr("id", &m.id.0)
-        .with_attr("provider", &m.provider)
-        .with_attr("endpoint", m.endpoint.as_str())
-        .with_attr("cost", m.qos.cost.to_string())
-        .with_attr("duration_ms", m.qos.duration_ms.to_string())
-        .with_attr("reliability", m.qos.reliability.to_string())
-        .with_attr("reputation", m.qos.reputation.to_string())
-        .with_attr("version", entry.version.to_string());
-    if entry.evicted {
-        el.set_attr("evicted", "1");
-    }
-    el
-}
-
-/// Decodes a `<member>` row. Malformed rows decode to `None` and are
-/// skipped by receivers (one bad row must not poison a whole exchange).
-pub fn member_entry_from_xml(el: &Element) -> Option<(MemberId, MemberEntry)> {
-    if el.name != "member" {
-        return None;
-    }
-    let num = |name: &str| el.attr(name).and_then(|s| s.parse::<f64>().ok());
-    let id = MemberId(el.attr("id")?.to_string());
-    Some((
-        id.clone(),
-        MemberEntry {
-            member: Member {
-                id,
-                provider: el.attr("provider").unwrap_or("").to_string(),
-                endpoint: NodeId::new(el.attr("endpoint")?),
-                qos: QosProfile {
-                    cost: num("cost")?,
-                    duration_ms: num("duration_ms")?,
-                    reliability: num("reliability")?,
-                    reputation: num("reputation")?,
-                },
-            },
-            version: el.attr("version")?.parse().ok()?,
-            evicted: el.attr("evicted") == Some("1"),
-        },
-    ))
-}
 
 /// Encodes a set of rows under a `<membership>` header (the body of the
 /// replica sync kinds).
 pub fn membership_body(community: &str, rows: &[(MemberId, MemberEntry)]) -> Element {
     Element::new("membership")
         .with_attr("community", community)
-        .with_children(rows.iter().map(|(_, e)| member_entry_to_xml(e)))
+        .with_children(rows_to_xml(rows))
 }
 
 /// Decodes a `<membership>` body into its community name and rows.
-pub fn membership_rows(body: &Element) -> Option<(String, Vec<(MemberId, MemberEntry)>)> {
+/// Malformed rows are skipped: one bad row must not poison an exchange.
+pub fn membership_rows(body: &Element) -> Option<(String, MemberRows)> {
     if body.name != "membership" {
         return None;
     }
-    let community = body.attr("community")?.to_string();
-    let rows = body
-        .child_elements()
-        .filter_map(member_entry_from_xml)
-        .collect();
-    Some((community, rows))
+    Some((body.attr("community")?.to_string(), rows_from_xml(body)))
 }
 
 // ---------------------------------------------------------------------------
@@ -333,6 +261,13 @@ impl MembershipGossip {
             state,
         })
     }
+
+    /// A payload section of this stream carrying `rows`.
+    fn section(&self, rows: &[(MemberId, MemberEntry)]) -> Element {
+        Element::new(PAYLOAD_ELEMENT)
+            .with_attr("key", self.key())
+            .with_children(rows_to_xml(rows))
+    }
 }
 
 impl GossipPayload for MembershipGossip {
@@ -341,40 +276,19 @@ impl GossipPayload for MembershipGossip {
     }
 
     fn snapshot(&self) -> Element {
-        let rows = self.state.read().snapshot();
-        Element::new(PAYLOAD_ELEMENT)
-            .with_attr("key", self.key())
-            .with_children(rows.iter().map(|(_, e)| member_entry_to_xml(e)))
+        self.section(&self.state.read().snapshot())
     }
 
     fn merge(&self, incoming: &Element) -> Option<Element> {
-        let rows: Vec<(MemberId, MemberEntry)> = incoming
-            .child_elements()
-            .filter_map(member_entry_from_xml)
-            .collect();
-        // A delta section is an *answer* — a partial row set covering only
-        // what we were missing. Absence of a row says nothing about the
-        // sender's state, so merge it silently; answering would bounce our
-        // unrelated rows back forever. Only full snapshots earn a reply.
-        if incoming.attr("delta").is_some() {
-            self.state.write().merge_rows(rows);
-            return None;
-        }
-        let missing = {
-            let mut state = self.state.write();
-            let missing = state.delta_against(&rows);
-            state.merge_rows(rows);
-            missing
-        };
+        let is_delta = incoming.attr("delta").is_some();
+        let missing = self
+            .state
+            .write()
+            .respond(rows_from_xml(incoming), is_delta);
         if missing.is_empty() {
             return None;
         }
-        Some(
-            Element::new(PAYLOAD_ELEMENT)
-                .with_attr("key", self.key())
-                .with_attr("delta", "1")
-                .with_children(missing.iter().map(|(_, e)| member_entry_to_xml(e))),
-        )
+        Some(self.section(&missing).with_attr("delta", "1"))
     }
 }
 
@@ -427,45 +341,7 @@ mod tests {
     }
 
     #[test]
-    fn tombstone_wins_at_equal_version() {
-        let live = MemberEntry {
-            member: member("a"),
-            version: 3,
-            evicted: false,
-        };
-        let dead = MemberEntry {
-            member: member("a"),
-            version: 3,
-            evicted: true,
-        };
-        assert!(live.loses_to(&dead));
-        assert!(!dead.loses_to(&live));
-        let mut s = MembershipState::new();
-        s.merge_entry(MemberId("a".into()), live);
-        assert!(s.merge_entry(MemberId("a".into()), dead));
-        assert_eq!(s.member_count(), 0);
-    }
-
-    #[test]
-    fn push_pull_converges_two_replicas() {
-        let mut left = MembershipState::new();
-        let mut right = MembershipState::new();
-        left.join(member("a")).unwrap();
-        left.join(member("b")).unwrap();
-        left.leave(&MemberId("b".into())).unwrap();
-        right.join(member("c")).unwrap();
-        // Push: left's snapshot reaches right; pull: right answers with
-        // what left was missing.
-        let push = left.snapshot();
-        let delta = right.delta_against(&push);
-        right.merge_rows(push);
-        left.merge_rows(delta);
-        assert_eq!(left.fingerprint(), right.fingerprint());
-        assert_eq!(left.member_count(), 2); // a and c live, b tombstoned
-    }
-
-    #[test]
-    fn xml_roundtrip_preserves_rows() {
+    fn membership_body_roundtrip_preserves_rows() {
         let mut s = MembershipState::new();
         s.join(member("a")).unwrap();
         s.join(member("b")).unwrap();
@@ -477,7 +353,51 @@ mod tests {
         assert_eq!(decoded, rows);
         // Non-membership bodies and malformed rows are rejected/skipped.
         assert!(membership_rows(&Element::new("directory")).is_none());
-        assert!(member_entry_from_xml(&Element::new("member").with_attr("id", "x")).is_none());
+        assert!(Member::from_xml(&Element::new("member").with_attr("id", "x")).is_none());
+    }
+
+    /// The `<member>` row is a wire format other processes parse: pin its
+    /// bytes, not just its round trip.
+    #[test]
+    fn member_rows_are_pinned_byte_for_byte() {
+        use selfserv_net::lww::{row_from_xml, row_to_xml};
+        let mut s = MembershipState::new();
+        let mut m = member("a");
+        m.qos.cost = 2.5;
+        let live = s.join(m).unwrap();
+        let gone = s.leave(&MemberId("a".into())).unwrap();
+        for (entry, bytes) in [
+            (
+                live,
+                r#"<member id="a" provider="Provider a" endpoint="svc.a" cost="2.5" duration_ms="100" reliability="0.99" reputation="0.5" version="1"/>"#,
+            ),
+            (
+                gone,
+                r#"<member id="a" provider="Provider a" endpoint="svc.a" cost="2.5" duration_ms="100" reliability="0.99" reputation="0.5" version="2" evicted="1"/>"#,
+            ),
+        ] {
+            let el = row_to_xml(&entry.value.id, &entry);
+            assert_eq!(el.to_xml(), bytes);
+            assert_eq!(row_from_xml(&el), Some((entry.value.id.clone(), entry)));
+        }
+    }
+
+    /// One codec, two callers: a join may omit QoS attributes (advertised
+    /// defaults apply), a gossiped row may not; neither accepts a figure
+    /// that is not a finite number.
+    #[test]
+    fn member_codec_defaults_absent_qos_on_join_only_and_rejects_non_finite() {
+        let bare = Element::new("member")
+            .with_attr("id", "a")
+            .with_attr("endpoint", "svc.a");
+        let joined = member_from_xml(&bare, Some(QosProfile::default())).unwrap();
+        assert_eq!(joined.qos, QosProfile::default());
+        assert!(member_from_xml(&bare, None).is_err());
+        for bad in ["inf", "-inf", "NaN", "abc"] {
+            let el = member_to_xml(&member("a")).with_attr("cost", bad);
+            assert!(member_from_xml(&el, Some(QosProfile::default())).is_err());
+            assert!(Member::from_xml(&el).is_none(), "{bad}");
+        }
     }
 
     #[test]

@@ -28,7 +28,9 @@
 use crate::history::{ExecutionHistory, Outcome};
 use crate::membership::{Community, CommunityError, Member, MemberId, QosProfile};
 use crate::policy::{SelectionContext, SelectionPolicy};
-use crate::replication::{membership_body, membership_rows, MemberEntry, MembershipState};
+use crate::replication::{
+    member_from_xml, member_to_xml, membership_body, membership_rows, MemberEntry, MembershipState,
+};
 use parking_lot::RwLock;
 use selfserv_net::{
     ConnectError, Endpoint, Envelope, LivenessProbe, NodeId, PeerDirectory, PeerStatus, ReplicaSet,
@@ -612,28 +614,19 @@ impl NodeLogic for CommunityLogic {
             }
             // Replica membership sync — fire-and-forget between replicas,
             // so protocol errors are dropped, never faulted back.
-            kinds::MSYNC => {
+            // A snapshot (`MSYNC`) is answered with exactly the rows its
+            // sender was missing; a delta merges silently.
+            kinds::MSYNC | kinds::MDELTA => {
                 if let Some((community, rows)) = membership_rows(&request.body) {
                     if community == self.name {
-                        let missing = {
-                            let mut m = self.membership.write();
-                            let missing = m.delta_against(&rows);
-                            m.merge_rows(rows);
-                            missing
-                        };
+                        let is_delta = request.kind == kinds::MDELTA;
+                        let missing = self.membership.write().respond(rows, is_delta);
                         if !missing.is_empty() {
                             let body = membership_body(&self.name, &missing);
                             let _ = ctx
                                 .endpoint()
                                 .send(request.from.clone(), kinds::MDELTA, body);
                         }
-                    }
-                }
-            }
-            kinds::MDELTA => {
-                if let Some((community, rows)) = membership_rows(&request.body) {
-                    if community == self.name {
-                        self.membership.write().merge_rows(rows);
                     }
                 }
             }
@@ -741,7 +734,7 @@ impl CommunityLogic {
         if peers.is_empty() {
             return;
         }
-        let row = vec![(entry.member.id.clone(), entry.clone())];
+        let row = vec![(entry.value.id.clone(), entry.clone())];
         let body = membership_body(&self.name, &row);
         for peer in peers {
             let _ = ctx.endpoint().send(peer, kinds::MDELTA, body.clone());
@@ -1005,39 +998,11 @@ impl CommunityLogic {
     }
 }
 
-fn decode_member(e: &Element) -> Result<Member, CommunityError> {
-    let num = |name: &str, default: f64| -> f64 {
-        e.attr(name).and_then(|s| s.parse().ok()).unwrap_or(default)
-    };
-    Ok(Member {
-        id: MemberId(
-            e.require_attr("id")
-                .map_err(CommunityError::Protocol)?
-                .to_string(),
-        ),
-        provider: e.attr("provider").unwrap_or("").to_string(),
-        endpoint: NodeId::new(
-            e.require_attr("endpoint")
-                .map_err(CommunityError::Protocol)?,
-        ),
-        qos: QosProfile {
-            cost: num("cost", 1.0),
-            duration_ms: num("duration_ms", 100.0),
-            reliability: num("reliability", 0.99),
-            reputation: num("reputation", 0.5),
-        },
-    })
-}
-
-fn encode_member(m: &Member) -> Element {
-    Element::new("member")
-        .with_attr("id", &m.id.0)
-        .with_attr("provider", &m.provider)
-        .with_attr("endpoint", m.endpoint.as_str())
-        .with_attr("cost", m.qos.cost.to_string())
-        .with_attr("duration_ms", m.qos.duration_ms.to_string())
-        .with_attr("reliability", m.qos.reliability.to_string())
-        .with_attr("reputation", m.qos.reputation.to_string())
+/// Decodes the `<member>` body of a join or update request: QoS attributes
+/// the provider did not advertise take the profile's defaults; a malformed
+/// or non-finite one is a protocol fault.
+fn decode_member(body: &Element) -> Result<Member, CommunityError> {
+    member_from_xml(body, Some(QosProfile::default())).map_err(CommunityError::Protocol)
 }
 
 /// Typed client for a community node: join/leave/invoke.
@@ -1064,7 +1029,7 @@ impl CommunityClient {
 
     /// Registers a member with the community.
     pub fn join(&self, member: &Member) -> Result<(), CommunityError> {
-        let reply = self.call(kinds::JOIN, encode_member(member))?;
+        let reply = self.call(kinds::JOIN, member_to_xml(member))?;
         let _ = reply;
         Ok(())
     }
@@ -1079,7 +1044,7 @@ impl CommunityClient {
     /// attributes). The replica that takes the update gossips it to its
     /// siblings like any other membership change.
     pub fn update(&self, member: &Member) -> Result<(), CommunityError> {
-        self.call(kinds::UPDATE, encode_member(member))?;
+        self.call(kinds::UPDATE, member_to_xml(member))?;
         Ok(())
     }
 
@@ -1393,6 +1358,49 @@ mod tests {
         let _m1 = spawn_member(&net, "svc.h1", false, Duration::ZERO);
         client.join(&member("h1", "svc.h1")).unwrap();
         assert!(client.join(&member("h1", "svc.h1")).is_err());
+    }
+
+    /// One non-finite QoS figure makes the scoring policies' min-max
+    /// bounds infinite and erases that criterion for every member — and
+    /// the row would gossip to every replica. It must enter by neither
+    /// door.
+    #[test]
+    fn non_finite_qos_is_refused_on_join_update_and_gossip() {
+        let (net, handle, client) = setup(DelegationMode::Proxy);
+        client.join(&member("h1", "svc.h1")).unwrap();
+        let hostile = net.connect("test.hostile").unwrap();
+        for (kind, id) in [(kinds::JOIN, "evil"), (kinds::UPDATE, "h1")] {
+            for bad in ["inf", "NaN"] {
+                let body = member_to_xml(&member(id, "svc.evil")).with_attr("cost", bad);
+                let reply = hostile
+                    .rpc("community.ab", kind, body, Duration::from_secs(5))
+                    .unwrap();
+                assert_eq!(reply.kind, kinds::FAULT, "{kind} with cost={bad}");
+                assert!(reply.body.attr("reason").unwrap().contains("finite"));
+            }
+        }
+        // A gossiped delta: the poisoned row is skipped, its neighbour
+        // merges.
+        let row = |id: &str| {
+            let entry = MemberEntry {
+                value: member(id, "svc.remote"),
+                version: 7,
+                evicted: false,
+            };
+            selfserv_net::lww::row_to_xml(&entry.value.id, &entry)
+        };
+        let body = membership_body("AccommodationBooking", &[])
+            .with_child(row("evil").with_attr("duration_ms", "inf"))
+            .with_child(row("good"));
+        hostile.send("community.ab", kinds::MDELTA, body).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while handle.member_count() < 2 {
+            assert!(Instant::now() < deadline, "the good row never merged");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let m = handle.membership().read();
+        assert!(m.member(&MemberId("evil".into())).is_none());
+        assert_eq!(m.member(&MemberId("h1".into())).unwrap().qos.cost, 1.0);
     }
 
     #[test]

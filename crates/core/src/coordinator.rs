@@ -240,15 +240,7 @@ struct CoordinatorLogic {
 impl Coordinator {
     /// Spawns a coordinator on its conventional node
     /// (`<composite>.coord.<state>`), over any [`Transport`], scheduled on
-    /// the process-wide shared executor.
-    pub fn spawn(
-        net: &dyn Transport,
-        cfg: CoordinatorConfig,
-    ) -> Result<CoordinatorHandle, ConnectError> {
-        Self::spawn_on(net, selfserv_runtime::shared(), cfg)
-    }
-
-    /// Spawns a coordinator scheduled on an explicit executor.
+    /// `exec`.
     pub fn spawn_on(
         net: &dyn Transport,
         exec: &ExecutorHandle,

@@ -259,19 +259,11 @@ impl ExecutionMonitor {
     /// Spawns a monitor on `node_name`, over any [`Transport`], scheduled
     /// on the process-wide shared executor.
     pub fn spawn(net: &dyn Transport, node_name: &str) -> Result<MonitorHandle, ConnectError> {
-        Self::spawn_on(net, selfserv_runtime::shared(), node_name)
+        let options = MonitorOptions::default();
+        Self::spawn_with(net, selfserv_runtime::shared(), node_name, options)
     }
 
-    /// Spawns a monitor scheduled on an explicit executor.
-    pub fn spawn_on(
-        net: &dyn Transport,
-        exec: &ExecutorHandle,
-        node_name: &str,
-    ) -> Result<MonitorHandle, ConnectError> {
-        Self::spawn_with(net, exec, node_name, MonitorOptions::default())
-    }
-
-    /// Spawns a monitor with explicit [`MonitorOptions`] — metrics
+    /// Spawns a monitor on an explicit executor with [`MonitorOptions`] — metrics
     /// recording and/or a trace-retention bound for sustained load.
     pub fn spawn_with(
         net: &dyn Transport,

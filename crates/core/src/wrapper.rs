@@ -93,13 +93,7 @@ struct WrapperLogic {
 
 impl CompositeWrapper {
     /// Spawns the wrapper on its conventional node (`<composite>.wrapper`),
-    /// over any [`Transport`], scheduled on the process-wide shared
-    /// executor.
-    pub fn spawn(net: &dyn Transport, cfg: WrapperConfig) -> Result<WrapperHandle, ConnectError> {
-        Self::spawn_on(net, selfserv_runtime::shared(), cfg)
-    }
-
-    /// Spawns the wrapper scheduled on an explicit executor.
+    /// over any [`Transport`], scheduled on `exec`.
     pub fn spawn_on(
         net: &dyn Transport,
         exec: &ExecutorHandle,

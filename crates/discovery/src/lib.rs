@@ -22,11 +22,11 @@
 //!    `gossip_fanout` distinct random known peers and sends each a
 //!    `discovery.sync` with its snapshot; the receiver merges it and
 //!    answers `discovery.delta` with exactly the rows the sender was
-//!    missing (push-pull). Because the directory
-//!    merge is last-writer-wins on per-name version counters —
-//!    commutative, idempotent, and associative (see the property tests in
-//!    `proptests.rs`) — any exchange order converges every hub to the
-//!    same directory, without coordination.
+//!    missing (push-pull, `PeerDirectory::respond`). Because the
+//!    directory is a `selfserv_net::lww::LwwTable` — last-writer-wins on
+//!    per-name version counters, its merge commutative, idempotent, and
+//!    associative — any exchange order converges every hub to the same
+//!    directory, without coordination.
 //! 3. **Failure detection** — peers that stay silent past
 //!    `heartbeat_interval` are probed with `discovery.ping`; silence past
 //!    `suspicion_timeout` marks the peer **suspected** (a local,
@@ -40,9 +40,9 @@
 //!
 //! A hub that was evicted by mistake (e.g. a long pause) recovers on its
 //! own: incoming tombstones for names whose endpoints are alive locally
-//! are refused and re-asserted with a higher version
-//! (`PeerDirectory::merge_entry`), and the corrected entries out-gossip
-//! the stale tombstones.
+//! are refused and re-asserted with a higher version (the directory's
+//! self-defence policy), and the corrected entries out-gossip the stale
+//! tombstones.
 //!
 //! ```no_run
 //! use selfserv_discovery::{DiscoveryConfig, PeerDiscovery};
@@ -441,9 +441,6 @@ impl std::fmt::Debug for DiscoveryHandle {
             .finish()
     }
 }
-
-#[cfg(test)]
-mod proptests;
 
 #[cfg(test)]
 mod tests;

@@ -4,8 +4,8 @@
 use crate::{DiscoveryConfig, DiscoveryStats, EventLog};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use selfserv_net::directory::{entry_from_xml, entry_to_xml};
 use selfserv_net::gossip::payload_sections;
+use selfserv_net::lww::{rows_from_xml, rows_to_xml};
 use selfserv_net::{
     DirectoryEntry, Envelope, HubId, LivenessEvent, NodeId, PeerDirectory, PeerStatus,
     TcpTransport, LIVENESS_KIND,
@@ -113,7 +113,7 @@ impl DiscoveryNode {
         Element::new("directory")
             .with_attr("hub", self.directory.hub().to_string())
             .with_attr("disc", ctx.node().as_str())
-            .with_children(rows.iter().map(|(n, e)| entry_to_xml(n, e)))
+            .with_children(rows_to_xml(rows))
     }
 
     /// Appends every registered gossip payload's snapshot to an outgoing
@@ -183,25 +183,34 @@ impl DiscoveryNode {
         }
     }
 
-    /// Merges a message's directory rows and adopts any newly learned
-    /// peer discovery endpoints (transitive membership: a gossip partner's
-    /// snapshot introduces hubs we have never talked to). Candidates come
-    /// from the incoming rows — O(message), not a full directory rescan —
-    /// and are adopted only if their entry survived the merge (our own
-    /// fresher tombstone may have out-versioned a stale claim).
-    fn merge_rows(&mut self, rows: DirectoryRows) {
+    /// The receiving half of every exchange: merges a message's directory
+    /// rows and its payload sections through their push-pull responders
+    /// and returns what the sender is missing of each — nothing unless
+    /// the message was a full snapshot awaiting its answer (`!is_delta`).
+    /// Adopts any newly learned peer discovery endpoints on the way
+    /// (transitive membership: a gossip partner's snapshot introduces
+    /// hubs we have never talked to). Candidates come from the incoming
+    /// rows — O(message), not a full directory rescan — and are adopted
+    /// only if their entry survived the merge (our own fresher tombstone
+    /// may have out-versioned a stale claim).
+    fn merge_message(
+        &mut self,
+        rows: DirectoryRows,
+        body: &Element,
+        is_delta: bool,
+    ) -> (DirectoryRows, Vec<Element>) {
         let me = self.directory.hub();
         let candidates: Vec<(HubId, NodeId)> = rows
             .iter()
             .filter(|(name, entry)| {
                 !entry.evicted
-                    && entry.owner != me
-                    && !self.peers.contains_key(&entry.owner)
-                    && *name == disc_node_name(entry.owner)
+                    && entry.value.owner != me
+                    && !self.peers.contains_key(&entry.value.owner)
+                    && *name == disc_node_name(entry.value.owner)
             })
-            .map(|(name, entry)| (entry.owner, name.clone()))
+            .map(|(name, entry)| (entry.value.owner, name.clone()))
             .collect();
-        self.directory.merge_remote(rows);
+        let missing = self.directory.respond(rows, is_delta);
         for (hub, disc) in candidates {
             if !self.directory.is_bound(disc.as_str()) {
                 continue; // the claim lost the merge (evicted here)
@@ -217,6 +226,8 @@ impl DiscoveryNode {
                 },
             );
         }
+        let payload_answers = self.config.payloads.merge_sections(payload_sections(body));
+        (missing, payload_answers)
     }
 
     /// Decodes a protocol message: sender hub, sender disc node, rows.
@@ -226,8 +237,7 @@ impl DiscoveryNode {
         }
         let hub = HubId::parse(body.attr("hub")?)?;
         let disc = NodeId::new(body.attr("disc")?);
-        let rows = body.child_elements().filter_map(entry_from_xml).collect();
-        Some((hub, disc, rows))
+        Some((hub, disc, rows_from_xml(body)))
     }
 
     /// Publishes a liveness transition: the handle's log always gets it;
@@ -363,14 +373,10 @@ impl NodeLogic for DiscoveryNode {
         self.note_heard(ctx, hub, disc.clone());
         match env.kind.as_str() {
             kinds::HELLO => {
-                self.merge_rows(rows);
-                // Payload sections merge before the answer is built, so the
-                // WELCOME snapshot already includes the greeter's rows (the
-                // returned per-section answers are redundant with it).
-                let _ = self
-                    .config
-                    .payloads
-                    .merge_sections(payload_sections(&env.body));
+                // Merged before the answer is built, so the WELCOME
+                // snapshot already includes the greeter's rows — and being
+                // everything we know, it needs no missing-rows answer.
+                self.merge_message(rows, &env.body, true);
                 // First contact: answer with everything we know, by name —
                 // the hello's piggybacked claim made the greeter routable.
                 let body =
@@ -378,30 +384,18 @@ impl NodeLogic for DiscoveryNode {
                 let _ = ctx.endpoint().send(disc, kinds::WELCOME, body);
             }
             kinds::SYNC => {
-                // Push-pull: merge theirs, answer with exactly the rows
-                // they were missing (computed against their pre-merge
-                // snapshot — anything they sent us older than ours).
-                let delta = self.directory.delta_against(&rows);
-                self.merge_rows(rows);
-                let payload_deltas = self
-                    .config
-                    .payloads
-                    .merge_sections(payload_sections(&env.body));
-                if !delta.is_empty() || !payload_deltas.is_empty() {
+                let (missing, payload_answers) = self.merge_message(rows, &env.body, false);
+                if !missing.is_empty() || !payload_answers.is_empty() {
                     let body = self
-                        .directory_body(ctx, &delta)
-                        .with_children(payload_deltas);
+                        .directory_body(ctx, &missing)
+                        .with_children(payload_answers);
                     let _ = ctx.endpoint().send(disc, kinds::DELTA, body);
                 }
             }
+            // Answers to an answer are discarded — the periodic SYNC is
+            // the repair path for anything we hold that they lack.
             kinds::WELCOME | kinds::DELTA => {
-                self.merge_rows(rows);
-                // Answers to an answer are discarded — the periodic SYNC is
-                // the repair path for anything we hold that they lack.
-                let _ = self
-                    .config
-                    .payloads
-                    .merge_sections(payload_sections(&env.body));
+                self.merge_message(rows, &env.body, true);
             }
             kinds::PING => {
                 let body = Element::new("directory")

@@ -3,20 +3,19 @@
 //! [`crate::TcpTransport`] used to keep a raw `HashMap<NodeId, SocketAddr>`
 //! that an operator filled by hand (`register_peer`, both directions, for
 //! every pair of processes). The directory replaces that map with a state
-//! that *converges*: every entry carries a per-name **version counter**
-//! and the id of the **hub that owns it** (the process whose listener the
-//! address points at), and two directories combine with a deterministic
-//! last-writer-wins [`PeerDirectory::merge_remote`] that is commutative,
-//! idempotent, and associative — the algebra gossip anti-entropy needs so
-//! any exchange order reaches the same directory on every hub
-//! (property-tested in `selfserv-discovery`).
+//! that *converges*: a [`crate::lww::LwwTable`] whose rows bind a name to
+//! a [`PeerClaim`] — the listener address and the id of the **hub that
+//! owns it** (the process whose listener the address points at) — so two
+//! directories combine under the table's deterministic last-writer-wins
+//! merge, and any exchange order reaches the same directory on every hub.
+//! Dropping a local endpoint (or evicting a dead hub's names) tombstones
+//! the row; a local re-bind writes over its own tombstone with a higher
+//! version, so names stay reusable.
 //!
-//! Departures and failures are **tombstones**, not removals: dropping a
-//! local endpoint (or evicting a dead hub's names) bumps the entry's
-//! version and marks it evicted, so the fact that a name is gone
-//! propagates through the same merge as the fact that it exists. A local
-//! re-bind writes over its own tombstone with a higher version, so names
-//! stay reusable.
+//! What this module adds around the table is *policy*: a hub defends the
+//! names alive on it against every remote claim, counts the claims that
+//! look like a cross-hub name conflict, and keeps ephemeral `~` names out
+//! of gossip.
 //!
 //! Liveness is layered on top: eviction is durable and versioned (it
 //! gossips), while **suspicion** is a local, unversioned overlay — one
@@ -45,12 +44,11 @@
 //! Address-level probing for detector-less owners is a ROADMAP item.
 
 use crate::envelope::NodeId;
+use crate::lww::{LwwTable, LwwValue, Row};
 use parking_lot::RwLock;
 use selfserv_xml::Element;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -157,36 +155,51 @@ pub trait LivenessProbe: Send + Sync {
     fn status_of(&self, name: &str) -> PeerStatus;
 }
 
-/// One directory entry: where a name lives, who owns it, and how fresh
-/// the claim is.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DirectoryEntry {
+/// Where a name lives and which hub answers for it: the value of a
+/// directory row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PeerClaim {
     /// The listener address of the name's endpoint.
     pub addr: SocketAddr,
     /// The hub the name is (or was) connected on.
     pub owner: HubId,
-    /// Per-name version counter: bumped by the owning hub on every
-    /// (re-)bind and drop, and by an evicting hub's tombstone.
-    pub version: u64,
-    /// Tombstone: the name is gone (endpoint dropped or owner evicted).
-    pub evicted: bool,
 }
 
-impl DirectoryEntry {
-    /// Total, deterministic dominance order for last-writer-wins merges:
-    /// higher version wins; ties break on (evicted, owner, addr) so that
-    /// any two replicas pick the same winner regardless of arrival order.
-    /// Allocation-free: this runs on the transport's per-frame receive
-    /// path.
-    fn merge_key(&self) -> (u64, bool, u64, SocketAddr) {
-        (self.version, self.evicted, self.owner.0, self.addr)
+impl LwwValue for PeerClaim {
+    type Key = NodeId;
+    type Order<'a> = (HubId, SocketAddr);
+
+    fn order(&self) -> (HubId, SocketAddr) {
+        (self.owner, self.addr)
     }
 
-    /// True when `other` should replace `self` in a merge.
-    pub fn loses_to(&self, other: &DirectoryEntry) -> bool {
-        self.merge_key() < other.merge_key()
+    fn to_xml(&self, name: &NodeId) -> Element {
+        Element::new("entry")
+            .with_attr("name", name.as_str())
+            .with_attr("addr", self.addr.to_string())
+            .with_attr("owner", self.owner.to_string())
+    }
+
+    fn from_xml(el: &Element) -> Option<(NodeId, PeerClaim)> {
+        if el.name != "entry" {
+            return None;
+        }
+        Some((
+            NodeId::new(el.attr("name")?),
+            PeerClaim {
+                addr: el.attr("addr")?.parse().ok()?,
+                owner: HubId::parse(el.attr("owner")?)?,
+            },
+        ))
     }
 }
+
+/// One directory row: a [`PeerClaim`] under the per-name version counter
+/// (bumped by the owning hub on every (re-)bind and drop, and by an
+/// evicting hub's tombstone) and the tombstone flag (endpoint dropped or
+/// owner evicted). The `<entry>` element is its wire form, via
+/// [`crate::lww::row_to_xml`] and [`crate::lww::row_from_xml`].
+pub type DirectoryEntry = Row<PeerClaim>;
 
 /// What a merge changed (the material for liveness events and gossip
 /// effectiveness accounting).
@@ -203,9 +216,34 @@ pub enum DirectoryChange {
     Reasserted(NodeId),
 }
 
+/// The hub's rows, split by whether they replicate: two tables of one
+/// type, indexed by [`NAMED`], [`EPHEMERAL`], or [`table_of`] a name.
+type Tables = [LwwTable<NodeId, PeerClaim>; 2];
+
+/// The replicated table: every named entry, tombstones included.
+/// Snapshots, deltas and the fingerprint are this table's alone.
+const NAMED: usize = 0;
+
+/// Ephemeral `~` names (transport-local client identities): routed to
+/// like any name and merged under the same order (remote ones are learned
+/// from piggybacked frame claims), but never gossiped — exporting them
+/// would gossip short-lived endpoints forever. With no one to tell, they
+/// leave without tombstones.
+const EPHEMERAL: usize = 1;
+
+/// Which table holds `name`.
+fn table_of(name: &NodeId) -> usize {
+    usize::from(name.as_str().contains('~'))
+}
+
+/// Every live name with its claim, named and ephemeral.
+fn live(tables: &Tables) -> impl Iterator<Item = (&NodeId, &PeerClaim)> {
+    tables.iter().flat_map(|table| table.live_rows())
+}
+
 struct DirectoryInner {
     hub: HubId,
-    entries: RwLock<HashMap<NodeId, DirectoryEntry>>,
+    tables: RwLock<Tables>,
     /// Local suspicion overlay (never gossiped, never versioned).
     suspected_owners: RwLock<HashSet<HubId>>,
     /// Per-name count of *live* remote claims re-asserted over a locally
@@ -213,8 +251,8 @@ struct DirectoryInner {
     /// one-off reassert is normal (stale tombstones during eviction
     /// recovery); a count that keeps climbing is a cross-hub conflict.
     /// Keyed by name; the value is the latest conflicting claimant and
-    /// the running count. Leaf lock: never held while another directory
-    /// lock is taken.
+    /// the running count. Leaf lock: no other directory lock is taken
+    /// while it is held.
     conflicts: RwLock<HashMap<NodeId, (HubId, u64)>>,
 }
 
@@ -231,7 +269,7 @@ impl PeerDirectory {
         PeerDirectory {
             inner: Arc::new(DirectoryInner {
                 hub,
-                entries: RwLock::new(HashMap::new()),
+                tables: RwLock::new(Tables::default()),
                 suspected_owners: RwLock::new(HashSet::new()),
                 conflicts: RwLock::new(HashMap::new()),
             }),
@@ -248,21 +286,12 @@ impl PeerDirectory {
     /// standing entry) when a live entry already claims the name —
     /// local or remote, exactly like the raw registry did.
     pub fn bind_local(&self, name: NodeId, addr: SocketAddr) -> Result<(), DirectoryEntry> {
-        let mut entries = self.inner.entries.write();
-        let version = match entries.get(&name) {
-            Some(e) if !e.evicted => return Err(e.clone()),
-            Some(e) => e.version + 1,
-            None => 1,
-        };
-        entries.insert(
-            name,
-            DirectoryEntry {
-                addr,
-                owner: self.inner.hub,
-                version,
-                evicted: false,
-            },
-        );
+        let table = &mut self.inner.tables.write()[table_of(&name)];
+        if let Some(standing) = table.get(&name).filter(|e| !e.evicted) {
+            return Err(standing.clone());
+        }
+        let owner = self.inner.hub;
+        table.put(name, PeerClaim { addr, owner });
         Ok(())
     }
 
@@ -270,31 +299,62 @@ impl PeerDirectory {
     /// if the entry still points at `addr` (a remote claim may have
     /// replaced it, and that claim is not ours to bury).
     pub fn remove_local(&self, name: &NodeId, addr: SocketAddr) {
-        let mut entries = self.inner.entries.write();
-        let Some(e) = entries.get_mut(name) else {
-            return;
+        let table = &mut self.inner.tables.write()[table_of(name)];
+        let ours = PeerClaim {
+            addr,
+            owner: self.inner.hub,
         };
-        if e.evicted || e.addr != addr || e.owner != self.inner.hub {
+        if table.live(name) != Some(&ours) {
             return;
         }
-        // Ephemeral `~` endpoints never gossip (see `snapshot`), so their
-        // tombstones would only accumulate — delete outright.
-        if name.as_str().contains('~') {
-            entries.remove(name);
+        if table_of(name) == EPHEMERAL {
+            table.remove(name);
         } else {
-            e.version += 1;
-            e.evicted = true;
+            table.bury(name);
         }
     }
 
+    /// Directory policy, applied before a remote claim reaches the table:
+    /// a name whose endpoint is **alive on this hub** yields to no remote
+    /// claim at all — not even a same-address one (it would swap the
+    /// entry's owner and orphan the eventual tombstone when the endpoint
+    /// drops). A claim that would win the merge is refused and the local
+    /// entry re-asserted above it, so the correction out-gossips the
+    /// stale claim. Returns `None` when `name` is not alive here (the
+    /// claim is the table's to merge), otherwise whether it re-asserted.
+    fn defend(
+        &self,
+        table: &mut LwwTable<NodeId, PeerClaim>,
+        name: &NodeId,
+        incoming: &DirectoryEntry,
+    ) -> Option<bool> {
+        let hub = self.inner.hub;
+        let current = table
+            .get_mut(name)
+            .filter(|e| e.value.owner == hub && !e.evicted)?;
+        if !current.loses_to(incoming) {
+            return Some(false);
+        }
+        current.version = incoming.version + 1;
+        // A *live* claim from a real peer hub over our own live endpoint
+        // is conflict evidence (a tombstone is just eviction recovery);
+        // count it for the failure detector's sweep to surface once it
+        // persists.
+        let claimant = incoming.value.owner;
+        if !incoming.evicted && claimant != hub && claimant != HubId::UNKNOWN {
+            let mut conflicts = self.inner.conflicts.write();
+            let slot = conflicts.entry(name.clone()).or_insert((claimant, 0));
+            *slot = (claimant, slot.1 + 1);
+        }
+        Some(true)
+    }
+
     /// Merges one remote claim (a gossip entry, a handshake snapshot row,
-    /// or a piggybacked sender address) under last-writer-wins — with one
-    /// owner-side exception: a claim that would shadow or bury a name
-    /// whose endpoint is **alive on this hub** is refused, and the local
-    /// entry is re-asserted with a version above the intruder's so the
-    /// correction out-gossips the stale claim. This is also what makes
-    /// [`crate::TcpTransport::register_peer`] safe: a manual registration
-    /// can never silently shadow a locally connected name.
+    /// or a piggybacked sender address) under last-writer-wins — unless
+    /// the name is alive on this hub (see `defend`). That exception is
+    /// also what makes [`crate::TcpTransport::register_peer`] safe: a
+    /// manual registration can never silently shadow a locally connected
+    /// name.
     pub fn merge_entry(&self, name: NodeId, incoming: DirectoryEntry) -> Option<DirectoryChange> {
         // Fast path under the read lock: in steady state (every TCP frame
         // piggybacks its sender's claim, and the claim almost never
@@ -302,59 +362,25 @@ impl PeerDirectory {
         // threads must not serialize on the write lock per frame. The
         // write path re-checks, so a race just retries the comparison.
         {
-            let entries = self.inner.entries.read();
-            if let Some(current) = entries.get(&name) {
+            let tables = self.inner.tables.read();
+            if let Some(current) = tables[table_of(&name)].get(&name) {
                 if !current.loses_to(&incoming) {
                     return None;
                 }
             }
         }
-        let mut entries = self.inner.entries.write();
-        match entries.get_mut(&name) {
-            None => {
-                let change = if incoming.evicted {
-                    DirectoryChange::Evicted(name.clone())
-                } else {
-                    DirectoryChange::Learned(name.clone())
-                };
-                entries.insert(name, incoming);
-                Some(change)
-            }
-            Some(current) => {
-                if !current.loses_to(&incoming) {
-                    return None;
-                }
-                // A name whose endpoint is alive on this hub yields to no
-                // remote claim at all — not even a same-address one (it
-                // would swap the entry's owner and orphan the eventual
-                // tombstone when the endpoint drops).
-                let locally_alive = current.owner == self.inner.hub && !current.evicted;
-                if locally_alive {
-                    current.version = incoming.version + 1;
-                    // A *live* claim from a real peer hub over our own live
-                    // endpoint is conflict evidence (a tombstone is just
-                    // eviction recovery); count it for the failure
-                    // detector's sweep to surface once it persists.
-                    if !incoming.evicted
-                        && incoming.owner != self.inner.hub
-                        && incoming.owner != HubId::UNKNOWN
-                    {
-                        drop(entries);
-                        let mut conflicts = self.inner.conflicts.write();
-                        let slot = conflicts.entry(name.clone()).or_insert((incoming.owner, 0));
-                        *slot = (incoming.owner, slot.1 + 1);
-                    }
-                    return Some(DirectoryChange::Reasserted(name));
-                }
-                let change = if incoming.evicted {
-                    DirectoryChange::Evicted(name.clone())
-                } else {
-                    DirectoryChange::Learned(name.clone())
-                };
-                *current = incoming;
-                Some(change)
-            }
+        let table = &mut self.inner.tables.write()[table_of(&name)];
+        if let Some(reasserted) = self.defend(table, &name, &incoming) {
+            return reasserted.then_some(DirectoryChange::Reasserted(name));
         }
+        let change = if incoming.evicted {
+            DirectoryChange::Evicted
+        } else {
+            DirectoryChange::Learned
+        };
+        table
+            .merge_entry(name.clone(), incoming)
+            .then_some(change(name))
     }
 
     /// Merges a batch of remote claims, returning every change applied.
@@ -368,6 +394,25 @@ impl PeerDirectory {
             .collect()
     }
 
+    /// The receiving half of push-pull gossip ([`LwwTable::respond`]) for
+    /// a decoded row set: merges it and returns the rows its sender is
+    /// missing (none for a delta, which is itself such an answer). A claim
+    /// `defend` re-asserts over never reaches the table, so to the table
+    /// the sender lacks that name and a snapshot's answer carries the
+    /// re-asserted entry straight back. Ephemeral names never gossip, in
+    /// either direction.
+    pub fn respond(
+        &self,
+        mut rows: Vec<(NodeId, DirectoryEntry)>,
+        is_delta: bool,
+    ) -> Vec<(NodeId, DirectoryEntry)> {
+        let named = &mut self.inner.tables.write()[NAMED];
+        rows.retain(|(name, incoming)| {
+            table_of(name) == NAMED && self.defend(named, name, incoming) != Some(true)
+        });
+        named.respond(rows, is_delta)
+    }
+
     /// An operator's by-hand registration
     /// ([`crate::TcpTransport::register_peer`]): last-call-wins under one
     /// lock — the entry is overwritten with a version above the standing
@@ -376,29 +421,13 @@ impl PeerDirectory {
     /// is a name whose endpoint is alive on this hub: the registration is
     /// refused (returns `false`) rather than hijacking local traffic.
     pub fn register_manual(&self, name: NodeId, addr: SocketAddr) -> bool {
-        let mut entries = self.inner.entries.write();
-        match entries.get_mut(&name) {
-            Some(e) if e.owner == self.inner.hub && !e.evicted => false,
-            Some(e) => {
-                e.addr = addr;
-                e.owner = HubId::UNKNOWN;
-                e.version += 1;
-                e.evicted = false;
-                true
-            }
-            None => {
-                entries.insert(
-                    name,
-                    DirectoryEntry {
-                        addr,
-                        owner: HubId::UNKNOWN,
-                        version: 1,
-                        evicted: false,
-                    },
-                );
-                true
-            }
+        let table = &mut self.inner.tables.write()[table_of(&name)];
+        if table.live(&name).is_some_and(|c| c.owner == self.inner.hub) {
+            return false;
         }
+        let owner = HubId::UNKNOWN;
+        table.put(name, PeerClaim { addr, owner });
+        true
     }
 
     /// Drops a remote **ephemeral** (`~`) entry that proved unreachable at
@@ -408,89 +437,58 @@ impl PeerDirectory {
     /// end-of-life signal. Named entries are left alone: one transient
     /// send failure must not erase what gossip and eviction own.
     pub fn prune_unreachable_ephemeral(&self, name: &NodeId, addr: SocketAddr) {
-        if !name.as_str().contains('~') {
+        if table_of(name) != EPHEMERAL {
             return;
         }
-        let mut entries = self.inner.entries.write();
-        if let Some(e) = entries.get(name) {
-            if e.owner != self.inner.hub && e.addr == addr {
-                entries.remove(name);
-            }
+        let ephemeral = &mut self.inner.tables.write()[EPHEMERAL];
+        if ephemeral
+            .get(name)
+            .is_some_and(|e| e.value.owner != self.inner.hub && e.value.addr == addr)
+        {
+            ephemeral.remove(name);
         }
     }
 
     /// The routable address of `name` (none for unknown or evicted names).
     pub fn lookup(&self, name: &NodeId) -> Option<SocketAddr> {
-        self.inner
-            .entries
-            .read()
-            .get(name)
-            .filter(|e| !e.evicted)
-            .map(|e| e.addr)
+        let tables = self.inner.tables.read();
+        tables[table_of(name)].live(name).map(|c| c.addr)
     }
 
     /// True when a live (non-tombstoned) entry binds `name`.
     pub fn is_bound(&self, name: &str) -> bool {
-        self.inner
-            .entries
-            .read()
-            .get(&NodeId::new(name))
-            .is_some_and(|e| !e.evicted)
+        self.lookup(&NodeId::new(name)).is_some()
     }
 
     /// The full entry for `name`, tombstoned or not.
     pub fn entry(&self, name: &str) -> Option<DirectoryEntry> {
-        self.inner.entries.read().get(&NodeId::new(name)).cloned()
+        let name = NodeId::new(name);
+        self.inner.tables.read()[table_of(&name)]
+            .get(&name)
+            .cloned()
     }
 
     /// All live names, sorted.
     pub fn names(&self) -> Vec<NodeId> {
-        let mut names: Vec<NodeId> = self
-            .inner
-            .entries
-            .read()
-            .iter()
-            .filter(|(_, e)| !e.evicted)
-            .map(|(n, _)| n.clone())
-            .collect();
+        let tables = self.inner.tables.read();
+        let mut names: Vec<NodeId> = live(&tables).map(|(n, _)| n.clone()).collect();
         names.sort();
         names
     }
 
-    /// The gossip-able view: every entry except ephemeral `~` names
-    /// (transport-local client identities; exporting them would gossip
-    /// short-lived endpoints forever). Includes tombstones — departures
-    /// must travel as far as arrivals.
+    /// The gossip-able view: every named entry in name order, tombstones
+    /// included — departures must travel as far as arrivals.
     pub fn snapshot(&self) -> Vec<(NodeId, DirectoryEntry)> {
-        let mut rows: Vec<(NodeId, DirectoryEntry)> = self
-            .inner
-            .entries
-            .read()
-            .iter()
-            .filter(|(n, _)| !n.as_str().contains('~'))
-            .map(|(n, e)| (n.clone(), e.clone()))
-            .collect();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows
+        self.inner.tables.read()[NAMED].snapshot()
     }
 
     /// Entries of this directory that strictly dominate (or are absent
-    /// from) a peer's snapshot — the *delta* half of push-pull gossip: the
-    /// receiver of a full snapshot answers with exactly what the sender is
-    /// missing.
+    /// from) a peer's snapshot: exactly what the peer is missing.
     pub fn delta_against(
         &self,
         theirs: &[(NodeId, DirectoryEntry)],
     ) -> Vec<(NodeId, DirectoryEntry)> {
-        let theirs: HashMap<&NodeId, &DirectoryEntry> =
-            theirs.iter().map(|(n, e)| (n, e)).collect();
-        self.snapshot()
-            .into_iter()
-            .filter(|(name, entry)| match theirs.get(name) {
-                None => true,
-                Some(remote) => remote.loses_to(entry),
-            })
-            .collect()
+        self.inner.tables.read()[NAMED].delta_against(theirs)
     }
 
     /// Marks (or clears) local suspicion of every name owned by `hub`.
@@ -513,27 +511,24 @@ impl PeerDirectory {
 
     /// Evicts every name owned by `hub`: tombstones with bumped versions
     /// (so the eviction gossips), suspicion cleared. Returns the evicted
-    /// names. The local hub and the manual-registration sentinel cannot
-    /// be evicted.
+    /// names, sorted. The dead hub's ephemeral entries are simply
+    /// forgotten. The local hub and the manual-registration sentinel
+    /// cannot be evicted.
     pub fn evict_owner(&self, hub: HubId) -> Vec<NodeId> {
         if hub == self.inner.hub || hub == HubId::UNKNOWN {
             return Vec::new();
         }
         self.inner.suspected_owners.write().remove(&hub);
-        let mut evicted = Vec::new();
-        let mut entries = self.inner.entries.write();
-        // The dead hub's ephemeral entries (learned from piggybacked
-        // claims) are deleted outright: they never gossip, so a tombstone
-        // would linger forever without ever propagating anything.
-        entries.retain(|name, e| !(e.owner == hub && name.as_str().contains('~')));
-        for (name, e) in entries.iter_mut() {
-            if e.owner == hub && !e.evicted {
-                e.version += 1;
-                e.evicted = true;
-                evicted.push(name.clone());
-            }
+        let mut tables = self.inner.tables.write();
+        tables[EPHEMERAL].retain(|_, e| e.value.owner != hub);
+        let evicted: Vec<NodeId> = tables[NAMED]
+            .live_rows()
+            .filter(|(_, c)| c.owner == hub)
+            .map(|(n, _)| n.clone())
+            .collect();
+        for name in &evicted {
+            tables[NAMED].bury(name);
         }
-        evicted.sort();
         evicted
     }
 
@@ -565,47 +560,26 @@ impl PeerDirectory {
 
     /// Live names owned by `hub`, sorted.
     pub fn names_owned_by(&self, hub: HubId) -> Vec<NodeId> {
-        let mut names: Vec<NodeId> = self
-            .inner
-            .entries
-            .read()
-            .iter()
-            .filter(|(_, e)| e.owner == hub && !e.evicted)
+        let tables = self.inner.tables.read();
+        let mut names: Vec<NodeId> = live(&tables)
+            .filter(|(_, c)| c.owner == hub)
             .map(|(n, _)| n.clone())
             .collect();
         names.sort();
         names
     }
 
-    /// Order-independent fingerprint of the gossip-able state (the `~`-free
-    /// entry set, including tombstones). Two hubs whose directories have
+    /// Order-independent fingerprint of the gossip-able state (every
+    /// named entry, tombstones included). Two hubs whose directories have
     /// converged report equal fingerprints; the convergence tests and the
     /// gossip bench poll this.
     pub fn fingerprint(&self) -> u64 {
-        let mut acc = 0u64;
-        for (name, e) in self.inner.entries.read().iter() {
-            if name.as_str().contains('~') {
-                continue;
-            }
-            let mut h = DefaultHasher::new();
-            name.as_str().hash(&mut h);
-            e.addr.to_string().hash(&mut h);
-            e.owner.0.hash(&mut h);
-            e.version.hash(&mut h);
-            e.evicted.hash(&mut h);
-            acc ^= h.finish();
-        }
-        acc
+        self.inner.tables.read()[NAMED].fingerprint()
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.inner
-            .entries
-            .read()
-            .values()
-            .filter(|e| !e.evicted)
-            .count()
+        live(&self.inner.tables.read()).count()
     }
 
     /// True when no live entries exist.
@@ -616,13 +590,11 @@ impl PeerDirectory {
 
 impl LivenessProbe for PeerDirectory {
     fn status_of(&self, name: &str) -> PeerStatus {
-        let owner = {
-            let entries = self.inner.entries.read();
-            match entries.get(&NodeId::new(name)) {
-                Some(e) if e.evicted => return PeerStatus::Evicted,
-                Some(e) => e.owner,
-                None => return PeerStatus::Alive,
-            }
+        let name = NodeId::new(name);
+        let owner = match self.inner.tables.read()[table_of(&name)].get(&name) {
+            Some(e) if e.evicted => return PeerStatus::Evicted,
+            Some(e) => e.value.owner,
+            None => return PeerStatus::Alive,
         };
         if self.inner.suspected_owners.read().contains(&owner) {
             PeerStatus::Suspected
@@ -639,41 +611,6 @@ impl fmt::Debug for PeerDirectory {
             .field("live_entries", &self.len())
             .finish()
     }
-}
-
-// ---------------------------------------------------------------------------
-// Wire codec: directory rows and liveness events as XML elements
-// ---------------------------------------------------------------------------
-
-/// Encodes one directory row as an `<entry>` element (the gossip and
-/// handshake payload row format).
-pub fn entry_to_xml(name: &NodeId, e: &DirectoryEntry) -> Element {
-    let mut el = Element::new("entry")
-        .with_attr("name", name.as_str())
-        .with_attr("addr", e.addr.to_string())
-        .with_attr("owner", e.owner.to_string())
-        .with_attr("version", e.version.to_string());
-    if e.evicted {
-        el.set_attr("evicted", "1");
-    }
-    el
-}
-
-/// Decodes an `<entry>` element. Malformed rows decode to `None` and are
-/// skipped by receivers (one bad row must not poison a whole exchange).
-pub fn entry_from_xml(el: &Element) -> Option<(NodeId, DirectoryEntry)> {
-    if el.name != "entry" {
-        return None;
-    }
-    Some((
-        NodeId::new(el.attr("name")?),
-        DirectoryEntry {
-            addr: el.attr("addr")?.parse().ok()?,
-            owner: HubId::parse(el.attr("owner")?)?,
-            version: el.attr("version")?.parse().ok()?,
-            evicted: el.attr("evicted") == Some("1"),
-        },
-    ))
 }
 
 /// The message kind liveness events travel under (discovery → monitor).
@@ -735,8 +672,10 @@ mod tests {
 
     fn remote(port: u16, owner: u64, version: u64, evicted: bool) -> DirectoryEntry {
         DirectoryEntry {
-            addr: addr(port),
-            owner: HubId(owner),
+            value: PeerClaim {
+                addr: addr(port),
+                owner: HubId(owner),
+            },
             version,
             evicted,
         }
@@ -855,8 +794,11 @@ mod tests {
         let change = d.merge_entry(NodeId::new("mine"), remote(6666, 0xB, 99, false));
         assert!(matches!(change, Some(DirectoryChange::Reasserted(_))));
         let after = d.entry("mine").unwrap();
-        assert_eq!(after.addr, before.addr, "local mapping survives");
-        assert_eq!(after.owner, d.hub());
+        assert_eq!(
+            after.value.addr, before.value.addr,
+            "local mapping survives"
+        );
+        assert_eq!(after.value.owner, d.hub());
         assert!(after.version > 99, "re-assertion out-versions the intruder");
         // Same for a remote tombstone: local liveness wins.
         let change = d.merge_entry(NodeId::new("mine"), remote(1000, 0xB, 200, true));
@@ -866,19 +808,11 @@ mod tests {
         // register_peer made elsewhere, gossiped back): adopting it would
         // swap the owner and orphan the eventual drop-tombstone.
         let v = d.entry("mine").unwrap().version;
-        let change = d.merge_entry(
-            NodeId::new("mine"),
-            DirectoryEntry {
-                addr: d.entry("mine").unwrap().addr,
-                owner: HubId::UNKNOWN,
-                version: v + 50,
-                evicted: false,
-            },
-        );
+        let change = d.merge_entry(NodeId::new("mine"), remote(1000, 0, v + 50, false));
         assert!(matches!(change, Some(DirectoryChange::Reasserted(_))));
-        assert_eq!(d.entry("mine").unwrap().owner, d.hub());
+        assert_eq!(d.entry("mine").unwrap().value.owner, d.hub());
         // The drop path still works: the entry is ours to tombstone.
-        let addr_mine = d.entry("mine").unwrap().addr;
+        let addr_mine = d.entry("mine").unwrap().value.addr;
         d.remove_local(&NodeId::new("mine"), addr_mine);
         assert!(!d.is_bound("mine"));
     }
@@ -956,20 +890,42 @@ mod tests {
     }
 
     #[test]
-    fn delta_against_returns_exactly_the_missing_rows() {
+    fn respond_answers_a_snapshot_with_the_missing_rows_and_a_delta_with_none() {
         let a = dir();
         let b = PeerDirectory::new(HubId(0xB));
         a.merge_entry(NodeId::new("only-a"), remote(1, 0xC, 1, false));
         a.merge_entry(NodeId::new("newer-on-a"), remote(2, 0xC, 5, false));
         b.merge_entry(NodeId::new("newer-on-a"), remote(2, 0xC, 3, false));
         b.merge_entry(NodeId::new("only-b"), remote(3, 0xD, 1, false));
-        let delta = a.delta_against(&b.snapshot());
-        let names: Vec<&str> = delta.iter().map(|(n, _)| n.as_str()).collect();
+        // Push: b's snapshot reaches a, which adopts only-b and answers
+        // with exactly what b lacks. Pull: b merges the answer silently.
+        let answer = a.respond(b.snapshot(), false);
+        let names: Vec<&str> = answer.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["newer-on-a", "only-a"]);
-        // Applying the delta converges b toward a for those rows.
-        b.merge_remote(delta);
-        assert_eq!(b.entry("newer-on-a").unwrap().version, 5);
-        assert!(b.is_bound("only-a"));
+        assert!(b.respond(answer, true).is_empty());
+        assert_eq!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn respond_defends_local_names_and_refuses_ephemeral_rows() {
+        let d = dir();
+        d.bind_local(NodeId::new("mine"), addr(1000)).unwrap();
+        // A copy of our own entry, as every peer's snapshot carries, needs
+        // no correction and no answer; an ephemeral row never gossips.
+        let mine = (NodeId::new("mine"), d.entry("mine").unwrap());
+        let ephemeral = (NodeId::new("cli~b-1"), remote(7, 0xB, 1, false));
+        assert!(d.respond(vec![mine, ephemeral], false).is_empty());
+        assert!(d.entry("cli~b-1").is_none());
+        // A claim that would win the merge is refused and re-asserted
+        // over, and the correction rides the answer.
+        let intruder = (NodeId::new("mine"), remote(6666, 0xB, 99, false));
+        let answer = d.respond(vec![intruder], false);
+        assert_eq!(
+            answer,
+            vec![(NodeId::new("mine"), d.entry("mine").unwrap())]
+        );
+        assert_eq!(d.lookup(&NodeId::new("mine")), Some(addr(1000)));
+        assert!(answer[0].1.version > 99);
     }
 
     #[test]
@@ -985,14 +941,28 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
+    /// The `<entry>` row is a wire format other processes parse: pin its
+    /// bytes, not just its round trip.
     #[test]
-    fn entry_codec_round_trip() {
+    fn entry_rows_are_pinned_byte_for_byte() {
+        use crate::lww::{row_from_xml, row_to_xml};
         let name = NodeId::new("svc.alpha");
-        let e = remote(4242, 0xBEEF, 17, true);
-        let decoded = entry_from_xml(&entry_to_xml(&name, &e)).unwrap();
-        assert_eq!(decoded, (name, e));
-        assert!(entry_from_xml(&Element::new("not-entry")).is_none());
-        assert!(entry_from_xml(&Element::new("entry").with_attr("name", "x")).is_none());
+        for (entry, bytes) in [
+            (
+                remote(4242, 0xBEEF, 17, false),
+                r#"<entry name="svc.alpha" addr="127.0.0.1:4242" owner="000000000000beef" version="17"/>"#,
+            ),
+            (
+                remote(4242, 0xBEEF, 18, true),
+                r#"<entry name="svc.alpha" addr="127.0.0.1:4242" owner="000000000000beef" version="18" evicted="1"/>"#,
+            ),
+        ] {
+            let el = row_to_xml(&name, &entry);
+            assert_eq!(el.to_xml(), bytes);
+            assert_eq!(row_from_xml::<PeerClaim>(&el), Some((name.clone(), entry)));
+        }
+        assert!(row_from_xml::<PeerClaim>(&Element::new("not-entry")).is_none());
+        assert!(row_from_xml::<PeerClaim>(&Element::new("entry").with_attr("name", "x")).is_none());
     }
 
     #[test]

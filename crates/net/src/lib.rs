@@ -43,6 +43,8 @@ mod envelope;
 mod fabric;
 mod fault;
 pub mod gossip;
+pub mod lww;
+mod lww_laws;
 mod metrics;
 mod replica;
 pub mod tcp;
@@ -50,7 +52,7 @@ mod transport;
 mod writer;
 
 pub use directory::{
-    DirectoryChange, DirectoryEntry, HubId, LivenessEvent, LivenessProbe, PeerDirectory,
+    DirectoryChange, DirectoryEntry, HubId, LivenessEvent, LivenessProbe, PeerClaim, PeerDirectory,
     PeerStatus, LIVENESS_KIND,
 };
 pub use envelope::{Envelope, MessageId, NodeId};

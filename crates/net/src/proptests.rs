@@ -1,9 +1,13 @@
 //! Property tests for the fabric: envelope codec totality, delivery
 //! conservation, determinism under seeded loss, rpc reply demultiplexing
-//! under adversarial request/reply interleavings, and per-connection
-//! frame ordering on the queued TCP write path.
+//! under adversarial request/reply interleavings, per-connection frame
+//! ordering on the queued TCP write path, and the replicated-table laws
+//! for directory rows.
 
-use crate::{Envelope, MessageId, Network, NetworkConfig, NodeId, TcpTransport, Transport};
+use crate::{
+    DirectoryEntry, Envelope, HubId, MessageId, Network, NetworkConfig, NodeId, PeerClaim,
+    TcpTransport, Transport,
+};
 use proptest::prelude::*;
 use selfserv_xml::Element;
 use std::time::Duration;
@@ -250,3 +254,27 @@ proptest! {
         }
     }
 }
+
+/// Directory rows over a small name universe. The laws are the table's:
+/// the directory's owner-side self-defence *generates new versions*
+/// rather than combining existing ones, so it sits outside the algebra
+/// (and has its own tests in `directory.rs`).
+fn arb_entry() -> impl Strategy<Value = (NodeId, DirectoryEntry)> {
+    (0u8..6, 1u16..2000, 1u64..6, 1u64..8, any::<bool>()).prop_map(
+        |(name, port, owner, version, evicted)| {
+            (
+                NodeId::new(format!("node{name}")),
+                DirectoryEntry {
+                    value: PeerClaim {
+                        addr: format!("127.0.0.1:{}", 1000 + port).parse().unwrap(),
+                        owner: HubId(owner),
+                    },
+                    version,
+                    evicted,
+                },
+            )
+        },
+    )
+}
+
+crate::lww_law_suite!(PeerClaim, arb_entry());

@@ -171,7 +171,7 @@ mod tests {
 
     #[test]
     fn discover_collects_the_naming_family_across_hubs() {
-        use crate::directory::{DirectoryEntry, HubId, PeerDirectory};
+        use crate::directory::{DirectoryEntry, HubId, PeerClaim, PeerDirectory};
         let dir = PeerDirectory::new(HubId(1));
         let addr = "127.0.0.1:9000".parse().unwrap();
         for name in [
@@ -187,8 +187,10 @@ mod tests {
         dir.merge_remote([(
             NodeId::new("community.x.r2"),
             DirectoryEntry {
-                addr: "127.0.0.1:9100".parse().unwrap(),
-                owner: HubId(2),
+                value: PeerClaim {
+                    addr: "127.0.0.1:9100".parse().unwrap(),
+                    owner: HubId(2),
+                },
                 version: 1,
                 evicted: false,
             },
@@ -197,8 +199,10 @@ mod tests {
         dir.merge_remote([(
             NodeId::new("community.x.r3"),
             DirectoryEntry {
-                addr: "127.0.0.1:9200".parse().unwrap(),
-                owner: HubId(2),
+                value: PeerClaim {
+                    addr: "127.0.0.1:9200".parse().unwrap(),
+                    owner: HubId(2),
+                },
                 version: 4,
                 evicted: true,
             },

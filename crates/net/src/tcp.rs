@@ -31,7 +31,7 @@
 //! connection** on any malformed frame instead of trying to resynchronize
 //! mid-stream.
 
-use crate::directory::{DirectoryEntry, HubId, PeerDirectory};
+use crate::directory::{DirectoryEntry, HubId, PeerClaim, PeerDirectory};
 use crate::envelope::{Envelope, MessageId, NodeId};
 use crate::metrics::{MetricsSnapshot, NodeCounters};
 use crate::transport::{
@@ -116,8 +116,10 @@ fn read_frame_element(stream: &mut impl Read) -> std::io::Result<(Element, usize
 /// `Hub::stamp_sender_claim`).
 fn piggybacked_claim(xml: &Element) -> Option<DirectoryEntry> {
     Some(DirectoryEntry {
-        addr: xml.attr("peer-addr")?.parse().ok()?,
-        owner: HubId::parse(xml.attr("peer-owner")?)?,
+        value: PeerClaim {
+            addr: xml.attr("peer-addr")?.parse().ok()?,
+            owner: HubId::parse(xml.attr("peer-owner")?)?,
+        },
         version: xml.attr("peer-version")?.parse().ok()?,
         evicted: false,
     })
@@ -266,11 +268,11 @@ impl Hub {
         let Some(entry) = self.directory.entry(from.as_str()) else {
             return;
         };
-        if entry.evicted || entry.owner != self.directory.hub() {
+        if entry.evicted || entry.value.owner != self.directory.hub() {
             return;
         }
-        frame_xml.set_attr("peer-addr", entry.addr.to_string());
-        frame_xml.set_attr("peer-owner", entry.owner.to_string());
+        frame_xml.set_attr("peer-addr", entry.value.addr.to_string());
+        frame_xml.set_attr("peer-owner", entry.value.owner.to_string());
         frame_xml.set_attr("peer-version", entry.version.to_string());
     }
 }
@@ -1249,7 +1251,7 @@ mod tests {
         assert_eq!(reply.kind, "pong");
         // The claim carried the owning hub's identity, not a guess.
         assert_eq!(
-            t2.directory().entry("client").map(|e| e.owner),
+            t2.directory().entry("client").map(|e| e.value.owner),
             Some(t1.hub_id())
         );
         server_thread.join().unwrap();
