@@ -1,7 +1,7 @@
 //! Transport seam microbenchmarks: the in-process fabric vs. real TCP
 //! sockets, carrying identical envelopes.
 //!
-//! Five shapes, each over both transports (plus a TCP-only
+//! Six shapes, each over both transports (plus a TCP-only
 //! syscall-coalescing check, `burst_syscalls`):
 //! * round-trip latency — `Endpoint::rpc` ping/pong against an echo node.
 //!   Replies demultiplex on the caller's persistent endpoint, so an rpc is
@@ -21,7 +21,10 @@
 //!   variant needs 64 workers because each rpc parks one), the shape of
 //!   the continuation-passing coordinator's invocation burst;
 //! * one-way throughput — a burst of notifications drained by the
-//!   receiver, the shape of coordinator completion traffic.
+//!   receiver, the shape of coordinator completion traffic;
+//! * one large one-way message — a 400-child body, the shape of a registry
+//!   find reply: what a transport does per byte (byte accounting, framing,
+//!   parsing) is invisible at the other shapes' 64 B.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use selfserv_net::{Endpoint, Envelope, Network, NetworkConfig, NodeId, TcpTransport, Transport};
@@ -156,6 +159,26 @@ fn bench_transport(c: &mut Criterion, label: &str, net: &dyn Transport) {
             }
         });
     });
+    let find_reply = Element::new("serviceList").with_children((0..400).map(|i| {
+        Element::new("serviceInfo")
+            .with_attr("key", format!("svc-{i}"))
+            .with_child(Element::new("name").with_text(format!("Service {i} & Co")))
+    }));
+    group.bench_with_input(
+        BenchmarkId::new("one_way_400_children", label),
+        &(),
+        |b, _| {
+            // The body's clone is inside the measurement (`send` takes it
+            // by value); it is the same on every transport.
+            b.iter(|| {
+                client
+                    .send("sink", "uddi.result", find_reply.clone())
+                    .expect("send accepted");
+                sink.recv_timeout(Duration::from_secs(10))
+                    .expect("delivered")
+            });
+        },
+    );
     group.finish();
     exec.shutdown();
     burster.stop();

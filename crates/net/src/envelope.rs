@@ -1,6 +1,6 @@
 //! Message envelopes: addressed XML documents.
 
-use selfserv_xml::Element;
+use selfserv_xml::{write_attr, ByteCount, Element, Node, XmlSink};
 use std::fmt;
 use std::sync::Arc;
 
@@ -89,23 +89,70 @@ impl Envelope {
         }
     }
 
+    /// The header attributes in wire order — the one definition that both
+    /// [`Envelope::to_xml`] and the frame writer consume.
+    fn for_each_header_attr(&self, mut attr: impl FnMut(&'static str, &str)) {
+        let mut digits = [0u8; 20];
+        attr("id", decimal(self.id.0, &mut digits));
+        attr("from", self.from.as_str());
+        attr("to", self.to.as_str());
+        attr("kind", &self.kind);
+        if let Some(c) = self.correlation {
+            attr("correlation", decimal(c.0, &mut digits));
+        }
+    }
+
     /// Encodes the whole envelope as one XML element (the on-wire form of
     /// the TCP transport, and the basis of byte accounting).
     pub fn to_xml(&self) -> Element {
-        let mut e = Element::new("envelope")
-            .with_attr("id", self.id.0.to_string())
-            .with_attr("from", self.from.as_str())
-            .with_attr("to", self.to.as_str())
-            .with_attr("kind", &self.kind);
-        if let Some(c) = self.correlation {
-            e.set_attr("correlation", c.0.to_string());
-        }
+        let mut e = Element::new("envelope");
+        self.for_each_header_attr(|name, value| e.attrs.push((name.into(), value.into())));
         e.push_child(self.body.clone());
         e
     }
 
-    /// Decodes the on-wire form.
+    /// Writes the frame text — `self.to_xml()`, with the `stamp`
+    /// attributes appended after the header, `.to_xml()` — straight to
+    /// `out` without building the wrapper element or copying the body.
+    pub(crate) fn write_wire<S: XmlSink>(&self, stamp: &[(&str, String)], out: &mut S) {
+        out.put("<envelope");
+        self.for_each_header_attr(|name, value| write_attr(out, name, value));
+        for (name, value) in stamp {
+            write_attr(out, name, value);
+        }
+        out.put(">");
+        self.body.write_into(out);
+        out.put("</envelope>");
+    }
+
+    /// Byte length of [`Envelope::write_wire`]'s output for `stamp`.
+    pub(crate) fn wire_len(&self, stamp: &[(&str, String)]) -> usize {
+        let mut count = ByteCount(0);
+        self.write_wire(stamp, &mut count);
+        count.0
+    }
+
+    /// Decodes the on-wire form, copying the body out of `e`.
     pub fn from_xml(e: &Element) -> Result<Self, String> {
+        Self::decode_with(e, e.child_elements().next().cloned())
+    }
+
+    /// Decodes the on-wire form, *taking* the body out of the parsed frame
+    /// — what a receive path that owns the frame calls.
+    pub(crate) fn decode(mut e: Element) -> Result<Self, String> {
+        let body = std::mem::take(&mut e.children)
+            .into_iter()
+            .find_map(|n| match n {
+                Node::Element(body) => Some(body),
+                _ => None,
+            });
+        Self::decode_with(&e, body)
+    }
+
+    /// The one decoder: the header from `e`'s attributes (others — the
+    /// piggybacked `peer-*` claim — are ignored), the body as the caller
+    /// obtained `e`'s first child element, copied or taken.
+    fn decode_with(e: &Element, body: Option<Element>) -> Result<Self, String> {
         if e.name != "envelope" {
             return Err(format!("expected <envelope>, got <{}>", e.name));
         }
@@ -120,11 +167,7 @@ impl Envelope {
             )),
             None => None,
         };
-        let body = e
-            .child_elements()
-            .next()
-            .cloned()
-            .ok_or_else(|| "envelope has no body element".to_string())?;
+        let body = body.ok_or_else(|| "envelope has no body element".to_string())?;
         Ok(Envelope {
             id: MessageId(id),
             from: NodeId::new(e.require_attr("from")?),
@@ -136,10 +179,25 @@ impl Envelope {
     }
 
     /// Size in bytes of the serialized envelope — what the metrics layer
-    /// charges to each link.
+    /// charges to each link. Counted by the writer that produces the frame
+    /// text, not serialized: no clone, no allocation.
     pub fn wire_size(&self) -> usize {
-        self.to_xml().to_xml().len()
+        self.wire_len(&[])
     }
+}
+
+/// `n` in decimal, written into `buf` (20 digits hold any `u64`).
+fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &str {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[at..]).expect("ascii digits")
 }
 
 #[cfg(test)]

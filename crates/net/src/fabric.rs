@@ -340,7 +340,7 @@ impl Network {
         if !self.inner.nodes.read().contains_key(&to) {
             return Err(SendError::UnknownNode(to));
         }
-        {
+        let latency = {
             let fault = self.inner.fault.read();
             if fault.is_dead(&from) {
                 return Err(SendError::SenderDead(from));
@@ -350,12 +350,17 @@ impl Network {
                 self.counters_for(&to).record_drop();
                 return Ok(id);
             }
-            let p = fault.effective_drop(&from, &to);
+            let link = fault.link(&from, &to);
+            let p = link
+                .and_then(|l| l.drop_probability)
+                .unwrap_or(fault.drop_probability);
             if p > 0.0 && self.inner.rng.lock().gen::<f64>() < p {
                 self.counters_for(&to).record_drop();
                 return Ok(id);
             }
-        }
+            link.and_then(|l| l.latency)
+                .unwrap_or(self.inner.cfg.latency)
+        };
         // The chaos schedule sees the message after the static policy let
         // it through. Delay and reorder both become heap entries; a
         // duplicate schedules its copy and falls through so the original
@@ -380,14 +385,13 @@ impl Network {
             }
             Some(FaultAction::Deliver) | None => {}
         }
-        let latency = {
-            let fault = self.inner.fault.read();
-            fault
-                .link(&from, &to)
-                .and_then(|l| l.latency)
-                .unwrap_or(self.inner.cfg.latency)
+        // Only `Uniform` draws; the fabric-wide rng lock is not worth taking
+        // to learn that `Instant` is zero.
+        let delay = match latency {
+            LatencyModel::Instant => Duration::ZERO,
+            LatencyModel::Fixed(d) => d,
+            LatencyModel::Uniform(..) => latency.sample(&mut *self.inner.rng.lock()),
         };
-        let delay = latency.sample(&mut *self.inner.rng.lock());
         if delay.is_zero() {
             self.deliver_now(envelope, size);
         } else {

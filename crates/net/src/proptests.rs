@@ -21,9 +21,10 @@ fn arb_envelope() -> impl Strategy<Value = Envelope> {
         proptest::option::of(any::<u64>()),
         "[A-Za-z][A-Za-z0-9]{0,8}",
         "[ -~]{0,24}",
+        "[a-c<>&\"' \t\n\ré✓-]{0,12}",
     )
-        .prop_map(|(id, from, to, kind, corr, tag, text)| {
-            let mut body = Element::new(tag);
+        .prop_map(|(id, from, to, kind, corr, tag, text, attr)| {
+            let mut body = Element::new(tag).with_attr("a", attr);
             let text = text.trim();
             if !text.is_empty() {
                 body.push_text(text);
@@ -54,6 +55,40 @@ proptest! {
         crate::tcp::write_frame(&mut buf, &env).unwrap();
         let back = crate::tcp::read_frame(&mut buf.as_slice()).unwrap();
         prop_assert_eq!(back, env);
+    }
+
+    /// One frame text, however it is produced: the writer that fills the
+    /// frame buffer emits `to_xml()` + stamp + `to_xml()` byte for byte,
+    /// the count is that text's length, and `wire_size` is what it always
+    /// was.
+    #[test]
+    fn frame_text_count_and_element_text_agree(
+        env in arb_envelope(),
+        stamped in any::<bool>(),
+        port in 1u16..u16::MAX,
+        owner in any::<u64>(),
+        version in any::<u64>(),
+    ) {
+        let stamp = [
+            ("peer-addr", format!("127.0.0.1:{port}")),
+            ("peer-owner", HubId(owner).to_string()),
+            ("peer-version", version.to_string()),
+        ];
+        let stamp = if stamped { &stamp[..] } else { &[] };
+        let mut element = env.to_xml();
+        for (name, value) in stamp {
+            element.set_attr(*name, value.clone());
+        }
+        let text = element.to_xml();
+        let mut frame = Vec::new();
+        env.write_wire(stamp, &mut frame);
+        prop_assert_eq!(&String::from_utf8(frame).unwrap(), &text);
+        prop_assert_eq!(env.wire_len(stamp), text.len());
+        prop_assert_eq!(env.wire_size(), env.to_xml().to_xml().len());
+        // The owning decode is the borrowing one, and neither sees the stamp.
+        let parsed = selfserv_xml::parse(&text).unwrap();
+        prop_assert_eq!(Envelope::from_xml(&parsed).unwrap(), env.clone());
+        prop_assert_eq!(Envelope::decode(parsed).unwrap(), env);
     }
 
     /// Conservation: on a lossless instant fabric, every message sent is

@@ -44,7 +44,7 @@ use parking_lot::Mutex;
 use parking_lot::RwLock;
 use selfserv_xml::Element;
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -55,17 +55,37 @@ use std::time::Duration;
 /// prefixes.
 const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// Writes one length-prefixed XML frame.
-pub fn write_frame(stream: &mut impl Write, envelope: &Envelope) -> std::io::Result<()> {
-    write_raw_frame(stream, envelope.to_xml().to_xml().as_bytes())
+/// The `u32` length prefix of a `len`-byte payload, or `InvalidInput` when
+/// no reader would accept the frame — decided on the count, before a byte
+/// is serialized or written.
+fn frame_prefix(len: usize) -> std::io::Result<[u8; 4]> {
+    match u32::try_from(len) {
+        Ok(n) if n <= MAX_FRAME => Ok(n.to_be_bytes()),
+        _ => Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            oversized(len),
+        )),
+    }
 }
 
-/// Writes an already-serialized payload as one length-prefixed frame.
-fn write_raw_frame(stream: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    let len = payload.len() as u32;
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(payload)?;
+fn oversized(len: usize) -> String {
+    format!("envelope of {len} bytes exceeds the {MAX_FRAME}-byte frame limit")
+}
+
+/// Writes one length-prefixed XML frame: prefix and envelope text go into
+/// one buffer allocated at the counted size, then to `stream` in one write.
+pub fn write_frame(stream: &mut impl Write, envelope: &Envelope) -> std::io::Result<()> {
+    let len = envelope.wire_len(&[]);
+    let prefix = frame_prefix(len)?;
+    let mut frame = Vec::with_capacity(prefix.len() + len);
+    frame.extend_from_slice(&prefix);
+    envelope.write_wire(&[], &mut frame);
+    stream.write_all(&frame)?;
     stream.flush()
+}
+
+fn invalid_data(e: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, e)
 }
 
 /// Reads one length-prefixed XML frame.
@@ -75,45 +95,75 @@ fn write_raw_frame(stream: &mut impl Write, payload: &[u8]) -> std::io::Result<(
 /// every error as fatal for the connection and close it — never continue
 /// reading frames from the same stream.
 pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Envelope> {
-    read_frame_sized(stream).map(|(env, _)| env)
+    let (xml, _) = read_frame_element(stream)?;
+    Envelope::decode(xml).map_err(invalid_data)
 }
 
-/// [`read_frame`] variant also returning the payload size in bytes (what
-/// the metrics layer charges to the link).
-fn read_frame_sized(stream: &mut impl Read) -> std::io::Result<(Envelope, usize)> {
-    let (xml, len) = read_frame_element(stream)?;
-    let env = Envelope::from_xml(&xml)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    Ok((env, len))
-}
-
-/// Reads one frame as its raw XML element — the hub's reader path uses
-/// this so it can extract the piggybacked sender claim (`peer-*`
-/// attributes) before the envelope decode. (`Envelope::from_xml` ignores
-/// the extra attributes, so they never reach the delivered envelope.)
+/// Reads one frame as its raw XML element plus the payload size in bytes
+/// (what the metrics layer charges to the link) — the hub's reader path
+/// extracts the piggybacked sender claim (`peer-*` attributes) from the
+/// element before the envelope decode consumes it. (The decode ignores the
+/// extra attributes, so they never reach the delivered envelope.)
 fn read_frame_element(stream: &mut impl Read) -> std::io::Result<(Element, usize)> {
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf)?;
     let len = u32::from_be_bytes(len_buf);
     if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds limit; closing connection"),
-        ));
+        return Err(invalid_data(format!(
+            "frame of {len} bytes exceeds limit; closing connection"
+        )));
     }
     let mut buf = vec![0u8; len as usize];
     stream.read_exact(&mut buf)?;
-    let text = String::from_utf8(buf)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    let xml = selfserv_xml::parse(&text)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+    let text = String::from_utf8(buf).map_err(invalid_data)?;
+    let xml = selfserv_xml::parse(&text).map_err(|e| invalid_data(e.to_string()))?;
     Ok((xml, len as usize))
+}
+
+/// Capacity of each inbound connection's read buffer. Senders coalesce
+/// small frames into one `writev`, so one `read` of this size hands the
+/// decoder several of them; a frame larger than the buffer has the rest of
+/// its body read straight into its own allocation, and a hub with many
+/// inbound connections pays 8 KiB for each, not a frame's worth.
+const READ_BUF: usize = 8 * 1024;
+
+/// One decoded inbound frame.
+struct Inbound {
+    envelope: Envelope,
+    /// The sender's piggybacked directory claim, if the frame carried one.
+    claim: Option<DirectoryEntry>,
+    /// Payload bytes, as charged to the link.
+    size: usize,
+}
+
+/// Reads and decodes a connection's next frame. `Ok(None)` is a clean
+/// close: the peer shut the stream down between frames. Everything else
+/// that is not a frame — EOF inside one, an oversized length prefix,
+/// malformed XML or envelope — is an error, after which the stream
+/// position is unreliable and the connection must be closed.
+fn read_inbound(reader: &mut impl BufRead) -> std::io::Result<Option<Inbound>> {
+    loop {
+        match reader.fill_buf() {
+            Ok([]) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    let (xml, size) = read_frame_element(reader)?;
+    let claim = piggybacked_claim(&xml);
+    let envelope = Envelope::decode(xml).map_err(invalid_data)?;
+    Ok(Some(Inbound {
+        envelope,
+        claim,
+        size,
+    }))
 }
 
 /// Extracts (without validating) the piggybacked sender claim from a
 /// decoded frame element: `(addr, owner, version)` from the `peer-*`
 /// attributes the sending hub stamps on every outbound envelope (see
-/// `Hub::stamp_sender_claim`).
+/// `Hub::sender_claim_stamp`).
 fn piggybacked_claim(xml: &Element) -> Option<DirectoryEntry> {
     Some(DirectoryEntry {
         value: PeerClaim {
@@ -221,9 +271,7 @@ impl Hub {
         };
         match self.send_envelope(addr, &envelope) {
             Ok(()) => Ok(envelope.id),
-            Err(FrameSendError::Oversized(len)) => Err(SendError::Transport(format!(
-                "envelope of {len} bytes exceeds the {MAX_FRAME}-byte frame limit"
-            ))),
+            Err(FrameSendError::Oversized(len)) => Err(SendError::Transport(oversized(len))),
             Err(FrameSendError::Io(e)) => {
                 // An unreachable *ephemeral* destination learned from a
                 // piggybacked claim has no other end-of-life signal (it
@@ -236,44 +284,46 @@ impl Hub {
         }
     }
 
-    /// The shared back half of every send path: stamps the sender's
-    /// claim, serializes exactly once (the frame bytes are also the byte
-    /// count the metrics layer charges, so sender and receiver sizes
-    /// match by construction), enforces the frame limit on the *send*
-    /// side (the receiver would reject the length prefix and close the
-    /// shared pooled connection, losing in-flight messages with no
-    /// diagnostic), queues the frame for `addr`'s connection writer, and
-    /// records the sender's metrics once the transport accepts the frame.
+    /// The shared back half of every send path: counts the stamped frame
+    /// (the count is what the metrics layer charges, so sender and receiver
+    /// sizes match by construction), enforces the frame limit on the *send*
+    /// side before anything is serialized (the receiver would reject the
+    /// length prefix and close the shared pooled connection, losing
+    /// in-flight messages with no diagnostic), writes header, stamp and
+    /// body once into the frame's own buffer, queues it for `addr`'s
+    /// connection writer, and records the sender's metrics once the
+    /// transport accepts the frame.
     fn send_envelope(&self, addr: SocketAddr, envelope: &Envelope) -> Result<(), FrameSendError> {
-        let mut frame_xml = envelope.to_xml();
-        self.stamp_sender_claim(&envelope.from, &mut frame_xml);
-        let payload = frame_xml.to_xml().into_bytes();
-        if payload.len() > MAX_FRAME as usize {
-            return Err(FrameSendError::Oversized(payload.len()));
+        let stamp = self.sender_claim_stamp(&envelope.from);
+        let stamp = stamp.as_ref().map_or(&[][..], |s| s.as_slice());
+        let len = envelope.wire_len(stamp);
+        if len > MAX_FRAME as usize {
+            return Err(FrameSendError::Oversized(len));
         }
-        let len = payload.len();
+        let mut payload = Vec::with_capacity(len);
+        envelope.write_wire(stamp, &mut payload);
         self.send_frame(addr, payload).map_err(FrameSendError::Io)?;
         self.counters_for(&envelope.from).record_send(len);
         Ok(())
     }
 
-    /// Stamps the sender's own directory claim onto an outbound frame
-    /// (`peer-addr` / `peer-owner` / `peer-version` attributes on the
-    /// envelope element) when the sender is a live local name. The
+    /// The sender's own directory claim as the attributes stamped on an
+    /// outbound frame (`peer-addr` / `peer-owner` / `peer-version`, after
+    /// the envelope's own) when the sender is a live local name. The
     /// receiving hub's reader merges the claim before delivery, so the
     /// first frame a hub ever receives from a node already teaches it how
     /// to send back — rpc replies across process boundaries need no prior
     /// registration or gossip round.
-    fn stamp_sender_claim(&self, from: &NodeId, frame_xml: &mut Element) {
-        let Some(entry) = self.directory.entry(from.as_str()) else {
-            return;
-        };
+    fn sender_claim_stamp(&self, from: &NodeId) -> Option<[(&'static str, String); 3]> {
+        let entry = self.directory.entry(from.as_str())?;
         if entry.evicted || entry.value.owner != self.directory.hub() {
-            return;
+            return None;
         }
-        frame_xml.set_attr("peer-addr", entry.value.addr.to_string());
-        frame_xml.set_attr("peer-owner", entry.value.owner.to_string());
-        frame_xml.set_attr("peer-version", entry.version.to_string());
+        Some([
+            ("peer-addr", entry.value.addr.to_string()),
+            ("peer-owner", entry.value.owner.to_string()),
+            ("peer-version", entry.version.to_string()),
+        ])
     }
 }
 
@@ -537,10 +587,7 @@ impl TcpTransport {
         };
         match self.hub.send_envelope(addr, &envelope) {
             Ok(()) => Ok(envelope.id),
-            Err(FrameSendError::Oversized(len)) => Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("envelope of {len} bytes exceeds the {MAX_FRAME}-byte frame limit"),
-            )),
+            Err(FrameSendError::Oversized(len)) => Err(invalid_data(oversized(len))),
             Err(FrameSendError::Io(e)) => Err(e),
         }
     }
@@ -828,42 +875,33 @@ fn accept_loop(
     directory: PeerDirectory,
     shutdown: Arc<AtomicBool>,
 ) {
-    accept_connections(listener, shutdown, move |mut stream| {
+    accept_connections(listener, shutdown, move |stream| {
         stream.set_nodelay(true).ok();
         let inbox = inbox.clone();
         let counters = Arc::clone(&counters);
         let directory = directory.clone();
-        // Persistent per-peer framing: one reader per inbound connection
-        // decodes frames until the peer closes or a frame is malformed.
-        // Delivery demultiplexes rpc replies to their waiting callers.
-        std::thread::spawn(move || loop {
-            match read_frame_element(&mut stream) {
-                Ok((xml, size)) => {
-                    let envelope = match Envelope::from_xml(&xml) {
-                        Ok(env) => env,
-                        // A well-framed but malformed envelope: the stream
-                        // position is intact, so skipping the frame (not
-                        // the connection) would be safe — but a sender
-                        // producing garbage envelopes is not worth keeping
-                        // a connection for.
-                        Err(_) => return,
-                    };
-                    // Merge the piggybacked sender claim first, so even a
-                    // frame from a never-before-seen process makes its
-                    // sender immediately routable (the rpc reply path).
-                    if let Some(claim) = piggybacked_claim(&xml) {
-                        directory.merge_entry(envelope.from.clone(), claim);
-                    }
-                    counters.record_receive(size);
-                    if inbox.deliver(envelope).is_err() {
-                        return; // endpoint dropped
-                    }
+        // Persistent per-peer framing: one buffered reader per inbound
+        // connection decodes frames until the peer closes or a frame is
+        // malformed. Delivery demultiplexes rpc replies to their waiting
+        // callers.
+        std::thread::spawn(move || {
+            let mut reader = BufReader::with_capacity(READ_BUF, stream);
+            // Clean close, EOF mid-frame, oversized or corrupt frame, or a
+            // well-framed but malformed envelope (a sender producing
+            // garbage is not worth keeping a connection for): in every
+            // case close the connection rather than desynchronize
+            // mid-stream. The sender's pool reconnects on its next send.
+            while let Ok(Some(frame)) = read_inbound(&mut reader) {
+                // Merge the piggybacked sender claim first, so even a
+                // frame from a never-before-seen process makes its sender
+                // immediately routable (the rpc reply path).
+                if let Some(claim) = frame.claim {
+                    directory.merge_entry(frame.envelope.from.clone(), claim);
                 }
-                // EOF, oversized, or corrupt frame: the stream position is
-                // unreliable from here on — close the connection rather
-                // than desynchronize mid-frame. The sender's pool will
-                // reconnect on its next send.
-                Err(_) => return,
+                counters.record_receive(frame.size);
+                if inbox.deliver(frame.envelope).is_err() {
+                    return; // endpoint dropped
+                }
             }
         });
     });
@@ -978,6 +1016,180 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(MAX_FRAME + 1).to_be_bytes());
         assert!(read_frame(&mut buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn write_frame_rejects_an_over_limit_envelope_before_writing() {
+        let mut big = env("big");
+        big.body = Element::new("blob").with_text("x".repeat(MAX_FRAME as usize));
+        let mut sink = Vec::new();
+        let err = write_frame(&mut sink, &big).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(sink.is_empty(), "not even the length prefix was written");
+        // The largest frame a reader accepts still goes out.
+        let overhead = big.wire_size() - MAX_FRAME as usize;
+        big.body = Element::new("blob").with_text("x".repeat(MAX_FRAME as usize - overhead));
+        write_frame(&mut sink, &big).unwrap();
+        assert_eq!(sink.len(), 4 + MAX_FRAME as usize);
+        assert_eq!(read_frame(&mut sink.as_slice()).unwrap(), big);
+    }
+
+    /// A `Read` that hands its bytes out in the given chunk sizes, cycling
+    /// through them — where the kernel cuts a stream is not up to the frames.
+    struct Chunked<'a> {
+        data: &'a [u8],
+        sizes: &'a [usize],
+        calls: usize,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.sizes[self.calls % self.sizes.len()]
+                .min(buf.len())
+                .min(self.data.len());
+            self.calls += 1;
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// Runs the reader loop's decode over `data` cut into `sizes`: the
+    /// kinds of the frames delivered, and how the stream ended.
+    fn drain(data: &[u8], sizes: &[usize]) -> (Vec<String>, std::io::Result<()>) {
+        let mut reader = BufReader::with_capacity(
+            READ_BUF,
+            Chunked {
+                data,
+                sizes,
+                calls: 0,
+            },
+        );
+        let mut kinds = Vec::new();
+        loop {
+            match read_inbound(&mut reader) {
+                Ok(Some(frame)) => kinds.push(frame.envelope.kind),
+                Ok(None) => return (kinds, Ok(())),
+                Err(e) => return (kinds, Err(e)),
+            }
+        }
+    }
+
+    /// Frames `k0`, `k1`, … back to back; every fourth carries a body
+    /// larger than the read buffer.
+    fn stream_of(n: usize) -> (Vec<u8>, Vec<String>) {
+        let mut bytes = Vec::new();
+        let mut kinds = Vec::new();
+        for i in 0..n {
+            let mut e = env(&format!("k{i}"));
+            if i % 4 == 3 {
+                e.body = Element::new("blob").with_text("✓".repeat(READ_BUF));
+            }
+            write_frame(&mut bytes, &e).unwrap();
+            kinds.push(e.kind);
+        }
+        (bytes, kinds)
+    }
+
+    #[test]
+    fn buffered_reader_delivers_every_frame_once_in_order_however_the_stream_is_cut() {
+        let (bytes, kinds) = stream_of(9);
+        // A trickle: frame boundaries, prefixes and multi-byte characters
+        // all get split.
+        let (got, end) = drain(&bytes, &[1, 3, 7, 2, 5]);
+        assert_eq!(got, kinds);
+        assert!(end.is_ok(), "EOF between frames is a clean close");
+        // One read returns three whole frames and the start of the fourth.
+        let (bytes, kinds) = stream_of(4);
+        let first_three: usize = {
+            let mut one = Vec::new();
+            write_frame(&mut one, &env("k0")).unwrap();
+            one.len() * 3
+        };
+        let (got, end) = drain(&bytes, &[first_three + 40, usize::MAX]);
+        assert_eq!(got, kinds);
+        assert!(end.is_ok());
+    }
+
+    #[test]
+    fn buffered_reader_reports_every_unclean_end_as_an_error() {
+        let (bytes, kinds) = stream_of(3);
+        // EOF inside a frame: in a body, and in the first prefix.
+        for cut in [bytes.len() - 5, bytes.len() - 1, 2] {
+            let (got, end) = drain(&bytes[..cut], &[64]);
+            assert!(got.len() < kinds.len());
+            assert_eq!(
+                end.unwrap_err().kind(),
+                std::io::ErrorKind::UnexpectedEof,
+                "cut at {cut}"
+            );
+        }
+        // An oversized length prefix after a good frame: rejected on the
+        // prefix alone — nothing of the claimed 4 GiB is allocated or read.
+        let mut one = Vec::new();
+        write_frame(&mut one, &env("ok")).unwrap();
+        let mut stream = one.clone();
+        stream.extend_from_slice(&u32::MAX.to_be_bytes());
+        stream.extend_from_slice(&one);
+        let (got, end) = drain(&stream, &[usize::MAX]);
+        assert_eq!(got, ["ok"]);
+        assert_eq!(end.unwrap_err().kind(), std::io::ErrorKind::InvalidData);
+        // Well-formed XML that is not an envelope.
+        let mut stream = one.clone();
+        let garbage = b"<notenvelope/>";
+        stream.extend_from_slice(&(garbage.len() as u32).to_be_bytes());
+        stream.extend_from_slice(garbage);
+        stream.extend_from_slice(&one);
+        let (got, end) = drain(&stream, &[usize::MAX]);
+        assert_eq!(got, ["ok"], "nothing is delivered past a malformed frame");
+        assert_eq!(end.unwrap_err().kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn hub_frame_bytes_are_the_stamped_element_text() {
+        let t = TcpTransport::new();
+        let _a = Transport::connect(&t, NodeId::new("a")).unwrap();
+        let sink = TcpListener::bind("127.0.0.1:0").unwrap();
+        t.register_peer("sink", sink.local_addr().unwrap());
+        let body = Element::new("b")
+            .with_attr("q", "x<\"y\"\n")
+            .with_text("1 & 2 > 0 ✓");
+        let correlations = [None, Some(MessageId(9))];
+        for correlation in correlations {
+            t.send_prepared(
+                MessageId(41),
+                &NodeId::new("a"),
+                NodeId::new("sink"),
+                "k.v".to_string(),
+                body.clone(),
+                correlation,
+            )
+            .unwrap();
+        }
+        let claim = t.directory().entry("a").unwrap();
+        let (mut conn, _) = sink.accept().unwrap();
+        let mut charged = 0;
+        for correlation in correlations {
+            let mut len = [0u8; 4];
+            conn.read_exact(&mut len).unwrap();
+            let mut payload = vec![0u8; u32::from_be_bytes(len) as usize];
+            conn.read_exact(&mut payload).unwrap();
+            let envelope = Envelope {
+                id: MessageId(41),
+                from: NodeId::new("a"),
+                to: NodeId::new("sink"),
+                kind: "k.v".to_string(),
+                correlation,
+                body: body.clone(),
+            };
+            let mut expected = envelope.to_xml();
+            expected.set_attr("peer-addr", claim.value.addr.to_string());
+            expected.set_attr("peer-owner", claim.value.owner.to_string());
+            expected.set_attr("peer-version", claim.version.to_string());
+            assert_eq!(String::from_utf8(payload).unwrap(), expected.to_xml());
+            charged += expected.xml_len() as u64;
+        }
+        assert_eq!(t.metrics().node("a").unwrap().bytes_sent, charged);
     }
 
     #[test]

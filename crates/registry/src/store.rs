@@ -16,6 +16,7 @@ use crate::model::{
 use parking_lot::RwLock;
 use selfserv_wsdl::ServiceDescription;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -102,19 +103,16 @@ impl Indexes {
         }
     }
 
-    /// Keys whose indexed string starts with `prefix` (already lowercased).
-    fn prefix_scan(
-        map: &BTreeMap<String, HashSet<ServiceKey>>,
+    /// The key sets of every indexed string starting with `prefix`
+    /// (already lowercased); a key matches when any of them holds it.
+    fn prefix_scan<'a>(
+        map: &'a BTreeMap<String, HashSet<ServiceKey>>,
         prefix: &str,
-    ) -> HashSet<ServiceKey> {
-        let mut out = HashSet::new();
-        for (name, keys) in map.range(prefix.to_string()..) {
-            if !name.starts_with(prefix) {
-                break;
-            }
-            out.extend(keys.iter().cloned());
-        }
-        out
+    ) -> Vec<&'a HashSet<ServiceKey>> {
+        map.range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(|(name, _)| name.starts_with(prefix))
+            .map(|(_, keys)| keys)
+            .collect()
     }
 }
 
@@ -128,40 +126,54 @@ struct Shard {
 
 impl Shard {
     /// The shard's keys matching `query` (every criterion intersected),
-    /// or `None` when the query carries no criteria at all.
-    fn candidates(&self, query: &FindQuery) -> Option<HashSet<ServiceKey>> {
-        let mut candidates: Option<HashSet<ServiceKey>> = None;
-        let intersect = |set: HashSet<ServiceKey>, candidates: &mut Option<HashSet<ServiceKey>>| {
-            *candidates = Some(match candidates.take() {
-                None => set,
-                Some(prev) => prev.intersection(&set).cloned().collect(),
-            });
-        };
+    /// or `None` when the query carries no criteria at all. The index sets
+    /// are only borrowed: the criterion with the fewest keys is walked and
+    /// the others probed, so no key is copied.
+    fn candidates(&self, query: &FindQuery) -> Option<Vec<&ServiceKey>> {
+        // Per criterion, the index sets whose union matches it.
+        let mut criteria: Vec<Vec<&HashSet<ServiceKey>>> = Vec::new();
         if let Some(p) = &query.provider {
-            intersect(
-                Indexes::prefix_scan(&self.indexes.by_provider, &p.to_lowercase()),
-                &mut candidates,
-            );
+            criteria.push(Indexes::prefix_scan(
+                &self.indexes.by_provider,
+                &p.to_lowercase(),
+            ));
         }
         if let Some(n) = &query.service_name {
-            intersect(
-                Indexes::prefix_scan(&self.indexes.by_name, &n.to_lowercase()),
-                &mut candidates,
-            );
+            criteria.push(Indexes::prefix_scan(
+                &self.indexes.by_name,
+                &n.to_lowercase(),
+            ));
         }
         if let Some(o) = &query.operation {
-            intersect(
-                Indexes::prefix_scan(&self.indexes.by_operation, &o.to_lowercase()),
-                &mut candidates,
-            );
+            criteria.push(Indexes::prefix_scan(
+                &self.indexes.by_operation,
+                &o.to_lowercase(),
+            ));
         }
         if let Some(c) = &query.category {
-            intersect(
-                self.indexes.by_category.get(c).cloned().unwrap_or_default(),
-                &mut candidates,
-            );
+            criteria.push(self.indexes.by_category.get(c).into_iter().collect());
         }
-        candidates
+        let (smallest, _) = criteria
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, sets)| sets.iter().map(|s| s.len()).sum::<usize>())?;
+        let walked = criteria.swap_remove(smallest);
+        let mut keys: Vec<&ServiceKey> = walked
+            .iter()
+            .flat_map(|set| set.iter())
+            .filter(|key| {
+                criteria
+                    .iter()
+                    .all(|sets| sets.iter().any(|s| s.contains(*key)))
+            })
+            .collect();
+        if walked.len() > 1 {
+            // A record indexed under two matching strings (two operations
+            // sharing the prefix) was walked twice.
+            keys.sort_unstable();
+            keys.dedup();
+        }
+        Some(keys)
     }
 }
 
@@ -354,7 +366,7 @@ impl UddiRegistry {
             match shard.candidates(query) {
                 Some(keys) => records.extend(
                     keys.into_iter()
-                        .filter_map(|k| shard.services.get(&k))
+                        .filter_map(|k| shard.services.get(k))
                         .filter(|r| !r.is_expired(now))
                         .cloned(),
                 ),
@@ -467,6 +479,9 @@ mod tests {
         assert_eq!(reg.find(&FindQuery::any().operation("bookFlight")).len(), 2);
         assert_eq!(reg.find(&FindQuery::any().operation("rent")).len(), 1);
         assert_eq!(reg.find(&FindQuery::any().operation("teleport")).len(), 0);
+        // "Domestic Flight Booking" is indexed under two operations that the
+        // empty prefix matches; it is still one hit.
+        assert_eq!(reg.find(&FindQuery::any().operation("")).len(), 3);
     }
 
     #[test]

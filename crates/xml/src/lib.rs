@@ -13,7 +13,8 @@
 //!
 //! * [`Element`] / [`Node`] — an owned document tree,
 //! * [`Element::to_xml`] / [`Element::to_pretty_xml`] — serialization with
-//!   correct escaping,
+//!   correct escaping; [`Element::xml_len`] is the same writer run against a
+//!   byte counter,
 //! * [`parse`] — a strict, well-formedness-checking parser for the subset of
 //!   XML the platform emits (elements, attributes, text, CDATA, comments,
 //!   processing instructions, the five predefined entities and numeric
@@ -49,6 +50,7 @@ pub use doc::{Element, Node};
 pub use error::{Position, XmlError};
 pub use parser::{parse, parse_document, Document};
 pub use query::path_escape;
+pub use writer::{write_attr, ByteCount, XmlSink};
 
 #[cfg(test)]
 mod proptests;

@@ -91,26 +91,28 @@ pub fn parse_document(input: &str) -> Result<Document, XmlError> {
 
 struct Parser<'a> {
     src: &'a str,
-    /// Byte offset into `src`.
+    /// Byte offset into `src`, always on a character boundary. Line and
+    /// column are derived from an offset only when an error is built
+    /// ([`Parser::position_at`]), so the scanning loops carry no upkeep.
     pos: usize,
-    line: u32,
-    col: u32,
 }
 
 impl<'a> Parser<'a> {
     fn new(src: &'a str) -> Self {
-        Parser {
-            src,
-            pos: 0,
-            line: 1,
-            col: 1,
-        }
+        Parser { src, pos: 0 }
     }
 
     fn position(&self) -> Position {
+        self.position_at(self.pos)
+    }
+
+    /// Line and column (1-based, column in characters) of byte offset `at`.
+    fn position_at(&self, at: usize) -> Position {
+        let before = &self.src[..at];
+        let line_start = before.rfind('\n').map_or(0, |i| i + 1);
         Position {
-            line: self.line,
-            column: self.col,
+            line: 1 + before.bytes().filter(|&b| b == b'\n').count() as u32,
+            column: 1 + before[line_start..].chars().count() as u32,
         }
     }
 
@@ -126,27 +128,35 @@ impl<'a> Parser<'a> {
         self.rest().starts_with(s)
     }
 
-    fn peek_char(&self) -> Option<char> {
-        self.rest().chars().next()
+    fn peek_byte(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
     }
 
-    fn advance_char(&mut self) -> Option<char> {
-        let c = self.peek_char()?;
-        self.pos += c.len_utf8();
-        if c == '\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
+    fn peek_char(&self) -> Option<char> {
+        match self.peek_byte() {
+            Some(b) if b.is_ascii() => Some(b as char),
+            Some(_) => self.rest().chars().next(),
+            None => None,
         }
-        Some(c)
     }
 
     /// Advances past `s`, which the caller has verified is next.
     fn consume(&mut self, s: &str) {
         debug_assert!(self.starts_with(s));
-        for _ in s.chars() {
-            self.advance_char();
+        self.pos += s.len();
+    }
+
+    fn unexpected(&self, expected: &'static str) -> XmlError {
+        match self.peek_char() {
+            Some(found) => XmlError::UnexpectedChar {
+                expected,
+                found,
+                position: self.position(),
+            },
+            None => XmlError::UnexpectedEof {
+                expected,
+                position: self.position(),
+            },
         }
     }
 
@@ -154,24 +164,22 @@ impl<'a> Parser<'a> {
         if self.starts_with(s) {
             self.consume(s);
             Ok(())
-        } else if self.eof() {
-            Err(XmlError::UnexpectedEof {
-                expected: s,
-                position: self.position(),
-            })
         } else {
-            Err(XmlError::UnexpectedChar {
-                expected: s,
-                found: self.peek_char().unwrap(),
-                position: self.position(),
-            })
+            Err(self.unexpected(s))
+        }
+    }
+
+    fn skip_while(&mut self, accept: impl Fn(char) -> bool) {
+        while let Some(c) = self.peek_char() {
+            if !accept(c) {
+                break;
+            }
+            self.pos += c.len_utf8();
         }
     }
 
     fn skip_whitespace(&mut self) {
-        while matches!(self.peek_char(), Some(c) if c.is_whitespace()) {
-            self.advance_char();
-        }
+        self.skip_while(char::is_whitespace);
     }
 
     fn skip_prolog(&mut self) -> Result<(), XmlError> {
@@ -182,70 +190,55 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
+    /// Advances past the next `terminator`, returning the text before it.
+    fn take_until(
+        &mut self,
+        terminator: &str,
+        expected: &'static str,
+    ) -> Result<&'a str, XmlError> {
+        let rest = self.rest();
+        match rest.find(terminator) {
+            Some(i) => {
+                self.pos += i + terminator.len();
+                Ok(&rest[..i])
+            }
+            None => Err(XmlError::UnexpectedEof {
+                expected,
+                position: self.position_at(self.src.len()),
+            }),
+        }
+    }
+
     fn skip_pi(&mut self) -> Result<(), XmlError> {
         self.consume("<?");
-        loop {
-            if self.eof() {
-                return Err(XmlError::UnexpectedEof {
-                    expected: "?> to close processing instruction",
-                    position: self.position(),
-                });
-            }
-            if self.starts_with("?>") {
-                self.consume("?>");
-                return Ok(());
-            }
-            self.advance_char();
-        }
+        self.take_until("?>", "?> to close processing instruction")
+            .map(|_| ())
     }
 
     fn skip_doctype(&mut self) -> Result<(), XmlError> {
         self.consume("<!DOCTYPE");
         let mut bracket_depth = 0usize;
-        loop {
-            match self.peek_char() {
-                None => {
-                    return Err(XmlError::UnexpectedEof {
-                        expected: "> to close DOCTYPE",
-                        position: self.position(),
-                    })
-                }
-                Some('[') => {
-                    bracket_depth += 1;
-                    self.advance_char();
-                }
-                Some(']') => {
-                    bracket_depth = bracket_depth.saturating_sub(1);
-                    self.advance_char();
-                }
-                Some('>') if bracket_depth == 0 => {
-                    self.advance_char();
-                    return Ok(());
-                }
-                Some(_) => {
-                    self.advance_char();
-                }
+        // Every byte that matters here is ASCII, so a byte scan cannot stop
+        // inside a multi-byte character.
+        while let Some(b) = self.peek_byte() {
+            self.pos += 1;
+            match b {
+                b'[' => bracket_depth += 1,
+                b']' => bracket_depth = bracket_depth.saturating_sub(1),
+                b'>' if bracket_depth == 0 => return Ok(()),
+                _ => {}
             }
         }
+        Err(XmlError::UnexpectedEof {
+            expected: "> to close DOCTYPE",
+            position: self.position(),
+        })
     }
 
     fn read_comment(&mut self) -> Result<String, XmlError> {
         self.consume("<!--");
-        let start = self.pos;
-        loop {
-            if self.eof() {
-                return Err(XmlError::UnexpectedEof {
-                    expected: "--> to close comment",
-                    position: self.position(),
-                });
-            }
-            if self.starts_with("-->") {
-                let text = self.src[start..self.pos].to_string();
-                self.consume("-->");
-                return Ok(text);
-            }
-            self.advance_char();
-        }
+        self.take_until("-->", "--> to close comment")
+            .map(str::to_string)
     }
 
     fn is_name_start(c: char) -> bool {
@@ -256,30 +249,20 @@ impl<'a> Parser<'a> {
         c.is_alphanumeric() || matches!(c, '_' | ':' | '-' | '.')
     }
 
-    fn read_name(&mut self, what: &'static str) -> Result<String, XmlError> {
+    fn read_name(&mut self, what: &'static str) -> Result<&'a str, XmlError> {
         match self.peek_char() {
-            None => Err(XmlError::UnexpectedEof {
-                expected: what,
-                position: self.position(),
-            }),
-            Some(c) if !Self::is_name_start(c) => Err(XmlError::UnexpectedChar {
-                expected: what,
-                found: c,
-                position: self.position(),
-            }),
-            Some(_) => {
+            Some(c) if Self::is_name_start(c) => {
                 let start = self.pos;
-                while matches!(self.peek_char(), Some(c) if Self::is_name_char(c)) {
-                    self.advance_char();
-                }
-                Ok(self.src[start..self.pos].to_string())
+                self.skip_while(Self::is_name_char);
+                Ok(&self.src[start..self.pos])
             }
+            _ => Err(self.unexpected(what)),
         }
     }
 
     /// Reads an entity reference; the cursor is on `&`.
     fn read_entity(&mut self, out: &mut String) -> Result<(), XmlError> {
-        let ent_pos = self.position();
+        let ent_at = self.pos;
         self.consume("&");
         let start = self.pos;
         // Entities are short; cap the scan so an unterminated `&` gives a
@@ -288,7 +271,7 @@ impl<'a> Parser<'a> {
             match self.peek_char() {
                 Some(';') => {
                     let entity = &self.src[start..self.pos];
-                    self.advance_char();
+                    self.pos += 1;
                     let decoded = match entity {
                         "amp" => '&',
                         "lt" => '<',
@@ -311,7 +294,7 @@ impl<'a> Parser<'a> {
                                 None => {
                                     return Err(XmlError::InvalidEntity {
                                         entity: entity.to_string(),
-                                        position: ent_pos,
+                                        position: self.position_at(ent_at),
                                     })
                                 }
                             }
@@ -320,61 +303,73 @@ impl<'a> Parser<'a> {
                     out.push(decoded);
                     return Ok(());
                 }
-                Some(_) => {
-                    self.advance_char();
-                }
+                Some(c) => self.pos += c.len_utf8(),
                 None => break,
             }
         }
         Err(XmlError::InvalidEntity {
             entity: self.src[start..self.pos].to_string(),
-            position: ent_pos,
+            position: self.position_at(ent_at),
         })
     }
 
-    fn read_attr_value(&mut self) -> Result<String, XmlError> {
-        let quote = match self.peek_char() {
-            Some(q @ ('"' | '\'')) => q,
-            Some(c) => {
-                return Err(XmlError::UnexpectedChar {
-                    expected: "quoted attribute value",
-                    found: c,
-                    position: self.position(),
-                })
-            }
-            None => {
-                return Err(XmlError::UnexpectedEof {
-                    expected: "quoted attribute value",
-                    position: self.position(),
-                })
-            }
+    /// Reads the character data between the cursor and byte offset `end`
+    /// (where the caller found the delimiter), decoding entity references,
+    /// into one `String` allocated at the raw span's length: clean runs are
+    /// copied whole and decoding only ever shortens.
+    fn read_run(&mut self, end: usize) -> Result<String, XmlError> {
+        let raw = &self.src[self.pos..end];
+        let Some(first) = raw.find('&') else {
+            self.pos = end;
+            return Ok(raw.to_string());
         };
-        self.advance_char();
-        let mut value = String::new();
+        let mut out = String::with_capacity(raw.len());
+        out.push_str(&raw[..first]);
+        self.pos += first;
         loop {
-            match self.peek_char() {
+            self.read_entity(&mut out)?;
+            // A reference that decoded contains no delimiter, so it ended
+            // at or before `end`.
+            let raw = &self.src[self.pos..end];
+            match raw.find('&') {
+                Some(next) => {
+                    out.push_str(&raw[..next]);
+                    self.pos += next;
+                }
                 None => {
-                    return Err(XmlError::UnexpectedEof {
-                        expected: "closing attribute quote",
-                        position: self.position(),
-                    })
+                    out.push_str(raw);
+                    self.pos = end;
+                    return Ok(out);
                 }
-                Some(c) if c == quote => {
-                    self.advance_char();
-                    return Ok(value);
-                }
-                Some('&') => self.read_entity(&mut value)?,
-                Some('<') => {
-                    return Err(XmlError::UnexpectedChar {
-                        expected: "attribute value character",
-                        found: '<',
-                        position: self.position(),
-                    })
-                }
-                Some(c) => {
-                    value.push(c);
-                    self.advance_char();
-                }
+            }
+        }
+    }
+
+    fn read_attr_value(&mut self) -> Result<String, XmlError> {
+        let quote = match self.peek_byte() {
+            Some(q @ (b'"' | b'\'')) => q,
+            _ => return Err(self.unexpected("quoted attribute value")),
+        };
+        self.pos += 1;
+        let rest = self.rest();
+        let end = rest
+            .bytes()
+            .position(|b| b == quote || b == b'<')
+            .unwrap_or(rest.len());
+        let value = self.read_run(self.pos + end)?;
+        match self.peek_byte() {
+            None => Err(XmlError::UnexpectedEof {
+                expected: "closing attribute quote",
+                position: self.position(),
+            }),
+            Some(b'<') => Err(XmlError::UnexpectedChar {
+                expected: "attribute value character",
+                found: '<',
+                position: self.position(),
+            }),
+            Some(_) => {
+                self.pos += 1;
+                Ok(value)
             }
         }
     }
@@ -382,49 +377,37 @@ impl<'a> Parser<'a> {
     /// Reads one element; the cursor is on `<`.
     fn read_element(&mut self) -> Result<Element, XmlError> {
         self.expect("<")?;
-        let name = self.read_name("element name")?;
-        let mut element = Element::new(name);
+        let mut element = Element::new(self.read_name("element name")?);
         // Attributes.
         loop {
             self.skip_whitespace();
             match self.peek_char() {
                 Some('>') => {
-                    self.advance_char();
+                    self.pos += 1;
                     break;
                 }
                 Some('/') => {
-                    self.advance_char();
+                    self.pos += 1;
                     self.expect(">")?;
                     return Ok(element);
                 }
                 Some(c) if Self::is_name_start(c) => {
-                    let attr_pos = self.position();
+                    let attr_at = self.pos;
                     let attr_name = self.read_name("attribute name")?;
-                    if element.attr(&attr_name).is_some() {
+                    if element.attr(attr_name).is_some() {
                         return Err(XmlError::DuplicateAttribute {
-                            name: attr_name,
-                            position: attr_pos,
+                            name: attr_name.to_string(),
+                            position: self.position_at(attr_at),
                         });
                     }
                     self.skip_whitespace();
                     self.expect("=")?;
                     self.skip_whitespace();
                     let value = self.read_attr_value()?;
-                    element.attrs.push((attr_name, value));
+                    element.attrs.push((attr_name.to_string(), value));
                 }
-                Some(c) => {
-                    return Err(XmlError::UnexpectedChar {
-                        expected: "attribute, '>', or '/>'",
-                        found: c,
-                        position: self.position(),
-                    })
-                }
-                None => {
-                    return Err(XmlError::UnexpectedEof {
-                        expected: "end of start tag",
-                        position: self.position(),
-                    })
-                }
+                Some(_) => return Err(self.unexpected("attribute, '>', or '/>'")),
+                None => return Err(self.unexpected("end of start tag")),
             }
         }
         // Children until matching close tag.
@@ -437,7 +420,7 @@ impl<'a> Parser<'a> {
                 });
             }
             if self.starts_with("</") {
-                let close_pos = self.position();
+                let close_at = self.pos;
                 self.consume("</");
                 let close_name = self.read_name("closing tag name")?;
                 self.skip_whitespace();
@@ -445,8 +428,8 @@ impl<'a> Parser<'a> {
                 if close_name != element.name {
                     return Err(XmlError::MismatchedTag {
                         open: element.name.clone(),
-                        close: close_name,
-                        position: close_pos,
+                        close: close_name.to_string(),
+                        position: self.position_at(close_at),
                     });
                 }
                 element.children = normalize_children(raw_children);
@@ -456,39 +439,17 @@ impl<'a> Parser<'a> {
                 raw_children.push(Node::Comment(c));
             } else if self.starts_with("<![CDATA[") {
                 self.consume("<![CDATA[");
-                let start = self.pos;
-                loop {
-                    if self.eof() {
-                        return Err(XmlError::UnexpectedEof {
-                            expected: "]]> to close CDATA",
-                            position: self.position(),
-                        });
-                    }
-                    if self.starts_with("]]>") {
-                        raw_children.push(Node::Text(self.src[start..self.pos].to_string()));
-                        self.consume("]]>");
-                        break;
-                    }
-                    self.advance_char();
-                }
+                let text = self.take_until("]]>", "]]> to close CDATA")?;
+                raw_children.push(Node::Text(text.to_string()));
             } else if self.starts_with("<?") {
                 self.skip_pi()?;
             } else if self.starts_with("<") {
                 raw_children.push(Node::Element(self.read_element()?));
             } else {
-                // Character data run.
-                let mut text = String::new();
-                loop {
-                    match self.peek_char() {
-                        None | Some('<') => break,
-                        Some('&') => self.read_entity(&mut text)?,
-                        Some(c) => {
-                            text.push(c);
-                            self.advance_char();
-                        }
-                    }
-                }
-                raw_children.push(Node::Text(text));
+                // Character data run, up to the next tag.
+                let rest = self.rest();
+                let end = rest.find('<').unwrap_or(rest.len());
+                raw_children.push(Node::Text(self.read_run(self.pos + end)?));
             }
         }
     }
@@ -497,6 +458,11 @@ impl<'a> Parser<'a> {
 /// Applies the whitespace policy described in the module docs and merges
 /// adjacent text runs (which arise from entity boundaries).
 fn normalize_children(raw: Vec<Node>) -> Vec<Node> {
+    // A lone node, or no text at all (compact documents, so every frame on
+    // the wire, have none between elements): nothing to merge or trim.
+    if raw.len() < 2 || !raw.iter().any(|n| matches!(n, Node::Text(_))) {
+        return raw;
+    }
     // Merge adjacent text nodes first.
     let mut merged: Vec<Node> = Vec::with_capacity(raw.len());
     for node in raw {
@@ -652,6 +618,14 @@ mod tests {
         let err = parse("<a>\n<b x=1/>\n</a>").unwrap_err();
         let pos = err.position().unwrap();
         assert_eq!(pos.line, 2);
+    }
+
+    #[test]
+    fn error_position_after_multi_line_non_ascii_text() {
+        // Columns count characters, not bytes: on line 3, `é✓<b x=` is
+        // seven of them.
+        let err = parse("<a>naïve\n— ✓ text\né✓<b x=1/></a>").unwrap_err();
+        assert_eq!(err.position(), Some(Position { line: 3, column: 8 }));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Property tests: serialization followed by parsing must reproduce the
-//! original tree, for both the compact and the pretty writer.
+//! original tree, for both the compact and the pretty writer; and the
+//! count, the appended text and the returned text of the compact writer
+//! are one thing.
 
 use crate::{parse, Element, Node};
 use proptest::prelude::*;
@@ -66,6 +68,44 @@ fn arb_element(depth: u32) -> impl Strategy<Value = Element> {
         .boxed()
 }
 
+/// Strings that exercise every escape: the markup characters, both quotes,
+/// the whitespace an attribute value must reference, `--` runs, and two-,
+/// three- and four-byte characters.
+fn arb_wild() -> impl Strategy<Value = String> {
+    "[a-c<>&\"' \t\n\ré✓𝄞-]{0,16}"
+}
+
+/// Trees with [`arb_wild`] text, attribute values and comments anywhere.
+/// Not every one survives a parse unchanged (whitespace policy, `--` in
+/// comments), but the writer must size and write every one alike.
+fn arb_wild_element(depth: u32) -> BoxedStrategy<Element> {
+    let child = if depth == 0 {
+        prop_oneof![
+            arb_wild().prop_map(Node::Text),
+            arb_wild().prop_map(Node::Comment),
+        ]
+        .boxed()
+    } else {
+        prop_oneof![
+            arb_wild().prop_map(Node::Text),
+            arb_wild().prop_map(Node::Comment),
+            arb_wild_element(depth - 1).prop_map(Node::Element),
+        ]
+        .boxed()
+    };
+    (
+        arb_name(),
+        proptest::collection::vec((arb_name(), arb_wild()), 0..4),
+        proptest::collection::vec(child, 0..4),
+    )
+        .prop_map(|(name, attrs, children)| Element {
+            name,
+            attrs,
+            children,
+        })
+        .boxed()
+}
+
 /// Drops empty text nodes that the generator may have produced via empty
 /// strings — the parser would never produce them.
 fn normalize(mut e: Element) -> Element {
@@ -90,6 +130,23 @@ proptest! {
         let xml = e.to_xml();
         let back = parse(&xml).unwrap();
         prop_assert_eq!(back, e);
+    }
+
+    #[test]
+    fn count_text_and_appended_text_agree(e in arb_wild_element(3), prefix in arb_wild()) {
+        let xml = e.to_xml();
+        prop_assert_eq!(e.xml_len(), xml.len());
+        let mut out = prefix.clone();
+        e.write_into(&mut out);
+        prop_assert_eq!(out, prefix + &xml);
+    }
+
+    #[test]
+    fn wild_attr_values_and_text_round_trip_exactly(v in arb_wild(), t in arb_wild()) {
+        let e = Element::new("t").with_attr("v", v.clone()).with_text(t.clone());
+        let back = parse(&e.to_xml()).unwrap();
+        prop_assert_eq!(back.attr("v"), Some(v.as_str()));
+        prop_assert_eq!(back.text(), t);
     }
 
     #[test]

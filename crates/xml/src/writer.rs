@@ -1,47 +1,140 @@
 //! Serialization of [`Element`] trees back to XML text.
+//!
+//! The compact form is written by one routine, generic over its
+//! [`XmlSink`]: a `String` or `Vec<u8>` collects the text, a [`ByteCount`]
+//! only measures it. [`Element::to_xml`], [`Element::write_into`] and
+//! [`Element::xml_len`] are that routine with different sinks, so the count
+//! cannot drift from the text.
 
 use crate::doc::{Element, Node};
 
-/// Escapes character data for use between tags.
-fn escape_text(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(c),
-        }
+/// Where serialized XML goes. The writer hands it whole clean runs and
+/// whole escape sequences, never single characters.
+pub trait XmlSink {
+    /// Appends `s`.
+    fn put(&mut self, s: &str);
+}
+
+impl XmlSink for String {
+    fn put(&mut self, s: &str) {
+        self.push_str(s);
     }
 }
 
-/// Escapes an attribute value (always double-quoted on output).
-fn escape_attr(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\n' => out.push_str("&#10;"),
-            '\t' => out.push_str("&#9;"),
-            '\r' => out.push_str("&#13;"),
-            _ => out.push(c),
-        }
+impl XmlSink for Vec<u8> {
+    fn put(&mut self, s: &str) {
+        self.extend_from_slice(s.as_bytes());
     }
+}
+
+/// An [`XmlSink`] that keeps only the number of bytes written to it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ByteCount(pub usize);
+
+impl XmlSink for ByteCount {
+    fn put(&mut self, s: &str) {
+        self.0 += s.len();
+    }
+}
+
+/// True for the bytes that may not be written raw: `&`, `<`, `>` anywhere,
+/// and in an attribute value (always double-quoted on output) also `"` and
+/// the whitespace a parser would normalize away. Plain comparisons joined
+/// without short-circuit, so a loop over a chunk compiles to vector
+/// compares.
+#[inline(always)]
+fn needs_escape<const ATTR: bool>(b: u8) -> bool {
+    let markup = (b == b'&') | (b == b'<') | (b == b'>');
+    if ATTR {
+        markup | (b == b'"') | (b == b'\n') | (b == b'\t') | (b == b'\r')
+    } else {
+        markup
+    }
+}
+
+/// What is written in place of a byte [`needs_escape`] accepts.
+fn replacement(b: u8) -> &'static str {
+    match b {
+        b'&' => "&amp;",
+        b'<' => "&lt;",
+        b'>' => "&gt;",
+        b'"' => "&quot;",
+        b'\n' => "&#10;",
+        b'\t' => "&#9;",
+        b'\r' => "&#13;",
+        _ => unreachable!("asked only for bytes needs_escape accepts"),
+    }
+}
+
+/// Index of the first byte of `bytes` that needs escaping. Whole clean
+/// chunks are passed over without looking at their bytes one by one.
+fn first_escape<const ATTR: bool>(bytes: &[u8]) -> Option<usize> {
+    const CHUNK: usize = 16;
+    let clean_chunks = bytes
+        .chunks_exact(CHUNK)
+        .take_while(|chunk| {
+            !chunk
+                .iter()
+                .fold(false, |any, &b| any | needs_escape::<ATTR>(b))
+        })
+        .count();
+    let skipped = clean_chunks * CHUNK;
+    bytes[skipped..]
+        .iter()
+        .position(|&b| needs_escape::<ATTR>(b))
+        .map(|i| skipped + i)
+}
+
+/// Copies `s` to `out`, clean runs whole, escaping in between. Every
+/// escaped character is ASCII, so slicing at its byte never splits a UTF-8
+/// sequence.
+fn escape<const ATTR: bool, S: XmlSink>(s: &str, out: &mut S) {
+    let mut rest = s;
+    while let Some(i) = first_escape::<ATTR>(rest.as_bytes()) {
+        out.put(&rest[..i]);
+        out.put(replacement(rest.as_bytes()[i]));
+        rest = &rest[i + 1..];
+    }
+    out.put(rest);
+}
+
+/// Writes ` name="value"` (leading space included) with the value escaped —
+/// the one attribute writer, exported so a caller that frames an element by
+/// hand emits exactly what [`Element::to_xml`] would.
+pub fn write_attr<S: XmlSink>(out: &mut S, name: &str, value: &str) {
+    out.put(" ");
+    out.put(name);
+    out.put("=\"");
+    escape::<true, S>(value, out);
+    out.put("\"");
 }
 
 /// Comments may not contain `--`; we substitute a visually similar sequence
 /// rather than erroring, because comments are advisory provenance only.
-fn sanitize_comment(s: &str) -> String {
-    s.replace("--", "- -")
+fn write_comment<S: XmlSink>(s: &str, out: &mut S) {
+    out.put("<!--");
+    for (i, piece) in s.split("--").enumerate() {
+        if i > 0 {
+            out.put("- -");
+        }
+        out.put(piece);
+    }
+    out.put("-->");
 }
 
 impl Element {
     /// Serializes the subtree to compact (single-line) XML.
     pub fn to_xml(&self) -> String {
-        let mut out = String::with_capacity(self.subtree_size() * 32);
-        self.write_compact(&mut out);
+        let mut out = String::with_capacity(self.xml_len());
+        self.write_into(&mut out);
         out
+    }
+
+    /// `self.to_xml().len()`, without building the text.
+    pub fn xml_len(&self) -> usize {
+        let mut count = ByteCount(0);
+        self.write_into(&mut count);
+        count.0
     }
 
     /// Serializes the subtree to indented XML with a standard document
@@ -55,24 +148,24 @@ impl Element {
         out
     }
 
-    fn write_open_tag(&self, out: &mut String, self_close: bool) {
-        out.push('<');
-        out.push_str(&self.name);
+    fn write_open_tag<S: XmlSink>(&self, out: &mut S, self_close: bool) {
+        out.put("<");
+        out.put(&self.name);
         for (k, v) in &self.attrs {
-            out.push(' ');
-            out.push_str(k);
-            out.push_str("=\"");
-            escape_attr(v, out);
-            out.push('"');
+            write_attr(out, k, v);
         }
-        if self_close {
-            out.push_str("/>");
-        } else {
-            out.push('>');
-        }
+        out.put(if self_close { "/>" } else { ">" });
     }
 
-    fn write_compact(&self, out: &mut String) {
+    fn write_close_tag<S: XmlSink>(&self, out: &mut S) {
+        out.put("</");
+        out.put(&self.name);
+        out.put(">");
+    }
+
+    /// Appends exactly what [`Element::to_xml`] returns to `out` — a
+    /// `String`, a byte buffer, or a [`ByteCount`].
+    pub fn write_into<S: XmlSink>(&self, out: &mut S) {
         if self.children.is_empty() {
             self.write_open_tag(out, true);
             return;
@@ -80,18 +173,12 @@ impl Element {
         self.write_open_tag(out, false);
         for child in &self.children {
             match child {
-                Node::Element(e) => e.write_compact(out),
-                Node::Text(t) => escape_text(t, out),
-                Node::Comment(c) => {
-                    out.push_str("<!--");
-                    out.push_str(&sanitize_comment(c));
-                    out.push_str("-->");
-                }
+                Node::Element(e) => e.write_into(out),
+                Node::Text(t) => escape::<false, _>(t, out),
+                Node::Comment(c) => write_comment(c, out),
             }
         }
-        out.push_str("</");
-        out.push_str(&self.name);
-        out.push('>');
+        self.write_close_tag(out);
     }
 
     /// True when the element's children are text-only, in which case the
@@ -113,12 +200,10 @@ impl Element {
             self.write_open_tag(out, false);
             for child in &self.children {
                 if let Node::Text(t) = child {
-                    escape_text(t, out);
+                    escape::<false, _>(t, out);
                 }
             }
-            out.push_str("</");
-            out.push_str(&self.name);
-            out.push('>');
+            self.write_close_tag(out);
             return;
         }
         self.write_open_tag(out, false);
@@ -132,21 +217,17 @@ impl Element {
                     // pure-whitespace runs between elements but keeps the
                     // text itself.
                     out.push_str(&"  ".repeat(depth + 1));
-                    escape_text(t.trim(), out);
+                    escape::<false, _>(t.trim(), out);
                 }
                 Node::Comment(c) => {
                     out.push_str(&"  ".repeat(depth + 1));
-                    out.push_str("<!--");
-                    out.push_str(&sanitize_comment(c));
-                    out.push_str("-->");
+                    write_comment(c, out);
                 }
             }
         }
         out.push('\n');
         out.push_str(&pad);
-        out.push_str("</");
-        out.push_str(&self.name);
-        out.push('>');
+        self.write_close_tag(out);
     }
 }
 
