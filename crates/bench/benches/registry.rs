@@ -1,8 +1,9 @@
 //! E1 (Figure 1): discovery-engine operations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use selfserv_bench::seed_registry;
-use selfserv_registry::FindQuery;
+use selfserv_bench::{instant_net, seed_registry};
+use selfserv_registry::{FindQuery, RegistryClient, RegistryServer};
+use std::sync::Arc;
 
 fn bench_registry(c: &mut Criterion) {
     let mut group = c.benchmark_group("registry_find");
@@ -31,6 +32,18 @@ fn bench_registry(c: &mut Criterion) {
         );
     }
     group.finish();
+
+    // The rows above time the store alone. This one is a composer's find:
+    // client → `RegistryServer` → reply → decoded records, over the fabric;
+    // a category holds a fifth of the 2 000 seeded services.
+    c.bench_function("registry_rpc_find/400_hits", |b| {
+        let net = instant_net();
+        let _server = RegistryServer::spawn(&net, "uddi", Arc::new(seed_registry(2_000))).unwrap();
+        let client = RegistryClient::connect(&net, "composer", "uddi").unwrap();
+        let query = FindQuery::any().category("car-rental");
+        assert_eq!(client.find(&query).unwrap().len(), 400);
+        b.iter(|| client.find(&query).unwrap());
+    });
 
     c.bench_function("registry_publish_one", |b| {
         let reg = seed_registry(1_000);

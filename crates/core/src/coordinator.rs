@@ -43,7 +43,9 @@ impl SweepTimer {
     }
 
     /// Arms the timer when needed. Call after every message and after
-    /// every firing (instances may have appeared either way).
+    /// every firing (instances may have appeared either way). The sweep
+    /// itself runs only when the timer fires: scanning every open instance
+    /// per message would cost O(open instances) each.
     pub(crate) fn arm(&mut self, ctx: &NodeCtx<'_>, has_instances: bool, ttl: Duration) {
         if !self.armed && has_instances && !ttl.is_zero() {
             self.armed = true;
@@ -340,14 +342,12 @@ impl NodeLogic for CoordinatorLogic {
             kinds::CLEANUP => self.on_cleanup(&env.body),
             _ => { /* ignore unrelated traffic */ }
         }
-        self.sweep_stale();
         self.arm_sweep(ctx);
         Flow::Continue
     }
 
     fn on_rpc_done(&mut self, ctx: &mut NodeCtx<'_>, done: RpcDone) -> Flow {
         self.on_completion(ctx, done);
-        self.sweep_stale();
         self.arm_sweep(ctx);
         Flow::Continue
     }

@@ -846,6 +846,33 @@ mod tests {
     }
 
     #[test]
+    fn idle_instance_is_faulted_by_the_timer_alone() {
+        // The community never answers and the invocation outlives the TTL,
+        // so after the execute request nothing reaches the wrapper: only
+        // the sweep timer can fault the instance.
+        let net = Network::new(NetworkConfig::instant());
+        let _mute = net.connect("community.mute").unwrap();
+        let mut deployer = Deployer::new(&net);
+        deployer.invoke_timeout = Duration::from_secs(30);
+        deployer.instance_ttl = Duration::from_millis(100);
+        let dep = deployer
+            .deploy(&community_chart("mute"), &HashMap::new())
+            .unwrap();
+        let started = std::time::Instant::now();
+        let err = dep
+            .execute(
+                MessageDoc::request("execute").with("payload", Value::str("x")),
+                Duration::from_secs(10),
+            )
+            .unwrap_err();
+        match err {
+            ExecError::Fault(reason) => assert!(reason.contains("idle past TTL"), "{reason}"),
+            other => panic!("expected fault, got {other:?}"),
+        }
+        assert!(started.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
     fn submit_and_collect_round_trip_without_blocking() {
         let net = Network::new(NetworkConfig::instant());
         let dep = Deployer::new(&net)

@@ -125,7 +125,6 @@ impl NodeLogic for WrapperLogic {
             kinds::RAISE_EVENT => self.on_event(ctx, &env),
             _ => {}
         }
-        self.sweep_stale(ctx);
         self.arm_sweep(ctx);
         Flow::Continue
     }

@@ -138,12 +138,14 @@ impl Envelope {
     }
 
     /// Decodes the on-wire form, *taking* the body out of the parsed frame
-    /// — what a receive path that owns the frame calls.
+    /// — what a receive path that owns the frame calls. A shared body is
+    /// copied only if another tree still holds it.
     pub(crate) fn decode(mut e: Element) -> Result<Self, String> {
         let body = std::mem::take(&mut e.children)
             .into_iter()
             .find_map(|n| match n {
                 Node::Element(body) => Some(body),
+                Node::Shared(body) => Some(Arc::unwrap_or_clone(body)),
                 _ => None,
             });
         Self::decode_with(&e, body)

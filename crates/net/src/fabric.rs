@@ -5,7 +5,10 @@ use crate::envelope::{Envelope, MessageId, NodeId};
 use crate::fault::{
     ChaosTarget, FaultAction, FaultPolicy, FaultSchedule, LatencyModel, LinkOverride,
 };
-use crate::metrics::{MetricsSnapshot, NodeCounters, EPHEMERAL_AGGREGATE};
+use crate::metrics::{
+    fold_into, MetricsSnapshot, NodeCounters, DEPARTED_AGGREGATE, EPHEMERAL_AGGREGATE,
+    RETAINED_DEPARTED,
+};
 use crate::transport::{
     ConnectError, Endpoint, Inbox, Mailbox, RawEndpoint, RecvError, ReplyDemux, SendError,
     Transport, TransportHandle,
@@ -15,7 +18,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selfserv_xml::Element;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -112,6 +115,10 @@ struct Inner {
     /// Counters persist even after a node disconnects so post-run snapshots
     /// see the whole experiment.
     counters: RwLock<HashMap<NodeId, Arc<NodeCounters>>>,
+    /// Disconnected named nodes in the order they left, at most
+    /// [`RETAINED_DEPARTED`]: whoever is pushed out loses its own counters
+    /// entry to [`DEPARTED_AGGREGATE`].
+    departed: Mutex<VecDeque<NodeId>>,
     fault: RwLock<FaultPolicy>,
     /// Installed chaos schedule, consulted on every dispatch after the
     /// static fault policy.
@@ -153,6 +160,7 @@ impl Network {
             cfg,
             nodes: RwLock::new(HashMap::new()),
             counters: RwLock::new(HashMap::new()),
+            departed: Mutex::new(VecDeque::new()),
             fault: RwLock::new(fault),
             chaos: RwLock::new(None),
             next_msg: AtomicU64::new(1),
@@ -232,7 +240,9 @@ impl Network {
         names
     }
 
-    /// Snapshot of all per-node counters (including disconnected nodes).
+    /// Snapshot of all per-node counters, including those of the latest
+    /// 4096 named nodes that disconnected; what earlier ones counted is
+    /// summed under [`DEPARTED_AGGREGATE`].
     pub fn metrics(&self) -> MetricsSnapshot {
         let counters = self.inner.counters.read();
         MetricsSnapshot::collect(counters.iter().map(|(k, v)| (k, v.as_ref())))
@@ -436,16 +446,21 @@ impl Network {
         }
     }
 
-    /// Counters slot to charge a delivery-time drop to. Ephemeral (`~`)
-    /// nodes whose entry was already folded away must not be resurrected
-    /// (a late message to a dropped `~` client endpoint would otherwise
-    /// leak a permanent counters entry per occurrence); their drops go to
-    /// the aggregate slot instead.
+    /// Counters slot to charge a delivery-time drop to. A node whose entry
+    /// was already folded away must not be resurrected (a late message to
+    /// a dropped `~` client endpoint, or to a long-gone named node, would
+    /// otherwise leak a permanent counters entry per occurrence); its drops
+    /// go to the aggregate slot it was folded into.
     fn delivery_counters_for(&self, node: &NodeId) -> Arc<NodeCounters> {
-        if node.as_str().contains('~') && !self.inner.counters.read().contains_key(node) {
-            return self.counters_for(&NodeId::new(EPHEMERAL_AGGREGATE));
+        if self.inner.counters.read().contains_key(node) {
+            return self.counters_for(node);
         }
-        self.counters_for(node)
+        let aggregate = if node.as_str().contains('~') {
+            EPHEMERAL_AGGREGATE
+        } else {
+            DEPARTED_AGGREGATE
+        };
+        self.counters_for(&NodeId::new(aggregate))
     }
 }
 
@@ -544,8 +559,30 @@ impl RawEndpoint for FabricEndpoint {
 
 impl Drop for FabricEndpoint {
     fn drop(&mut self) {
-        self.net.inner.nodes.write().remove(&self.node);
-        crate::metrics::fold_ephemeral(&mut self.net.inner.counters.write(), &self.node);
+        let inner = &self.net.inner;
+        inner.nodes.write().remove(&self.node);
+        if self.node.as_str().contains('~') {
+            fold_into(&mut inner.counters.write(), &self.node, EPHEMERAL_AGGREGATE);
+            return;
+        }
+        let pushed_out = {
+            let mut departed = inner.departed.lock();
+            departed.push_back(self.node.clone());
+            if departed.len() > RETAINED_DEPARTED {
+                departed.pop_front()
+            } else {
+                None
+            }
+        };
+        if let Some(oldest) = pushed_out {
+            // `nodes` before `counters`, as `deliver_now` takes them: the
+            // name, if it came back, is live and keeps its entry, and it
+            // cannot come back while the entry is folded.
+            let nodes = inner.nodes.read();
+            if !nodes.contains_key(&oldest) {
+                fold_into(&mut inner.counters.write(), &oldest, DEPARTED_AGGREGATE);
+            }
+        }
     }
 }
 
@@ -937,6 +974,34 @@ mod tests {
         let agg = m.node(EPHEMERAL_AGGREGATE).unwrap();
         assert_eq!(agg.sent, 1, "anonymous sender's traffic folded");
         assert!(!net.is_connected("client~1"), "anonymous endpoint pruned");
+    }
+
+    #[test]
+    fn long_departed_named_nodes_fold_into_aggregate() {
+        let net = Network::new(NetworkConfig::instant());
+        let sink = net.connect("sink").unwrap();
+        {
+            let early = net.connect("early").unwrap();
+            early.send("sink", "x", body()).unwrap();
+        }
+        let _early_again = net.connect("early").unwrap();
+        const EXTRA: usize = 10;
+        for i in 0..RETAINED_DEPARTED + EXTRA {
+            let node = net.connect(format!("n{i}")).unwrap();
+            node.send("sink", "x", body()).unwrap();
+        }
+        while sink.try_recv().is_some() {}
+        let m = net.metrics();
+        // sink, early, the retained departed, the aggregate.
+        assert_eq!(m.nodes.len(), 2 + RETAINED_DEPARTED + 1);
+        assert_eq!(m.total_sent(), (RETAINED_DEPARTED + EXTRA + 1) as u64);
+        assert_eq!(m.total_sent(), m.total_received());
+        // `early` was pushed out of the queue first, but is connected again.
+        // It keeps its entry; `n0`..`n9`, pushed out after it, lost theirs.
+        assert_eq!(m.node("early").unwrap().sent, 1);
+        assert_eq!(m.node(DEPARTED_AGGREGATE).unwrap().sent, EXTRA as u64);
+        assert!(m.node(&format!("n{}", EXTRA - 1)).is_none());
+        assert_eq!(m.node(&format!("n{EXTRA}")).unwrap().sent, 1);
     }
 
     #[test]

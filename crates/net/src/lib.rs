@@ -62,7 +62,9 @@ pub use fault::{
     FaultPolicy, FaultSchedule, KindRule, LatencyModel, NodeEvent, NodeFault,
 };
 pub use gossip::{GossipPayload, GossipPayloads};
-pub use metrics::{MetricsSnapshot, NodeMetrics, TransportIoStats, EPHEMERAL_AGGREGATE};
+pub use metrics::{
+    MetricsSnapshot, NodeMetrics, TransportIoStats, DEPARTED_AGGREGATE, EPHEMERAL_AGGREGATE,
+};
 pub use replica::ReplicaSet;
 pub use tcp::TcpTransport;
 pub use transport::{

@@ -20,21 +20,41 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// [`connect_anonymous`]: crate::Transport::connect_anonymous
 pub const EPHEMERAL_AGGREGATE: &str = "~ephemeral";
 
+/// Synthetic node name that accumulates the traffic of named nodes of the
+/// in-process fabric that disconnected longer ago than the latest 4096 to
+/// do so: their entries are pruned, the totals conserved.
+pub const DEPARTED_AGGREGATE: &str = "(departed)";
+
+/// How many disconnected named nodes of the in-process fabric keep a
+/// counters entry of their own for post-run snapshots. Without a bound a
+/// process that deploys and undeploys composites under fresh names grows by
+/// an entry per name it ever used (13 names, 1.7 KB, per 12-state
+/// composite), and every snapshot walks them all.
+pub(crate) const RETAINED_DEPARTED: usize = 4096;
+
 /// Folds a dropped ephemeral (`~`) node's counters into the
 /// [`EPHEMERAL_AGGREGATE`] slot and removes its entry; no-op for named
-/// nodes (their counters persist for post-run snapshots). Shared by every
-/// transport's endpoint-drop path so the totals-conservation invariant
-/// lives in one place.
+/// nodes (their counters persist for post-run snapshots). The TCP hub's
+/// endpoint-drop path; the fabric's, which also bounds how many named
+/// nodes persist, calls [`fold_into`] for both kinds.
 pub(crate) fn fold_ephemeral(
     counters: &mut HashMap<NodeId, std::sync::Arc<NodeCounters>>,
     node: &NodeId,
 ) {
-    if !node.as_str().contains('~') {
-        return;
+    if node.as_str().contains('~') {
+        fold_into(counters, node, EPHEMERAL_AGGREGATE);
     }
+}
+
+/// Removes `node`'s entry, adding what it counted to `aggregate`'s.
+pub(crate) fn fold_into(
+    counters: &mut HashMap<NodeId, std::sync::Arc<NodeCounters>>,
+    node: &NodeId,
+    aggregate: &str,
+) {
     if let Some(c) = counters.remove(node) {
         counters
-            .entry(NodeId::new(EPHEMERAL_AGGREGATE))
+            .entry(NodeId::new(aggregate))
             .or_insert_with(|| std::sync::Arc::new(NodeCounters::default()))
             .absorb(&c);
     }

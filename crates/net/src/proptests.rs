@@ -9,7 +9,8 @@ use crate::{
     TcpTransport, Transport,
 };
 use proptest::prelude::*;
-use selfserv_xml::Element;
+use selfserv_xml::{Element, Node};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn arb_envelope() -> impl Strategy<Value = Envelope> {
@@ -89,6 +90,43 @@ proptest! {
         let parsed = selfserv_xml::parse(&text).unwrap();
         prop_assert_eq!(Envelope::from_xml(&parsed).unwrap(), env.clone());
         prop_assert_eq!(Envelope::decode(parsed).unwrap(), env);
+    }
+
+    /// A body whose children are shared subtrees is charged and framed as
+    /// the body that owns them, a received frame never holds one, and the
+    /// owning decode takes a shared body as it takes an owned one.
+    #[test]
+    fn shared_body_children_frame_as_owned(
+        env in arb_envelope(),
+        kids in proptest::collection::vec(
+            ("[A-Za-z][A-Za-z0-9]{0,8}", "[a-c<>&\"' é✓-]{0,12}", any::<bool>()),
+            0..6,
+        ),
+    ) {
+        let mut owned = env.clone();
+        let mut shared = env;
+        for (tag, attr, share) in kids {
+            let kid = Element::new(tag).with_attr("k", attr);
+            owned.body.push_child(kid.clone());
+            if share {
+                shared.body.children.push(Node::Shared(Arc::new(kid)));
+            } else {
+                shared.body.push_child(kid);
+            }
+        }
+        prop_assert_eq!(&shared, &owned);
+        prop_assert_eq!(shared.wire_size(), owned.wire_size());
+        let (mut shared_frame, mut owned_frame) = (Vec::new(), Vec::new());
+        crate::tcp::write_frame(&mut shared_frame, &shared).unwrap();
+        crate::tcp::write_frame(&mut owned_frame, &owned).unwrap();
+        prop_assert_eq!(&shared_frame, &owned_frame);
+        let back = crate::tcp::read_frame(&mut shared_frame.as_slice()).unwrap();
+        prop_assert!(!back.body.children.iter().any(|n| matches!(n, Node::Shared(_))));
+        prop_assert_eq!(&back, &owned);
+
+        let mut frame = owned.to_xml();
+        frame.children = vec![Node::Shared(Arc::new(shared.body.clone()))];
+        prop_assert_eq!(Envelope::decode(frame).unwrap(), owned);
     }
 
     /// Conservation: on a lossless instant fabric, every message sent is

@@ -10,7 +10,7 @@ use selfserv_net::{
 };
 use selfserv_runtime::{ExecutorHandle, Flow, NodeCtx, NodeHandle, NodeLogic};
 use selfserv_wsdl::ServiceDescription;
-use selfserv_xml::Element;
+use selfserv_xml::{Element, Node};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -57,8 +57,8 @@ fn decode_fault(body: &Element) -> RegistryError {
 /// node until stopped.
 pub struct RegistryServer;
 
-struct RegistryLogic {
-    registry: Arc<UddiRegistry>,
+pub(crate) struct RegistryLogic {
+    pub(crate) registry: Arc<UddiRegistry>,
 }
 
 /// Handle to a spawned [`RegistryServer`] node.
@@ -139,7 +139,8 @@ impl NodeLogic for RegistryLogic {
 }
 
 impl RegistryLogic {
-    fn handle(&self, request: &Envelope) -> Result<Element, RegistryError> {
+    /// The reply body for `request`, or the error its fault reports.
+    pub(crate) fn handle(&self, request: &Envelope) -> Result<Element, RegistryError> {
         let body = &request.body;
         match request.kind.as_str() {
             kinds::SAVE_BUSINESS => {
@@ -174,9 +175,12 @@ impl RegistryLogic {
             kinds::FIND_SERVICE => {
                 let query = FindQuery::from_xml(body)?;
                 let mut list = Element::new("serviceList");
-                for rec in self.registry.find(&query) {
-                    list.push_child(rec.to_xml());
-                }
+                list.children.extend(
+                    self.registry
+                        .find_info(&query)
+                        .into_iter()
+                        .map(Node::Shared),
+                );
                 Ok(list)
             }
             kinds::FIND_BUSINESS => {
@@ -198,7 +202,8 @@ impl RegistryLogic {
                         .map_err(RegistryError::Protocol)?
                         .to_string(),
                 );
-                Ok(self.registry.get_service(&key)?.to_xml())
+                // An envelope owns its body, so this one reply copies the tree.
+                Ok(Element::clone(&*self.registry.get_info(&key)?))
             }
             kinds::DELETE_SERVICE => {
                 let key = ServiceKey(
@@ -405,6 +410,96 @@ mod tests {
             client.get_service(&key),
             Err(RegistryError::UnknownService(_))
         ));
+    }
+
+    /// The bytes of a find reply, as they were before records kept their
+    /// trees: children in key order (`svc-10` before `svc-2`), each the
+    /// record's `to_xml()`.
+    #[test]
+    fn find_reply_bytes_are_pinned() {
+        let registry = Arc::new(UddiRegistry::new());
+        let biz = registry.save_business("Test & Co", "t@test").key;
+        for i in 1..=10 {
+            let category = if i == 2 || i == 10 { "travel" } else { "other" };
+            registry
+                .save_service(&biz, category, desc(&format!("S{i}"), "op<1>"), None)
+                .unwrap();
+        }
+        let request = Envelope::synthetic(
+            NodeId::new("client"),
+            kinds::FIND_SERVICE,
+            FindQuery::any().category("travel").to_xml(),
+        );
+        let reply = RegistryLogic { registry }.handle(&request).unwrap();
+        assert_eq!(
+            reply.to_xml(),
+            concat!(
+                "<serviceList>",
+                "<serviceInfo key=\"svc-10\" business=\"biz-1\" provider=\"Test &amp; Co\" category=\"travel\">",
+                "<definitions name=\"S10\" provider=\"TestCo\">",
+                "<operation name=\"op&lt;1&gt;\"/>",
+                "<binding protocol=\"selfserv\" endpoint=\"svc.x\"/>",
+                "</definitions></serviceInfo>",
+                "<serviceInfo key=\"svc-2\" business=\"biz-1\" provider=\"Test &amp; Co\" category=\"travel\">",
+                "<definitions name=\"S2\" provider=\"TestCo\">",
+                "<operation name=\"op&lt;1&gt;\"/>",
+                "<binding protocol=\"selfserv\" endpoint=\"svc.x\"/>",
+                "</definitions></serviceInfo>",
+                "</serviceList>"
+            )
+        );
+        let reply = Envelope::synthetic(NodeId::new("uddi"), kinds::RESULT, reply);
+        assert_eq!(reply.wire_size(), 562);
+    }
+
+    /// What a client finds does not depend on what carried the reply: the
+    /// fabric hands the stored trees over by reference, TCP writes and
+    /// parses them.
+    #[test]
+    fn find_results_agree_over_fabric_and_tcp() {
+        use selfserv_net::TcpTransport;
+        let registry = Arc::new(UddiRegistry::new());
+        let biz = registry.save_business("TestCo", "t@test").key;
+        for i in 0..30 {
+            let category = ["travel", "other"][i % 2];
+            let d = desc(&format!("Service {i}"), &format!("op{}", i % 3));
+            registry.save_service(&biz, category, d, None).unwrap();
+        }
+
+        let net = Network::new(NetworkConfig::instant());
+        let _fabric_server = RegistryServer::spawn(&net, "uddi", Arc::clone(&registry)).unwrap();
+        let over_fabric = RegistryClient::connect(&net, "client", "uddi").unwrap();
+
+        let (hub_a, hub_b) = (TcpTransport::new(), TcpTransport::new());
+        let _tcp_server = RegistryServer::spawn(&hub_b, "uddi", Arc::clone(&registry)).unwrap();
+        let over_tcp = RegistryClient::connect(&hub_a, "client", "uddi").unwrap();
+        hub_a.register_peer("uddi", hub_b.addr_of("uddi").unwrap());
+        hub_b.register_peer("client", hub_a.addr_of("client").unwrap());
+
+        let texts = |client: &RegistryClient, query: &FindQuery| -> Vec<String> {
+            let found = client.find(query).unwrap();
+            found.iter().map(|r| r.to_xml().to_xml()).collect()
+        };
+        for (query, hits) in [
+            (FindQuery::any(), 30),
+            (FindQuery::any().category("travel"), 15),
+            (FindQuery::any().operation("op1"), 10),
+            (FindQuery::any().service_name("service 2"), 11),
+            (FindQuery::any().provider("nobody"), 0),
+        ] {
+            let expected: Vec<String> = registry
+                .find(&query)
+                .iter()
+                .map(|r| r.to_xml().to_xml())
+                .collect();
+            assert_eq!(expected.len(), hits, "{query:?}");
+            assert_eq!(texts(&over_fabric, &query), expected, "{query:?}");
+            assert_eq!(texts(&over_tcp, &query), expected, "{query:?}");
+        }
+        let key = registry.find(&FindQuery::any())[7].key.clone();
+        let expected = registry.get_service(&key).unwrap().to_xml();
+        assert_eq!(over_fabric.get_service(&key).unwrap().to_xml(), expected);
+        assert_eq!(over_tcp.get_service(&key).unwrap().to_xml(), expected);
     }
 
     #[test]

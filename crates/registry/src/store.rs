@@ -15,9 +15,11 @@ use crate::model::{
 };
 use parking_lot::RwLock;
 use selfserv_wsdl::ServiceDescription;
+use selfserv_xml::Element;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Number of service-table partitions. A small power of two: enough to
@@ -116,11 +118,21 @@ impl Indexes {
     }
 }
 
+/// A record as the table holds it: with its `<serviceInfo>` tree
+/// ([`ServiceRecord::to_xml`]), built once at publication so that a reply
+/// refers to it instead of building its own. The tree encodes nothing that
+/// changes while the record is stored (`renew` moves only `published_at`),
+/// and the two leave the table together, so it cannot go stale.
+struct Stored {
+    record: ServiceRecord,
+    info: Arc<Element>,
+}
+
 /// One partition of the service table: its records plus their indexes,
 /// under an independent lock.
 #[derive(Default)]
 struct Shard {
-    services: HashMap<ServiceKey, ServiceRecord>,
+    services: HashMap<ServiceKey, Stored>,
     indexes: Indexes,
 }
 
@@ -174,6 +186,18 @@ impl Shard {
             keys.dedup();
         }
         Some(keys)
+    }
+
+    /// Drops the entry under `key`, record, tree and index rows; false if
+    /// there is none.
+    fn remove(&mut self, key: &ServiceKey) -> bool {
+        match self.services.remove(key) {
+            Some(stored) => {
+                self.indexes.remove(&stored.record);
+                true
+            }
+            None => false,
+        }
     }
 }
 
@@ -262,11 +286,19 @@ impl UddiRegistry {
             .name
             .clone();
         let mut shard = self.shards[shard_of(&description.name)].write();
-        if shard
-            .services
-            .values()
-            .any(|r| r.business == *business && r.description.name == description.name)
-        {
+        // Same-name records are indexed under one lowercase name: only they
+        // are looked at, not the shard.
+        let duplicate = shard
+            .indexes
+            .by_name
+            .get(&description.name.to_lowercase())
+            .into_iter()
+            .flatten()
+            .filter_map(|key| shard.services.get(key))
+            .any(|s| {
+                s.record.business == *business && s.record.description.name == description.name
+            });
+        if duplicate {
             return Err(RegistryError::DuplicateService {
                 business: business.clone(),
                 name: description.name,
@@ -285,44 +317,67 @@ impl UddiRegistry {
             published_at: Instant::now(),
             lease,
         };
+        // Kept for the record's lifetime, so compacted: the copy has every
+        // string and vector at its exact length (as built, a one-child
+        // vector is four slots long). Copying, not shrinking in place:
+        // that left a free fragment behind each block, among live ones,
+        // for `find`'s clones to be scattered over.
+        let info = record.to_xml().clone();
         shard.indexes.insert(&record);
-        shard.services.insert(key.clone(), record);
+        shard.services.insert(
+            key.clone(),
+            Stored {
+                record,
+                info: Arc::new(info),
+            },
+        );
         Ok(key)
     }
 
-    /// Retrieves a service record (expired leases behave as absent).
-    /// Keys don't encode the shard, so the shards are probed in order.
-    pub fn get_service(&self, key: &ServiceKey) -> Result<ServiceRecord, RegistryError> {
+    /// What `read` makes of the live entry under `key` (expired leases
+    /// behave as absent). Keys don't encode the shard, so the shards are
+    /// probed in order.
+    fn lookup<T>(
+        &self,
+        key: &ServiceKey,
+        read: impl FnOnce(&Stored) -> T,
+    ) -> Result<T, RegistryError> {
         let now = Instant::now();
         for shard in &self.shards {
-            if let Some(r) = shard.read().services.get(key) {
-                return if r.is_expired(now) {
-                    Err(RegistryError::UnknownService(key.clone()))
-                } else {
-                    Ok(r.clone())
-                };
+            if let Some(s) = shard.read().services.get(key) {
+                if s.record.is_expired(now) {
+                    break;
+                }
+                return Ok(read(s));
             }
         }
         Err(RegistryError::UnknownService(key.clone()))
+    }
+
+    /// Retrieves a service record (expired leases behave as absent).
+    pub fn get_service(&self, key: &ServiceKey) -> Result<ServiceRecord, RegistryError> {
+        self.lookup(key, |s| s.record.clone())
+    }
+
+    /// [`UddiRegistry::get_service`]`.to_xml()`, as stored.
+    pub(crate) fn get_info(&self, key: &ServiceKey) -> Result<Arc<Element>, RegistryError> {
+        self.lookup(key, |s| Arc::clone(&s.info))
     }
 
     /// Deletes a service.
     pub fn delete_service(&self, key: &ServiceKey) -> Result<(), RegistryError> {
-        for shard in &self.shards {
-            let mut shard = shard.write();
-            if let Some(rec) = shard.services.remove(key) {
-                shard.indexes.remove(&rec);
-                return Ok(());
-            }
+        if self.shards.iter().any(|shard| shard.write().remove(key)) {
+            Ok(())
+        } else {
+            Err(RegistryError::UnknownService(key.clone()))
         }
-        Err(RegistryError::UnknownService(key.clone()))
     }
 
     /// Renews a leased service's publication instant.
     pub fn renew(&self, key: &ServiceKey) -> Result<(), RegistryError> {
         for shard in &self.shards {
-            if let Some(r) = shard.write().services.get_mut(key) {
-                r.published_at = Instant::now();
+            if let Some(s) = shard.write().services.get_mut(key) {
+                s.record.published_at = Instant::now();
                 return Ok(());
             }
         }
@@ -340,13 +395,11 @@ impl UddiRegistry {
             let expired: Vec<ServiceKey> = shard
                 .services
                 .values()
-                .filter(|r| r.is_expired(now))
-                .map(|r| r.key.clone())
+                .filter(|s| s.record.is_expired(now))
+                .map(|s| s.record.key.clone())
                 .collect();
             for key in &expired {
-                if let Some(rec) = shard.services.remove(key) {
-                    shard.indexes.remove(&rec);
-                }
+                shard.remove(key);
             }
             swept += expired.len();
         }
@@ -359,29 +412,40 @@ impl UddiRegistry {
     /// merged and sorted, so results are identical to an unpartitioned
     /// scan.
     pub fn find(&self, query: &FindQuery) -> Vec<ServiceRecord> {
+        let mut records = self.collect_hits(query, |s| s.record.clone());
+        records.sort_by(|a, b| a.key.cmp(&b.key));
+        records
+    }
+
+    /// [`UddiRegistry::find`]`.map(to_xml)`, as stored: the same hits in
+    /// the same order for a reference count each — no record is cloned, no
+    /// tree built, no key copied to sort by.
+    pub(crate) fn find_info(&self, query: &FindQuery) -> Vec<Arc<Element>> {
+        let mut infos = self.collect_hits(query, |s| Arc::clone(&s.info));
+        infos.sort_unstable_by(|a, b| a.attr("key").cmp(&b.attr("key")));
+        infos
+    }
+
+    /// `read` of every hit, shard by shard under that shard's read lock,
+    /// unsorted.
+    fn collect_hits<T>(&self, query: &FindQuery, read: impl Fn(&Stored) -> T) -> Vec<T> {
         let now = Instant::now();
-        let mut records: Vec<ServiceRecord> = Vec::new();
+        let live = |s: &&Stored| !s.record.is_expired(now);
+        let mut out = Vec::new();
         for shard in &self.shards {
             let shard = shard.read();
             match shard.candidates(query) {
-                Some(keys) => records.extend(
+                Some(keys) => out.extend(
                     keys.into_iter()
                         .filter_map(|k| shard.services.get(k))
-                        .filter(|r| !r.is_expired(now))
-                        .cloned(),
+                        .filter(live)
+                        .map(&read),
                 ),
                 // Empty query: everything (unexpired).
-                None => records.extend(
-                    shard
-                        .services
-                        .values()
-                        .filter(|r| !r.is_expired(now))
-                        .cloned(),
-                ),
+                None => out.extend(shard.services.values().filter(live).map(&read)),
             }
         }
-        records.sort_by(|a, b| a.key.cmp(&b.key));
-        records
+        out
     }
 
     /// Number of live (unexpired) services.
@@ -393,7 +457,7 @@ impl UddiRegistry {
                 s.read()
                     .services
                     .values()
-                    .filter(|r| !r.is_expired(now))
+                    .filter(|s| !s.record.is_expired(now))
                     .count()
             })
             .sum()
@@ -525,7 +589,7 @@ mod tests {
 
     #[test]
     fn duplicate_service_rejected() {
-        let (reg, ausair, _) = seeded();
+        let (reg, ausair, wheels) = seeded();
         let err = reg
             .save_service(
                 &ausair,
@@ -535,6 +599,28 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, RegistryError::DuplicateService { .. }));
+        // Another business may publish the name, and names are compared
+        // exactly although they are indexed in lowercase.
+        let again = desc("Domestic Flight Booking", "WheelsNow", &["bookFlight"]);
+        reg.save_service(&wheels, "flight-booking", again, None)
+            .unwrap();
+        let lowercase = desc("domestic flight booking", "AusAir", &["bookFlight"]);
+        reg.save_service(&ausair, "flight-booking", lowercase, None)
+            .unwrap();
+        assert_eq!(reg.service_count(), 5);
+    }
+
+    #[test]
+    fn stored_tree_is_the_encoded_record_without_spare_capacity() {
+        let (reg, _, _) = seeded();
+        let record = &reg.find(&FindQuery::any().service_name("Car Rental"))[0];
+        let info = reg.get_info(&record.key).unwrap();
+        assert_eq!(*info, record.to_xml());
+        let definitions = info.find("definitions").unwrap();
+        for e in [&*info, definitions] {
+            assert_eq!(e.attrs.capacity(), e.attrs.len());
+            assert_eq!(e.children.capacity(), e.children.len());
+        }
     }
 
     #[test]
@@ -658,7 +744,11 @@ mod tests {
                         None,
                     )
                     .unwrap();
-                    let _ = reg.find(&FindQuery::any().operation("op"));
+                    // Trees found while other threads publish are whole.
+                    for info in reg.find_info(&FindQuery::any().operation("op")) {
+                        let found = ServiceRecord::from_xml(&info).unwrap();
+                        assert_eq!(found.provider_name, "Conc");
+                    }
                 }
             }));
         }

@@ -1,12 +1,19 @@
 //! The owned XML document tree: [`Element`] and [`Node`].
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A node in an XML document tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub enum Node {
     /// A child element.
     Element(Element),
+    /// A child element that other trees may hold too: immutable, and to
+    /// every reader, the writers and `==` the same as the owned child
+    /// [`Node::Element`] with that content. Lets a document that is built
+    /// once (a registry record's `<serviceInfo>`) be put into any number of
+    /// messages for a reference count each. The parser never produces one.
+    Shared(Arc<Element>),
     /// Character data. Stored unescaped; escaping happens on write.
     Text(String),
     /// A comment (`<!-- ... -->`). Preserved so that generated documents can
@@ -20,6 +27,7 @@ impl Node {
     pub fn as_element(&self) -> Option<&Element> {
         match self {
             Node::Element(e) => Some(e),
+            Node::Shared(e) => Some(e),
             _ => None,
         }
     }
@@ -32,6 +40,21 @@ impl Node {
         }
     }
 }
+
+/// Structural: a shared child equals an owned one with the same content.
+impl PartialEq for Node {
+    fn eq(&self, other: &Node) -> bool {
+        match (self, other) {
+            (Node::Text(a), Node::Text(b)) | (Node::Comment(a), Node::Comment(b)) => a == b,
+            _ => match (self.as_element(), other.as_element()) {
+                (Some(a), Some(b)) => a == b,
+                _ => false,
+            },
+        }
+    }
+}
+
+impl Eq for Node {}
 
 /// An XML element: a name, ordered attributes, and ordered child nodes.
 ///
@@ -293,6 +316,23 @@ mod tests {
     fn subtree_size_counts_elements() {
         assert_eq!(sample().subtree_size(), 3);
         assert_eq!(Element::new("x").subtree_size(), 1);
+    }
+
+    #[test]
+    fn shared_child_reads_and_compares_as_owned() {
+        let child = Element::new("input").with_attr("param", "city");
+        let mut shared = Element::new("state");
+        shared.children.push(Node::Shared(Arc::new(child.clone())));
+        let owned = Element::new("state").with_child(child.clone());
+        assert_eq!(shared.find("input"), Some(&child));
+        assert_eq!(shared.subtree_size(), 2);
+        assert_eq!(shared, owned);
+        assert_eq!(owned, shared);
+        assert_ne!(
+            shared,
+            Element::new("state").with_child(Element::new("input"))
+        );
+        assert_ne!(shared, Element::new("state").with_text("input"));
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Property tests: serialization followed by parsing must reproduce the
 //! original tree, for both the compact and the pretty writer; and the
 //! count, the appended text and the returned text of the compact writer
-//! are one thing.
+//! are one thing; and a tree with shared children is, to every reader and
+//! writer, the tree with those children owned.
 
 use crate::{parse, Element, Node};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Attribute/element names: XML name subset.
 fn arb_name() -> impl Strategy<Value = String> {
@@ -121,8 +123,97 @@ fn normalize(mut e: Element) -> Element {
     e
 }
 
+/// `e` with the child elements `picks` selects (one draw per element, in
+/// document order, the draws reused in a cycle) held as [`Node::Shared`] —
+/// at every depth, so shared subtrees also sit inside shared subtrees.
+fn share(e: &Element, picks: &mut impl Iterator<Item = bool>) -> Element {
+    let children = e
+        .children
+        .iter()
+        .map(|n| match n {
+            Node::Element(c) => {
+                let pick = picks.next().expect("cycled");
+                let c = share(c, picks);
+                if pick {
+                    Node::Shared(Arc::new(c))
+                } else {
+                    Node::Element(c)
+                }
+            }
+            other => other.clone(),
+        })
+        .collect();
+    Element {
+        name: e.name.clone(),
+        attrs: e.attrs.clone(),
+        children,
+    }
+}
+
+fn has_shared(e: &Element) -> bool {
+    e.children.iter().any(|n| match n {
+        Node::Shared(_) => true,
+        Node::Element(c) => has_shared(c),
+        _ => false,
+    })
+}
+
+fn arb_picks() -> impl Strategy<Value = Vec<bool>> {
+    proptest::collection::vec(any::<bool>(), 1..48)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn shared_children_write_and_compare_as_owned(
+        owned in arb_wild_element(3),
+        picks in arb_picks(),
+        prefix in arb_wild(),
+    ) {
+        let shared = share(&owned, &mut picks.iter().copied().cycle());
+        prop_assert_eq!(&shared, &owned);
+        prop_assert_eq!(&owned, &shared);
+        let xml = owned.to_xml();
+        prop_assert_eq!(&shared.to_xml(), &xml);
+        prop_assert_eq!(shared.xml_len(), xml.len());
+        let mut text = prefix.clone();
+        shared.write_into(&mut text);
+        prop_assert_eq!(text, prefix.clone() + &xml);
+        let mut bytes = prefix.clone().into_bytes();
+        shared.write_into(&mut bytes);
+        prop_assert_eq!(bytes, (prefix + &xml).into_bytes());
+        prop_assert_eq!(shared.to_pretty_xml(), owned.to_pretty_xml());
+    }
+
+    #[test]
+    fn shared_children_read_and_parse_as_owned(owned in arb_element(3), picks in arb_picks()) {
+        let owned = normalize(owned);
+        let shared = share(&owned, &mut picks.iter().copied().cycle());
+        let back = parse(&shared.to_xml()).unwrap();
+        prop_assert!(!has_shared(&back), "the parser never shares");
+        prop_assert_eq!(&back, &owned);
+        prop_assert_eq!(&parse(&shared.to_pretty_xml()).unwrap(), &owned);
+
+        prop_assert_eq!(shared.subtree_size(), owned.subtree_size());
+        prop_assert_eq!(shared.child_element_count(), owned.child_element_count());
+        let children: Vec<&Element> = shared.child_elements().collect();
+        prop_assert_eq!(&children, &owned.child_elements().collect::<Vec<_>>());
+        for (child, owned_child) in children.iter().zip(owned.child_elements()) {
+            let name = child.name.as_str();
+            prop_assert_eq!(shared.find(name), owned.find(name));
+            prop_assert_eq!(
+                shared.find_all(name).collect::<Vec<_>>(),
+                owned.find_all(name).collect::<Vec<_>>()
+            );
+            // One level further down, through whichever kind of child.
+            if let Some(grandchild) = owned_child.child_elements().next() {
+                let path = format!("{}/{}", owned_child.name, grandchild.name);
+                prop_assert_eq!(shared.get_path(&path), owned.get_path(&path));
+                prop_assert!(shared.get_path(&path).is_some());
+            }
+        }
+    }
 
     #[test]
     fn compact_round_trip(e in arb_element(3)) {

@@ -174,6 +174,7 @@ impl Element {
         for child in &self.children {
             match child {
                 Node::Element(e) => e.write_into(out),
+                Node::Shared(e) => e.write_into(out),
                 Node::Text(t) => escape::<false, _>(t, out),
                 Node::Comment(c) => write_comment(c, out),
             }
@@ -211,6 +212,7 @@ impl Element {
             out.push('\n');
             match child {
                 Node::Element(e) => e.write_pretty(out, depth + 1),
+                Node::Shared(e) => e.write_pretty(out, depth + 1),
                 Node::Text(t) => {
                     // Mixed content: indent the text on its own line. The
                     // parser, when later reading this pretty output, trims
