@@ -1,6 +1,8 @@
 //! The experiments harness: regenerates a paper-shaped table for every
-//! figure/claim of the SELF-SERV demo paper (see DESIGN.md §4 and
-//! EXPERIMENTS.md).
+//! figure/claim of the SELF-SERV demo paper. The index — figure/claim, what
+//! the table shows, the shape to expect — is in DESIGN.md under "Testing
+//! strategy". The tables show shapes and message counts; a speed claim cites
+//! the `benchmark/` package instead.
 //!
 //! ```text
 //! cargo run -p selfserv-bench --release --bin experiments            # all
@@ -24,32 +26,30 @@ use selfserv_wsdl::{MessageDoc, OperationDef, Param, ParamType};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+const EXPERIMENTS: [(&str, fn()); 7] = [
+    ("e1", e1_discovery),
+    ("e2", e2_deployment),
+    ("e3", e3_travel),
+    ("e4", e4_p2p_vs_central),
+    ("e5", e5_availability),
+    ("e6", e6_selection_policies),
+    ("e7", e7_routing_lookup),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let known = |a: &str| a == "all" || EXPERIMENTS.iter().any(|(name, _)| *name == a);
+    if let Some(unknown) = args.iter().find(|a| !known(a)) {
+        eprintln!("experiments: unknown experiment '{unknown}'; expected e1 … e7 | all");
+        std::process::exit(2);
+    }
     let run_all = args.is_empty() || args.iter().any(|a| a == "all");
-    let want = |name: &str| run_all || args.iter().any(|a| a == name);
 
-    println!("SELF-SERV experiment harness (see DESIGN.md §4 for the experiment index)");
-    if want("e1") {
-        e1_discovery();
-    }
-    if want("e2") {
-        e2_deployment();
-    }
-    if want("e3") {
-        e3_travel();
-    }
-    if want("e4") {
-        e4_p2p_vs_central();
-    }
-    if want("e5") {
-        e5_availability();
-    }
-    if want("e6") {
-        e6_selection_policies();
-    }
-    if want("e7") {
-        e7_routing_lookup();
+    println!("SELF-SERV experiment harness (index: DESIGN.md, \"Testing strategy\")");
+    for (name, run) in EXPERIMENTS {
+        if run_all || args.iter().any(|a| a == name) {
+            run();
+        }
     }
     println!("\ndone.");
 }
@@ -565,7 +565,7 @@ fn e6_selection_policies() {
     e6_delegation_modes();
 }
 
-/// Ablation (DESIGN.md §5.3): proxy vs redirect delegation. Proxy keeps
+/// Ablation: proxy vs redirect delegation. Proxy keeps
 /// the community on the data path (it relays request + reply); redirect
 /// hands the caller the member binding and steps aside.
 fn e6_delegation_modes() {

@@ -1,6 +1,7 @@
-//! Shared workload generators and measurement harness for the SELF-SERV
-//! experiments (used by both the Criterion benches and the `experiments`
-//! binary that regenerates the paper-shaped tables).
+//! Workload generators and table helpers of the `experiments` binary, which
+//! regenerates one paper-shaped table per figure/claim of the SELF-SERV
+//! paper (index: DESIGN.md, "Testing strategy"). Speed is measured by the
+//! `benchmark/` package, not here.
 
 use selfserv_core::{
     CentralConfig, CentralHandle, CentralizedOrchestrator, Deployer, Deployment, EchoService,
@@ -9,36 +10,32 @@ use selfserv_core::{
 use selfserv_expr::Value;
 use selfserv_net::{MetricsSnapshot, Network, NetworkConfig};
 use selfserv_registry::UddiRegistry;
-use selfserv_statechart::{synth, Statechart};
+use selfserv_statechart::Statechart;
 use selfserv_wsdl::{Binding, MessageDoc, OperationDef, Param, ParamType, ServiceDescription};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Builds backends for every `SynthService<i>` referenced by a synthetic
-/// chart, echoing inputs with the given simulated service time.
-pub fn synth_backends(n: usize, latency: Duration) -> HashMap<String, Arc<dyn ServiceBackend>> {
-    let mut map: HashMap<String, Arc<dyn ServiceBackend>> = HashMap::new();
-    for i in 0..n {
-        let name = synth::synth_service_name(i);
-        let backend: Arc<dyn ServiceBackend> = if latency.is_zero() {
-            Arc::new(EchoService::new(name.clone()))
-        } else {
-            Arc::new(SyntheticService::new(name.clone()).with_latency(latency))
-        };
-        map.insert(name, backend);
+/// An echo backend for one synthetic service, with the given simulated
+/// service time.
+fn synth_backend(name: &str, latency: Duration) -> Arc<dyn ServiceBackend> {
+    if latency.is_zero() {
+        Arc::new(EchoService::new(name))
+    } else {
+        Arc::new(SyntheticService::new(name).with_latency(latency))
     }
-    map
-}
-
-/// Number of synthetic services a chart references.
-pub fn synth_service_count(sc: &Statechart) -> usize {
-    sc.referenced_services().len()
 }
 
 /// Deploys a synthetic chart peer-to-peer and returns the deployment.
 pub fn deploy_p2p(net: &Network, sc: &Statechart, service_latency: Duration) -> Deployment {
-    let backends = synth_backends(synth_service_count(sc), service_latency);
+    let backends: HashMap<String, Arc<dyn ServiceBackend>> = sc
+        .referenced_services()
+        .into_iter()
+        .map(|name| {
+            let backend = synth_backend(&name, service_latency);
+            (name, backend)
+        })
+        .collect();
     Deployer::new(net)
         .with_functions(FunctionLibrary::new())
         .deploy(sc, &backends)
@@ -53,14 +50,9 @@ pub fn deploy_central(
 ) -> (Vec<ServiceHostHandle>, CentralHandle) {
     let mut hosts = Vec::new();
     let mut service_nodes = HashMap::new();
-    for (i, name) in sc.referenced_services().into_iter().enumerate() {
-        let _ = i;
+    for name in sc.referenced_services() {
         let node = selfserv_core::naming::service_host(&name);
-        let backend: Arc<dyn ServiceBackend> = if service_latency.is_zero() {
-            Arc::new(EchoService::new(name.clone()))
-        } else {
-            Arc::new(SyntheticService::new(name.clone()).with_latency(service_latency))
-        };
+        let backend = synth_backend(&name, service_latency);
         hosts.push(ServiceHost::spawn(net, node.clone(), backend).expect("host"));
         service_nodes.insert(name, node);
     }
@@ -296,7 +288,7 @@ mod tests {
 
     #[test]
     fn p2p_and_central_harness_agree() {
-        let sc = synth::sequence(3);
+        let sc = selfserv_statechart::synth::sequence(3);
         let net = instant_net();
         let dep = deploy_p2p(&net, &sc, Duration::ZERO);
         let out1 = dep.execute(synth_input(1), Duration::from_secs(5)).unwrap();

@@ -571,8 +571,8 @@ impl PeerDirectory {
 
     /// Order-independent fingerprint of the gossip-able state (every
     /// named entry, tombstones included). Two hubs whose directories have
-    /// converged report equal fingerprints; the convergence tests and the
-    /// gossip bench poll this.
+    /// converged report equal fingerprints; the convergence tests poll
+    /// this.
     pub fn fingerprint(&self) -> u64 {
         self.inner.tables.read()[NAMED].fingerprint()
     }

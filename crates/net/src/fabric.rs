@@ -5,10 +5,7 @@ use crate::envelope::{Envelope, MessageId, NodeId};
 use crate::fault::{
     ChaosTarget, FaultAction, FaultPolicy, FaultSchedule, LatencyModel, LinkOverride,
 };
-use crate::metrics::{
-    fold_into, MetricsSnapshot, NodeCounters, DEPARTED_AGGREGATE, EPHEMERAL_AGGREGATE,
-    RETAINED_DEPARTED,
-};
+use crate::metrics::{CountersTable, MetricsSnapshot};
 use crate::transport::{
     ConnectError, Endpoint, Inbox, Mailbox, RawEndpoint, RecvError, ReplyDemux, SendError,
     Transport, TransportHandle,
@@ -18,7 +15,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selfserv_xml::Element;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -112,13 +109,7 @@ struct Inner {
     cfg: NetworkConfig,
     /// Live delivery targets (mailbox + rpc reply demultiplexer per node).
     nodes: RwLock<HashMap<NodeId, Inbox>>,
-    /// Counters persist even after a node disconnects so post-run snapshots
-    /// see the whole experiment.
-    counters: RwLock<HashMap<NodeId, Arc<NodeCounters>>>,
-    /// Disconnected named nodes in the order they left, at most
-    /// [`RETAINED_DEPARTED`]: whoever is pushed out loses its own counters
-    /// entry to [`DEPARTED_AGGREGATE`].
-    departed: Mutex<VecDeque<NodeId>>,
+    counters: CountersTable,
     fault: RwLock<FaultPolicy>,
     /// Installed chaos schedule, consulted on every dispatch after the
     /// static fault policy.
@@ -159,8 +150,7 @@ impl Network {
             rng: Mutex::new(StdRng::seed_from_u64(cfg.seed)),
             cfg,
             nodes: RwLock::new(HashMap::new()),
-            counters: RwLock::new(HashMap::new()),
-            departed: Mutex::new(VecDeque::new()),
+            counters: CountersTable::new(),
             fault: RwLock::new(fault),
             chaos: RwLock::new(None),
             next_msg: AtomicU64::new(1),
@@ -199,11 +189,7 @@ impl Network {
             }
             nodes.insert(node.clone(), Inbox::new(tx, Arc::clone(&demux)));
         }
-        self.inner
-            .counters
-            .write()
-            .entry(node.clone())
-            .or_insert_with(|| Arc::new(NodeCounters::default()));
+        self.inner.counters.for_node(&node);
         let raw = FabricEndpoint {
             node,
             net: self.clone(),
@@ -242,17 +228,14 @@ impl Network {
 
     /// Snapshot of all per-node counters, including those of the latest
     /// 4096 named nodes that disconnected; what earlier ones counted is
-    /// summed under [`DEPARTED_AGGREGATE`].
+    /// summed under [`crate::DEPARTED_AGGREGATE`].
     pub fn metrics(&self) -> MetricsSnapshot {
-        let counters = self.inner.counters.read();
-        MetricsSnapshot::collect(counters.iter().map(|(k, v)| (k, v.as_ref())))
+        self.inner.counters.snapshot()
     }
 
     /// Resets all counters to zero.
     pub fn reset_metrics(&self) {
-        for c in self.inner.counters.read().values() {
-            c.reset();
-        }
+        self.inner.counters.reset();
     }
 
     /// Kills a node: all traffic to and from it is dropped until
@@ -326,21 +309,6 @@ impl Network {
         MessageId(self.inner.next_msg.fetch_add(1, Ordering::Relaxed))
     }
 
-    fn counters_for(&self, node: &NodeId) -> Arc<NodeCounters> {
-        let counters = self.inner.counters.read();
-        if let Some(c) = counters.get(node) {
-            return Arc::clone(c);
-        }
-        drop(counters);
-        Arc::clone(
-            self.inner
-                .counters
-                .write()
-                .entry(node.clone())
-                .or_insert_with(|| Arc::new(NodeCounters::default())),
-        )
-    }
-
     fn dispatch(&self, envelope: Envelope) -> Result<MessageId, SendError> {
         let id = envelope.id;
         let from = envelope.from.clone();
@@ -355,9 +323,9 @@ impl Network {
             if fault.is_dead(&from) {
                 return Err(SendError::SenderDead(from));
             }
-            self.counters_for(&from).record_send(size);
+            self.inner.counters.for_node(&from).record_send(size);
             if fault.is_blocked(&from, &to) {
-                self.counters_for(&to).record_drop();
+                self.inner.counters.for_node(&to).record_drop();
                 return Ok(id);
             }
             let link = fault.link(&from, &to);
@@ -365,7 +333,7 @@ impl Network {
                 .and_then(|l| l.drop_probability)
                 .unwrap_or(fault.drop_probability);
             if p > 0.0 && self.inner.rng.lock().gen::<f64>() < p {
-                self.counters_for(&to).record_drop();
+                self.inner.counters.for_node(&to).record_drop();
                 return Ok(id);
             }
             link.and_then(|l| l.latency)
@@ -383,7 +351,7 @@ impl Network {
             .map(|s| s.decide(&from, &to, &envelope.kind));
         match chaos_action {
             Some(FaultAction::Drop) => {
-                self.counters_for(&to).record_drop();
+                self.inner.counters.for_node(&to).record_drop();
                 return Ok(id);
             }
             Some(FaultAction::Delay(d)) | Some(FaultAction::Reorder(d)) => {
@@ -425,7 +393,7 @@ impl Network {
         // Re-check death at delivery time: a node killed while the message
         // was in flight never sees it.
         if self.inner.fault.read().is_dead(&to) {
-            self.delivery_counters_for(&to).record_drop();
+            self.inner.counters.for_delivery_drop(&to).record_drop();
             return;
         }
         // Hold the nodes lock across record + deliver: endpoint Drop needs
@@ -436,31 +404,14 @@ impl Network {
         let nodes = self.inner.nodes.read();
         match nodes.get(&to) {
             Some(inbox) => {
-                self.counters_for(&to).record_receive(size);
+                self.inner.counters.for_node(&to).record_receive(size);
                 let _ = inbox.deliver(envelope);
             }
             None => {
                 drop(nodes);
-                self.delivery_counters_for(&to).record_drop();
+                self.inner.counters.for_delivery_drop(&to).record_drop();
             }
         }
-    }
-
-    /// Counters slot to charge a delivery-time drop to. A node whose entry
-    /// was already folded away must not be resurrected (a late message to
-    /// a dropped `~` client endpoint, or to a long-gone named node, would
-    /// otherwise leak a permanent counters entry per occurrence); its drops
-    /// go to the aggregate slot it was folded into.
-    fn delivery_counters_for(&self, node: &NodeId) -> Arc<NodeCounters> {
-        if self.inner.counters.read().contains_key(node) {
-            return self.counters_for(node);
-        }
-        let aggregate = if node.as_str().contains('~') {
-            EPHEMERAL_AGGREGATE
-        } else {
-            DEPARTED_AGGREGATE
-        };
-        self.counters_for(&NodeId::new(aggregate))
     }
 }
 
@@ -561,28 +512,13 @@ impl Drop for FabricEndpoint {
     fn drop(&mut self) {
         let inner = &self.net.inner;
         inner.nodes.write().remove(&self.node);
-        if self.node.as_str().contains('~') {
-            fold_into(&mut inner.counters.write(), &self.node, EPHEMERAL_AGGREGATE);
-            return;
-        }
-        let pushed_out = {
-            let mut departed = inner.departed.lock();
-            departed.push_back(self.node.clone());
-            if departed.len() > RETAINED_DEPARTED {
-                departed.pop_front()
-            } else {
-                None
-            }
-        };
-        if let Some(oldest) = pushed_out {
-            // `nodes` before `counters`, as `deliver_now` takes them: the
-            // name, if it came back, is live and keeps its entry, and it
-            // cannot come back while the entry is folded.
-            let nodes = inner.nodes.read();
-            if !nodes.contains_key(&oldest) {
-                fold_into(&mut inner.counters.write(), &oldest, DEPARTED_AGGREGATE);
-            }
-        }
+        // `nodes` before `counters`, as `deliver_now` takes them, and held
+        // across the call: no name can connect between the table asking
+        // about it and folding it.
+        let nodes = inner.nodes.read();
+        inner
+            .counters
+            .depart(&self.node, |name| nodes.contains_key(name));
     }
 }
 
@@ -657,6 +593,7 @@ impl Transport for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{DEPARTED_AGGREGATE, EPHEMERAL_AGGREGATE, RETAINED_DEPARTED};
     use crate::transport::RpcError;
 
     fn body() -> Element {

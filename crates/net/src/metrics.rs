@@ -6,8 +6,10 @@
 //! traffic*. Every send/receive on the fabric increments these counters.
 
 use crate::envelope::NodeId;
-use std::collections::HashMap;
+use parking_lot::{Mutex, RwLock};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Synthetic node name that accumulates the traffic of dropped ephemeral
 /// (`~`-suffixed [`connect_anonymous`]) endpoints, so pruning their
@@ -20,42 +22,136 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// [`connect_anonymous`]: crate::Transport::connect_anonymous
 pub const EPHEMERAL_AGGREGATE: &str = "~ephemeral";
 
-/// Synthetic node name that accumulates the traffic of named nodes of the
-/// in-process fabric that disconnected longer ago than the latest 4096 to
-/// do so: their entries are pruned, the totals conserved.
+/// Synthetic node name that accumulates the traffic of named nodes that
+/// disconnected longer ago than the latest 4096 to do so: their entries are
+/// pruned, the totals conserved.
 pub const DEPARTED_AGGREGATE: &str = "(departed)";
 
-/// How many disconnected named nodes of the in-process fabric keep a
-/// counters entry of their own for post-run snapshots. Without a bound a
-/// process that deploys and undeploys composites under fresh names grows by
-/// an entry per name it ever used (13 names, 1.7 KB, per 12-state
-/// composite), and every snapshot walks them all.
+/// How many disconnected named nodes keep a counters entry of their own for
+/// post-run snapshots. Without a bound a process that deploys and undeploys
+/// composites under fresh names grows by an entry per name it ever used
+/// (13 names, 1.7 KB, per 12-state composite), and every snapshot walks
+/// them all.
 pub(crate) const RETAINED_DEPARTED: usize = 4096;
 
-/// Folds a dropped ephemeral (`~`) node's counters into the
-/// [`EPHEMERAL_AGGREGATE`] slot and removes its entry; no-op for named
-/// nodes (their counters persist for post-run snapshots). The TCP hub's
-/// endpoint-drop path; the fabric's, which also bounds how many named
-/// nodes persist, calls [`fold_into`] for both kinds.
-pub(crate) fn fold_ephemeral(
-    counters: &mut HashMap<NodeId, std::sync::Arc<NodeCounters>>,
-    node: &NodeId,
-) {
-    if node.as_str().contains('~') {
-        fold_into(counters, node, EPHEMERAL_AGGREGATE);
+/// One transport's per-node counters — the in-process fabric's or a TCP
+/// hub's. An entry outlives its node's disconnect so post-run snapshots see
+/// the whole experiment, within a bound: a dropped ephemeral (`~`) node
+/// folds into [`EPHEMERAL_AGGREGATE`] at once, and of the named nodes the
+/// latest [`RETAINED_DEPARTED`] to leave keep their entries while whoever
+/// is pushed out folds into [`DEPARTED_AGGREGATE`]. Totals are conserved
+/// throughout.
+pub(crate) struct CountersTable {
+    map: RwLock<HashMap<NodeId, Arc<NodeCounters>>>,
+    /// Disconnected named nodes in the order they left, at most `retained`.
+    departed: Mutex<VecDeque<NodeId>>,
+    retained: usize,
+}
+
+impl CountersTable {
+    pub(crate) fn new() -> Self {
+        Self::retaining(RETAINED_DEPARTED)
+    }
+
+    pub(crate) fn retaining(retained: usize) -> Self {
+        CountersTable {
+            map: RwLock::new(HashMap::new()),
+            departed: Mutex::new(VecDeque::new()),
+            retained,
+        }
+    }
+
+    /// `node`'s counters, created on first use. The per-message path: one
+    /// read-lock lookup once the entry exists.
+    pub(crate) fn for_node(&self, node: &NodeId) -> Arc<NodeCounters> {
+        if let Some(c) = self.map.read().get(node) {
+            return Arc::clone(c);
+        }
+        Arc::clone(self.map.write().entry(node.clone()).or_default())
+    }
+
+    /// The slot to charge a delivery-time drop to. A node whose entry was
+    /// already folded away must not be resurrected (a late message to a
+    /// dropped `~` client endpoint, or to a long-gone named node, would
+    /// otherwise leak a permanent entry per occurrence); its drops go to
+    /// the aggregate it was folded into.
+    pub(crate) fn for_delivery_drop(&self, node: &NodeId) -> Arc<NodeCounters> {
+        if let Some(c) = self.map.read().get(node) {
+            return Arc::clone(c);
+        }
+        let aggregate = if node.as_str().contains('~') {
+            EPHEMERAL_AGGREGATE
+        } else {
+            DEPARTED_AGGREGATE
+        };
+        self.for_node(&NodeId::new(aggregate))
+    }
+
+    /// Records that `node` disconnected. `still_connected` is asked about
+    /// the named node this pushes past the bound, under the table's write
+    /// lock: a name that came back is live and keeps its entry. The caller
+    /// makes that answer stable against a concurrent connect — the fabric
+    /// by holding its `nodes` lock across the call (`nodes` before
+    /// `counters`, as its delivery path takes them), a hub by binding the
+    /// name in its directory before it asks for the name's counters.
+    pub(crate) fn depart(&self, node: &NodeId, still_connected: impl Fn(&NodeId) -> bool) {
+        if node.as_str().contains('~') {
+            fold_into(&mut self.map.write(), node, EPHEMERAL_AGGREGATE);
+            return;
+        }
+        let pushed_out = {
+            let mut departed = self.departed.lock();
+            departed.push_back(node.clone());
+            if departed.len() > self.retained {
+                departed.pop_front()
+            } else {
+                None
+            }
+        };
+        if let Some(oldest) = pushed_out {
+            let mut map = self.map.write();
+            if !still_connected(&oldest) {
+                fold_into(&mut map, &oldest, DEPARTED_AGGREGATE);
+            }
+        }
+    }
+
+    /// A point-in-time copy of every entry, aggregates included.
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        let map = self.map.read();
+        let mut nodes: Vec<NodeMetrics> =
+            map.iter().map(|(id, c)| c.snapshot(id.clone())).collect();
+        nodes.sort_by(|a, b| a.node.cmp(&b.node));
+        MetricsSnapshot {
+            nodes,
+            io: TransportIoStats::default(),
+        }
+    }
+
+    /// One counter summed over every entry, aggregates included — a
+    /// hub-wide series, read without copying the table.
+    pub(crate) fn total(&self, counter: impl Fn(&NodeCounters) -> &AtomicU64) -> u64 {
+        let map = self.map.read();
+        map.values()
+            .map(|c| counter(c).load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Zeroes every entry in place (holders of an entry keep counting into
+    /// it).
+    pub(crate) fn reset(&self) {
+        for c in self.map.read().values() {
+            c.reset();
+        }
     }
 }
 
 /// Removes `node`'s entry, adding what it counted to `aggregate`'s.
-pub(crate) fn fold_into(
-    counters: &mut HashMap<NodeId, std::sync::Arc<NodeCounters>>,
-    node: &NodeId,
-    aggregate: &str,
-) {
+fn fold_into(counters: &mut HashMap<NodeId, Arc<NodeCounters>>, node: &NodeId, aggregate: &str) {
     if let Some(c) = counters.remove(node) {
         counters
             .entry(NodeId::new(aggregate))
-            .or_insert_with(|| std::sync::Arc::new(NodeCounters::default()))
+            .or_default()
             .absorb(&c);
     }
 }
@@ -189,8 +285,7 @@ pub struct TransportIoStats {
     pub max_batch_frames: u64,
     /// Sends that found their destination queue full and had to block for
     /// space (one per blocked `send`, however long the wait) — the
-    /// transport-level backpressure signal the stress harness watches for
-    /// saturation.
+    /// transport-level backpressure signal to watch for saturation.
     pub backpressure_waits: u64,
 }
 
@@ -224,17 +319,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    pub(crate) fn collect<'a>(
-        counters: impl Iterator<Item = (&'a NodeId, &'a NodeCounters)>,
-    ) -> Self {
-        let mut nodes: Vec<NodeMetrics> = counters.map(|(id, c)| c.snapshot(id.clone())).collect();
-        nodes.sort_by(|a, b| a.node.cmp(&b.node));
-        MetricsSnapshot {
-            nodes,
-            io: TransportIoStats::default(),
-        }
-    }
-
     /// Metrics for one node.
     pub fn node(&self, name: &str) -> Option<&NodeMetrics> {
         self.nodes.iter().find(|n| n.node.as_str() == name)
@@ -373,6 +457,59 @@ mod tests {
         assert_eq!(d.io.frames_dropped, 0);
         assert_eq!(d.io.max_batch_frames, 33, "high-water mark carries over");
         assert_eq!(d.io.backpressure_waits, 3);
+    }
+
+    #[test]
+    fn table_retains_the_latest_departed_and_folds_the_rest() {
+        let table = CountersTable::retaining(2);
+        let live = std::cell::RefCell::new(std::collections::HashSet::new());
+        let connect = |name: &str| {
+            live.borrow_mut().insert(NodeId::new(name));
+            table.for_node(&NodeId::new(name)).record_send(10);
+        };
+        let disconnect = |name: &str| {
+            live.borrow_mut().remove(&NodeId::new(name));
+            table.depart(&NodeId::new(name), |n| live.borrow().contains(n));
+        };
+        connect("early");
+        disconnect("early");
+        connect("early");
+        for name in ["n0", "n1", "n2", "n3"] {
+            connect(name);
+            disconnect(name);
+        }
+        connect("client~1");
+        disconnect("client~1");
+
+        let m = table.snapshot();
+        let names: Vec<&str> = m.nodes.iter().map(|n| n.node.as_str()).collect();
+        // Retained: the latest two to leave. Kept: `early`, pushed out of the
+        // ring first but connected again. Folded: `n0`, `n1`, the `~` node.
+        assert_eq!(
+            names,
+            [DEPARTED_AGGREGATE, "early", "n2", "n3", EPHEMERAL_AGGREGATE]
+        );
+        assert_eq!(m.node("early").unwrap().sent, 2);
+        assert_eq!(m.node(DEPARTED_AGGREGATE).unwrap().sent, 2);
+        assert_eq!(m.node(EPHEMERAL_AGGREGATE).unwrap().sent, 1);
+        assert_eq!(m.total_sent(), 7, "totals conserved");
+
+        // A late drop for a folded name goes to its aggregate; a retained
+        // or live one is charged by name. Neither adds an entry.
+        table.for_delivery_drop(&NodeId::new("n0")).record_drop();
+        table
+            .for_delivery_drop(&NodeId::new("client~1"))
+            .record_drop();
+        table.for_delivery_drop(&NodeId::new("n3")).record_drop();
+        let m = table.snapshot();
+        assert_eq!(m.nodes.len(), 5, "no entry resurrected");
+        assert_eq!(m.node(DEPARTED_AGGREGATE).unwrap().dropped_inbound, 1);
+        assert_eq!(m.node(EPHEMERAL_AGGREGATE).unwrap().dropped_inbound, 1);
+        assert_eq!(m.node("n3").unwrap().dropped_inbound, 1);
+
+        table.reset();
+        assert_eq!(table.snapshot().total_sent(), 0);
+        assert_eq!(table.snapshot().nodes.len(), 5, "reset keeps the entries");
     }
 
     #[test]

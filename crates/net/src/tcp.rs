@@ -23,8 +23,9 @@
 //!   at other processes by hand, but automatic membership is the job of
 //!   `selfserv-discovery`: seed one address and the handshake + gossip
 //!   populate the directory in both directions.
-//! * [`TcpEndpoint`] — the original minimal one-connection-per-message
-//!   endpoint, kept for the low-level `tcp_demo` example and wire tests.
+//! * [`write_frame`] / [`read_frame`] — the wire format on any
+//!   `Write`/`Read`, for tools that speak it without a hub (part 1 of the
+//!   `tcp_demo` example drives them over a plain `std::net` connection).
 //!
 //! Framing is `u32` big-endian length + UTF-8 XML. A frame longer than
 //! `MAX_FRAME` poisons the stream position, so readers **close the
@@ -33,15 +34,14 @@
 
 use crate::directory::{DirectoryEntry, HubId, PeerClaim, PeerDirectory};
 use crate::envelope::{Envelope, MessageId, NodeId};
-use crate::metrics::{MetricsSnapshot, NodeCounters};
+use crate::metrics::{CountersTable, MetricsSnapshot, NodeCounters};
 use crate::transport::{
     ConnectError, Endpoint, Inbox, Mailbox, RawEndpoint, RecvError, ReplyDemux, SendError,
     Transport, TransportHandle,
 };
 use crate::writer::{ConnQueue, IoCounters};
-use crossbeam::channel::{self, Receiver, Sender};
+use crossbeam::channel;
 use parking_lot::Mutex;
-use parking_lot::RwLock;
 use selfserv_xml::Element;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -193,9 +193,9 @@ struct Hub {
     /// sender claims, and `selfserv-discovery`'s handshake/gossip merge
     /// remote claims in.
     directory: PeerDirectory,
-    /// Per-node traffic counters; persist after disconnect, like the
-    /// fabric's.
-    counters: RwLock<HashMap<NodeId, Arc<NodeCounters>>>,
+    /// Per-node traffic counters; persist after disconnect within the
+    /// table's bound, like the fabric's.
+    counters: CountersTable,
     /// Persistent outbound connections, one [`ConnQueue`] per destination
     /// address, shared by every local sender (frames carry their own
     /// `from`). Senders *enqueue* and return; each queue's writer thread
@@ -217,18 +217,6 @@ struct Hub {
 impl Hub {
     fn next_id(&self) -> MessageId {
         MessageId(self.next_msg.fetch_add(1, Ordering::Relaxed))
-    }
-
-    fn counters_for(&self, node: &NodeId) -> Arc<NodeCounters> {
-        if let Some(c) = self.counters.read().get(node) {
-            return Arc::clone(c);
-        }
-        Arc::clone(
-            self.counters
-                .write()
-                .entry(node.clone())
-                .or_insert_with(|| Arc::new(NodeCounters::default())),
-        )
     }
 
     /// Queues one already-serialized frame for `addr` on the pooled
@@ -303,7 +291,7 @@ impl Hub {
         let mut payload = Vec::with_capacity(len);
         envelope.write_wire(stamp, &mut payload);
         self.send_frame(addr, payload).map_err(FrameSendError::Io)?;
-        self.counters_for(&envelope.from).record_send(len);
+        self.counters.for_node(&envelope.from).record_send(len);
         Ok(())
     }
 
@@ -358,10 +346,14 @@ impl Default for TcpTransport {
 impl TcpTransport {
     /// Creates an empty TCP transport with a freshly generated [`HubId`].
     pub fn new() -> Self {
+        Self::with_counters(CountersTable::new())
+    }
+
+    fn with_counters(counters: CountersTable) -> Self {
         TcpTransport {
             hub: Arc::new(Hub {
                 directory: PeerDirectory::new(HubId::generate()),
-                counters: RwLock::new(HashMap::new()),
+                counters,
                 pool: Mutex::new(HashMap::new()),
                 io: Arc::new(IoCounters::default()),
                 stale_replies: Arc::new(AtomicU64::new(0)),
@@ -468,39 +460,21 @@ impl TcpTransport {
             "selfserv_node_messages_sent_total",
             "Messages sent by all local nodes.",
             labels,
-            move || {
-                hub.counters
-                    .read()
-                    .values()
-                    .map(|c| c.snapshot(NodeId::new("-")).sent)
-                    .sum()
-            },
+            move || hub.counters.total(|c| &c.sent),
         );
         let hub = Arc::clone(&self.hub);
         registry.counter_fn(
             "selfserv_node_messages_received_total",
             "Messages received by all local nodes.",
             labels,
-            move || {
-                hub.counters
-                    .read()
-                    .values()
-                    .map(|c| c.snapshot(NodeId::new("-")).received)
-                    .sum()
-            },
+            move || hub.counters.total(|c| &c.received),
         );
         let hub = Arc::clone(&self.hub);
         registry.counter_fn(
             "selfserv_node_messages_dropped_total",
             "Inbound messages lost before delivery across all local nodes.",
             labels,
-            move || {
-                hub.counters
-                    .read()
-                    .values()
-                    .map(|c| c.snapshot(NodeId::new("-")).dropped_inbound)
-                    .sum()
-            },
+            move || hub.counters.total(|c| &c.dropped_inbound),
         );
     }
 
@@ -607,7 +581,7 @@ impl TcpTransport {
         if self.hub.directory.bind_local(name.clone(), addr).is_err() {
             return Err(ConnectError::NameTaken(name));
         }
-        let counters = self.hub.counters_for(&name);
+        let counters = self.hub.counters.for_node(&name);
         let (tx, rx) = channel::unbounded();
         let demux = ReplyDemux::new(Arc::clone(&self.hub.stale_replies));
         let inbox = Inbox::new(tx, Arc::clone(&demux));
@@ -719,16 +693,13 @@ impl Transport for TcpTransport {
     }
 
     fn metrics(&self) -> MetricsSnapshot {
-        let counters = self.hub.counters.read();
-        let mut snap = MetricsSnapshot::collect(counters.iter().map(|(k, v)| (k, v.as_ref())));
+        let mut snap = self.hub.counters.snapshot();
         snap.io = self.hub.io.snapshot();
         snap
     }
 
     fn reset_metrics(&self) {
-        for c in self.hub.counters.read().values() {
-            c.reset();
-        }
+        self.hub.counters.reset();
         self.hub.io.reset();
     }
 
@@ -793,11 +764,19 @@ impl Drop for TcpRawEndpoint {
         if let Some(conn) = self.hub.pool.lock().remove(&self.addr) {
             conn.shutdown();
         }
-        crate::metrics::fold_ephemeral(&mut self.hub.counters.write(), &self.node);
+        // The name is unbound above, and `connect_node` binds a name before
+        // it asks for its counters: a name the table sees bound here keeps
+        // its entry.
+        let directory = &self.hub.directory;
+        self.hub.counters.depart(&self.node, |name| {
+            directory
+                .entry(name.as_str())
+                .is_some_and(|e| !e.evicted && e.value.owner == directory.hub())
+        });
     }
 }
 
-/// Shared listener teardown: raise the shutdown flag, poke the listener so
+/// Listener teardown: raise the shutdown flag, poke the listener so
 /// the accept loop observes it, then *join* the thread (leaked accept
 /// threads used to accumulate across test runs). If the poke cannot
 /// connect (fd/port exhaustion), detach instead — the loop would never
@@ -845,14 +824,16 @@ impl Backoff {
     }
 }
 
-/// Shared accept skeleton: hand each accepted connection to `handle`,
-/// exit when the shutdown flag is raised, back off (capped exponential)
-/// on persistent accept errors (e.g. fd exhaustion) instead of spinning
-/// hot or always paying the worst-case pause.
-fn accept_connections(
+/// One node's accept loop: a reader thread per inbound connection. Exits
+/// when the shutdown flag is raised; backs off (capped exponential) on
+/// persistent accept errors (e.g. fd exhaustion) instead of spinning hot or
+/// always paying the worst-case pause.
+fn accept_loop(
     listener: TcpListener,
+    inbox: Inbox,
+    counters: Arc<NodeCounters>,
+    directory: PeerDirectory,
     shutdown: Arc<AtomicBool>,
-    mut handle: impl FnMut(TcpStream),
 ) {
     let mut backoff = Backoff::new(Duration::from_micros(250), Duration::from_millis(10));
     for stream in listener.incoming() {
@@ -864,18 +845,6 @@ fn accept_connections(
             continue;
         };
         backoff.reset();
-        handle(stream);
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    inbox: Inbox,
-    counters: Arc<NodeCounters>,
-    directory: PeerDirectory,
-    shutdown: Arc<AtomicBool>,
-) {
-    accept_connections(listener, shutdown, move |stream| {
         stream.set_nodelay(true).ok();
         let inbox = inbox.clone();
         let counters = Arc::clone(&counters);
@@ -904,86 +873,7 @@ fn accept_loop(
                 }
             }
         });
-    });
-}
-
-// ---------------------------------------------------------------------------
-// TcpEndpoint: minimal one-connection-per-message endpoint
-// ---------------------------------------------------------------------------
-
-/// A minimal TCP endpoint: listens on a local address and queues inbound
-/// envelopes, one short-lived connection per message (like the original's
-/// short-lived socket exchanges). For the full platform-over-TCP seam use
-/// [`TcpTransport`] instead.
-pub struct TcpEndpoint {
-    addr: SocketAddr,
-    rx: Receiver<Envelope>,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-}
-
-impl TcpEndpoint {
-    /// Binds to `addr` (use port 0 for an ephemeral port) and starts the
-    /// accept thread.
-    pub fn bind(addr: &str) -> std::io::Result<TcpEndpoint> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let (tx, rx) = channel::unbounded();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&shutdown);
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("selfserv-tcp-{local}"))
-            .spawn(move || one_shot_accept_loop(listener, tx, flag))?;
-        Ok(TcpEndpoint {
-            addr: local,
-            rx,
-            shutdown,
-            accept_thread: Some(accept_thread),
-        })
     }
-
-    /// The bound address (with the resolved port).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Sends an envelope to a remote TCP endpoint.
-    pub fn send_to(addr: &str, envelope: &Envelope) -> std::io::Result<()> {
-        let mut stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        write_frame(&mut stream, envelope)
-    }
-
-    /// Receives the next envelope, waiting up to `timeout`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Envelope> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<Envelope> {
-        self.rx.try_recv().ok()
-    }
-}
-
-impl Drop for TcpEndpoint {
-    fn drop(&mut self) {
-        stop_accept_thread(self.addr, &self.shutdown, &mut self.accept_thread);
-    }
-}
-
-fn one_shot_accept_loop(listener: TcpListener, tx: Sender<Envelope>, shutdown: Arc<AtomicBool>) {
-    accept_connections(listener, shutdown, move |mut stream| {
-        let tx = tx.clone();
-        // One short-lived connection per message; decode on a worker thread
-        // so a slow peer cannot stall accepts. Any frame error (including
-        // oversized frames) closes the connection.
-        std::thread::spawn(move || {
-            stream.set_read_timeout(Some(Duration::from_secs(10))).ok();
-            if let Ok(env) = read_frame(&mut stream) {
-                let _ = tx.send(env);
-            }
-        });
-    });
 }
 
 #[cfg(test)]
@@ -1201,39 +1091,6 @@ mod tests {
     }
 
     #[test]
-    fn tcp_send_receive() {
-        let server = TcpEndpoint::bind("127.0.0.1:0").unwrap();
-        let addr = server.addr().to_string();
-        TcpEndpoint::send_to(&addr, &env("over-tcp")).unwrap();
-        let got = server.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(got.kind, "over-tcp");
-        assert_eq!(got.body.attr("x"), Some("1"));
-    }
-
-    #[test]
-    fn tcp_multiple_messages() {
-        let server = TcpEndpoint::bind("127.0.0.1:0").unwrap();
-        let addr = server.addr().to_string();
-        for i in 0..10 {
-            let mut e = env("seq");
-            e.id = MessageId(i);
-            TcpEndpoint::send_to(&addr, &e).unwrap();
-        }
-        let mut ids = Vec::new();
-        for _ in 0..10 {
-            ids.push(server.recv_timeout(Duration::from_secs(5)).unwrap().id.0);
-        }
-        ids.sort();
-        assert_eq!(ids, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn send_to_unreachable_address_errors() {
-        // Port 1 is almost certainly closed.
-        assert!(TcpEndpoint::send_to("127.0.0.1:1", &env("x")).is_err());
-    }
-
-    #[test]
     fn transport_send_receive_by_name() {
         let t = TcpTransport::new();
         let a = Transport::connect(&t, NodeId::new("a")).unwrap();
@@ -1266,6 +1123,24 @@ mod tests {
         }
         assert!(!t.is_connected("a"));
         Transport::connect(&t, NodeId::new("a")).unwrap();
+    }
+
+    #[test]
+    fn dropped_named_endpoints_go_through_the_bounded_counters_table() {
+        use crate::metrics::DEPARTED_AGGREGATE;
+        let t = TcpTransport::with_counters(CountersTable::retaining(2));
+        let sink = Transport::connect(&t, NodeId::new("sink")).unwrap();
+        for name in ["sink-peer", "n0", "n1", "n2"] {
+            let node = Transport::connect(&t, NodeId::new(name)).unwrap();
+            node.send("sink", "x", Element::new("b")).unwrap();
+            sink.recv_timeout(Duration::from_secs(5)).unwrap();
+        }
+        let m = Transport::metrics(&t);
+        let names: Vec<&str> = m.nodes.iter().map(|n| n.node.as_str()).collect();
+        assert_eq!(names, [DEPARTED_AGGREGATE, "n1", "n2", "sink"]);
+        assert_eq!(m.node(DEPARTED_AGGREGATE).unwrap().sent, 2);
+        assert_eq!(m.total_sent(), 4);
+        assert_eq!(m.total_sent(), m.total_received());
     }
 
     #[test]

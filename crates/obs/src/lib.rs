@@ -11,8 +11,8 @@
 //!   text format (histograms as `summary` families).
 //! - [`MetricsServer`] — a `/metrics` scrape endpoint on a std
 //!   `TcpListener`, plus [`http_get`] for the scraping side.
-//! - [`parse`] — a minimal text-format parser used by the stress
-//!   harness's scraper and the round-trip tests.
+//! - [`parse`] — a minimal text-format parser for the scraping side and
+//!   the round-trip tests.
 //!
 //! Every layer of the platform registers into one [`Registry`] per hub:
 //! transport I/O and writer backpressure, executor run-queue and steal

@@ -2,8 +2,8 @@
 //!
 //! Understands the subset the registry emits — `# HELP` / `# TYPE`
 //! comments, samples with optional label sets, and summary-style
-//! `_sum` / `_count` suffixes — which is all the stress harness's scraper
-//! and the round-trip tests need. Unknown comment lines are skipped;
+//! `_sum` / `_count` suffixes — which is all a scraper of these hubs and
+//! the round-trip tests need. Unknown comment lines are skipped;
 //! malformed sample lines are errors.
 
 use std::collections::BTreeMap;

@@ -137,7 +137,7 @@ fn respond(stream: &mut TcpStream, status: &str, body: &str) -> io::Result<()> {
 }
 
 /// Blocking one-shot HTTP GET returning the response body. Shared by the
-/// stress harness's scraper, the monitoring example, and the round-trip
+/// monitoring example, `tests/hubs_under_load.rs` and the round-trip
 /// tests; only the tiny HTTP/1.1 subset the [`MetricsServer`] speaks is
 /// supported.
 pub fn http_get(addr: SocketAddr, path: &str, timeout: Duration) -> io::Result<String> {

@@ -110,9 +110,9 @@ pub(crate) struct Pool {
     /// after quiesce — a leaked continuation shows up here.
     pub(crate) rpc_in_flight: AtomicUsize,
     /// Runnables claimed from a *sibling's* deque (not own deque, not the
-    /// injector): the work-stealing balance signal the stress harness
-    /// exports. A hot steal rate with a deep run queue means the pool is
-    /// load-imbalanced or under-provisioned.
+    /// injector): the work-stealing balance signal exported as
+    /// `selfserv_executor_steals_total`. A hot steal rate with a deep run
+    /// queue means the pool is load-imbalanced or under-provisioned.
     steals: AtomicU64,
 }
 
@@ -494,9 +494,10 @@ impl ExecutorHandle {
         self.pool.push(Runnable::Task(Box::new(task)));
     }
 
-    /// Runs a blocking section with pool compensation — the free-function
-    /// form of [`crate::NodeCtx::block_on`], for spawned tasks that hold a
-    /// handle instead of a ctx.
+    /// Runs a section that may block (sleep, wait on a condition, a
+    /// hand-rolled request/response), compensating the pool for the parked
+    /// worker so other nodes keep making progress. See the crate docs for
+    /// the thread-budget implications.
     pub fn block_on<R>(&self, f: impl FnOnce() -> R) -> R {
         self.pool.block_on(f)
     }

@@ -49,14 +49,13 @@
 //!
 //! ## Blocking inside callbacks
 //!
-//! Some waits genuinely park a thread: a backend that simulates service
-//! latency with `sleep`, or a deliberately synchronous
-//! [`Endpoint::rpc`](selfserv_net::Endpoint::rpc) on a low-concurrency
-//! control path. Such sections go through [`NodeCtx::block_on`] (or
-//! [`NodeCtx::rpc`], which wraps it): the worker declares itself
-//! *blocked*, and the pool — like Go's scheduler around syscalls — spawns
-//! a compensating worker whenever the count of unblocked workers would
-//! fall below the configured pool size, so node progress can never
+//! Inside a node there is one way to ask: [`NodeCtx::rpc_async`]. Some
+//! waits still genuinely park a thread: a backend that simulates service
+//! latency with `sleep`, or a component handle's synchronous stop. Such
+//! sections go through [`ExecutorHandle::block_on`]: the worker declares
+//! itself *blocked*, and the pool — like Go's scheduler around syscalls —
+//! spawns a compensating worker whenever the count of unblocked workers
+//! would fall below the configured pool size, so node progress can never
 //! deadlock on parked workers. Compensating workers retire lazily once
 //! the pool is idle and over target, so bursts reuse them instead of
 //! thrashing spawn/join.
@@ -67,7 +66,7 @@
 //! since in-flight `rpc_async` invocations contribute nothing to `B`,
 //! independent of how many requests are awaiting replies: the blocked
 //! term counts only genuinely thread-blocking sections (sleeping
-//! backends, synchronous control rpcs). The whole delegation path is out
+//! backends, synchronous stops). The whole delegation path is out
 //! of `B`: coordinators awaiting providers, community servers holding
 //! open delegations, and service hosts dispatching non-blocking backends
 //! all run continuation-passing, so `B` is bounded by the backends that
@@ -471,39 +470,6 @@ mod tests {
             "4 × 50 ms tasks must overlap: {:?}",
             t0.elapsed()
         );
-        exec.shutdown();
-    }
-
-    #[test]
-    fn blocking_rpc_between_nodes_on_a_one_worker_pool() {
-        // `front` rpcs `back` from inside on_message. On a 1-worker pool
-        // this deadlocks without compensation: the only worker parks in
-        // the rpc and `back` never gets scheduled.
-        struct Front;
-        impl NodeLogic for Front {
-            fn on_message(&mut self, ctx: &mut NodeCtx<'_>, env: Envelope) -> Flow {
-                if env.kind == "go" {
-                    let reply = ctx
-                        .rpc("back", "ping", Element::new("ping"), Duration::from_secs(5))
-                        .expect("compensated rpc completes");
-                    let _ = ctx.endpoint().reply(&env, reply.kind, reply.body);
-                }
-                Flow::Continue
-            }
-        }
-        let exec = Executor::new(1);
-        let net = Network::new(NetworkConfig::instant());
-        let _front = exec
-            .handle()
-            .spawn_node(net.connect("front").unwrap(), Front);
-        let _back = exec
-            .handle()
-            .spawn_node(net.connect("back").unwrap(), EchoLogic);
-        let client = net.connect("client").unwrap();
-        let reply = client
-            .rpc("front", "go", Element::new("go"), Duration::from_secs(5))
-            .unwrap();
-        assert_eq!(reply.kind, "pong");
         exec.shutdown();
     }
 

@@ -68,14 +68,14 @@ pub struct RpcDone {
 /// one-thread-per-node model's implicit guarantee). Different nodes run in
 /// parallel across the pool's workers.
 ///
-/// Callbacks should return promptly. For request/response, prefer
-/// [`NodeCtx::rpc_async`]: it returns immediately and delivers the reply
-/// as an [`RpcDone`] completion to [`NodeLogic::on_rpc_done`], so any
-/// number of requests can be in flight with zero parked workers. Anything
-/// that genuinely *blocks the calling thread* — a sleeping backend, a
-/// hand-rolled wait, or a deliberately synchronous [`NodeCtx::rpc`] —
-/// must go through [`NodeCtx::block_on`] so the pool can compensate for
-/// the parked worker. Don't call [`Endpoint::recv`] inside a callback:
+/// Callbacks should return promptly. Inside a node there is one way to
+/// ask another node something: [`NodeCtx::rpc_async`] returns immediately
+/// and delivers the reply as an [`RpcDone`] completion to
+/// [`NodeLogic::on_rpc_done`], so any number of requests can be in flight
+/// with zero parked workers. Anything that genuinely *blocks the calling
+/// thread* — a sleeping backend, a hand-rolled wait — must go through
+/// [`ExecutorHandle::block_on`] so the pool can compensate for the parked
+/// worker. Don't call [`Endpoint::recv`] inside a callback:
 /// the runtime drains the mailbox for you and hands every envelope to
 /// `on_message`.
 pub trait NodeLogic: Send + 'static {
@@ -105,7 +105,7 @@ pub trait NodeLogic: Send + 'static {
 }
 
 /// The runtime services available to a callback: the node's endpoint,
-/// timers, blocking sections, and the executor itself.
+/// timers, continuation-passing rpc, and the executor itself.
 pub struct NodeCtx<'a> {
     endpoint: &'a Endpoint,
     pool: &'a Arc<Pool>,
@@ -128,39 +128,6 @@ impl NodeCtx<'_> {
     /// The executor this node runs on (to spawn tasks or further nodes).
     pub fn executor(&self) -> ExecutorHandle {
         ExecutorHandle::from_pool(Arc::clone(self.pool))
-    }
-
-    /// Runs a section that may block (sleep, wait on a condition, a
-    /// hand-rolled request/response), compensating the pool for the parked
-    /// worker so other nodes keep making progress. See the crate docs for
-    /// the thread-budget implications.
-    pub fn block_on<R>(&self, f: impl FnOnce() -> R) -> R {
-        self.pool.block_on(f)
-    }
-
-    /// *Blocking* request/response as this node — [`Endpoint::rpc`]
-    /// wrapped in [`NodeCtx::block_on`]. The calling worker parks on the
-    /// reply slot (the reply re-enters through the endpoint's
-    /// `ReplyDemux`, exactly as on a dedicated thread) while the pool
-    /// compensates, so nodes rpc-ing each other on one executor cannot
-    /// deadlock the pool.
-    ///
-    /// **Decision rule:** each concurrent `rpc` costs one parked OS thread
-    /// for its whole round trip; [`NodeCtx::rpc_async`] costs none. Use
-    /// `rpc` only where straight-line code mid-callback is worth a thread
-    /// — setup/teardown paths, low-concurrency control traffic. Anything
-    /// that scales with load (per-instance, per-request invocations)
-    /// should use `rpc_async` and resume in [`NodeLogic::on_rpc_done`].
-    pub fn rpc(
-        &self,
-        to: impl Into<NodeId>,
-        kind: impl Into<String>,
-        body: Element,
-        timeout: Duration,
-    ) -> Result<Envelope, RpcError> {
-        let to = to.into();
-        let kind = kind.into();
-        self.block_on(|| self.endpoint.rpc(to, kind, body, timeout))
     }
 
     /// Continuation-passing request/response: sends `kind` to `to` as this

@@ -3,7 +3,7 @@
 //! original).
 //!
 //! Part 1 drives the raw wire format by hand (length-prefixed XML frames
-//! between two listeners). Part 2 runs an *entire composite deployment* —
+//! over a plain `std::net` connection). Part 2 runs an *entire composite deployment* —
 //! coordinators, wrapper, service hosts — over [`TcpTransport`], the
 //! socket implementation of the platform's `Transport` seam.
 //!
@@ -12,12 +12,13 @@
 //! ```
 
 use selfserv::core::{Deployer, EchoService, ServiceBackend};
-use selfserv::net::tcp::TcpEndpoint;
+use selfserv::net::tcp::{read_frame, write_frame};
 use selfserv::net::{Envelope, MessageId, NodeId, TcpTransport, Transport};
 use selfserv::statechart::{StatechartBuilder, TaskDef, TransitionDef};
 use selfserv::wsdl::{MessageDoc, ParamType};
 use selfserv_expr::Value;
 use std::collections::HashMap;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -77,18 +78,18 @@ fn platform_over_tcp_demo() {
     println!("the full coordinator protocol ran over real TCP listeners.");
 }
 
-/// The original low-level demo: hand-rolled envelopes over raw frames.
+/// The wire format by hand: one length-prefixed XML frame each way over a
+/// plain `std::net` connection.
 fn raw_frames_demo() {
     println!("--- part 1: raw length-prefixed frames ---");
     // A "provider" listening on a real socket.
-    let provider = TcpEndpoint::bind("127.0.0.1:0").expect("bind provider");
-    let provider_addr = provider.addr().to_string();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind provider");
+    let provider_addr = listener.local_addr().expect("provider address");
     println!("provider listening on {provider_addr}");
 
     let server = std::thread::spawn(move || {
-        let request = provider
-            .recv_timeout(Duration::from_secs(5))
-            .expect("receive invocation");
+        let (mut stream, _) = listener.accept().expect("accept client");
+        let request = read_frame(&mut stream).expect("receive invocation");
         println!("provider received {} from {}", request.kind, request.from);
         let input = MessageDoc::from_xml(&request.body).unwrap();
         let reply = MessageDoc::response(input.operation.clone())
@@ -97,7 +98,7 @@ fn raw_frames_demo() {
                 "echo_city",
                 input.get("city").cloned().unwrap_or(Value::Null),
             );
-        // Reply over a fresh connection to the caller's listener.
+        // The reply is the next frame on the same connection.
         let reply_env = Envelope {
             id: MessageId(2),
             from: request.to.clone(),
@@ -106,31 +107,25 @@ fn raw_frames_demo() {
             correlation: Some(request.id),
             body: reply.to_xml(),
         };
-        let caller_addr = request.body.attr("reply_to").unwrap().to_string();
-        TcpEndpoint::send_to(&caller_addr, &reply_env).expect("send reply");
+        write_frame(&mut stream, &reply_env).expect("send reply");
     });
 
-    // The "client" side: its own listener for the reply, then one
-    // length-prefixed XML frame to the provider.
-    let client = TcpEndpoint::bind("127.0.0.1:0").expect("bind client");
-    let mut body = MessageDoc::request("bookAccommodation")
-        .with("customer", Value::str("Eileen"))
-        .with("city", Value::str("Sydney"))
-        .to_xml();
-    body.set_attr("reply_to", client.addr().to_string());
+    // The "client" side: one length-prefixed XML frame to the provider,
+    // then the reply frame back.
     let request = Envelope {
         id: MessageId(1),
         from: NodeId::new("tcp.client"),
         to: NodeId::new("tcp.provider"),
         kind: "invoke".into(),
         correlation: None,
-        body,
+        body: MessageDoc::request("bookAccommodation")
+            .with("customer", Value::str("Eileen"))
+            .with("city", Value::str("Sydney"))
+            .to_xml(),
     };
-    TcpEndpoint::send_to(&provider_addr, &request).expect("send invocation");
-
-    let reply = client
-        .recv_timeout(Duration::from_secs(5))
-        .expect("receive reply");
+    let mut stream = TcpStream::connect(provider_addr).expect("connect to provider");
+    write_frame(&mut stream, &request).expect("send invocation");
+    let reply = read_frame(&mut stream).expect("receive reply");
     let msg = MessageDoc::from_xml(&reply.body).unwrap();
     println!(
         "client got {} → confirmation={} echo_city={}",
@@ -139,6 +134,7 @@ fn raw_frames_demo() {
         msg.get_str("echo_city").unwrap(),
     );
     server.join().unwrap();
+    assert_eq!(reply.correlation, Some(request.id));
     assert_eq!(msg.get_str("confirmation"), Some("TCP-0042"));
     println!("same envelopes, real sockets — transport independence demonstrated.");
 }
