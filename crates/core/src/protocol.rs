@@ -17,8 +17,8 @@ use std::sync::{Mutex, OnceLock};
 ///
 /// The endpoint is connected lazily on first use, so owners whose callers
 /// only ever supply their own endpoints (e.g. `execute_from`) never pay
-/// for it — on TCP an anonymous connect costs a listener and an accept
-/// thread, and it adds a `~` node to metrics. (The `Mutex` makes the held
+/// for it — an anonymous connect costs a mailbox and a directory binding,
+/// and it adds a `~` node to metrics. (The `Mutex` makes the held
 /// [`Endpoint`] `Sync`; only [`PersistentClient::recv_timeout`] — the
 /// submit-mode result collector — ever locks it.)
 pub(crate) struct PersistentClient {

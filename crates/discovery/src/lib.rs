@@ -42,7 +42,10 @@
 //! own: incoming tombstones for names whose endpoints are alive locally
 //! are refused and re-asserted with a higher version (the directory's
 //! self-defence policy), and the corrected entries out-gossip the stale
-//! tombstones.
+//! tombstones. A hub whose sweep evicts its *last* peer would have no one
+//! left to gossip with, so it re-arms its seeds — the configured ones plus
+//! the last-known addresses of the hubs it just evicted — and greets them
+//! every round until one answers: a partition that heals re-merges.
 //!
 //! ```no_run
 //! use selfserv_discovery::{DiscoveryConfig, PeerDiscovery};
@@ -275,7 +278,10 @@ impl PeerDiscovery {
         let node = endpoint.node().clone();
         let addr = hub
             .addr_of(node.as_str())
-            .expect("a freshly connected node has a listener address");
+            .expect("a freshly connected node has its hub's address");
+        // Seeds greet this hub by address: their hellos, and the injected
+        // ticks, are for this node.
+        hub.set_unaddressed_recipient(&node);
         let events = EventLog::new();
         let stats = Arc::new(DiscoveryStats::default());
         let logic =
@@ -310,7 +316,8 @@ impl DiscoveryHandle {
         &self.node
     }
 
-    /// The address other hubs seed with to join this one.
+    /// The address other hubs seed with to join this one: the hub's
+    /// listener address, which every name connected on the hub shares.
     pub fn seed_addr(&self) -> SocketAddr {
         self.addr
     }
@@ -387,7 +394,8 @@ impl DiscoveryHandle {
     /// their arming. Chaos and convergence tests use this to *step* the
     /// protocol at a controlled cadence instead of waiting out wall-clock
     /// intervals. The tick travels through the hub's own listener like
-    /// any frame, so it also obeys installed fault schedules.
+    /// any frame sent by address, so it also obeys installed fault
+    /// schedules.
     pub fn inject_tick(&self) -> std::io::Result<()> {
         self.hub
             .send_to_addr(

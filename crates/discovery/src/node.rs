@@ -78,7 +78,8 @@ pub struct DiscoveryNode {
     directory: PeerDirectory,
     config: DiscoveryConfig,
     /// Seeds that have not answered yet; re-greeted every gossip tick
-    /// (covers seeds that start after us).
+    /// (covers seeds that start after us). Re-armed when a sweep evicts
+    /// the last peer.
     pending_seeds: Vec<SocketAddr>,
     peers: HashMap<HubId, PeerState>,
     events: Arc<EventLog>,
@@ -323,9 +324,18 @@ impl DiscoveryNode {
                 },
             );
         }
+        // Last-known addresses of the hubs evicted now (a tombstone keeps
+        // the address, so a peer already buried by gossip still has one).
+        let mut evicted_addrs: Vec<SocketAddr> = Vec::new();
         for hub in to_evict {
             self.stats.inc_eviction();
-            self.peers.remove(&hub);
+            if let Some(peer) = self.peers.remove(&hub) {
+                evicted_addrs.extend(
+                    self.directory
+                        .entry(peer.disc.as_str())
+                        .map(|e| e.value.addr),
+                );
+            }
             let names = self.directory.evict_owner(hub);
             self.emit(
                 Some(ctx),
@@ -335,6 +345,17 @@ impl DiscoveryNode {
                     names,
                 },
             );
+        }
+        // The last peer just went: with no one left to gossip with and
+        // the seeds long answered, nothing would ever be sent again and a
+        // healed partition would never re-merge. Greet the configured
+        // seeds and the evicted hubs' addresses until one answers.
+        if !evicted_addrs.is_empty() && self.peers.is_empty() {
+            for addr in self.config.seeds.iter().copied().chain(evicted_addrs) {
+                if !self.pending_seeds.contains(&addr) {
+                    self.pending_seeds.push(addr);
+                }
+            }
         }
         // Cross-hub name conflicts the merge has been counting: once a
         // name's live-reassert count persists past the threshold, surface

@@ -29,7 +29,7 @@ fn one_seed_address_bootstraps_bidirectional_rpc() {
     let hub_b = TcpTransport::new();
     let server = Transport::connect(&hub_a, NodeId::new("server")).unwrap();
     let disc_a = PeerDiscovery::spawn(&hub_a, fast()).unwrap();
-    // B knows exactly one address: A's discovery listener. No
+    // B knows exactly one address: A's hub listener. No
     // register_peer anywhere.
     let disc_b = PeerDiscovery::spawn(&hub_b, fast().with_seed(disc_a.seed_addr())).unwrap();
     let client = Transport::connect(&hub_b, NodeId::new("client")).unwrap();
@@ -195,6 +195,67 @@ fn injected_ticks_step_failure_detection_without_waiting_for_timers() {
         "injected ticks did not drive suspicion → eviction of the silent hub"
     );
     drop(member);
+}
+
+#[test]
+fn total_mutual_eviction_re_merges_once_ticks_resume() {
+    // Only injected ticks drive the protocol: the probe interval (the
+    // sweep timer's period) is far past the eviction timeout, so no timer
+    // fires and no ping keeps a silent peer alive.
+    let mut config = DiscoveryConfig::default().with_cadence(Duration::from_secs(60));
+    config.suspicion_timeout = Duration::from_millis(100);
+    config.eviction_timeout = Duration::from_millis(300);
+    let hub_a = TcpTransport::new();
+    let hub_b = TcpTransport::new();
+    let _svc_a = Transport::connect(&hub_a, NodeId::new("svc.left")).unwrap();
+    let _svc_b = Transport::connect(&hub_b, NodeId::new("svc.right")).unwrap();
+    let disc_a = PeerDiscovery::spawn(&hub_a, config.clone()).unwrap();
+    let disc_b = PeerDiscovery::spawn(&hub_b, config.with_seed(disc_a.seed_addr())).unwrap();
+    let converged = || {
+        disc_a.directory().fingerprint() == disc_b.directory().fingerprint()
+            && hub_a.is_connected("svc.right")
+            && hub_b.is_connected("svc.left")
+    };
+    assert!(wait_until(Duration::from_secs(5), || {
+        let _ = disc_a.inject_tick();
+        let _ = disc_b.inject_tick();
+        converged()
+    }));
+
+    // The link goes dark both ways for longer than the eviction timeout:
+    // each side's next tick finds its gossip partner silent, its sync send
+    // fails on the severed connection, and its sweep evicts the other.
+    std::thread::sleep(Duration::from_millis(400));
+    assert!(hub_a.kill_connection(disc_b.node().as_str()));
+    assert!(hub_b.kill_connection(disc_a.node().as_str()));
+    disc_a.inject_tick().unwrap();
+    disc_b.inject_tick().unwrap();
+    assert!(
+        wait_until(Duration::from_secs(5), || {
+            disc_a.stats().evictions() == 1 && disc_b.stats().evictions() == 1
+        }),
+        "both hubs evicted each other"
+    );
+    assert!(!hub_a.is_connected("svc.right") && !hub_b.is_connected("svc.left"));
+
+    // The partition has healed. Neither hub has a peer left, and both
+    // answered their seeds long ago: only the re-armed seeds can re-merge.
+    let mut rounds = 0;
+    while !converged() {
+        rounds += 1;
+        assert!(
+            rounds <= 10,
+            "directories did not re-merge within 10 rounds of resumed ticks"
+        );
+        disc_a.inject_tick().unwrap();
+        disc_b.inject_tick().unwrap();
+        wait_until(Duration::from_millis(100), converged);
+    }
+    assert_eq!(
+        disc_a.directory().snapshot(),
+        disc_b.directory().snapshot(),
+        "identical directories"
+    );
 }
 
 #[test]

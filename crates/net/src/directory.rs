@@ -4,10 +4,11 @@
 //! that an operator filled by hand (`register_peer`, both directions, for
 //! every pair of processes). The directory replaces that map with a state
 //! that *converges*: a [`crate::lww::LwwTable`] whose rows bind a name to
-//! a [`PeerClaim`] — the listener address and the id of the **hub that
-//! owns it** (the process whose listener the address points at) — so two
-//! directories combine under the table's deterministic last-writer-wins
-//! merge, and any exchange order reaches the same directory on every hub.
+//! a [`PeerClaim`] — the listener address of the hub the name lives on
+//! and that **hub's id** (every name of one hub shares its one address) —
+//! so two directories combine under the table's deterministic
+//! last-writer-wins merge, and any exchange order reaches the same
+//! directory on every hub.
 //! Dropping a local endpoint (or evicting a dead hub's names) tombstones
 //! the row; a local re-bind writes over its own tombstone with a higher
 //! version, so names stay reusable.
@@ -159,7 +160,8 @@ pub trait LivenessProbe: Send + Sync {
 /// directory row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeerClaim {
-    /// The listener address of the name's endpoint.
+    /// The listener address of the hub the name's endpoint is connected
+    /// on (shared by every name on that hub).
     pub addr: SocketAddr,
     /// The hub the name is (or was) connected on.
     pub owner: HubId,
@@ -281,9 +283,9 @@ impl PeerDirectory {
         self.inner.hub
     }
 
-    /// Binds a locally connected name to its listener address, writing
-    /// over any tombstone with a higher version. Fails (returning the
-    /// standing entry) when a live entry already claims the name —
+    /// Binds a locally connected name to the hub's listener address,
+    /// writing over any tombstone with a higher version. Fails (returning
+    /// the standing entry) when a live entry already claims the name —
     /// local or remote, exactly like the raw registry did.
     pub fn bind_local(&self, name: NodeId, addr: SocketAddr) -> Result<(), DirectoryEntry> {
         let table = &mut self.inner.tables.write()[table_of(&name)];

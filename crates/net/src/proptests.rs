@@ -274,18 +274,29 @@ proptest! {
     /// writers batch frames into vectored writes, each receiver must see
     /// each sender's messages in send order — the writers drain their
     /// queues in enqueue order over exactly one connection per
-    /// destination, so order holds per (sender, destination) pair even
-    /// while batches from other senders share the same socket.
+    /// destination hub, so order holds per (sender, destination) pair even
+    /// while frames from other senders, for other nodes of that hub, share
+    /// the same socket. The receivers sit on the senders' own hub (its
+    /// loopback connection) or, with `peer_hub`, on a second hub that
+    /// every frame reaches over the one pooled connection to it.
     #[test]
     fn interleaved_tcp_sends_preserve_per_sender_order(
         n_senders in 2usize..4,
-        n_receivers in 1usize..3,
+        n_receivers in 1usize..5,
         n_msgs in 4usize..16,
+        peer_hub in any::<bool>(),
     ) {
         let t = TcpTransport::new();
+        let destination = if peer_hub { TcpTransport::new() } else { t.clone() };
         let receivers: Vec<_> = (0..n_receivers)
-            .map(|i| Transport::connect(&t, NodeId::new(format!("recv{i}"))).unwrap())
+            .map(|i| Transport::connect(&destination, NodeId::new(format!("recv{i}"))).unwrap())
             .collect();
+        let hub_addr = destination.addr_of("recv0").unwrap();
+        for r in &receivers {
+            prop_assert_eq!(destination.addr_of(r.node().as_str()), Some(hub_addr));
+            // Refused, and not needed, for a name connected on `t` itself.
+            t.register_peer(r.node().clone(), hub_addr);
+        }
         let senders: Vec<_> = (0..n_senders)
             .map(|i| Transport::connect(&t, NodeId::new(format!("send{i}"))).unwrap())
             .collect();

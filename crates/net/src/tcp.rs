@@ -7,11 +7,15 @@
 //! the centralized baseline — runs over real sockets exactly as it runs
 //! over the in-process fabric.
 //!
-//! * [`TcpTransport`] — one listener per connected node (loopback,
-//!   ephemeral ports by default), a shared versioned
-//!   [`PeerDirectory`] mapping names to addresses, and a pool of
-//!   persistent per-peer connections carrying many frames each.
-//!   Request/response rides the caller's own listener: the request frame
+//! * [`TcpTransport`] — one listener per hub (loopback, ephemeral port
+//!   by default, bound at the first connect), a shared versioned
+//!   [`PeerDirectory`] that maps every name connected on the hub to that
+//!   one address, and a pool of persistent connections — one per peer
+//!   hub, the hub itself included — each carrying the frames for every
+//!   node over there. A reader delivers each frame by looking its `to` up
+//!   in the hub's table of connected nodes, so neither sockets nor
+//!   threads grow with the number of nodes a hub hosts.
+//!   Request/response rides the caller's own hub: the request frame
 //!   carries the caller's node name as the reply address and the reader
 //!   thread demultiplexes the correlated reply to the blocked rpc, so an
 //!   rpc costs two frames on pooled connections — no per-call listener,
@@ -41,11 +45,11 @@ use crate::transport::{
 };
 use crate::writer::{ConnQueue, IoCounters};
 use crossbeam::channel;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use selfserv_xml::Element;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -187,23 +191,119 @@ enum FrameSendError {
     Io(std::io::Error),
 }
 
+/// The `to` of a frame sent by address ([`TcpTransport::send_to_addr`]):
+/// the receiving hub hands it to the node declared with
+/// [`TcpTransport::set_unaddressed_recipient`].
+const UNADDRESSED: &str = "?";
+
+/// A node connected on a hub, as the hub's readers see it.
+struct LocalNode {
+    inbox: Inbox,
+    counters: Arc<NodeCounters>,
+}
+
+/// The nodes connected on a hub, by name, and the one declared to receive
+/// frames sent by address.
+#[derive(Default)]
+struct NodeTable {
+    /// Shared, so a reader takes its target out of the read lock with
+    /// one reference count.
+    nodes: HashMap<NodeId, Arc<LocalNode>>,
+    unaddressed: Option<NodeId>,
+}
+
+impl NodeTable {
+    /// The node a frame addressed to `to` is for, if it is connected here.
+    fn resolve(&self, to: &NodeId) -> Option<&Arc<LocalNode>> {
+        let name = if to.as_str() == UNADDRESSED {
+            self.unaddressed.as_ref()?
+        } else {
+            to
+        };
+        self.nodes.get(name)
+    }
+}
+
+/// A hub's receive side, shared by its accept thread and its readers. It
+/// is kept apart from [`Hub`] so those threads never keep the hub alive:
+/// the hub's drop is what stops them.
+struct Receiver {
+    directory: PeerDirectory,
+    counters: Arc<CountersTable>,
+    table: RwLock<NodeTable>,
+    /// A handle on every open inbound connection, by peer address, so hub
+    /// drop can shut them down and their readers exit.
+    inbound: Mutex<HashMap<SocketAddr, TcpStream>>,
+}
+
+impl Receiver {
+    /// Hands one decoded frame to the local node it is addressed to. The
+    /// piggybacked sender claim is merged first, so even a frame from a
+    /// never-before-seen process makes its sender immediately routable
+    /// (the rpc reply path). A frame for a name not connected here is
+    /// charged where the fabric charges one: to the name's drop slot.
+    fn deliver(&self, frame: Inbound) {
+        if let Some(claim) = frame.claim {
+            self.directory
+                .merge_entry(frame.envelope.from.clone(), claim);
+        }
+        let target = self.table.read().resolve(&frame.envelope.to).cloned();
+        match target {
+            Some(node) => {
+                node.counters.record_receive(frame.size);
+                // An endpoint that dropped since the lookup loses the frame.
+                let _ = node.inbox.deliver(frame.envelope);
+            }
+            None => self
+                .counters
+                .for_delivery_drop(&frame.envelope.to)
+                .record_drop(),
+        }
+    }
+}
+
+/// A hub's listener and its accept thread.
+struct Listener {
+    addr: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+    accept_thread: JoinHandle<()>,
+}
+
+impl Listener {
+    /// Raises the shutdown flag, pokes the listener so the accept loop
+    /// observes it, then *joins* the thread. If the poke cannot connect
+    /// (fd/port exhaustion), the thread is detached instead — the loop
+    /// would never observe the flag and the join would deadlock teardown.
+    fn stop(self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        if TcpStream::connect(self.addr).is_ok() {
+            let _ = self.accept_thread.join();
+        }
+    }
+}
+
 struct Hub {
-    /// Node name → listener address, versioned and mergeable. Local
-    /// connects bind here; [`TcpTransport::register_peer`], piggybacked
-    /// sender claims, and `selfserv-discovery`'s handshake/gossip merge
-    /// remote claims in.
+    /// Node name → the address of the hub the node lives on, versioned and
+    /// mergeable. Local connects bind their name to this hub's listener;
+    /// [`TcpTransport::register_peer`], piggybacked sender claims, and
+    /// `selfserv-discovery`'s handshake/gossip merge remote claims in.
     directory: PeerDirectory,
     /// Per-node traffic counters; persist after disconnect within the
     /// table's bound, like the fabric's.
-    counters: CountersTable,
+    counters: Arc<CountersTable>,
+    /// Where inbound frames are delivered.
+    receiver: Arc<Receiver>,
+    /// The hub's one listener, bound at the first connect.
+    listener: Mutex<Option<Listener>>,
     /// Persistent outbound connections, one [`ConnQueue`] per destination
-    /// address, shared by every local sender (frames carry their own
-    /// `from`). Senders *enqueue* and return; each queue's writer thread
-    /// owns the one socket to its destination and drains frames in
-    /// enqueue order, so exactly one connection per destination ever
-    /// carries frames and per-sender in-order delivery holds by
-    /// construction. See [`crate::writer`] for the batching, backpressure
-    /// and deferred-error semantics.
+    /// address — that is, per peer hub, since every name on a hub resolves
+    /// to its one listener — shared by every local sender (frames carry
+    /// their own `from` and `to`). Senders *enqueue* and return; each
+    /// queue's writer thread owns the one socket to its destination and
+    /// drains frames in enqueue order, so exactly one connection per
+    /// destination ever carries frames and per-sender in-order delivery
+    /// holds by construction. See [`crate::writer`] for the batching,
+    /// backpressure and deferred-error semantics.
     pool: Mutex<HashMap<SocketAddr, Arc<ConnQueue>>>,
     /// Hub-wide data-plane counters ([`MetricsSnapshot::io`]).
     io: Arc<IoCounters>,
@@ -217,6 +317,30 @@ struct Hub {
 impl Hub {
     fn next_id(&self) -> MessageId {
         MessageId(self.next_msg.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// The hub's listener address, binding the listener and starting its
+    /// accept thread on first use.
+    fn listen(&self) -> std::io::Result<SocketAddr> {
+        let mut listener = self.listener.lock();
+        if let Some(l) = listener.as_ref() {
+            return Ok(l.addr);
+        }
+        let socket = TcpListener::bind(("127.0.0.1", 0))?;
+        let addr = socket.local_addr()?;
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&shutdown);
+        let receiver = Arc::clone(&self.receiver);
+        let accept_thread = std::thread::Builder::new()
+            .name(format!("selfserv-tcp-{addr}"))
+            .spawn(move || accept_loop(socket, receiver, flag))
+            .expect("spawn tcp accept thread");
+        *listener = Some(Listener {
+            addr,
+            shutdown,
+            accept_thread,
+        });
+        Ok(addr)
     }
 
     /// Queues one already-serialized frame for `addr` on the pooled
@@ -317,8 +441,15 @@ impl Hub {
 
 impl Drop for Hub {
     fn drop(&mut self) {
-        // Retire every connection writer (each drains its queue and
-        // exits): parked writer threads must not outlive the hub.
+        // No thread may outlive the hub: stop accepting, shut every
+        // inbound stream down so its reader sees EOF and exits, and retire
+        // every connection writer (each drains its queue and exits).
+        if let Some(listener) = self.listener.get_mut().take() {
+            listener.stop();
+        }
+        for (_, stream) in self.receiver.inbound.lock().drain() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
         for conn in self.pool.get_mut().values() {
             conn.shutdown();
         }
@@ -327,11 +458,13 @@ impl Drop for Hub {
 
 /// A [`Transport`] over real TCP sockets. Cheap to clone (shared handle).
 ///
-/// Every [`Transport::connect`] binds a loopback listener on an ephemeral
-/// port and registers the node's address in the shared registry, so all
-/// nodes of one `TcpTransport` can reach each other by name. For
-/// multi-process deployments, exchange [`TcpTransport::addr_of`] results
-/// out of band and register them with [`TcpTransport::register_peer`].
+/// The hub binds one loopback listener on an ephemeral port at its first
+/// [`Transport::connect`], and every connect registers the node's name at
+/// that address in the shared directory, so all nodes of one
+/// `TcpTransport` can reach each other by name. For multi-process
+/// deployments, exchange [`TcpTransport::addr_of`] results out of band and
+/// register them with [`TcpTransport::register_peer`] — or let
+/// `selfserv-discovery` do it from one seed address.
 #[derive(Clone)]
 pub struct TcpTransport {
     hub: Arc<Hub>,
@@ -350,10 +483,20 @@ impl TcpTransport {
     }
 
     fn with_counters(counters: CountersTable) -> Self {
+        let directory = PeerDirectory::new(HubId::generate());
+        let counters = Arc::new(counters);
+        let receiver = Arc::new(Receiver {
+            directory: directory.clone(),
+            counters: Arc::clone(&counters),
+            table: RwLock::new(NodeTable::default()),
+            inbound: Mutex::new(HashMap::new()),
+        });
         TcpTransport {
             hub: Arc::new(Hub {
-                directory: PeerDirectory::new(HubId::generate()),
+                directory,
                 counters,
+                receiver,
+                listener: Mutex::new(None),
                 pool: Mutex::new(HashMap::new()),
                 io: Arc::new(IoCounters::default()),
                 stale_replies: Arc::new(AtomicU64::new(0)),
@@ -376,7 +519,8 @@ impl TcpTransport {
         self.hub.directory.clone()
     }
 
-    /// The listener address of a locally connected (or registered) node.
+    /// The listener address of the hub a locally connected (or registered)
+    /// node lives on. Every node connected on one hub has the same address.
     pub fn addr_of(&self, name: &str) -> Option<SocketAddr> {
         self.hub.directory.lookup(&NodeId::new(name))
     }
@@ -494,14 +638,15 @@ impl TcpTransport {
         self.hub.directory.register_manual(name.into(), addr);
     }
 
-    /// Chaos hook: abruptly severs the pooled outbound connection to
-    /// `node`'s address — queued frames drop, the connection writer is
-    /// orphaned (it exits and closes its socket, taking the peer's reader
-    /// thread with it), and the *next* send to that address reports
-    /// `BrokenPipe` (the deferred-error path, which prunes unreachable
-    /// ephemeral peers) while the one after respawns a fresh writer.
-    /// Returns false when the node has no known address or no pooled
-    /// connection exists yet.
+    /// Chaos hook: abruptly severs the pooled outbound connection to the
+    /// hub `node` lives on. That connection carries the frames for *every*
+    /// node of that hub, so this cuts the whole hub link: queued frames
+    /// drop, the connection writer is orphaned (it exits and closes its
+    /// socket, taking the peer hub's reader thread with it), and the
+    /// *next* send to any node there reports `BrokenPipe` (the
+    /// deferred-error path, which prunes unreachable ephemeral peers)
+    /// while the one after respawns a fresh writer. Returns false when
+    /// the node has no known address or no pooled connection exists yet.
     pub fn kill_connection(&self, node: &str) -> bool {
         let Some(addr) = self.addr_of(node) else {
             return false;
@@ -519,10 +664,11 @@ impl TcpTransport {
         }
     }
 
-    /// Chaos hook: retires the pooled connection to `node`'s address
-    /// entirely (discarding any parked deferred error), so the next send
-    /// dials a fresh connection immediately. Returns false when the node
-    /// has no known address or no pooled connection exists.
+    /// Chaos hook: retires the pooled connection to the hub `node` lives
+    /// on entirely (discarding any parked deferred error), so the next
+    /// send to any node of that hub dials a fresh connection immediately.
+    /// Returns false when the node has no known address or no pooled
+    /// connection exists.
     pub fn revive_connection(&self, node: &str) -> bool {
         let Some(addr) = self.addr_of(node) else {
             return false;
@@ -538,12 +684,14 @@ impl TcpTransport {
         }
     }
 
-    /// Sends one envelope straight to a listener **address**, bypassing
-    /// the name directory — the bootstrap primitive `selfserv-discovery`
-    /// uses to greet a seed hub it knows only by address. The frame is
-    /// delivered to whichever node owns the listener (its `to` field is a
-    /// placeholder), and it piggybacks the sender's claim like any other
-    /// frame, so the receiver can answer by name.
+    /// Sends one envelope straight to a hub's listener **address**,
+    /// bypassing the name directory — the bootstrap primitive
+    /// `selfserv-discovery` uses to greet a seed hub it knows only by
+    /// address. Its `to` is the placeholder `?`: the receiving hub hands
+    /// the frame to the node it declared with
+    /// [`TcpTransport::set_unaddressed_recipient`], and counts it as
+    /// dropped when it declared none. The frame piggybacks the sender's
+    /// claim like any other, so the receiver can answer by name.
     pub fn send_to_addr(
         &self,
         addr: SocketAddr,
@@ -554,7 +702,7 @@ impl TcpTransport {
         let envelope = Envelope {
             id: self.hub.next_id(),
             from: from.clone(),
-            to: NodeId::new("?"),
+            to: NodeId::new(UNADDRESSED),
             kind: kind.into(),
             correlation: None,
             body,
@@ -566,39 +714,41 @@ impl TcpTransport {
         }
     }
 
+    /// Declares which locally connected node receives the frames sent to
+    /// this hub by address ([`TcpTransport::send_to_addr`]), whose `to` is
+    /// a placeholder. `selfserv-discovery` declares its discovery node —
+    /// what seeds greet. The declaration lasts until that node's endpoint
+    /// drops; while none stands, such frames are counted as dropped.
+    pub fn set_unaddressed_recipient(&self, node: &NodeId) {
+        self.hub.receiver.table.write().unaddressed = Some(node.clone());
+    }
+
     fn connect_node(&self, name: NodeId) -> Result<Endpoint, ConnectError> {
-        // Bind outside the registry lock: syscalls under the write lock
-        // would stall every concurrent send's registry read. A collision
-        // after binding just drops the fresh listener.
-        let listener = match TcpListener::bind(("127.0.0.1", 0)) {
-            Ok(l) => l,
+        let addr = match self.hub.listen() {
+            Ok(addr) => addr,
             Err(e) => return Err(ConnectError::Bind(name, e)),
         };
-        let addr = match listener.local_addr() {
-            Ok(a) => a,
-            Err(e) => return Err(ConnectError::Bind(name, e)),
-        };
-        if self.hub.directory.bind_local(name.clone(), addr).is_err() {
-            return Err(ConnectError::NameTaken(name));
-        }
-        let counters = self.hub.counters.for_node(&name);
         let (tx, rx) = channel::unbounded();
         let demux = ReplyDemux::new(Arc::clone(&self.hub.stale_replies));
-        let inbox = Inbox::new(tx, Arc::clone(&demux));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&shutdown);
-        let directory = self.hub.directory.clone();
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("selfserv-tcp-{name}"))
-            .spawn(move || accept_loop(listener, inbox, counters, directory, flag))
-            .expect("spawn tcp accept thread");
+        {
+            // Bound and entered under the table's write lock: a reader
+            // resolving the name waits for the entry rather than dropping
+            // a frame sent the moment the directory published the name.
+            let mut table = self.hub.receiver.table.write();
+            if self.hub.directory.bind_local(name.clone(), addr).is_err() {
+                return Err(ConnectError::NameTaken(name));
+            }
+            let node = Arc::new(LocalNode {
+                inbox: Inbox::new(tx, Arc::clone(&demux)),
+                counters: self.hub.counters.for_node(&name),
+            });
+            table.nodes.insert(name.clone(), node);
+        }
         let raw = TcpRawEndpoint {
             node: name,
             hub: Arc::clone(&self.hub),
             addr,
             mailbox: Mailbox::new(rx),
-            shutdown,
-            accept_thread: Some(accept_thread),
         };
         Ok(Endpoint::from_raw(
             Box::new(raw),
@@ -630,38 +780,21 @@ impl Transport for TcpTransport {
     }
 
     fn connect_anonymous(&self, prefix: &str) -> Endpoint {
-        // Anonymous endpoints back auxiliary identities (clients, control
-        // senders), not rpcs, so contention is low — but transient
-        // fd/ephemeral-port exhaustion still gets bounded retries with
-        // capped exponential backoff (fast first retries for blips, the
-        // old worst-case pause only once exhaustion persists) before the
-        // failure is treated as fatal.
-        //
         // The name embeds the hub id: every frame piggybacks its sender's
         // directory claim, so two hubs whose anonymous counters both
         // minted `client~1` would collide in a *receiving* hub's
         // directory and misroute one side's rpc replies. Per-hub counters
         // are only unique per hub; the hub id makes them global.
         let hub_id = self.hub.directory.hub();
-        let mut backoff = Backoff::new(Duration::from_micros(250), Duration::from_millis(10));
-        let mut bind_failures = 0u32;
         loop {
             let n = self.hub.next_anon.fetch_add(1, Ordering::Relaxed);
             match self.connect_node(NodeId::new(format!("{prefix}~{hub_id}-{n}"))) {
                 Ok(ep) => return ep,
-                Err(ConnectError::NameTaken(_) | ConnectError::ReservedName(_)) => {
-                    // Collision (e.g. a peer registration): next counter.
-                }
-                Err(ConnectError::Bind(name, e)) => {
-                    bind_failures += 1;
-                    if bind_failures >= 100 {
-                        panic!(
-                            "failed to bind a TCP listener for ephemeral node '{name}' \
-                             after {bind_failures} attempts: {e}"
-                        );
-                    }
-                    backoff.sleep();
-                }
+                // Collision (e.g. a peer registration): next counter.
+                Err(ConnectError::NameTaken(_) | ConnectError::ReservedName(_)) => {}
+                // Only the hub's first connect binds a socket; this
+                // signature has no way to report that it could not.
+                Err(e @ ConnectError::Bind(..)) => panic!("{e}"),
             }
         }
     }
@@ -711,10 +844,9 @@ impl Transport for TcpTransport {
 struct TcpRawEndpoint {
     node: NodeId,
     hub: Arc<Hub>,
+    /// The hub's listener address, which the node's name is bound to.
     addr: SocketAddr,
     mailbox: Mailbox,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
 }
 
 impl RawEndpoint for TcpRawEndpoint {
@@ -753,16 +885,21 @@ impl RawEndpoint for TcpRawEndpoint {
 
 impl Drop for TcpRawEndpoint {
     fn drop(&mut self) {
-        // Free the name: tombstone the directory entry (only if it still
-        // points at this listener — a remote claim may have replaced it),
-        // so the departure gossips like any other directory change.
-        self.hub.directory.remove_local(&self.node, self.addr);
-        stop_accept_thread(self.addr, &self.shutdown, &mut self.accept_thread);
-        // Retire the pooled connection to this node: its writer drains
-        // whatever is already queued and closes the socket, so peer reader
-        // threads see EOF promptly instead of lingering on a dead stream.
-        if let Some(conn) = self.hub.pool.lock().remove(&self.addr) {
-            conn.shutdown();
+        // Stop deliveries and free the name in one step under the table
+        // lock, so a reconnect under the same name cannot slip in between:
+        // the entry leaves the table (with the unaddressed-recipient role,
+        // if it held it), and the directory entry is tombstoned (only if
+        // it still points at this hub — a remote claim may have replaced
+        // it), so the departure gossips like any other directory change.
+        // The pooled connections stay: they carry every other node's
+        // traffic too.
+        {
+            let mut table = self.hub.receiver.table.write();
+            table.nodes.remove(&self.node);
+            if table.unaddressed.as_ref() == Some(&self.node) {
+                table.unaddressed = None;
+            }
+            self.hub.directory.remove_local(&self.node, self.addr);
         }
         // The name is unbound above, and `connect_node` binds a name before
         // it asks for its counters: a name the table sees bound here keeps
@@ -773,25 +910,6 @@ impl Drop for TcpRawEndpoint {
                 .entry(name.as_str())
                 .is_some_and(|e| !e.evicted && e.value.owner == directory.hub())
         });
-    }
-}
-
-/// Listener teardown: raise the shutdown flag, poke the listener so
-/// the accept loop observes it, then *join* the thread (leaked accept
-/// threads used to accumulate across test runs). If the poke cannot
-/// connect (fd/port exhaustion), detach instead — the loop would never
-/// observe the flag and the join would deadlock teardown.
-fn stop_accept_thread(
-    addr: SocketAddr,
-    shutdown: &AtomicBool,
-    accept_thread: &mut Option<JoinHandle<()>>,
-) {
-    shutdown.store(true, Ordering::SeqCst);
-    let poked = TcpStream::connect(addr).is_ok();
-    if let Some(thread) = accept_thread.take() {
-        if poked {
-            let _ = thread.join();
-        }
     }
 }
 
@@ -824,55 +942,53 @@ impl Backoff {
     }
 }
 
-/// One node's accept loop: a reader thread per inbound connection. Exits
-/// when the shutdown flag is raised; backs off (capped exponential) on
-/// persistent accept errors (e.g. fd exhaustion) instead of spinning hot or
-/// always paying the worst-case pause.
-fn accept_loop(
-    listener: TcpListener,
-    inbox: Inbox,
-    counters: Arc<NodeCounters>,
-    directory: PeerDirectory,
-    shutdown: Arc<AtomicBool>,
-) {
+/// The hub's accept loop: a reader thread per inbound connection — one
+/// per peer hub that sends here, the hub's own loopback connection
+/// included. Exits when the shutdown flag is raised; backs off (capped
+/// exponential) on persistent accept errors (e.g. fd exhaustion) instead
+/// of spinning hot or always paying the worst-case pause.
+fn accept_loop(listener: TcpListener, receiver: Arc<Receiver>, shutdown: Arc<AtomicBool>) {
     let mut backoff = Backoff::new(Duration::from_micros(250), Duration::from_millis(10));
-    for stream in listener.incoming() {
+    loop {
+        let accepted = listener.accept();
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let Ok(stream) = stream else {
+        let Ok((stream, peer)) = accepted else {
             backoff.sleep();
             continue;
         };
         backoff.reset();
         stream.set_nodelay(true).ok();
-        let inbox = inbox.clone();
-        let counters = Arc::clone(&counters);
-        let directory = directory.clone();
-        // Persistent per-peer framing: one buffered reader per inbound
-        // connection decodes frames until the peer closes or a frame is
-        // malformed. Delivery demultiplexes rpc replies to their waiting
-        // callers.
-        std::thread::spawn(move || {
-            let mut reader = BufReader::with_capacity(READ_BUF, stream);
-            // Clean close, EOF mid-frame, oversized or corrupt frame, or a
-            // well-framed but malformed envelope (a sender producing
-            // garbage is not worth keeping a connection for): in every
-            // case close the connection rather than desynchronize
-            // mid-stream. The sender's pool reconnects on its next send.
-            while let Ok(Some(frame)) = read_inbound(&mut reader) {
-                // Merge the piggybacked sender claim first, so even a
-                // frame from a never-before-seen process makes its sender
-                // immediately routable (the rpc reply path).
-                if let Some(claim) = frame.claim {
-                    directory.merge_entry(frame.envelope.from.clone(), claim);
+        // Without a handle to shut it down, hub drop could not stop the
+        // reader: refuse the connection (the sender reconnects).
+        let Ok(handle) = stream.try_clone() else {
+            continue;
+        };
+        receiver.inbound.lock().insert(peer, handle);
+        let delivery = Arc::clone(&receiver);
+        // Persistent framing: one buffered reader per inbound connection
+        // decodes frames until the peer closes or a frame is malformed,
+        // and delivers each to the node named by its `to`.
+        let spawned = std::thread::Builder::new()
+            .name(format!("selfserv-tcp-reader-{peer}"))
+            .spawn(move || {
+                let mut reader = BufReader::with_capacity(READ_BUF, stream);
+                // Clean close, EOF mid-frame, oversized or corrupt frame,
+                // or a well-framed but malformed envelope (a sender
+                // producing garbage is not worth keeping a connection
+                // for): in every case close the connection rather than
+                // desynchronize mid-stream. The sender's pool reconnects
+                // on its next send.
+                while let Ok(Some(frame)) = read_inbound(&mut reader) {
+                    delivery.deliver(frame);
                 }
-                counters.record_receive(frame.size);
-                if inbox.deliver(frame.envelope).is_err() {
-                    return; // endpoint dropped
-                }
-            }
-        });
+                delivery.inbound.lock().remove(&peer);
+            });
+        if spawned.is_err() {
+            // No thread to read it: close the connection like a bad frame.
+            receiver.inbound.lock().remove(&peer);
+        }
     }
 }
 
@@ -1403,6 +1519,17 @@ mod tests {
         let greeter = Transport::connect(&t1, NodeId::new("greeter")).unwrap();
         let seed = Transport::connect(&t2, NodeId::new("seed")).unwrap();
         let seed_addr = t2.addr_of("seed").unwrap();
+        // Until the hub declares a recipient, a frame sent by address is
+        // for no one: counted as dropped, never handed to a node.
+        t1.send_to_addr(seed_addr, greeter.node(), "early", Element::new("hi"))
+            .unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while t2.metrics().total_dropped() == 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(t2.metrics().total_dropped(), 1);
+        assert!(seed.try_recv().is_none());
+        t2.set_unaddressed_recipient(seed.node());
         t1.send_to_addr(seed_addr, greeter.node(), "hello", Element::new("hi"))
             .unwrap();
         let got = seed.recv_timeout(Duration::from_secs(5)).unwrap();

@@ -84,8 +84,9 @@ pub enum ConnectError {
     /// Names containing `~` are reserved for transport-generated
     /// ephemeral endpoints and cannot be claimed by components.
     ReservedName(NodeId),
-    /// The transport failed to provision the endpoint — e.g. a TCP
-    /// listener could not bind. The name was *not* claimed.
+    /// The transport failed to provision the endpoint — e.g. a TCP hub's
+    /// listener could not bind at its first connect. The name was *not*
+    /// claimed.
     Bind(NodeId, std::io::Error),
 }
 
@@ -181,10 +182,11 @@ pub trait Transport: Send + Sync {
 
     /// Connects a node under a generated unique name `prefix~<n>`.
     ///
-    /// This provisions a full endpoint (on TCP: a listener and accept
-    /// thread), so it belongs on setup and control paths only — auxiliary
-    /// identities such as demo clients, stop-control senders, or nested
-    /// composite callers. The rpc hot path does **not** use it: replies
+    /// This provisions a full endpoint (a mailbox, a reply demultiplexer
+    /// and a directory binding), so it belongs on setup and control paths
+    /// only — auxiliary identities such as demo clients, stop-control
+    /// senders, or nested composite callers. The rpc hot path does **not**
+    /// use it: replies
     /// demultiplex on the caller's persistent endpoint.
     fn connect_anonymous(&self, prefix: &str) -> Endpoint;
 
@@ -499,7 +501,6 @@ impl Drop for ReplySlot<'_> {
 /// a node's mailbox sender plus its reply demultiplexer. Every envelope
 /// delivered to a node goes through [`Inbox::deliver`], which is what
 /// makes rpc replies arrive at the blocked rpc instead of the mailbox.
-#[derive(Clone)]
 pub(crate) struct Inbox {
     tx: crossbeam::channel::Sender<Envelope>,
     demux: Arc<ReplyDemux>,

@@ -70,9 +70,11 @@
 //! of `B`: coordinators awaiting providers, community servers holding
 //! open delegations, and service hosts dispatching non-blocking backends
 //! all run continuation-passing, so `B` is bounded by the backends that
-//! truly park a thread — not by traffic. The transport term is elastic
-//! too: idle TCP writers retire after a few seconds and respawn lazily
-//! on the next send.
+//! truly park a thread — not by traffic. The transport term does not
+//! grow with nodes either: a TCP hub runs one accept thread, one reader
+//! per inbound peer-hub connection and one writer per active peer hub,
+//! however many nodes it hosts. It is elastic too: idle TCP writers
+//! retire after a few seconds and respawn lazily on the next send.
 //!
 //! ## Shutdown ordering
 //!

@@ -266,10 +266,13 @@ fn parent() {
     );
     drop(dep);
 
+    // The child binds its control node only once it has seen our member
+    // live; leaving before that could tombstone the row before it ever
+    // arrived there live, and the child would wait for it forever.
+    assert!(disc.wait_until_bound(CHILD_CTL, Duration::from_secs(30)));
     // Leave through replica 0, then ask the child to exit: it only exits
     // cleanly once the tombstone has gossiped over.
     admin.leave(&parent_member.id).expect("leave parent member");
-    assert!(disc.wait_until_bound(CHILD_CTL, Duration::from_secs(10)));
     let goodbye = Transport::connect(&hub, NodeId::new("parent.ctl")).expect("connect ctl");
     goodbye
         .send(CHILD_CTL, "xproc.exit", Element::new("bye"))

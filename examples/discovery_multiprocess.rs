@@ -9,7 +9,7 @@
 //!
 //! * The **consumer** (parent process) creates a `TcpTransport` hub, runs
 //!   `selfserv-discovery` on it, and re-executes itself as the provider,
-//!   passing its discovery listener's address on the command line — the
+//!   passing its hub's listener address on the command line — the
 //!   only deployment knowledge that ever crosses the process boundary.
 //! * The **provider** (child process) seeds its own discovery node with
 //!   that address. The handshake swaps both registries; gossip keeps them

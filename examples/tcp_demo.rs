@@ -58,9 +58,10 @@ fn platform_over_tcp_demo() {
     let deployment = Deployer::new(&tcp)
         .deploy(&statechart, &backends)
         .expect("deploys");
+    // Every node of the hub is reached through the hub's one listener.
     for node in tcp.node_names() {
         if let Some(addr) = tcp.addr_of(node.as_str()) {
-            println!("  {node:32} listening on {addr}");
+            println!("  {node:32} reached via the hub at {addr}");
         }
     }
     let out = deployment
@@ -75,7 +76,7 @@ fn platform_over_tcp_demo() {
         out.get_str("confirmed_by"),
     );
     assert_eq!(out.get_str("confirmed_by"), Some("Orders"));
-    println!("the full coordinator protocol ran over real TCP listeners.");
+    println!("the full coordinator protocol ran over a real TCP listener.");
 }
 
 /// The wire format by hand: one length-prefixed XML frame each way over a
