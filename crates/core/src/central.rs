@@ -60,7 +60,7 @@ impl CentralHandle {
     /// client protocol as [`crate::Deployment::execute`]; the handle's
     /// persistent client node carries every call).
     pub fn execute(&self, input: MessageDoc, timeout: Duration) -> Result<MessageDoc, ExecError> {
-        crate::deploy::decode_execute_reply(self.client.sender().rpc(
+        crate::deploy::decode_execute_reply(self.client.endpoint().rpc(
             self.node.clone(),
             kinds::EXECUTE,
             input.to_xml(),

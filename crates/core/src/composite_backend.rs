@@ -68,7 +68,7 @@ impl ServiceBackend for CompositeBackend {
         let request = self.execute_request(input);
         let reply = self
             .client
-            .sender()
+            .endpoint()
             .rpc(
                 self.wrapper_node.clone(),
                 kinds::EXECUTE,

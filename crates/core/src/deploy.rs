@@ -390,7 +390,7 @@ impl Deployment {
     /// client node (concurrent executes demultiplex on its endpoint; no
     /// per-call endpoint is created).
     pub fn execute(&self, input: MessageDoc, timeout: Duration) -> Result<MessageDoc, ExecError> {
-        decode_execute_reply(self.client.sender().rpc(
+        decode_execute_reply(self.client.endpoint().rpc(
             self.wrapper_node.clone(),
             kinds::EXECUTE,
             input.to_xml(),
@@ -419,7 +419,7 @@ impl Deployment {
     /// throwaway thread, or collect-and-ignore.
     pub fn submit(&self, input: MessageDoc) -> Result<MessageId, SendError> {
         self.client
-            .sender()
+            .endpoint()
             .send(self.wrapper_node.clone(), kinds::EXECUTE, input.to_xml())
     }
 
@@ -435,7 +435,7 @@ impl Deployment {
         let deadline = std::time::Instant::now() + timeout;
         loop {
             let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            let env = self.client.recv_timeout(remaining)?;
+            let env = self.client.endpoint().recv_timeout(remaining)?;
             if env.kind != kinds::EXECUTE_RESULT {
                 continue;
             }
@@ -472,7 +472,7 @@ impl Deployment {
         // The wrapper acks events (so rpc-style raisers don't block);
         // discard the ack instead of letting it queue in the client's
         // never-drained mailbox.
-        let _ = self.client.sender().send_discard_reply(
+        let _ = self.client.endpoint().sender().send_discard_reply(
             self.wrapper_node.clone(),
             kinds::RAISE_EVENT,
             body,

@@ -2,29 +2,26 @@
 //! message kinds, node naming, instance ids, and notification payloads.
 
 use selfserv_expr::Value;
-use selfserv_net::{Endpoint, NodeSender, Transport, TransportHandle};
+use selfserv_net::{Endpoint, Transport, TransportHandle};
 use selfserv_wsdl::MessageDoc;
 use selfserv_xml::Element;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// A long-lived anonymous client identity: one connected endpoint kept
-/// alive for its owner's lifetime, used through [`NodeSender`] clones.
-/// Rpc replies demultiplex at the held endpoint, so any number of
-/// concurrent calls share it with no per-call endpoint, listener, or
-/// thread.
+/// alive for its owner's lifetime. Rpc replies demultiplex at the held
+/// endpoint, so any number of concurrent calls share it with no per-call
+/// endpoint, listener, or thread.
 ///
 /// The endpoint is connected lazily on first use, so owners whose callers
 /// only ever supply their own endpoints (e.g. `execute_from`) never pay
 /// for it — an anonymous connect costs a mailbox and a directory binding,
-/// and it adds a `~` node to metrics. (The `Mutex` makes the held
-/// [`Endpoint`] `Sync`; only [`PersistentClient::recv_timeout`] — the
-/// submit-mode result collector — ever locks it.)
+/// and it adds a `~` node to metrics.
 pub(crate) struct PersistentClient {
     net: TransportHandle,
     prefix: String,
-    slot: OnceLock<(NodeSender, Mutex<Endpoint>)>,
+    endpoint: OnceLock<Endpoint>,
 }
 
 impl PersistentClient {
@@ -34,34 +31,17 @@ impl PersistentClient {
         PersistentClient {
             net: net.handle(),
             prefix: prefix.into(),
-            slot: OnceLock::new(),
+            endpoint: OnceLock::new(),
         }
     }
 
-    fn slot(&self) -> &(NodeSender, Mutex<Endpoint>) {
-        self.slot.get_or_init(|| {
-            let endpoint = self.net.connect_anonymous(&self.prefix);
-            (endpoint.sender(), Mutex::new(endpoint))
-        })
-    }
-
-    /// The handle that sends and rpcs as this client (connecting the
-    /// underlying endpoint on first call).
-    pub(crate) fn sender(&self) -> &NodeSender {
-        &self.slot().0
-    }
-
-    /// Receives the next envelope queued on the client's mailbox — the
-    /// arrival path of fire-and-collect replies (correlated responses to
-    /// plain `send`s, which the reply demux passes through to the mailbox
-    /// because no rpc registered their ids). Concurrent collectors
-    /// serialize on the endpoint lock.
-    pub(crate) fn recv_timeout(
-        &self,
-        timeout: std::time::Duration,
-    ) -> Result<selfserv_net::Envelope, selfserv_net::RecvError> {
-        let endpoint = self.slot().1.lock().expect("client endpoint lock");
-        endpoint.recv_timeout(timeout)
+    /// The endpoint that sends, rpcs and collects as this client
+    /// (connecting it on first call). Fire-and-collect replies —
+    /// correlated responses to plain `send`s, which the reply demux passes
+    /// through because no rpc registered their ids — queue on its mailbox.
+    pub(crate) fn endpoint(&self) -> &Endpoint {
+        self.endpoint
+            .get_or_init(|| self.net.connect_anonymous(&self.prefix))
     }
 }
 

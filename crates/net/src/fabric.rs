@@ -6,17 +6,13 @@ use crate::fault::{
     ChaosTarget, FaultAction, FaultPolicy, FaultSchedule, LatencyModel, LinkOverride,
 };
 use crate::metrics::{CountersTable, MetricsSnapshot};
-use crate::transport::{
-    ConnectError, Endpoint, Inbox, Mailbox, RawEndpoint, RecvError, ReplyDemux, SendError,
-    Transport, TransportHandle,
-};
-use crossbeam::channel;
+use crate::transport::{ConnectError, Endpoint, NodeTable, SendError, Transport, TransportHandle};
 use parking_lot::{Condvar, Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selfserv_xml::Element;
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -107,18 +103,14 @@ struct DeliveryQueue {
 
 struct Inner {
     cfg: NetworkConfig,
-    /// Live delivery targets (mailbox + rpc reply demultiplexer per node).
-    nodes: RwLock<HashMap<NodeId, Inbox>>,
-    counters: CountersTable,
+    /// The connected nodes, their counters and the fabric's ids. A fabric
+    /// node has nothing to claim beyond its table entry.
+    table: Arc<NodeTable>,
     fault: RwLock<FaultPolicy>,
     /// Installed chaos schedule, consulted on every dispatch after the
     /// static fault policy.
     chaos: RwLock<Option<Arc<FaultSchedule>>>,
     rng: Mutex<StdRng>,
-    next_msg: AtomicU64,
-    next_anon: AtomicU64,
-    /// Replies discarded as stale (late/duplicate) across all nodes.
-    stale_replies: Arc<AtomicU64>,
     delivery: Arc<DeliveryQueue>,
     /// Whether the delivery thread exists. Spawned eagerly for non-instant
     /// latency models, lazily when a chaos schedule (whose delay/reorder/
@@ -149,13 +141,9 @@ impl Network {
         let inner = Arc::new(Inner {
             rng: Mutex::new(StdRng::seed_from_u64(cfg.seed)),
             cfg,
-            nodes: RwLock::new(HashMap::new()),
-            counters: CountersTable::new(),
+            table: Arc::new(NodeTable::new(CountersTable::new())),
             fault: RwLock::new(fault),
             chaos: RwLock::new(None),
-            next_msg: AtomicU64::new(1),
-            next_anon: AtomicU64::new(1),
-            stale_replies: Arc::new(AtomicU64::new(0)),
             delivery: Arc::new(DeliveryQueue::default()),
             delivery_started: AtomicBool::new(false),
         });
@@ -172,70 +160,45 @@ impl Network {
     /// counters are pruned on drop, which would silently lose a real
     /// node's metrics).
     pub fn connect(&self, name: impl Into<NodeId>) -> Result<Endpoint, ConnectError> {
-        let node = name.into();
-        if node.as_str().contains('~') {
-            return Err(ConnectError::ReservedName(node));
-        }
-        self.connect_node(node)
-    }
-
-    fn connect_node(&self, node: NodeId) -> Result<Endpoint, ConnectError> {
-        let (tx, rx) = channel::unbounded();
-        let demux = ReplyDemux::new(Arc::clone(&self.inner.stale_replies));
-        {
-            let mut nodes = self.inner.nodes.write();
-            if nodes.contains_key(&node) {
-                return Err(ConnectError::NameTaken(node));
-            }
-            nodes.insert(node.clone(), Inbox::new(tx, Arc::clone(&demux)));
-        }
-        self.inner.counters.for_node(&node);
-        let raw = FabricEndpoint {
-            node,
-            net: self.clone(),
-            mailbox: Mailbox::new(rx),
-        };
-        Ok(Endpoint::from_raw(
-            Box::new(raw),
-            TransportHandle::new(self.clone()),
-            demux,
-        ))
+        NodeTable::connect(
+            self.inner.table.clone(),
+            Transport::handle(self),
+            name.into(),
+        )
     }
 
     /// Connects a node with a generated unique name beginning with `prefix`
     /// (auxiliary identities: demo clients, control senders — the rpc path
     /// no longer creates ephemeral endpoints).
     pub fn connect_anonymous(&self, prefix: &str) -> Endpoint {
-        loop {
-            let n = self.inner.next_anon.fetch_add(1, Ordering::Relaxed);
-            if let Ok(ep) = self.connect_node(NodeId::new(format!("{prefix}~{n}"))) {
-                return ep;
-            }
-        }
+        NodeTable::connect_anonymous(
+            self.inner.table.clone(),
+            Transport::handle(self),
+            prefix,
+            None,
+        )
     }
 
     /// True when a node of this name is currently connected.
     pub fn is_connected(&self, name: &str) -> bool {
-        self.inner.nodes.read().contains_key(&NodeId::new(name))
+        self.inner.table.contains(&NodeId::new(name))
     }
 
     /// Names of all currently connected nodes, sorted.
     pub fn node_names(&self) -> Vec<NodeId> {
-        let mut names: Vec<NodeId> = self.inner.nodes.read().keys().cloned().collect();
-        names.sort();
-        names
+        self.inner.table.names()
     }
 
     /// Snapshot of all per-node counters, including those of the latest
     /// 4096 named nodes that disconnected; what earlier ones counted is
     /// summed under [`crate::DEPARTED_AGGREGATE`].
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.inner.counters.snapshot()
+        self.inner.table.counters.snapshot()
     }
 
     /// Resets all counters to zero.
     pub fn reset_metrics(&self) {
-        self.inner.counters.reset();
+        self.inner.table.counters.reset();
     }
 
     /// Kills a node: all traffic to and from it is dropped until
@@ -305,17 +268,13 @@ impl Network {
         }
     }
 
-    fn next_message_id(&self) -> MessageId {
-        MessageId(self.inner.next_msg.fetch_add(1, Ordering::Relaxed))
-    }
-
-    fn dispatch(&self, envelope: Envelope) -> Result<MessageId, SendError> {
-        let id = envelope.id;
+    fn dispatch(&self, envelope: Envelope) -> Result<(), SendError> {
         let from = envelope.from.clone();
         let to = envelope.to.clone();
         let size = envelope.wire_size();
 
-        if !self.inner.nodes.read().contains_key(&to) {
+        let counters = &self.inner.table.counters;
+        if !self.inner.table.contains(&to) {
             return Err(SendError::UnknownNode(to));
         }
         let latency = {
@@ -323,18 +282,18 @@ impl Network {
             if fault.is_dead(&from) {
                 return Err(SendError::SenderDead(from));
             }
-            self.inner.counters.for_node(&from).record_send(size);
+            counters.for_node(&from).record_send(size);
             if fault.is_blocked(&from, &to) {
-                self.inner.counters.for_node(&to).record_drop();
-                return Ok(id);
+                counters.for_node(&to).record_drop();
+                return Ok(());
             }
             let link = fault.link(&from, &to);
             let p = link
                 .and_then(|l| l.drop_probability)
                 .unwrap_or(fault.drop_probability);
             if p > 0.0 && self.inner.rng.lock().gen::<f64>() < p {
-                self.inner.counters.for_node(&to).record_drop();
-                return Ok(id);
+                counters.for_node(&to).record_drop();
+                return Ok(());
             }
             link.and_then(|l| l.latency)
                 .unwrap_or(self.inner.cfg.latency)
@@ -351,12 +310,12 @@ impl Network {
             .map(|s| s.decide(&from, &to, &envelope.kind));
         match chaos_action {
             Some(FaultAction::Drop) => {
-                self.inner.counters.for_node(&to).record_drop();
-                return Ok(id);
+                counters.for_node(&to).record_drop();
+                return Ok(());
             }
             Some(FaultAction::Delay(d)) | Some(FaultAction::Reorder(d)) => {
                 self.schedule_delayed(envelope, size, d);
-                return Ok(id);
+                return Ok(());
             }
             Some(FaultAction::Duplicate(d)) => {
                 self.schedule_delayed(envelope.clone(), size, d);
@@ -375,7 +334,7 @@ impl Network {
         } else {
             self.schedule_delayed(envelope, size, delay);
         }
-        Ok(id)
+        Ok(())
     }
 
     fn schedule_delayed(&self, envelope: Envelope, size: usize, delay: Duration) {
@@ -393,25 +352,14 @@ impl Network {
         // Re-check death at delivery time: a node killed while the message
         // was in flight never sees it.
         if self.inner.fault.read().is_dead(&to) {
-            self.inner.counters.for_delivery_drop(&to).record_drop();
+            self.inner
+                .table
+                .counters
+                .for_delivery_drop(&to)
+                .record_drop();
             return;
         }
-        // Hold the nodes lock across record + deliver: endpoint Drop needs
-        // the write lock to deregister, so while we hold the read lock the
-        // inbox cannot disappear (the delivery is infallible) and the
-        // receiver cannot consume the message, disconnect, and fold its
-        // ephemeral counters before the receive is recorded.
-        let nodes = self.inner.nodes.read();
-        match nodes.get(&to) {
-            Some(inbox) => {
-                self.inner.counters.for_node(&to).record_receive(size);
-                let _ = inbox.deliver(envelope);
-            }
-            None => {
-                drop(nodes);
-                self.inner.counters.for_delivery_drop(&to).record_drop();
-            }
-        }
+        self.inner.table.deliver(&to, envelope, size);
     }
 }
 
@@ -459,69 +407,6 @@ fn spawn_delivery_thread(inner: Weak<Inner>, queue: Arc<DeliveryQueue>) {
         .expect("spawn delivery thread");
 }
 
-/// The fabric's raw endpoint: a registered mailbox plus a handle back to
-/// the [`Network`] for dispatch. Wrapped by the transport-agnostic
-/// [`Endpoint`].
-struct FabricEndpoint {
-    node: NodeId,
-    net: Network,
-    mailbox: Mailbox,
-}
-
-impl RawEndpoint for FabricEndpoint {
-    fn node(&self) -> &NodeId {
-        &self.node
-    }
-
-    fn send(
-        &self,
-        to: NodeId,
-        kind: String,
-        body: Element,
-        correlation: Option<MessageId>,
-    ) -> Result<MessageId, SendError> {
-        let envelope = Envelope {
-            id: self.net.next_message_id(),
-            from: self.node.clone(),
-            to,
-            kind,
-            correlation,
-            body,
-        };
-        self.net.dispatch(envelope)
-    }
-
-    fn recv(&self) -> Result<Envelope, RecvError> {
-        self.mailbox.recv()
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
-        self.mailbox.recv_timeout(timeout)
-    }
-
-    fn try_recv(&self) -> Option<Envelope> {
-        self.mailbox.try_recv()
-    }
-
-    fn pending(&self) -> usize {
-        self.mailbox.pending()
-    }
-}
-
-impl Drop for FabricEndpoint {
-    fn drop(&mut self) {
-        let inner = &self.net.inner;
-        inner.nodes.write().remove(&self.node);
-        // `nodes` before `counters`, as `deliver_now` takes them, and held
-        // across the call: no name can connect between the table asking
-        // about it and folding it.
-        let nodes = inner.nodes.read();
-        inner
-            .counters
-            .depart(&self.node, |name| nodes.contains_key(name));
-    }
-}
-
 impl ChaosTarget for Network {
     fn crash(&self, node: &NodeId) {
         Network::kill(self, node);
@@ -550,7 +435,7 @@ impl Transport for Network {
     }
 
     fn next_message_id(&self) -> MessageId {
-        Network::next_message_id(self)
+        self.inner.table.next_message_id()
     }
 
     fn send_prepared(
@@ -570,7 +455,7 @@ impl Transport for Network {
             correlation,
             body,
         };
-        self.dispatch(envelope).map(|_| ())
+        self.dispatch(envelope)
     }
 
     fn revive(&self, node: &NodeId) {

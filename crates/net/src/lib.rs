@@ -68,8 +68,8 @@ pub use metrics::{
 pub use replica::ReplicaSet;
 pub use tcp::TcpTransport;
 pub use transport::{
-    ConnectError, Endpoint, NodeSender, RawEndpoint, RecvError, ReplyDemux, RpcError, SendError,
-    Transport, TransportHandle,
+    ConnectError, Endpoint, NodeSender, RecvError, ReplyDemux, RpcError, SendError, Transport,
+    TransportHandle,
 };
 
 #[cfg(test)]

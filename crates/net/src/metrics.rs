@@ -90,10 +90,9 @@ impl CountersTable {
     /// Records that `node` disconnected. `still_connected` is asked about
     /// the named node this pushes past the bound, under the table's write
     /// lock: a name that came back is live and keeps its entry. The caller
-    /// makes that answer stable against a concurrent connect — the fabric
-    /// by holding its `nodes` lock across the call (`nodes` before
-    /// `counters`, as its delivery path takes them), a hub by binding the
-    /// name in its directory before it asks for the name's counters.
+    /// makes that answer stable against a concurrent connect: the node
+    /// table holds its own write lock across the call (the node table
+    /// before the counters, as its delivery path takes them).
     pub(crate) fn depart(&self, node: &NodeId, still_connected: impl Fn(&NodeId) -> bool) {
         if node.as_str().contains('~') {
             fold_into(&mut self.map.write(), node, EPHEMERAL_AGGREGATE);

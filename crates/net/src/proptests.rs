@@ -1,8 +1,8 @@
 //! Property tests for the fabric: envelope codec totality, delivery
 //! conservation, determinism under seeded loss, rpc reply demultiplexing
-//! under adversarial request/reply interleavings, per-connection frame
-//! ordering on the queued TCP write path, and the replicated-table laws
-//! for directory rows.
+//! under adversarial request/reply interleavings on either transport, one
+//! node lifecycle on both transports, per-connection frame ordering on the
+//! queued TCP write path, and the replicated-table laws for directory rows.
 
 use crate::{
     DirectoryEntry, Envelope, HubId, MessageId, Network, NetworkConfig, NodeId, PeerClaim,
@@ -179,22 +179,27 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Reply demultiplexing under arbitrary request/reply schedules: a
-    /// batch of concurrent rpcs from ONE endpoint is answered in a
-    /// generated order, with uncorrelated noise messages and duplicate
-    /// (stale) replies interleaved. Every rpc must get exactly its own
-    /// reply, every noise message must surface via `recv`, and no
+    /// Reply demultiplexing under arbitrary request/reply schedules, on
+    /// either transport: a batch of concurrent rpcs from ONE endpoint is
+    /// answered in a generated order, with uncorrelated noise messages and
+    /// duplicate (stale) replies interleaved. Every rpc must get exactly
+    /// its own reply, every noise message must surface via `recv`, and no
     /// duplicate may leak anywhere.
     #[test]
     fn interleaved_rpc_schedules_never_cross(
+        tcp in any::<bool>(),
         n_rpcs in 1usize..6,
         picks in proptest::collection::vec(any::<usize>(), 6),
         noise in proptest::collection::vec(any::<bool>(), 6),
         dups in proptest::collection::vec(any::<bool>(), 6),
     ) {
-        let net = Network::new(NetworkConfig::instant());
-        let client = net.connect("client").unwrap();
-        let server = net.connect("server").unwrap();
+        let net = if tcp {
+            TcpTransport::new().handle()
+        } else {
+            Network::new(NetworkConfig::instant()).handle()
+        };
+        let client = net.connect(NodeId::new("client")).unwrap();
+        let server = net.connect(NodeId::new("server")).unwrap();
         let expected_noise: usize = noise[..n_rpcs].iter().filter(|b| **b).count();
 
         let server_thread = std::thread::spawn(move || {
@@ -219,14 +224,17 @@ proptest! {
                 done.push(req);
                 if dups[slot] {
                     // Duplicate reply to an already-answered request: must
-                    // be swallowed by the demux (pending slot or stale
-                    // ring), never delivered to recv.
+                    // be discarded by the demux as stale, never delivered
+                    // to recv.
                     let stale = &done[picks[slot] % done.len()];
                     server
                         .reply(stale, "pong", Element::new("dup"))
                         .unwrap();
                 }
             }
+            // Delivery is in send order per sender on both transports, so
+            // once this arrives everything above it has been routed.
+            server.send("client", "end", Element::new("end")).unwrap();
         });
 
         std::thread::scope(|s| {
@@ -251,16 +259,173 @@ proptest! {
         });
         server_thread.join().unwrap();
 
-        // Exactly the noise messages reach recv — no duplicates, no
-        // replies. (All sends on an instant fabric complete inline, so
-        // after join the mailbox is settled.)
+        // Exactly the noise messages reach recv before the end marker — no
+        // duplicates, no replies. Over TCP they are still in flight after
+        // the join, so wait for them rather than assume an instant mailbox.
         let mut got_noise = 0;
-        while let Some(env) = client.try_recv() {
+        loop {
+            let env = client
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the end marker arrives");
+            if env.kind == "end" {
+                break;
+            }
             prop_assert_eq!(&env.kind, "noise", "unexpected mailbox leak");
             got_noise += 1;
         }
         prop_assert_eq!(got_noise, expected_noise);
+        prop_assert!(client.try_recv().is_none());
         prop_assert_eq!(client.demux().pending_rpcs(), 0);
+    }
+}
+
+/// One step of a node's life, as [`node_lifecycle_is_the_same_on_both_transports`]
+/// generates them. Indices pick among the endpoints held (or dropped) so
+/// far, modulo their number.
+#[derive(Debug, Clone)]
+enum LifeOp {
+    /// Connect `n<i>`.
+    Connect(usize),
+    /// Connect `n<i>~x` — a reserved name.
+    ConnectReserved(usize),
+    /// Connect an anonymous `anon~…` node.
+    ConnectAnonymous,
+    /// Drop a held endpoint.
+    Drop(usize),
+    /// Send from a held endpoint to a held endpoint.
+    SendToLive(usize, usize),
+    /// Send from a held endpoint to a dropped endpoint's name.
+    SendToDropped(usize, usize),
+    /// Send from a held endpoint to `n<i>`, connected or not.
+    SendToName(usize, usize),
+}
+
+const LIFE_NAMES: usize = 4;
+
+fn arb_life_op() -> impl Strategy<Value = LifeOp> {
+    prop_oneof![
+        (0..LIFE_NAMES).prop_map(LifeOp::Connect),
+        (0..LIFE_NAMES).prop_map(LifeOp::ConnectReserved),
+        Just(LifeOp::ConnectAnonymous),
+        any::<usize>().prop_map(LifeOp::Drop),
+        (any::<usize>(), any::<usize>()).prop_map(|(a, b)| LifeOp::SendToLive(a, b)),
+        (any::<usize>(), any::<usize>()).prop_map(|(a, b)| LifeOp::SendToDropped(a, b)),
+        (any::<usize>(), 0..LIFE_NAMES).prop_map(|(a, b)| LifeOp::SendToName(a, b)),
+    ]
+}
+
+/// One node's `(name, sent, received, dropped)` messages.
+type NodeCounts = (String, u64, u64, u64);
+
+/// Runs `ops` on `net` and returns what every step answered, then — with
+/// every endpoint dropped and every message accounted for — the per-node
+/// counts, aggregates included.
+fn run_life(net: &dyn Transport, ops: &[LifeOp]) -> (Vec<String>, Vec<NodeCounts>) {
+    fn outcome<T, E: std::fmt::Debug>(r: &Result<T, E>) -> String {
+        match r {
+            Ok(_) => "ok".to_string(),
+            // The variant, not the name it carries: anonymous names differ
+            // between transports.
+            Err(e) => format!("{e:?}").split('(').next().unwrap().to_string(),
+        }
+    }
+    // A send is accounted once it is counted as received or dropped; wait
+    // for that after every step, so the TCP reader's delivery lands where
+    // the instant fabric's does — before the next step can drop the node.
+    let quiesce = || {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let m = net.metrics();
+            if m.total_sent() == m.total_received() + m.total_dropped()
+                || std::time::Instant::now() > deadline
+            {
+                return;
+            }
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    };
+    let mut held: Vec<crate::Endpoint> = Vec::new();
+    let mut dropped: Vec<NodeId> = Vec::new();
+    let mut trace = Vec::new();
+    for op in ops {
+        let step = match op {
+            LifeOp::Connect(i) => {
+                let r = net.connect(NodeId::new(format!("n{i}")));
+                let o = outcome(&r);
+                held.extend(r.ok());
+                o
+            }
+            LifeOp::ConnectReserved(i) => outcome(&net.connect(NodeId::new(format!("n{i}~x")))),
+            LifeOp::ConnectAnonymous => {
+                held.push(net.connect_anonymous("anon"));
+                "ok".to_string()
+            }
+            LifeOp::Drop(k) if !held.is_empty() => {
+                let endpoint = held.remove(k % held.len());
+                dropped.push(endpoint.node().clone());
+                "dropped".to_string()
+            }
+            LifeOp::SendToLive(a, b) if !held.is_empty() => {
+                let to = held[b % held.len()].node().clone();
+                outcome(&held[a % held.len()].send(to, "x", Element::new("b")))
+            }
+            LifeOp::SendToDropped(a, b) if !held.is_empty() && !dropped.is_empty() => {
+                let to = dropped[b % dropped.len()].clone();
+                outcome(&held[a % held.len()].send(to, "x", Element::new("b")))
+            }
+            LifeOp::SendToName(a, i) if !held.is_empty() => {
+                outcome(&held[a % held.len()].send(format!("n{i}"), "x", Element::new("b")))
+            }
+            _ => "skip".to_string(),
+        };
+        quiesce();
+        let connected: Vec<bool> = (0..LIFE_NAMES)
+            .map(|i| net.is_connected(&format!("n{i}")))
+            .chain(held.iter().map(|e| net.is_connected(e.node().as_str())))
+            .chain(dropped.iter().map(|n| net.is_connected(n.as_str())))
+            .collect();
+        trace.push(format!("{op:?} -> {step} {connected:?}"));
+    }
+    drop(held);
+    let m = net.metrics();
+    let counts = m
+        .nodes
+        .iter()
+        .map(|n| {
+            (
+                n.node.as_str().to_string(),
+                n.sent,
+                n.received,
+                n.dropped_inbound,
+            )
+        })
+        .collect();
+    (trace, counts)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A node's life — connect, reserved-name connect, anonymous connect,
+    /// drop, reconnect, sends to live, dropped and never-connected names —
+    /// is the same on the fabric and on a TCP hub: every step answers the
+    /// same, local `is_connected` agrees after every step, and once every
+    /// endpoint is dropped and every message accounted for, both report
+    /// the same per-node message counts, with sent = received + dropped,
+    /// aggregates included.
+    #[test]
+    fn node_lifecycle_is_the_same_on_both_transports(
+        ops in proptest::collection::vec(arb_life_op(), 1..24),
+    ) {
+        let fabric = Network::new(NetworkConfig::instant());
+        let hub = TcpTransport::new();
+        let (fabric_trace, fabric_counts) = run_life(&fabric, &ops);
+        let (hub_trace, hub_counts) = run_life(&hub, &ops);
+        prop_assert_eq!(fabric_trace, hub_trace);
+        prop_assert_eq!(&fabric_counts, &hub_counts);
+        let m = hub.metrics();
+        prop_assert_eq!(m.total_sent(), m.total_received() + m.total_dropped());
+        prop_assert_eq!(m.total_dropped(), 0);
     }
 }
 

@@ -38,20 +38,18 @@
 
 use crate::directory::{DirectoryEntry, HubId, PeerClaim, PeerDirectory};
 use crate::envelope::{Envelope, MessageId, NodeId};
-use crate::metrics::{CountersTable, MetricsSnapshot, NodeCounters};
+use crate::metrics::{CountersTable, MetricsSnapshot};
 use crate::transport::{
-    ConnectError, Endpoint, Inbox, Mailbox, RawEndpoint, RecvError, ReplyDemux, SendError,
-    Transport, TransportHandle,
+    ConnectError, Endpoint, NodeHome, NodeTable, SendError, Transport, TransportHandle,
 };
 use crate::writer::{ConnQueue, IoCounters};
-use crossbeam::channel;
 use parking_lot::{Mutex, RwLock};
 use selfserv_xml::Element;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -196,41 +194,19 @@ enum FrameSendError {
 /// [`TcpTransport::set_unaddressed_recipient`].
 const UNADDRESSED: &str = "?";
 
-/// A node connected on a hub, as the hub's readers see it.
-struct LocalNode {
-    inbox: Inbox,
-    counters: Arc<NodeCounters>,
-}
-
-/// The nodes connected on a hub, by name, and the one declared to receive
-/// frames sent by address.
-#[derive(Default)]
-struct NodeTable {
-    /// Shared, so a reader takes its target out of the read lock with
-    /// one reference count.
-    nodes: HashMap<NodeId, Arc<LocalNode>>,
-    unaddressed: Option<NodeId>,
-}
-
-impl NodeTable {
-    /// The node a frame addressed to `to` is for, if it is connected here.
-    fn resolve(&self, to: &NodeId) -> Option<&Arc<LocalNode>> {
-        let name = if to.as_str() == UNADDRESSED {
-            self.unaddressed.as_ref()?
-        } else {
-            to
-        };
-        self.nodes.get(name)
-    }
-}
-
-/// A hub's receive side, shared by its accept thread and its readers. It
-/// is kept apart from [`Hub`] so those threads never keep the hub alive:
-/// the hub's drop is what stops them.
+/// A hub's receive side, shared by its accept thread and its readers, and
+/// the home of the nodes connected on the hub. It is kept apart from
+/// [`Hub`] so those threads never keep the hub alive: the hub's drop is
+/// what stops them.
 struct Receiver {
     directory: PeerDirectory,
-    counters: Arc<CountersTable>,
-    table: RwLock<NodeTable>,
+    /// The nodes connected on the hub, their counters and the hub's ids.
+    table: NodeTable,
+    /// The hub's listener address, which every local name is bound to;
+    /// set when the listener binds, before the first node connects.
+    addr: OnceLock<SocketAddr>,
+    /// The node declared to receive frames sent by address.
+    unaddressed: RwLock<Option<NodeId>>,
     /// A handle on every open inbound connection, by peer address, so hub
     /// drop can shut them down and their readers exit.
     inbound: Mutex<HashMap<SocketAddr, TcpStream>>,
@@ -247,17 +223,47 @@ impl Receiver {
             self.directory
                 .merge_entry(frame.envelope.from.clone(), claim);
         }
-        let target = self.table.read().resolve(&frame.envelope.to).cloned();
-        match target {
-            Some(node) => {
-                node.counters.record_receive(frame.size);
-                // An endpoint that dropped since the lookup loses the frame.
-                let _ = node.inbox.deliver(frame.envelope);
+        let mut to = frame.envelope.to.clone();
+        if to.as_str() == UNADDRESSED {
+            if let Some(recipient) = self.unaddressed.read().clone() {
+                to = recipient;
             }
-            None => self
-                .counters
-                .for_delivery_drop(&frame.envelope.to)
-                .record_drop(),
+        }
+        self.table.deliver(&to, frame.envelope, frame.size);
+    }
+}
+
+impl NodeHome for Receiver {
+    fn table(&self) -> &NodeTable {
+        &self.table
+    }
+
+    /// Binds the name to the hub's listener in the directory: a name live
+    /// there — connected here, or claimed by a remote hub — is taken. A
+    /// reader resolving the name waits for the table entry rather than
+    /// dropping a frame sent the moment the directory published it.
+    fn claim(&self, name: &NodeId) -> Result<(), ConnectError> {
+        let addr = *self
+            .addr
+            .get()
+            .expect("a hub listens before a node connects");
+        self.directory
+            .bind_local(name.clone(), addr)
+            .map_err(|_| ConnectError::NameTaken(name.clone()))
+    }
+
+    /// Ends the node's role as the unaddressed recipient, if it held it,
+    /// and tombstones its directory entry (only if it still points at this
+    /// hub — a remote claim may have replaced it), so the departure gossips
+    /// like any other directory change. The pooled connections stay: they
+    /// carry every other node's traffic too.
+    fn release(&self, name: &NodeId) {
+        let mut unaddressed = self.unaddressed.write();
+        if unaddressed.as_ref() == Some(name) {
+            *unaddressed = None;
+        }
+        if let Some(addr) = self.addr.get() {
+            self.directory.remove_local(name, *addr);
         }
     }
 }
@@ -288,10 +294,7 @@ struct Hub {
     /// [`TcpTransport::register_peer`], piggybacked sender claims, and
     /// `selfserv-discovery`'s handshake/gossip merge remote claims in.
     directory: PeerDirectory,
-    /// Per-node traffic counters; persist after disconnect within the
-    /// table's bound, like the fabric's.
-    counters: Arc<CountersTable>,
-    /// Where inbound frames are delivered.
+    /// Where inbound frames are delivered, and the hub's node table.
     receiver: Arc<Receiver>,
     /// The hub's one listener, bound at the first connect.
     listener: Mutex<Option<Listener>>,
@@ -307,16 +310,11 @@ struct Hub {
     pool: Mutex<HashMap<SocketAddr, Arc<ConnQueue>>>,
     /// Hub-wide data-plane counters ([`MetricsSnapshot::io`]).
     io: Arc<IoCounters>,
-    /// Replies discarded as stale (late or duplicate) by any local
-    /// endpoint's demux — the hub's duplicate-traffic signal.
-    stale_replies: Arc<AtomicU64>,
-    next_msg: AtomicU64,
-    next_anon: AtomicU64,
 }
 
 impl Hub {
-    fn next_id(&self) -> MessageId {
-        MessageId(self.next_msg.fetch_add(1, Ordering::Relaxed))
+    fn table(&self) -> &NodeTable {
+        &self.receiver.table
     }
 
     /// The hub's listener address, binding the listener and starting its
@@ -328,6 +326,7 @@ impl Hub {
         }
         let socket = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = socket.local_addr()?;
+        let _ = self.receiver.addr.set(addr);
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&shutdown);
         let receiver = Arc::clone(&self.receiver);
@@ -368,7 +367,7 @@ impl Hub {
         kind: String,
         body: Element,
         correlation: Option<MessageId>,
-    ) -> Result<MessageId, SendError> {
+    ) -> Result<(), SendError> {
         let addr = match self.directory.lookup(&to) {
             Some(a) => a,
             None => return Err(SendError::UnknownNode(to)),
@@ -382,7 +381,7 @@ impl Hub {
             body,
         };
         match self.send_envelope(addr, &envelope) {
-            Ok(()) => Ok(envelope.id),
+            Ok(()) => Ok(()),
             Err(FrameSendError::Oversized(len)) => Err(SendError::Transport(oversized(len))),
             Err(FrameSendError::Io(e)) => {
                 // An unreachable *ephemeral* destination learned from a
@@ -415,7 +414,10 @@ impl Hub {
         let mut payload = Vec::with_capacity(len);
         envelope.write_wire(stamp, &mut payload);
         self.send_frame(addr, payload).map_err(FrameSendError::Io)?;
-        self.counters.for_node(&envelope.from).record_send(len);
+        self.table()
+            .counters
+            .for_node(&envelope.from)
+            .record_send(len);
         Ok(())
     }
 
@@ -484,24 +486,20 @@ impl TcpTransport {
 
     fn with_counters(counters: CountersTable) -> Self {
         let directory = PeerDirectory::new(HubId::generate());
-        let counters = Arc::new(counters);
         let receiver = Arc::new(Receiver {
             directory: directory.clone(),
-            counters: Arc::clone(&counters),
-            table: RwLock::new(NodeTable::default()),
+            table: NodeTable::new(counters),
+            addr: OnceLock::new(),
+            unaddressed: RwLock::new(None),
             inbound: Mutex::new(HashMap::new()),
         });
         TcpTransport {
             hub: Arc::new(Hub {
                 directory,
-                counters,
                 receiver,
                 listener: Mutex::new(None),
                 pool: Mutex::new(HashMap::new()),
                 io: Arc::new(IoCounters::default()),
-                stale_replies: Arc::new(AtomicU64::new(0)),
-                next_msg: AtomicU64::new(1),
-                next_anon: AtomicU64::new(1),
             }),
         }
     }
@@ -541,7 +539,7 @@ impl TcpTransport {
     /// Replies discarded as stale (late or duplicate replies to retired
     /// rpcs) by any local endpoint since the hub started.
     pub fn stale_replies_dropped(&self) -> u64 {
-        self.hub.stale_replies.load(Ordering::Relaxed)
+        self.hub.table().stale_replies()
     }
 
     /// Registers the hub's transport metrics on `registry`: data-plane I/O
@@ -597,28 +595,28 @@ impl TcpTransport {
             "selfserv_transport_stale_replies_total",
             "Replies discarded as stale (late or duplicate) by local endpoints.",
             labels,
-            move || hub.stale_replies.load(Ordering::Relaxed),
+            move || hub.table().stale_replies(),
         );
         let hub = Arc::clone(&self.hub);
         registry.counter_fn(
             "selfserv_node_messages_sent_total",
             "Messages sent by all local nodes.",
             labels,
-            move || hub.counters.total(|c| &c.sent),
+            move || hub.table().counters.total(|c| &c.sent),
         );
         let hub = Arc::clone(&self.hub);
         registry.counter_fn(
             "selfserv_node_messages_received_total",
             "Messages received by all local nodes.",
             labels,
-            move || hub.counters.total(|c| &c.received),
+            move || hub.table().counters.total(|c| &c.received),
         );
         let hub = Arc::clone(&self.hub);
         registry.counter_fn(
             "selfserv_node_messages_dropped_total",
             "Inbound messages lost before delivery across all local nodes.",
             labels,
-            move || hub.counters.total(|c| &c.dropped_inbound),
+            move || hub.table().counters.total(|c| &c.dropped_inbound),
         );
     }
 
@@ -700,7 +698,7 @@ impl TcpTransport {
         body: Element,
     ) -> std::io::Result<MessageId> {
         let envelope = Envelope {
-            id: self.hub.next_id(),
+            id: self.hub.table().next_message_id(),
             from: from.clone(),
             to: NodeId::new(UNADDRESSED),
             kind: kind.into(),
@@ -720,41 +718,7 @@ impl TcpTransport {
     /// what seeds greet. The declaration lasts until that node's endpoint
     /// drops; while none stands, such frames are counted as dropped.
     pub fn set_unaddressed_recipient(&self, node: &NodeId) {
-        self.hub.receiver.table.write().unaddressed = Some(node.clone());
-    }
-
-    fn connect_node(&self, name: NodeId) -> Result<Endpoint, ConnectError> {
-        let addr = match self.hub.listen() {
-            Ok(addr) => addr,
-            Err(e) => return Err(ConnectError::Bind(name, e)),
-        };
-        let (tx, rx) = channel::unbounded();
-        let demux = ReplyDemux::new(Arc::clone(&self.hub.stale_replies));
-        {
-            // Bound and entered under the table's write lock: a reader
-            // resolving the name waits for the entry rather than dropping
-            // a frame sent the moment the directory published the name.
-            let mut table = self.hub.receiver.table.write();
-            if self.hub.directory.bind_local(name.clone(), addr).is_err() {
-                return Err(ConnectError::NameTaken(name));
-            }
-            let node = Arc::new(LocalNode {
-                inbox: Inbox::new(tx, Arc::clone(&demux)),
-                counters: self.hub.counters.for_node(&name),
-            });
-            table.nodes.insert(name.clone(), node);
-        }
-        let raw = TcpRawEndpoint {
-            node: name,
-            hub: Arc::clone(&self.hub),
-            addr,
-            mailbox: Mailbox::new(rx),
-        };
-        Ok(Endpoint::from_raw(
-            Box::new(raw),
-            TransportHandle::new(self.clone()),
-            demux,
-        ))
+        *self.hub.receiver.unaddressed.write() = Some(node.clone());
     }
 }
 
@@ -770,33 +734,30 @@ impl crate::fault::ChaosTarget for TcpTransport {
 
 impl Transport for TcpTransport {
     fn connect(&self, name: NodeId) -> Result<Endpoint, ConnectError> {
-        // `~` is reserved for transport-generated ephemeral endpoints
-        // (their counters are pruned on drop, which would silently lose a
-        // real node's metrics).
-        if name.as_str().contains('~') {
-            return Err(ConnectError::ReservedName(name));
+        if let Err(e) = self.hub.listen() {
+            return Err(ConnectError::Bind(name, e));
         }
-        self.connect_node(name)
+        NodeTable::connect(self.hub.receiver.clone(), self.handle(), name)
     }
 
     fn connect_anonymous(&self, prefix: &str) -> Endpoint {
+        // Only the hub's first connect binds a socket; this signature has
+        // no way to report that it could not.
+        if let Err(e) = self.hub.listen() {
+            panic!("could not provision an endpoint for an anonymous '{prefix}' node: {e}");
+        }
         // The name embeds the hub id: every frame piggybacks its sender's
         // directory claim, so two hubs whose anonymous counters both
         // minted `client~1` would collide in a *receiving* hub's
         // directory and misroute one side's rpc replies. Per-hub counters
         // are only unique per hub; the hub id makes them global.
-        let hub_id = self.hub.directory.hub();
-        loop {
-            let n = self.hub.next_anon.fetch_add(1, Ordering::Relaxed);
-            match self.connect_node(NodeId::new(format!("{prefix}~{hub_id}-{n}"))) {
-                Ok(ep) => return ep,
-                // Collision (e.g. a peer registration): next counter.
-                Err(ConnectError::NameTaken(_) | ConnectError::ReservedName(_)) => {}
-                // Only the hub's first connect binds a socket; this
-                // signature has no way to report that it could not.
-                Err(e @ ConnectError::Bind(..)) => panic!("{e}"),
-            }
-        }
+        let hub_id = self.hub.directory.hub().to_string();
+        NodeTable::connect_anonymous(
+            self.hub.receiver.clone(),
+            self.handle(),
+            prefix,
+            Some(&hub_id),
+        )
     }
 
     fn is_connected(&self, name: &str) -> bool {
@@ -808,7 +769,7 @@ impl Transport for TcpTransport {
     }
 
     fn next_message_id(&self) -> MessageId {
-        self.hub.next_id()
+        self.hub.table().next_message_id()
     }
 
     fn send_prepared(
@@ -820,96 +781,22 @@ impl Transport for TcpTransport {
         body: Element,
         correlation: Option<MessageId>,
     ) -> Result<(), SendError> {
-        self.hub
-            .dispatch(id, from, to, kind, body, correlation)
-            .map(|_| ())
+        self.hub.dispatch(id, from, to, kind, body, correlation)
     }
 
     fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = self.hub.counters.snapshot();
+        let mut snap = self.hub.table().counters.snapshot();
         snap.io = self.hub.io.snapshot();
         snap
     }
 
     fn reset_metrics(&self) {
-        self.hub.counters.reset();
+        self.hub.table().counters.reset();
         self.hub.io.reset();
     }
 
     fn handle(&self) -> TransportHandle {
         TransportHandle::new(self.clone())
-    }
-}
-
-struct TcpRawEndpoint {
-    node: NodeId,
-    hub: Arc<Hub>,
-    /// The hub's listener address, which the node's name is bound to.
-    addr: SocketAddr,
-    mailbox: Mailbox,
-}
-
-impl RawEndpoint for TcpRawEndpoint {
-    fn node(&self) -> &NodeId {
-        &self.node
-    }
-
-    fn send(
-        &self,
-        to: NodeId,
-        kind: String,
-        body: Element,
-        correlation: Option<MessageId>,
-    ) -> Result<MessageId, SendError> {
-        let id = self.hub.next_id();
-        self.hub
-            .dispatch(id, &self.node, to, kind, body, correlation)
-    }
-
-    fn recv(&self) -> Result<Envelope, RecvError> {
-        self.mailbox.recv()
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
-        self.mailbox.recv_timeout(timeout)
-    }
-
-    fn try_recv(&self) -> Option<Envelope> {
-        self.mailbox.try_recv()
-    }
-
-    fn pending(&self) -> usize {
-        self.mailbox.pending()
-    }
-}
-
-impl Drop for TcpRawEndpoint {
-    fn drop(&mut self) {
-        // Stop deliveries and free the name in one step under the table
-        // lock, so a reconnect under the same name cannot slip in between:
-        // the entry leaves the table (with the unaddressed-recipient role,
-        // if it held it), and the directory entry is tombstoned (only if
-        // it still points at this hub — a remote claim may have replaced
-        // it), so the departure gossips like any other directory change.
-        // The pooled connections stay: they carry every other node's
-        // traffic too.
-        {
-            let mut table = self.hub.receiver.table.write();
-            table.nodes.remove(&self.node);
-            if table.unaddressed.as_ref() == Some(&self.node) {
-                table.unaddressed = None;
-            }
-            self.hub.directory.remove_local(&self.node, self.addr);
-        }
-        // The name is unbound above, and `connect_node` binds a name before
-        // it asks for its counters: a name the table sees bound here keeps
-        // its entry.
-        let directory = &self.hub.directory;
-        self.hub.counters.depart(&self.node, |name| {
-            directory
-                .entry(name.as_str())
-                .is_some_and(|e| !e.evicted && e.value.owner == directory.hub())
-        });
     }
 }
 

@@ -13,22 +13,25 @@
 //! * [`TransportHandle`] — a cheap owned `Arc<dyn Transport>`.
 //!
 //! Request/response ([`Endpoint::rpc`] / [`NodeSender::rpc`]) rides the
-//! caller's *persistent* endpoint: each rpc registers its request id in
-//! the endpoint's [`ReplyDemux`] before the request leaves, the request
-//! carries the caller's own node name as the reply address, and the
-//! transport's delivery path routes the correlated reply straight into the
-//! waiting rpc's slot. Concurrent rpcs from one node never cross (each id
-//! has its own slot), late replies to finished rpcs are discarded, and
-//! uncorrelated traffic — plus correlated traffic nobody rpc'd for, e.g. a
-//! component's hand-rolled request/reply bookkeeping — still flows to
-//! [`Endpoint::recv`]. No per-call endpoints, listeners, or threads are
-//! created on this path on any transport.
+//! caller's *persistent* endpoint: each rpc registers a one-shot
+//! continuation under its request id in the endpoint's [`ReplyDemux`]
+//! before the request leaves, the request carries the caller's own node
+//! name as the reply address, and the transport's delivery path hands the
+//! correlated reply straight to that continuation. A blocking rpc's
+//! continuation feeds the channel it waits on; `selfserv-runtime`'s
+//! `rpc_async` registers one that resumes a node state machine, so no
+//! thread is parked for the round trip. Concurrent rpcs from one node
+//! never cross (each id has its own continuation), late replies to
+//! finished rpcs are discarded, and uncorrelated traffic — plus correlated
+//! traffic nobody rpc'd for, e.g. a component's hand-rolled request/reply
+//! bookkeeping — still flows to [`Endpoint::recv`]. No per-call endpoints,
+//! listeners, or threads are created on this path on any transport.
 //!
-//! The demux also supports a **continuation-passing** rpc shape: instead
-//! of a slot somebody blocks on, [`ReplyDemux::register_handler`] installs
-//! a one-shot callback the delivery path runs with the correlated reply —
-//! the hook `selfserv-runtime`'s `rpc_async` uses to resume a node state
-//! machine without parking any thread for the round trip.
+//! A connected node exists once, whatever the wire: every transport
+//! enters its nodes in the crate-private node table, which claims the
+//! name, holds the mailbox and counters, delivers, and takes the node out
+//! when its [`Endpoint`] drops. A transport only says where a name is
+//! claimed and how an envelope travels.
 //!
 //! Two first-class implementations ship with this crate: the in-process
 //! simulation fabric ([`crate::Network`]) and real TCP sockets
@@ -37,8 +40,8 @@
 //! seam, so the same composite service executes unchanged over either.
 
 use crate::envelope::{Envelope, MessageId, NodeId};
-use crate::metrics::MetricsSnapshot;
-use parking_lot::Mutex;
+use crate::metrics::{CountersTable, MetricsSnapshot, NodeCounters};
+use parking_lot::{Mutex, RwLock};
 use selfserv_xml::Element;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -199,8 +202,8 @@ pub trait Transport: Send + Sync {
     /// Reserves a transport-unique message id without sending anything.
     ///
     /// The rpc path pairs this with [`Transport::send_prepared`]: the
-    /// reply slot must be registered under the request id *before* the
-    /// request reaches the wire, or a fast responder's reply could race
+    /// reply continuation must be registered under the request id *before*
+    /// the request reaches the wire, or a fast responder's reply could race
     /// past the registration and be misrouted.
     fn next_message_id(&self) -> MessageId;
 
@@ -283,27 +286,28 @@ impl fmt::Debug for TransportHandle {
 /// recognized and discarded instead of leaking into [`Endpoint::recv`].
 const STALE_CAPACITY: usize = 1024;
 
-/// A one-shot continuation invoked with the correlated reply of an
-/// asynchronous rpc (see [`ReplyDemux::register_handler`]). Runs on the
-/// transport's delivery path, so it must be cheap and must never block.
+/// A one-shot continuation invoked with the correlated reply of an rpc
+/// (see [`ReplyDemux::register_handler`]). Runs on the transport's
+/// delivery path, so it must be cheap and must never block.
 type ReplyHandler = Box<dyn FnOnce(Envelope) + Send>;
 
-/// Per-endpoint rpc reply demultiplexer.
+/// Per-endpoint rpc reply demultiplexer: one map from in-flight request
+/// ids to one-shot continuations.
 ///
-/// Each in-flight [`Endpoint::rpc`] registers its request id here before
-/// the request is handed to the transport. The transport's delivery path
-/// calls `ReplyDemux::route` (via the crate-internal `Inbox::deliver`) on
-/// every inbound
-/// envelope for the node:
+/// Every rpc registers its continuation here before the request is handed
+/// to the transport — a blocking [`Endpoint::rpc`] one that feeds the
+/// channel it waits on, a node runtime's thread-free rpc one that
+/// re-enters its scheduler (see [`ReplyDemux::register_handler`]). The
+/// transport's delivery path calls `ReplyDemux::route` (via the
+/// crate-internal `Inbox::deliver`) on every inbound envelope for the
+/// node:
 ///
-/// * a reply correlated to a **pending** rpc goes to that rpc's slot —
-///   concurrent rpcs from one node can never receive each other's reply;
-/// * a reply correlated to a registered **continuation handler** (the
-///   thread-free rpc shape node runtimes use — see
-///   [`ReplyDemux::register_handler`]) consumes the handler and runs it;
-/// * a reply correlated to a **retired** rpc (completed or timed out) is
-///   discarded — a stale reply cannot poison the next rpc or surface as
-///   phantom traffic in `recv`;
+/// * a reply correlated to a **registered** continuation consumes it and
+///   runs it — concurrent rpcs from one node can never receive each
+///   other's reply;
+/// * a reply correlated to a **retired** rpc (answered, timed out or
+///   cancelled) is discarded — a late or duplicate reply cannot poison
+///   the next rpc or surface as phantom traffic in `recv`;
 /// * everything else — uncorrelated messages, and correlated messages
 ///   whose id was never registered (components doing their own
 ///   request/reply bookkeeping over `send`/`recv`) — flows to the mailbox.
@@ -311,11 +315,7 @@ type ReplyHandler = Box<dyn FnOnce(Envelope) + Send>;
 /// The table is shared between the endpoint and its [`NodeSender`] clones,
 /// so worker threads rpc as the owning node with no per-call setup.
 pub struct ReplyDemux {
-    /// In-flight rpc request ids → reply slots.
-    pending: Mutex<HashMap<MessageId, crossbeam::channel::Sender<Envelope>>>,
-    /// In-flight *continuation-passing* rpc request ids → one-shot reply
-    /// handlers. Disjoint from `pending` by construction (transport
-    /// message ids are unique).
+    /// In-flight rpc request ids → one-shot continuations.
     handlers: Mutex<HashMap<MessageId, ReplyHandler>>,
     /// Recently retired rpc ids, bounded by [`STALE_CAPACITY`].
     stale: Mutex<StaleRing>,
@@ -324,7 +324,7 @@ pub struct ReplyDemux {
     /// transport so the hub can expose a single duplicates signal.
     stale_discards: Arc<AtomicU64>,
     /// Invoked after every envelope queued on the owning endpoint's mailbox
-    /// (never for rpc replies consumed by a pending slot). Installed via
+    /// (never for a reply consumed by a continuation). Installed via
     /// [`Endpoint::set_mailbox_waker`] by node runtimes that schedule a
     /// state machine instead of blocking a thread in `recv`.
     waker: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
@@ -337,9 +337,8 @@ struct StaleRing {
 }
 
 impl ReplyDemux {
-    pub(crate) fn new(stale_discards: Arc<AtomicU64>) -> Arc<ReplyDemux> {
+    fn new(stale_discards: Arc<AtomicU64>) -> Arc<ReplyDemux> {
         Arc::new(ReplyDemux {
-            pending: Mutex::new(HashMap::new()),
             handlers: Mutex::new(HashMap::new()),
             stale: Mutex::new(StaleRing::default()),
             stale_discards,
@@ -357,45 +356,19 @@ impl ReplyDemux {
         }
     }
 
-    /// Registers a reply slot for `id`. Must happen before the request is
-    /// handed to the transport, so the reply cannot race past it. The
-    /// returned guard deregisters (and tombstones) the id on drop.
-    fn register(&self, id: MessageId) -> ReplySlot<'_> {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        self.pending.lock().insert(id, tx);
-        ReplySlot {
-            demux: self,
-            id,
-            rx,
-        }
-    }
-
-    /// Moves `id` from pending to the stale ring: later replies carrying
-    /// it are discarded rather than delivered anywhere.
-    ///
-    /// Tombstones *before* deregistering. `route` checks pending first,
-    /// then stale, so a reply delivered concurrently with retirement
-    /// either still finds the dying slot (harmless — the queued value is
-    /// freed with the slot) or finds the tombstone; deregistering first
-    /// would open a window where it found neither and leaked into the
-    /// mailbox.
-    fn retire(&self, id: MessageId) {
-        self.tombstone(id);
-        self.pending.lock().remove(&id);
-    }
-
     /// Registers a one-shot continuation for the reply correlated to `id`:
     /// when it arrives, the delivery path retires the id and runs `handler`
-    /// with the reply instead of queueing anything or parking anyone.
+    /// with the reply instead of queueing anything.
     ///
-    /// This is the thread-free half of the rpc machinery: where
-    /// [`Endpoint::rpc`] registers a slot and blocks on it, a node runtime
-    /// registers a handler that re-enters its scheduler (e.g. enqueue a
-    /// completion event and wake the node) and returns immediately. Like
-    /// the mailbox waker, the handler runs on the transport's delivery path
-    /// (fabric dispatch or a TCP reader thread): it must be cheap and must
-    /// never block. Register **before** the request is sent, so even an
-    /// instantly delivered reply finds it.
+    /// Both rpc shapes ride this: [`Endpoint::rpc`] registers a handler
+    /// that feeds the channel it blocks on, and a node runtime registers
+    /// one that re-enters its scheduler (e.g. enqueue a completion event
+    /// and wake the node) and returns at once — the hook
+    /// `selfserv-runtime`'s `rpc_async` uses to park no thread for the
+    /// round trip. Like the mailbox waker, the handler runs on the
+    /// transport's delivery path (fabric dispatch or a TCP reader thread):
+    /// it must be cheap and must never block. Register **before** the
+    /// request is sent, so even an instantly delivered reply finds it.
     pub fn register_handler(&self, id: MessageId, handler: impl FnOnce(Envelope) + Send + 'static) {
         self.handlers.lock().insert(id, Box::new(handler));
     }
@@ -406,16 +379,17 @@ impl ReplyDemux {
     /// completion) — and `false` when the reply already won the race and
     /// the handler ran (or was never registered).
     ///
-    /// Tombstones the id *before* removing the handler, mirroring the
-    /// internal slot-retirement order: a reply delivered concurrently either still
-    /// finds the handler (and wins — this returns `false`) or finds the
-    /// tombstone; it can never leak into the mailbox.
+    /// Tombstones the id *before* removing the handler: a reply delivered
+    /// concurrently either still finds the handler (and wins — this
+    /// returns `false`) or finds the tombstone; it can never leak into the
+    /// mailbox.
     pub fn cancel_handler(&self, id: MessageId) -> bool {
         self.tombstone(id);
         self.handlers.lock().remove(&id).is_some()
     }
 
-    /// Adds `id` to the bounded stale ring (idempotent).
+    /// Adds `id` to the bounded stale ring (idempotent): later replies
+    /// carrying it are discarded rather than delivered anywhere.
     fn tombstone(&self, id: MessageId) {
         let mut stale = self.stale.lock();
         if stale.set.insert(id) {
@@ -428,33 +402,25 @@ impl ReplyDemux {
         }
     }
 
-    /// Routes one inbound envelope. Returns the envelope when it should be
-    /// queued on the main mailbox; `None` when it was consumed by a
-    /// pending rpc slot, consumed by a registered continuation handler, or
-    /// discarded as stale.
+    /// Routes one inbound envelope: a correlated reply runs its
+    /// continuation, else is discarded as stale; what is left is returned
+    /// to be queued on the mailbox.
     pub(crate) fn route(&self, env: Envelope) -> Option<Envelope> {
         let Some(corr) = env.correlation else {
             return Some(env);
         };
-        {
-            let pending = self.pending.lock();
-            if let Some(slot) = pending.get(&corr) {
-                // The slot's channel is never contended and never blocks
-                // delivery; a duplicate reply queues behind the first and
-                // is freed when the slot is retired.
-                let _ = slot.send(env);
-                return None;
-            }
-        }
-        let handler = self.handlers.lock().remove(&corr);
-        if let Some(handler) = handler {
-            // Retire before running the continuation so a duplicate reply
-            // racing in behind this one is discarded as stale. The handler
-            // runs outside every demux lock: it may re-enter the endpoint.
-            self.retire(corr);
+        let mut handlers = self.handlers.lock();
+        if let Some(handler) = handlers.remove(&corr) {
+            // Retire before the handler leaves the map's lock, so a
+            // duplicate reply racing in behind this one finds the
+            // tombstone. The handler runs outside every demux lock: it may
+            // re-enter the endpoint.
+            self.tombstone(corr);
+            drop(handlers);
             handler(env);
             return None;
         }
+        drop(handlers);
         if self.stale.lock().set.contains(&corr) {
             self.stale_discards.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -462,171 +428,267 @@ impl ReplyDemux {
         Some(env)
     }
 
-    /// Number of in-flight rpcs (for tests and debugging).
+    /// Number of in-flight rpcs, blocking and thread-free alike (for tests
+    /// and debugging).
     pub fn pending_rpcs(&self) -> usize {
-        self.pending.lock().len()
-    }
-
-    /// Number of registered continuation handlers (for tests and
-    /// debugging).
-    pub fn pending_handlers(&self) -> usize {
         self.handlers.lock().len()
     }
 }
 
-/// A registered reply slot: receives the correlated reply for one rpc.
-/// Dropping it deregisters the id and tombstones it as stale.
-struct ReplySlot<'a> {
-    demux: &'a ReplyDemux,
-    id: MessageId,
-    rx: crossbeam::channel::Receiver<Envelope>,
-}
-
-impl ReplySlot<'_> {
-    fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            crossbeam::channel::RecvTimeoutError::Timeout => RecvError::Timeout,
-            crossbeam::channel::RecvTimeoutError::Disconnected => RecvError::Disconnected,
-        })
-    }
-}
-
-impl Drop for ReplySlot<'_> {
-    fn drop(&mut self) {
-        self.demux.retire(self.id);
-    }
-}
-
-/// Crate-internal delivery target shared by the transport implementations:
-/// a node's mailbox sender plus its reply demultiplexer. Every envelope
-/// delivered to a node goes through [`Inbox::deliver`], which is what
-/// makes rpc replies arrive at the blocked rpc instead of the mailbox.
-pub(crate) struct Inbox {
+/// Crate-internal delivery target: a node's mailbox sender plus its reply
+/// demultiplexer. Every envelope delivered to a node goes through
+/// [`Inbox::deliver`], which is what makes rpc replies reach their
+/// continuation instead of the mailbox.
+struct Inbox {
     tx: crossbeam::channel::Sender<Envelope>,
     demux: Arc<ReplyDemux>,
 }
 
 impl Inbox {
-    pub(crate) fn new(tx: crossbeam::channel::Sender<Envelope>, demux: Arc<ReplyDemux>) -> Self {
-        Inbox { tx, demux }
+    /// Delivers one envelope, demultiplexing rpc replies. A mailbox enqueue
+    /// runs the endpoint's mailbox waker (if installed) so
+    /// executor-scheduled nodes learn about the arrival without polling.
+    fn deliver(&self, env: Envelope) {
+        if let Some(env) = self.demux.route(env) {
+            // The receiver is the endpoint's, which leaves the node table
+            // before it drops: the send cannot fail while the entry stands.
+            let _ = self.tx.send(env);
+            self.demux.wake_mailbox();
+        }
+    }
+}
+
+/// A node connected on a transport, as its delivery path sees it.
+struct LocalNode {
+    inbox: Inbox,
+    counters: Arc<NodeCounters>,
+}
+
+/// Where a transport keeps its connected nodes: the [`NodeTable`] plus the
+/// transport's own step for claiming and releasing a name. The fabric's
+/// nodes live in a bare table (nothing to claim); a TCP hub's live on its
+/// receive side, whose claim binds the name in the hub's peer directory.
+pub(crate) trait NodeHome: Send + Sync {
+    /// The table the nodes are entered in.
+    fn table(&self) -> &NodeTable;
+
+    /// Claims `name` for a connecting node. Runs under the table's write
+    /// lock, so the claim and the table entry appear together.
+    fn claim(&self, _name: &NodeId) -> Result<(), ConnectError> {
+        Ok(())
     }
 
-    /// Delivers one envelope, demultiplexing rpc replies. `Err(())` when
-    /// the endpoint's mailbox is gone (receiver dropped). A successful
-    /// mailbox enqueue runs the endpoint's mailbox waker (if installed) so
-    /// executor-scheduled nodes learn about the arrival without polling.
-    pub(crate) fn deliver(&self, env: Envelope) -> Result<(), ()> {
-        match self.demux.route(env) {
-            None => Ok(()),
-            Some(env) => {
-                self.tx.send(env).map_err(|_| ())?;
-                self.demux.wake_mailbox();
-                Ok(())
+    /// Releases a departing node's name. Runs under the table's write
+    /// lock, so a reconnect under the same name cannot slip in between.
+    fn release(&self, _name: &NodeId) {}
+}
+
+/// The nodes connected on one transport — the fabric, or one TCP hub — and
+/// what they share: per-node counters, the message and anonymous-name ids,
+/// and the stale-reply count. Both transports connect, deliver, and
+/// disconnect through it, so a node's life is written once; where a name
+/// is claimed is the [`NodeHome`]'s business.
+///
+/// **One delivery discipline.** A delivery records the receive and
+/// enqueues under the table's read lock, and connect and disconnect take
+/// its write lock. So an entry cannot leave between lookup and enqueue,
+/// and a receiver cannot consume a message, disconnect, and fold its
+/// counters (a `~` node's fold at once) before the receive is counted:
+/// every message addressed here is counted exactly once, as received or as
+/// dropped. The lock order is the table before the counters, on delivery
+/// and on disconnect alike.
+pub(crate) struct NodeTable {
+    nodes: RwLock<HashMap<NodeId, LocalNode>>,
+    /// Per-node traffic counters; they persist after disconnect within the
+    /// table's bound.
+    pub(crate) counters: CountersTable,
+    next_msg: AtomicU64,
+    next_anon: AtomicU64,
+    /// Replies discarded as stale (late or duplicate) by any endpoint's
+    /// demux — the transport's duplicate-traffic signal.
+    stale_replies: Arc<AtomicU64>,
+}
+
+impl NodeHome for NodeTable {
+    fn table(&self) -> &NodeTable {
+        self
+    }
+}
+
+impl NodeTable {
+    pub(crate) fn new(counters: CountersTable) -> Self {
+        NodeTable {
+            nodes: RwLock::new(HashMap::new()),
+            counters,
+            next_msg: AtomicU64::new(1),
+            next_anon: AtomicU64::new(1),
+            stale_replies: Arc::new(AtomicU64::new(0)),
+        }
+    }
+
+    /// Reserves a transport-unique message id.
+    pub(crate) fn next_message_id(&self) -> MessageId {
+        MessageId(self.next_msg.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// Replies discarded as stale since the transport started.
+    pub(crate) fn stale_replies(&self) -> u64 {
+        self.stale_replies.load(Ordering::Relaxed)
+    }
+
+    /// True when `name` is connected here.
+    pub(crate) fn contains(&self, name: &NodeId) -> bool {
+        self.nodes.read().contains_key(name)
+    }
+
+    /// The names connected here, sorted.
+    pub(crate) fn names(&self) -> Vec<NodeId> {
+        let mut names: Vec<NodeId> = self.nodes.read().keys().cloned().collect();
+        names.sort();
+        names
+    }
+
+    /// Connects a node under `name` at `home`. Names containing `~` are
+    /// reserved for generated ephemeral endpoints and rejected: their
+    /// counters fold away on drop, which would silently lose a real node's
+    /// metrics.
+    pub(crate) fn connect(
+        home: Arc<dyn NodeHome>,
+        transport: TransportHandle,
+        name: NodeId,
+    ) -> Result<Endpoint, ConnectError> {
+        if name.as_str().contains('~') {
+            return Err(ConnectError::ReservedName(name));
+        }
+        Self::attach(home, transport, name)
+    }
+
+    /// Connects a node under a generated name `prefix~<n>` — or, with a
+    /// `tag`, `prefix~<tag>-<n>` — skipping any name already claimed.
+    pub(crate) fn connect_anonymous(
+        home: Arc<dyn NodeHome>,
+        transport: TransportHandle,
+        prefix: &str,
+        tag: Option<&str>,
+    ) -> Endpoint {
+        loop {
+            let n = home.table().next_anon.fetch_add(1, Ordering::Relaxed);
+            let name = match tag {
+                Some(tag) => format!("{prefix}~{tag}-{n}"),
+                None => format!("{prefix}~{n}"),
+            };
+            if let Ok(endpoint) = Self::attach(Arc::clone(&home), transport.clone(), name.into()) {
+                return endpoint;
+            }
+        }
+    }
+
+    fn attach(
+        home: Arc<dyn NodeHome>,
+        transport: TransportHandle,
+        name: NodeId,
+    ) -> Result<Endpoint, ConnectError> {
+        let table = home.table();
+        let (tx, mailbox) = crossbeam::channel::unbounded();
+        let demux = ReplyDemux::new(Arc::clone(&table.stale_replies));
+        {
+            let mut nodes = table.nodes.write();
+            if nodes.contains_key(&name) {
+                return Err(ConnectError::NameTaken(name));
+            }
+            home.claim(&name)?;
+            let node = LocalNode {
+                inbox: Inbox {
+                    tx,
+                    demux: Arc::clone(&demux),
+                },
+                counters: table.counters.for_node(&name),
+            };
+            nodes.insert(name.clone(), node);
+        }
+        Ok(Endpoint {
+            sender: NodeSender {
+                node: name,
+                transport,
+                demux,
+            },
+            mailbox,
+            home,
+        })
+    }
+
+    /// Takes a departing node out: removes its entry, runs the home's
+    /// release step, and folds its counters — all under the write lock, so
+    /// no name can connect between the counters table asking whether a
+    /// name is connected and acting on the answer.
+    fn detach(home: &dyn NodeHome, name: &NodeId) {
+        let table = home.table();
+        let mut nodes = table.nodes.write();
+        nodes.remove(name);
+        home.release(name);
+        table.counters.depart(name, |name| nodes.contains_key(name));
+    }
+
+    /// Delivers one envelope of `size` wire bytes to the node connected
+    /// under `to` (see the delivery discipline above). A name not connected
+    /// here is charged a drop.
+    pub(crate) fn deliver(&self, to: &NodeId, envelope: Envelope, size: usize) {
+        let nodes = self.nodes.read();
+        match nodes.get(to) {
+            Some(node) => {
+                node.counters.record_receive(size);
+                node.inbox.deliver(envelope);
+            }
+            None => {
+                drop(nodes);
+                self.counters.for_delivery_drop(to).record_drop();
             }
         }
     }
 }
 
-/// Crate-internal mailbox shared by the transport implementations: wraps
-/// a node's delivery channel and maps its errors onto [`RecvError`], so
-/// the mapping lives in one place.
-pub(crate) struct Mailbox(crossbeam::channel::Receiver<Envelope>);
-
-impl Mailbox {
-    pub(crate) fn new(rx: crossbeam::channel::Receiver<Envelope>) -> Self {
-        Mailbox(rx)
-    }
-
-    pub(crate) fn recv(&self) -> Result<Envelope, RecvError> {
-        self.0.recv().map_err(|_| RecvError::Disconnected)
-    }
-
-    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
-        self.0.recv_timeout(timeout).map_err(|e| match e {
-            crossbeam::channel::RecvTimeoutError::Timeout => RecvError::Timeout,
-            crossbeam::channel::RecvTimeoutError::Disconnected => RecvError::Disconnected,
-        })
-    }
-
-    pub(crate) fn try_recv(&self) -> Option<Envelope> {
-        self.0.try_recv().ok()
-    }
-
-    pub(crate) fn pending(&self) -> usize {
-        self.0.len()
-    }
-}
-
-/// The transport-specific half of a connected node. Implementations supply
-/// addressing and queueing; all protocol ergonomics live on [`Endpoint`].
-pub trait RawEndpoint: Send {
-    /// This endpoint's node id.
-    fn node(&self) -> &NodeId;
-
-    /// Sends a message, optionally correlated to a request.
-    fn send(
-        &self,
-        to: NodeId,
-        kind: String,
-        body: Element,
-        correlation: Option<MessageId>,
-    ) -> Result<MessageId, SendError>;
-
-    /// Blocking receive.
-    fn recv(&self) -> Result<Envelope, RecvError>;
-
-    /// Receive with a deadline.
-    fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError>;
-
-    /// Non-blocking receive.
-    fn try_recv(&self) -> Option<Envelope>;
-
-    /// Number of messages waiting in the mailbox.
-    fn pending(&self) -> usize;
-}
-
 /// A connected node: the handle through which a SELF-SERV component sends
 /// and receives envelopes. Transport-agnostic — obtained from
-/// [`Transport::connect`] on any implementation.
+/// [`Transport::connect`] on any implementation. Dropping it disconnects
+/// the node and frees its name.
 pub struct Endpoint {
-    raw: Box<dyn RawEndpoint>,
-    transport: TransportHandle,
-    demux: Arc<ReplyDemux>,
+    sender: NodeSender,
+    mailbox: crossbeam::channel::Receiver<Envelope>,
+    /// Where the node is entered; the endpoint's drop takes it out there.
+    home: Arc<dyn NodeHome>,
+}
+
+// Components share one endpoint across threads (e.g. a client that rpcs
+// from several callers and collects on the same mailbox).
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Endpoint>();
+};
+
+impl Drop for Endpoint {
+    fn drop(&mut self) {
+        NodeTable::detach(&*self.home, &self.sender.node);
+    }
 }
 
 impl Endpoint {
-    /// Assembles an endpoint from a transport's raw half and the reply
-    /// demultiplexer its delivery path routes through. Implementations of
-    /// [`Transport::connect`] call this; platform code never needs to.
-    pub fn from_raw(
-        raw: Box<dyn RawEndpoint>,
-        transport: TransportHandle,
-        demux: Arc<ReplyDemux>,
-    ) -> Self {
-        Endpoint {
-            raw,
-            transport,
-            demux,
-        }
-    }
-
     /// This endpoint's node id.
     pub fn node(&self) -> &NodeId {
-        self.raw.node()
+        &self.sender.node
     }
 
     /// The transport this endpoint is attached to.
     pub fn transport(&self) -> &TransportHandle {
-        &self.transport
+        &self.sender.transport
     }
 
     /// This endpoint's reply demultiplexer (for tests and diagnostics).
     pub fn demux(&self) -> &Arc<ReplyDemux> {
-        &self.demux
+        &self.sender.demux
     }
 
     /// Installs a callback invoked after every envelope queued on this
-    /// endpoint's mailbox (rpc replies consumed by a pending slot do not
+    /// endpoint's mailbox (a reply consumed by an rpc continuation does not
     /// trigger it). Replaces any previously installed waker.
     ///
     /// This is the hook node runtimes use to schedule an event-driven node
@@ -635,18 +697,14 @@ impl Endpoint {
     /// TCP reader thread), so it must be cheap and must never block on work
     /// done inside a node callback.
     pub fn set_mailbox_waker(&self, waker: impl Fn() + Send + Sync + 'static) {
-        *self.demux.waker.lock() = Some(Arc::new(waker));
+        *self.sender.demux.waker.lock() = Some(Arc::new(waker));
     }
 
     /// A cloneable handle that sends — and rpcs — as this endpoint's node
     /// (for worker threads). Replies to the handle's rpcs arrive at this
     /// endpoint and are demultiplexed to the calling worker.
     pub fn sender(&self) -> NodeSender {
-        NodeSender {
-            node: self.node().clone(),
-            transport: self.transport.clone(),
-            demux: Arc::clone(&self.demux),
-        }
+        self.sender.clone()
     }
 
     /// Sends a message; returns its transport id. A returned `Ok` means
@@ -659,7 +717,7 @@ impl Endpoint {
         kind: impl Into<String>,
         body: Element,
     ) -> Result<MessageId, SendError> {
-        self.raw.send(to.into(), kind.into(), body, None)
+        self.sender.send(to, kind, body)
     }
 
     /// Sends a message carrying a reply correlation.
@@ -670,7 +728,7 @@ impl Endpoint {
         body: Element,
         correlation: Option<MessageId>,
     ) -> Result<MessageId, SendError> {
-        self.raw.send(to.into(), kind.into(), body, correlation)
+        self.sender.send_correlated(to, kind, body, correlation)
     }
 
     /// Sends a reply to a received request, correlated to its id.
@@ -685,22 +743,25 @@ impl Endpoint {
 
     /// Blocking receive.
     pub fn recv(&self) -> Result<Envelope, RecvError> {
-        self.raw.recv()
+        self.mailbox.recv().map_err(|_| RecvError::Disconnected)
     }
 
     /// Receive with a deadline.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
-        self.raw.recv_timeout(timeout)
+        self.mailbox.recv_timeout(timeout).map_err(|e| match e {
+            crossbeam::channel::RecvTimeoutError::Timeout => RecvError::Timeout,
+            crossbeam::channel::RecvTimeoutError::Disconnected => RecvError::Disconnected,
+        })
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Envelope> {
-        self.raw.try_recv()
+        self.mailbox.try_recv().ok()
     }
 
     /// Number of messages waiting in the mailbox.
     pub fn pending(&self) -> usize {
-        self.raw.pending()
+        self.mailbox.len()
     }
 
     /// Request/response: sends `kind` to `to` and waits for the correlated
@@ -721,15 +782,7 @@ impl Endpoint {
         body: Element,
         timeout: Duration,
     ) -> Result<Envelope, RpcError> {
-        rpc_via(
-            &self.transport,
-            &self.demux,
-            self.node(),
-            to.into(),
-            kind.into(),
-            body,
-            timeout,
-        )
+        self.sender.rpc(to, kind, body, timeout)
     }
 }
 
@@ -799,7 +852,7 @@ impl NodeSender {
         body: Element,
     ) -> Result<MessageId, SendError> {
         let id = self.transport.next_message_id();
-        self.demux.retire(id);
+        self.demux.tombstone(id);
         self.transport
             .send_prepared(id, &self.node, to.into(), kind.into(), body, None)?;
         Ok(id)
@@ -809,6 +862,12 @@ impl NodeSender {
     /// the owning endpoint and handed to this caller; any number of
     /// [`NodeSender`] clones can rpc concurrently without crossing
     /// replies.
+    ///
+    /// The request id is reserved and its continuation — feeding the
+    /// one-shot channel this call blocks on — registered before the
+    /// request is sent, so even an instantly delivered reply finds it. The
+    /// reply retires the id as it is consumed; a failed send or a timeout
+    /// cancels it, so a late reply is discarded either way.
     pub fn rpc(
         &self,
         to: impl Into<NodeId>,
@@ -816,37 +875,23 @@ impl NodeSender {
         body: Element,
         timeout: Duration,
     ) -> Result<Envelope, RpcError> {
-        rpc_via(
-            &self.transport,
-            &self.demux,
-            &self.node,
-            to.into(),
-            kind.into(),
-            body,
-            timeout,
-        )
+        let id = self.transport.next_message_id();
+        let (tx, rx) = crossbeam::channel::unbounded();
+        self.demux.register_handler(id, move |reply| {
+            let _ = tx.send(reply);
+        });
+        if let Err(e) =
+            self.transport
+                .send_prepared(id, &self.node, to.into(), kind.into(), body, None)
+        {
+            self.demux.cancel_handler(id);
+            return Err(RpcError::Send(e));
+        }
+        rx.recv_timeout(timeout).map_err(|_| {
+            self.demux.cancel_handler(id);
+            RpcError::Timeout
+        })
     }
-}
-
-/// Shared request/response implementation: reserve the request id,
-/// register the reply slot, send, block on the slot. The registration
-/// precedes the send so even an instantly-delivered reply finds its slot;
-/// the guard's drop retires the id so late replies are discarded.
-fn rpc_via(
-    transport: &TransportHandle,
-    demux: &ReplyDemux,
-    as_node: &NodeId,
-    to: NodeId,
-    kind: String,
-    body: Element,
-    timeout: Duration,
-) -> Result<Envelope, RpcError> {
-    let request_id = transport.next_message_id();
-    let slot = demux.register(request_id);
-    transport
-        .send_prepared(request_id, as_node, to, kind, body, None)
-        .map_err(RpcError::Send)?;
-    slot.recv_timeout(timeout).map_err(|_| RpcError::Timeout)
 }
 
 #[cfg(test)]
@@ -888,7 +933,7 @@ mod tests {
         // The duplicate was retired, not queued: nothing reaches the
         // mailbox and the handler table is empty.
         assert!(caller.recv_timeout(Duration::from_millis(50)).is_err());
-        assert_eq!(caller.demux().pending_handlers(), 0);
+        assert_eq!(caller.demux().pending_rpcs(), 0);
         assert!(
             rx.recv_timeout(Duration::from_millis(50)).is_err(),
             "one-shot handler must not run twice"

@@ -338,6 +338,60 @@ mod tests {
         exec.shutdown();
     }
 
+    /// Dropping a handle queues a stop without waiting: `on_stop` runs, the
+    /// name frees, and the in-flight rpc's continuation and deadline are
+    /// released — the idle node does not vanish with its gauge still
+    /// counting it.
+    #[test]
+    fn dropping_the_handle_stops_the_node_and_drains_its_rpcs() {
+        struct Caller(Arc<AtomicUsize>);
+        impl NodeLogic for Caller {
+            fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+                ctx.rpc_async(
+                    "mute",
+                    "ping",
+                    Element::new("ping"),
+                    Duration::from_secs(100),
+                    RpcToken(0),
+                );
+            }
+            fn on_message(&mut self, _ctx: &mut NodeCtx<'_>, _env: Envelope) -> Flow {
+                Flow::Continue
+            }
+            fn on_stop(&mut self, _ctx: &mut NodeCtx<'_>) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        struct Mute;
+        impl NodeLogic for Mute {
+            fn on_message(&mut self, _ctx: &mut NodeCtx<'_>, _env: Envelope) -> Flow {
+                Flow::Continue
+            }
+        }
+        let exec = Executor::new(1);
+        let handle = exec.handle();
+        let net = Network::new(NetworkConfig::instant());
+        let mute = handle.spawn_node(net.connect("mute").unwrap(), Mute);
+        let stops = Arc::new(AtomicUsize::new(0));
+        let caller = handle.spawn_node(net.connect("caller").unwrap(), Caller(Arc::clone(&stops)));
+        let settled = |done: &dyn Fn() -> bool| {
+            let t0 = Instant::now();
+            while !done() && t0.elapsed() < Duration::from_secs(5) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        settled(&|| handle.in_flight_rpcs() == 1);
+        assert_eq!(handle.in_flight_rpcs(), 1);
+        drop(caller);
+        settled(&|| handle.in_flight_rpcs() == 0 && !net.is_connected("caller"));
+        assert_eq!(stops.load(Ordering::SeqCst), 1, "on_stop ran");
+        assert_eq!(handle.in_flight_rpcs(), 0, "drop leaked the continuation");
+        assert_eq!(handle.live_timers(), 0, "drop leaked the rpc deadline");
+        assert!(!net.is_connected("caller"));
+        mute.stop();
+        exec.shutdown();
+    }
+
     #[test]
     fn many_nodes_few_workers() {
         let exec = Executor::new(2);

@@ -99,8 +99,8 @@ pub trait NodeLogic: Send + 'static {
     }
 
     /// Runs exactly once when the node stops (requested via
-    /// [`NodeHandle::stop`] or a callback returning [`Flow::Stop`]), while
-    /// the endpoint is still connected.
+    /// [`NodeHandle::stop`], the handle's drop, or a callback returning
+    /// [`Flow::Stop`]), while the endpoint is still connected.
     fn on_stop(&mut self, _ctx: &mut NodeCtx<'_>) {}
 }
 
@@ -693,7 +693,10 @@ pub(crate) fn run_node(pool: &Arc<Pool>, cell: Arc<NodeCell>) {
 }
 
 /// Handle to a spawned node: observe it and stop it. Dropping the handle
-/// does **not** stop the node (component handles own that decision).
+/// stops the node **without waiting**: the stop is queued behind whatever
+/// the node is doing, `on_stop` runs on a worker, and in-flight
+/// [`NodeCtx::rpc_async`] requests are cancelled. Call
+/// [`NodeHandle::stop`] to wait for all of that.
 pub struct NodeHandle {
     cell: Arc<NodeCell>,
 }
@@ -719,14 +722,9 @@ impl NodeHandle {
     /// inline: the endpoint is dropped so the name frees, but `on_stop`
     /// is skipped because no worker exists to run it.
     pub fn stop(&self) {
-        {
-            let mut inner = self.cell.inner.lock();
-            if inner.stopped {
-                return;
-            }
-            inner.events.push_back(Event::StopRequested);
+        if !self.request_stop() {
+            return;
         }
-        self.cell.wake();
         let pool = self.cell.pool.upgrade();
         // The wait is a blocking section: when stop() is called from a
         // pool worker (a component handle dropped inside a task or
@@ -767,6 +765,41 @@ impl NodeHandle {
         match &pool {
             Some(pool) => pool.block_on(wait),
             None => wait(),
+        }
+    }
+
+    /// Queues a stop event behind whatever the node is doing and schedules
+    /// it. False when the node has already stopped.
+    fn request_stop(&self) -> bool {
+        {
+            let mut inner = self.cell.inner.lock();
+            if inner.stopped {
+                return false;
+            }
+            inner.events.push_back(Event::StopRequested);
+        }
+        self.cell.wake();
+        true
+    }
+}
+
+impl Drop for NodeHandle {
+    fn drop(&mut self) {
+        if !self.request_stop() {
+            return;
+        }
+        // As in `stop`: when no worker can ever run the stop turn, finalize
+        // inline so the name frees and in-flight requests are cancelled.
+        let orphaned = self
+            .cell
+            .pool
+            .upgrade()
+            .is_none_or(|p| p.is_shut_down() && p.live_worker_count() == 0);
+        if orphaned {
+            let body = self.cell.inner.lock().body.take();
+            if let Some(body) = body {
+                self.cell.finalize(Some(body));
+            }
         }
     }
 }
