@@ -145,7 +145,7 @@ impl Envelope {
             .into_iter()
             .find_map(|n| match n {
                 Node::Element(body) => Some(body),
-                Node::Shared(body) => Some(Arc::unwrap_or_clone(body)),
+                Node::Shared(body) => Some(body.into_element()),
                 _ => None,
             });
         Self::decode_with(&e, body)
@@ -182,7 +182,8 @@ impl Envelope {
 
     /// Size in bytes of the serialized envelope — what the metrics layer
     /// charges to each link. Counted by the writer that produces the frame
-    /// text, not serialized: no clone, no allocation.
+    /// text, not serialized: no clone, no allocation, and a shared body
+    /// child adds the length it was counted at when it was shared.
     pub fn wire_size(&self) -> usize {
         self.wire_len(&[])
     }

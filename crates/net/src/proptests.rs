@@ -9,8 +9,7 @@ use crate::{
     TcpTransport, Transport,
 };
 use proptest::prelude::*;
-use selfserv_xml::{Element, Node};
-use std::sync::Arc;
+use selfserv_xml::{Element, Node, SharedElement};
 use std::time::Duration;
 
 fn arb_envelope() -> impl Strategy<Value = Envelope> {
@@ -109,7 +108,7 @@ proptest! {
             let kid = Element::new(tag).with_attr("k", attr);
             owned.body.push_child(kid.clone());
             if share {
-                shared.body.children.push(Node::Shared(Arc::new(kid)));
+                shared.body.children.push(Node::Shared(SharedElement::new(kid)));
             } else {
                 shared.body.push_child(kid);
             }
@@ -125,7 +124,7 @@ proptest! {
         prop_assert_eq!(&back, &owned);
 
         let mut frame = owned.to_xml();
-        frame.children = vec![Node::Shared(Arc::new(shared.body.clone()))];
+        frame.children = vec![Node::Shared(SharedElement::new(shared.body.clone()))];
         prop_assert_eq!(Envelope::decode(frame).unwrap(), owned);
     }
 

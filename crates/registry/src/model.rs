@@ -78,8 +78,9 @@ impl ServiceRecord {
     }
 
     /// Decodes a transported record. Lease/publication instants are local
-    /// to each side, so they reset to "now, no lease".
-    pub fn from_xml(e: &Element) -> Result<Self, RegistryError> {
+    /// to each side, so the record is published at `published_at` (the
+    /// caller's "now", read once for a whole reply) with no lease.
+    pub fn from_xml(e: &Element, published_at: Instant) -> Result<Self, RegistryError> {
         if e.name != "serviceInfo" {
             return Err(RegistryError::Protocol(format!(
                 "expected <serviceInfo>, got <{}>",
@@ -107,7 +108,7 @@ impl ServiceRecord {
             category: e.attr("category").unwrap_or("").to_string(),
             description: ServiceDescription::from_xml(desc)
                 .map_err(|err| RegistryError::Protocol(err.to_string()))?,
-            published_at: Instant::now(),
+            published_at,
             lease: None,
         })
     }
@@ -245,7 +246,7 @@ mod tests {
     #[test]
     fn record_xml_round_trip() {
         let r = record();
-        let back = ServiceRecord::from_xml(&r.to_xml()).unwrap();
+        let back = ServiceRecord::from_xml(&r.to_xml(), Instant::now()).unwrap();
         assert_eq!(back.key, r.key);
         assert_eq!(back.business, r.business);
         assert_eq!(back.provider_name, r.provider_name);
@@ -280,13 +281,60 @@ mod tests {
     #[test]
     fn decode_rejects_wrong_elements() {
         assert!(FindQuery::from_xml(&Element::new("nope")).is_err());
-        assert!(ServiceRecord::from_xml(&Element::new("nope")).is_err());
+        assert!(ServiceRecord::from_xml(&Element::new("nope"), Instant::now()).is_err());
         // serviceInfo without definitions
         let e = Element::new("serviceInfo")
             .with_attr("key", "k")
             .with_attr("business", "b")
             .with_attr("provider", "p");
-        assert!(ServiceRecord::from_xml(&e).is_err());
+        assert!(ServiceRecord::from_xml(&e, Instant::now()).is_err());
+    }
+
+    /// Each document has exactly one fault, and each is refused with the
+    /// same error whichever order the decoder reads it in.
+    #[test]
+    fn each_single_fault_is_refused_with_its_own_error() {
+        let valid = record().to_xml();
+        type Fault = fn(&mut Element);
+        let cases: [(Fault, &str); 6] = [
+            (
+                |e| e.name = "serviceList".into(),
+                "expected <serviceInfo>, got <serviceList>",
+            ),
+            (|e| e.children.clear(), "serviceInfo missing definitions"),
+            (
+                |e| e.attrs.retain(|(n, _)| n != "key"),
+                "<serviceInfo> is missing required attribute \"key\"",
+            ),
+            (
+                |e| e.attrs.retain(|(n, _)| n != "business"),
+                "<serviceInfo> is missing required attribute \"business\"",
+            ),
+            (
+                |e| e.attrs.retain(|(n, _)| n != "provider"),
+                "<serviceInfo> is missing required attribute \"provider\"",
+            ),
+            (
+                |e| {
+                    let Some(selfserv_xml::Node::Element(d)) = e.children.first_mut() else {
+                        panic!("definitions first");
+                    };
+                    d.attrs.retain(|(n, _)| n != "provider");
+                },
+                "malformed description: <definitions> is missing required attribute \"provider\"",
+            ),
+        ];
+        for (fault, expected) in cases {
+            let mut doc = valid.clone();
+            fault(&mut doc);
+            let err = ServiceRecord::from_xml(&doc, Instant::now()).unwrap_err();
+            assert_eq!(
+                err,
+                RegistryError::Protocol(expected.into()),
+                "{}",
+                doc.to_xml()
+            );
+        }
     }
 
     #[test]

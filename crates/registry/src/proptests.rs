@@ -147,7 +147,8 @@ proptest! {
     /// The stored `<serviceInfo>` trees cannot go stale: after any sequence
     /// of publishes, deletes, renewals, lease expiries and sweeps, a find
     /// reply is the list of `find`'s records, encoded, in `find`'s order —
-    /// for every kind of criterion — and a get reply is `get_service`'s.
+    /// for every kind of criterion, charged the same bytes on the fabric — and
+    /// a get reply is `get_service`'s.
     #[test]
     fn replies_are_the_encoded_records(ops in proptest::collection::vec(arb_store_op(), 1..40)) {
         let registry = Arc::new(UddiRegistry::new());
@@ -211,6 +212,10 @@ proptest! {
                             .unwrap();
                         prop_assert_eq!(&reply, &expected, "{:?}", query);
                         prop_assert_eq!(reply.to_xml(), expected.to_xml());
+                        let wire_size = |body| {
+                            Envelope::synthetic(NodeId::new("uddi"), "uddi.result", body).wire_size()
+                        };
+                        prop_assert_eq!(wire_size(reply), wire_size(expected));
                     }
                     for key in &published {
                         let reply = server.handle(&request(

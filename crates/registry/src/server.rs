@@ -12,7 +12,7 @@ use selfserv_runtime::{ExecutorHandle, Flow, NodeCtx, NodeHandle, NodeLogic};
 use selfserv_wsdl::ServiceDescription;
 use selfserv_xml::{Element, Node};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Message kinds of the registry protocol.
 mod kinds {
@@ -305,13 +305,16 @@ impl RegistryClient {
         ))
     }
 
-    /// Finds services matching a query.
+    /// Finds services matching a query. Every hit is published at the
+    /// instant the reply is decoded.
     pub fn find(&self, query: &FindQuery) -> Result<Vec<ServiceRecord>, RegistryError> {
         let reply = self.call(kinds::FIND_SERVICE, query.to_xml())?;
-        reply
-            .find_all("serviceInfo")
-            .map(ServiceRecord::from_xml)
-            .collect()
+        let now = Instant::now();
+        let mut hits = Vec::with_capacity(reply.children.len());
+        for info in reply.find_all("serviceInfo") {
+            hits.push(ServiceRecord::from_xml(info, now)?);
+        }
+        Ok(hits)
     }
 
     /// Finds businesses by name prefix.
@@ -345,7 +348,7 @@ impl RegistryClient {
             kinds::GET_SERVICE,
             Element::new("get_service").with_attr("key", &key.0),
         )?;
-        ServiceRecord::from_xml(&reply)
+        ServiceRecord::from_xml(&reply, Instant::now())
     }
 
     /// Deletes a service by key.

@@ -5,21 +5,19 @@
 //! locked sub-stores, each with its own indexes. Publishes and lookups
 //! touching different names proceed in parallel instead of serializing
 //! on one registry-wide lock — the registry stops being a single
-//! contention point as provider churn scales. Queries that cannot be
-//! pinned to one shard (prefix scans, key lookups) visit the shards in
-//! order and merge; results stay sorted by key, so the partitioning is
-//! invisible behind the API.
+//! contention point as provider churn scales. Key lookups visit the shards
+//! in order; a find read-locks them all at once and sorts its hits by key,
+//! so the partitioning is invisible behind the API.
 
 use crate::model::{
     BusinessEntity, BusinessKey, FindQuery, RegistryError, ServiceKey, ServiceRecord,
 };
 use parking_lot::RwLock;
 use selfserv_wsdl::ServiceDescription;
-use selfserv_xml::Element;
+use selfserv_xml::SharedElement;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Number of service-table partitions. A small power of two: enough to
@@ -125,7 +123,7 @@ impl Indexes {
 /// and the two leave the table together, so it cannot go stale.
 struct Stored {
     record: ServiceRecord,
-    info: Arc<Element>,
+    info: SharedElement,
 }
 
 /// One partition of the service table: its records plus their indexes,
@@ -267,7 +265,9 @@ impl UddiRegistry {
 
     /// Publishes a service description under a business, with an optional
     /// lease. Publishing a new description for a name the business already
-    /// publishes is an error (use [`UddiRegistry::renew`] or delete first).
+    /// publishes is an error (use [`UddiRegistry::renew`] or delete first),
+    /// unless that record's lease has run out: it is absent, swept or not,
+    /// and is dropped here.
     ///
     /// Only the name's home shard is locked: same-name records always
     /// hash to the same shard, so the duplicate check stays complete.
@@ -285,24 +285,32 @@ impl UddiRegistry {
             .ok_or_else(|| RegistryError::UnknownBusiness(business.clone()))?
             .name
             .clone();
+        let now = Instant::now();
         let mut shard = self.shards[shard_of(&description.name)].write();
         // Same-name records are indexed under one lowercase name: only they
         // are looked at, not the shard.
-        let duplicate = shard
+        let clash = shard
             .indexes
             .by_name
             .get(&description.name.to_lowercase())
             .into_iter()
             .flatten()
             .filter_map(|key| shard.services.get(key))
-            .any(|s| {
+            .find(|s| {
                 s.record.business == *business && s.record.description.name == description.name
-            });
-        if duplicate {
-            return Err(RegistryError::DuplicateService {
-                business: business.clone(),
-                name: description.name,
-            });
+            })
+            .map(|s| (s.record.key.clone(), s.record.is_expired(now)));
+        match clash {
+            Some((_, false)) => {
+                return Err(RegistryError::DuplicateService {
+                    business: business.clone(),
+                    name: description.name,
+                })
+            }
+            Some((lapsed, true)) => {
+                shard.remove(&lapsed);
+            }
+            None => {}
         }
         let key = ServiceKey(format!(
             "svc-{}",
@@ -314,7 +322,7 @@ impl UddiRegistry {
             provider_name,
             category: category.into(),
             description,
-            published_at: Instant::now(),
+            published_at: now,
             lease,
         };
         // Kept for the record's lifetime, so compacted: the copy has every
@@ -322,15 +330,9 @@ impl UddiRegistry {
         // vector is four slots long). Copying, not shrinking in place:
         // that left a free fragment behind each block, among live ones,
         // for `find`'s clones to be scattered over.
-        let info = record.to_xml().clone();
+        let info = SharedElement::new(record.to_xml().clone());
         shard.indexes.insert(&record);
-        shard.services.insert(
-            key.clone(),
-            Stored {
-                record,
-                info: Arc::new(info),
-            },
-        );
+        shard.services.insert(key.clone(), Stored { record, info });
         Ok(key)
     }
 
@@ -360,8 +362,8 @@ impl UddiRegistry {
     }
 
     /// [`UddiRegistry::get_service`]`.to_xml()`, as stored.
-    pub(crate) fn get_info(&self, key: &ServiceKey) -> Result<Arc<Element>, RegistryError> {
-        self.lookup(key, |s| Arc::clone(&s.info))
+    pub(crate) fn get_info(&self, key: &ServiceKey) -> Result<SharedElement, RegistryError> {
+        self.lookup(key, |s| s.info.clone())
     }
 
     /// Deletes a service.
@@ -373,11 +375,19 @@ impl UddiRegistry {
         }
     }
 
-    /// Renews a leased service's publication instant.
+    /// Renews a leased service's publication instant. A record whose
+    /// lease has run out is absent, swept or not: it is dropped, not
+    /// renewed.
     pub fn renew(&self, key: &ServiceKey) -> Result<(), RegistryError> {
+        let now = Instant::now();
         for shard in &self.shards {
-            if let Some(s) = shard.write().services.get_mut(key) {
-                s.record.published_at = Instant::now();
+            let mut shard = shard.write();
+            if let Some(s) = shard.services.get_mut(key) {
+                if s.record.is_expired(now) {
+                    shard.remove(key);
+                    break;
+                }
+                s.record.published_at = now;
                 return Ok(());
             }
         }
@@ -408,44 +418,44 @@ impl UddiRegistry {
 
     /// Finds services matching a query, sorted by key for determinism.
     /// Expired records never match. Each shard resolves its own index
-    /// intersection under its own read lock; the per-shard hits are
-    /// merged and sorted, so results are identical to an unpartitioned
-    /// scan.
+    /// intersection; the hits are merged and sorted, so results are
+    /// identical to an unpartitioned scan.
     pub fn find(&self, query: &FindQuery) -> Vec<ServiceRecord> {
-        let mut records = self.collect_hits(query, |s| s.record.clone());
-        records.sort_by(|a, b| a.key.cmp(&b.key));
-        records
+        self.collect_hits(query, |s| s.record.clone())
     }
 
     /// [`UddiRegistry::find`]`.map(to_xml)`, as stored: the same hits in
     /// the same order for a reference count each — no record is cloned, no
     /// tree built, no key copied to sort by.
-    pub(crate) fn find_info(&self, query: &FindQuery) -> Vec<Arc<Element>> {
-        let mut infos = self.collect_hits(query, |s| Arc::clone(&s.info));
-        infos.sort_unstable_by(|a, b| a.attr("key").cmp(&b.attr("key")));
-        infos
+    pub(crate) fn find_info(&self, query: &FindQuery) -> Vec<SharedElement> {
+        self.collect_hits(query, |s| s.info.clone())
     }
 
-    /// `read` of every hit, shard by shard under that shard's read lock,
-    /// unsorted.
+    /// `read` of every live hit, in key order. The shards are read-locked
+    /// together, so the hits are sorted by the keys their records hold —
+    /// each read once, in place — before `read` copies anything out.
     fn collect_hits<T>(&self, query: &FindQuery, read: impl Fn(&Stored) -> T) -> Vec<T> {
         let now = Instant::now();
         let live = |s: &&Stored| !s.record.is_expired(now);
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.read();
+        let shards: Vec<_> = self.shards.iter().map(|shard| shard.read()).collect();
+        let mut hits: Vec<(&str, &Stored)> = Vec::new();
+        fn keyed(s: &Stored) -> (&str, &Stored) {
+            (s.record.key.0.as_str(), s)
+        }
+        for shard in &shards {
             match shard.candidates(query) {
-                Some(keys) => out.extend(
+                Some(keys) => hits.extend(
                     keys.into_iter()
                         .filter_map(|k| shard.services.get(k))
                         .filter(live)
-                        .map(&read),
+                        .map(keyed),
                 ),
                 // Empty query: everything (unexpired).
-                None => out.extend(shard.services.values().filter(live).map(&read)),
+                None => hits.extend(shard.services.values().filter(live).map(keyed)),
             }
         }
-        out
+        hits.sort_unstable_by_key(|&(key, _)| key);
+        hits.into_iter().map(|(_, s)| read(s)).collect()
     }
 
     /// Number of live (unexpired) services.
@@ -684,6 +694,67 @@ mod tests {
         assert!(reg.get_service(&key).is_ok(), "renewed lease is still live");
     }
 
+    /// A record whose lease ran out, swept or not, is absent to every
+    /// call: its name is free again under its business.
+    #[test]
+    fn lapsed_lease_frees_the_name() {
+        let reg = UddiRegistry::new();
+        let biz = reg.save_business("B", "x").key;
+        let lease = Some(Duration::from_millis(5));
+        let old = reg
+            .save_service(&biz, "c", desc("S", "B", &["op"]), lease)
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(
+            reg.get_service(&old).unwrap_err(),
+            RegistryError::UnknownService(old.clone())
+        );
+        let new = reg
+            .save_service(&biz, "c", desc("S", "B", &["op2"]), None)
+            .unwrap();
+        assert_ne!(new, old);
+        let found: Vec<ServiceKey> = reg
+            .find(&FindQuery::any().service_name("s"))
+            .into_iter()
+            .map(|r| r.key)
+            .collect();
+        assert_eq!(found, [new]);
+        assert_eq!(reg.service_count(), 1);
+        assert!(reg.get_service(&old).is_err());
+        assert_eq!(
+            reg.renew(&old).unwrap_err(),
+            RegistryError::UnknownService(old)
+        );
+        assert_eq!(
+            reg.sweep_expired(),
+            0,
+            "republishing dropped the lapsed record"
+        );
+    }
+
+    /// Renewing a record whose lease ran out does not bring it back.
+    #[test]
+    fn lapsed_lease_cannot_be_renewed() {
+        let reg = UddiRegistry::new();
+        let biz = reg.save_business("B", "x").key;
+        let key = reg
+            .save_service(
+                &biz,
+                "c",
+                desc("S", "B", &["op"]),
+                Some(Duration::from_millis(5)),
+            )
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(
+            reg.renew(&key).unwrap_err(),
+            RegistryError::UnknownService(key.clone())
+        );
+        assert!(reg.get_service(&key).is_err());
+        assert!(reg.find(&FindQuery::any()).is_empty());
+        assert_eq!(reg.service_count(), 0);
+    }
+
     #[test]
     fn find_businesses_prefix() {
         let (reg, _, _) = seeded();
@@ -746,7 +817,7 @@ mod tests {
                     .unwrap();
                     // Trees found while other threads publish are whole.
                     for info in reg.find_info(&FindQuery::any().operation("op")) {
-                        let found = ServiceRecord::from_xml(&info).unwrap();
+                        let found = ServiceRecord::from_xml(&info, Instant::now()).unwrap();
                         assert_eq!(found.provider_name, "Conc");
                     }
                 }

@@ -277,7 +277,8 @@ impl OperationDef {
         e
     }
 
-    /// Decodes the XML form.
+    /// Decodes the XML form in one pass over the children; the first
+    /// `<documentation>` is the one read.
     pub fn from_xml(e: &Element) -> Result<Self, WsdlError> {
         if e.name != "operation" {
             return Err(WsdlError::Malformed(format!(
@@ -286,22 +287,23 @@ impl OperationDef {
             )));
         }
         let mut op = OperationDef::new(e.require_attr("name")?);
-        if let Some(doc) = e.child_text("documentation") {
-            op.documentation = doc;
-        }
-        for i in e.find_all("input") {
-            op.inputs.push(Param::from_xml(i)?);
-        }
-        for o in e.find_all("output") {
-            op.outputs.push(Param::from_xml(o)?);
-        }
-        for c in e.find_all("consumes") {
-            op.consumed_events
-                .push(c.require_attr("event")?.to_string());
-        }
-        for p in e.find_all("produces") {
-            op.produced_events
-                .push(p.require_attr("event")?.to_string());
+        let mut documented = false;
+        for child in e.child_elements() {
+            match child.name.as_str() {
+                "documentation" if !documented => {
+                    op.documentation = child.text();
+                    documented = true;
+                }
+                "input" => op.inputs.push(Param::from_xml(child)?),
+                "output" => op.outputs.push(Param::from_xml(child)?),
+                "consumes" => op
+                    .consumed_events
+                    .push(child.require_attr("event")?.to_string()),
+                "produces" => op
+                    .produced_events
+                    .push(child.require_attr("event")?.to_string()),
+                _ => {}
+            }
         }
         Ok(op)
     }
@@ -451,7 +453,8 @@ impl ServiceDescription {
         e
     }
 
-    /// Decodes the XML form.
+    /// Decodes the XML form in one pass over the children; the first
+    /// `<documentation>` is the one read.
     pub fn from_xml(e: &Element) -> Result<Self, WsdlError> {
         if e.name != "definitions" {
             return Err(WsdlError::Malformed(format!(
@@ -460,14 +463,17 @@ impl ServiceDescription {
             )));
         }
         let mut d = ServiceDescription::new(e.require_attr("name")?, e.require_attr("provider")?);
-        if let Some(doc) = e.child_text("documentation") {
-            d.documentation = doc;
-        }
-        for op in e.find_all("operation") {
-            d.operations.push(OperationDef::from_xml(op)?);
-        }
-        for b in e.find_all("binding") {
-            d.bindings.push(Binding::from_xml(b)?);
+        let mut documented = false;
+        for child in e.child_elements() {
+            match child.name.as_str() {
+                "documentation" if !documented => {
+                    d.documentation = child.text();
+                    documented = true;
+                }
+                "operation" => d.operations.push(OperationDef::from_xml(child)?),
+                "binding" => d.bindings.push(Binding::from_xml(child)?),
+                _ => {}
+            }
         }
         Ok(d)
     }
@@ -609,6 +615,104 @@ mod tests {
     fn from_xml_rejects_wrong_root() {
         let e = Element::new("service");
         assert!(ServiceDescription::from_xml(&e).is_err());
+    }
+
+    /// A description with every kind of child the decoders read.
+    fn every_child() -> ServiceDescription {
+        let mut d = flight_booking().with_binding(Binding::tcp("127.0.0.1:7000"));
+        d.operations[0]
+            .consumed_events
+            .push("flightRequested".into());
+        d
+    }
+
+    /// The first descendant of `e` down the `/`-separated `path`.
+    fn at<'a>(e: &'a mut Element, path: &str) -> &'a mut Element {
+        path.split('/')
+            .filter(|s| !s.is_empty())
+            .fold(e, |e, name| {
+                e.children
+                    .iter_mut()
+                    .find_map(|n| match n {
+                        selfserv_xml::Node::Element(c) if c.name == name => Some(c),
+                        _ => None,
+                    })
+                    .unwrap_or_else(|| panic!("no <{name}>"))
+            })
+    }
+
+    /// Each document has exactly one fault, and each is refused with the
+    /// same error whichever order the decoder reads children in.
+    #[test]
+    fn each_single_fault_is_refused_with_its_own_error() {
+        enum Fault {
+            Drop(&'static str),
+            Set(&'static str, &'static str),
+            Rename(&'static str),
+        }
+        use Fault::*;
+        let missing = |tag: &str, attr: &str| {
+            format!("malformed description: <{tag}> is missing required attribute {attr:?}")
+        };
+        let cases = [
+            (
+                "",
+                Rename("service"),
+                "malformed description: expected <definitions>, got <service>".to_string(),
+            ),
+            ("", Drop("name"), missing("definitions", "name")),
+            ("", Drop("provider"), missing("definitions", "provider")),
+            ("operation", Drop("name"), missing("operation", "name")),
+            ("operation/input", Drop("name"), missing("input", "name")),
+            ("operation/input", Drop("type"), missing("input", "type")),
+            (
+                "operation/input",
+                Set("type", "object"),
+                "malformed description: unknown parameter type \"object\"".to_string(),
+            ),
+            ("operation/output", Drop("name"), missing("output", "name")),
+            ("operation/output", Drop("type"), missing("output", "type")),
+            (
+                "operation/output",
+                Set("type", "tuple"),
+                "malformed description: unknown parameter type \"tuple\"".to_string(),
+            ),
+            (
+                "operation/consumes",
+                Drop("event"),
+                missing("consumes", "event"),
+            ),
+            (
+                "operation/produces",
+                Drop("event"),
+                missing("produces", "event"),
+            ),
+            ("binding", Drop("protocol"), missing("binding", "protocol")),
+            ("binding", Drop("endpoint"), missing("binding", "endpoint")),
+            (
+                "binding",
+                Set("protocol", "smtp"),
+                "malformed description: unknown protocol \"smtp\"".to_string(),
+            ),
+        ];
+        let valid = every_child().to_xml();
+        assert_eq!(ServiceDescription::from_xml(&valid), Ok(every_child()));
+        for (path, fault, expected) in cases {
+            let mut doc = valid.clone();
+            let e = at(&mut doc, path);
+            match fault {
+                Drop(attr) => e.attrs.retain(|(n, _)| n != attr),
+                Set(attr, value) => e.set_attr(attr, value),
+                Rename(name) => e.name = name.into(),
+            }
+            let err = ServiceDescription::from_xml(&doc).unwrap_err();
+            assert_eq!(err.to_string(), expected, "{path}");
+        }
+        let err = OperationDef::from_xml(&Element::new("op")).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "malformed description: expected <operation>, got <op>"
+        );
     }
 
     #[test]

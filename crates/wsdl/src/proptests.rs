@@ -33,6 +33,24 @@ fn arb_param_type() -> impl Strategy<Value = ParamType> {
     ]
 }
 
+/// Documentation text: empty (no `<documentation>` child) or text with no
+/// whitespace at its ends, which the parser would trim.
+fn arb_doc() -> impl Strategy<Value = String> {
+    "[A-Za-z0-9 &<>.,\"]{0,18}".prop_map(|s| s.trim().to_string())
+}
+
+fn arb_params() -> impl Strategy<Value = Vec<Param>> {
+    proptest::collection::vec(
+        (arb_param_name(), arb_param_type(), any::<bool>())
+            .prop_map(|(name, ty, required)| Param { name, ty, required }),
+        0..4,
+    )
+}
+
+fn arb_events() -> impl Strategy<Value = Vec<String>> {
+    proptest::collection::vec("[a-z][A-Za-z0-9]{0,9}", 0..3)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -50,27 +68,40 @@ proptest! {
         prop_assert_eq!(back, m);
     }
 
+    /// Every child kind the one-pass decoders read round-trips, from the
+    /// compact text and from the pretty text.
     #[test]
     fn description_round_trip(
         svc in "[A-Za-z][A-Za-z0-9 ]{0,14}",
         provider in "[A-Za-z][A-Za-z0-9 ]{0,14}",
+        doc in arb_doc(),
         ops in proptest::collection::vec(
-            ("[a-z][a-zA-Z0-9]{0,9}",
-             proptest::collection::vec((arb_param_name(), arb_param_type(), any::<bool>()), 0..4)),
+            ("[a-z][a-zA-Z0-9]{0,9}", arb_doc(), arb_params(), arb_params(), arb_events(), arb_events()),
             0..4,
         ),
+        extra_bindings in proptest::collection::vec((any::<bool>(), "[a-z0-9.:]{1,12}"), 0..3),
     ) {
-        let mut d = ServiceDescription::new(svc, provider).with_binding(Binding::fabric("node.x"));
-        for (name, params) in ops {
-            let mut op = OperationDef::new(name);
-            for (pname, ty, required) in params {
-                op.inputs.push(Param { name: pname, ty, required });
-            }
-            d.operations.push(op);
+        let mut d = ServiceDescription::new(svc, provider)
+            .with_doc(doc)
+            .with_binding(Binding::fabric("node.x"))
+            .with_binding(Binding::tcp("127.0.0.1:7000"));
+        for (tcp, endpoint) in extra_bindings {
+            d.bindings.push(if tcp { Binding::tcp(endpoint) } else { Binding::fabric(endpoint) });
         }
-        let xml = d.to_xml().to_pretty_xml();
-        let back = ServiceDescription::from_xml_str(&xml).unwrap();
-        prop_assert_eq!(back, d);
+        for (name, doc, inputs, outputs, consumed_events, produced_events) in ops {
+            d.operations.push(OperationDef {
+                name,
+                documentation: doc,
+                inputs,
+                outputs,
+                consumed_events,
+                produced_events,
+            });
+        }
+        let pretty = d.to_xml().to_pretty_xml();
+        prop_assert_eq!(&ServiceDescription::from_xml_str(&pretty).unwrap(), &d);
+        let compact = d.to_xml().to_xml();
+        prop_assert_eq!(&ServiceDescription::from_xml_str(&compact).unwrap(), &d);
     }
 
     #[test]

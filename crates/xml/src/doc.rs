@@ -1,6 +1,7 @@
 //! The owned XML document tree: [`Element`] and [`Node`].
 
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// A node in an XML document tree.
@@ -13,7 +14,7 @@ pub enum Node {
     /// [`Node::Element`] with that content. Lets a document that is built
     /// once (a registry record's `<serviceInfo>`) be put into any number of
     /// messages for a reference count each. The parser never produces one.
-    Shared(Arc<Element>),
+    Shared(SharedElement),
     /// Character data. Stored unescaped; escaping happens on write.
     Text(String),
     /// A comment (`<!-- ... -->`). Preserved so that generated documents can
@@ -38,6 +39,48 @@ impl Node {
             Node::Text(t) => Some(t),
             _ => None,
         }
+    }
+}
+
+/// An immutable element behind one reference count, with the length of
+/// its compact text ([`Element::xml_len`]) counted once, when it is made.
+/// Cloning it is a reference count; a byte count of any tree that holds
+/// it adds the stored length instead of walking it again.
+#[derive(Debug, Clone)]
+pub struct SharedElement(Arc<Counted>);
+
+#[derive(Debug)]
+struct Counted {
+    element: Element,
+    xml_len: usize,
+}
+
+impl SharedElement {
+    /// Freezes `element`, counting its compact text once.
+    pub fn new(element: Element) -> Self {
+        let xml_len = element.xml_len();
+        SharedElement(Arc::new(Counted { element, xml_len }))
+    }
+
+    /// `self.to_xml().len()`, as counted by [`SharedElement::new`].
+    pub fn xml_len(&self) -> usize {
+        self.0.xml_len
+    }
+
+    /// The element, moved out if no other tree holds it, else copied.
+    pub fn into_element(self) -> Element {
+        match Arc::try_unwrap(self.0) {
+            Ok(counted) => counted.element,
+            Err(shared) => shared.element.clone(),
+        }
+    }
+}
+
+impl Deref for SharedElement {
+    type Target = Element;
+
+    fn deref(&self) -> &Element {
+        &self.0.element
     }
 }
 
@@ -322,7 +365,9 @@ mod tests {
     fn shared_child_reads_and_compares_as_owned() {
         let child = Element::new("input").with_attr("param", "city");
         let mut shared = Element::new("state");
-        shared.children.push(Node::Shared(Arc::new(child.clone())));
+        shared
+            .children
+            .push(Node::Shared(SharedElement::new(child.clone())));
         let owned = Element::new("state").with_child(child.clone());
         assert_eq!(shared.find("input"), Some(&child));
         assert_eq!(shared.subtree_size(), 2);

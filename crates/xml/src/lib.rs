@@ -11,7 +11,8 @@
 //! Parser 2.0 / JAXP; this crate provides the equivalent functionality from
 //! scratch:
 //!
-//! * [`Element`] / [`Node`] — an owned document tree,
+//! * [`Element`] / [`Node`] — an owned document tree, whose children may
+//!   be [`SharedElement`]s other trees hold too,
 //! * [`Element::to_xml`] / [`Element::to_pretty_xml`] — serialization with
 //!   correct escaping; [`Element::xml_len`] is the same writer run against a
 //!   byte counter,
@@ -46,7 +47,7 @@ mod parser;
 mod query;
 mod writer;
 
-pub use doc::{Element, Node};
+pub use doc::{Element, Node, SharedElement};
 pub use error::{Position, XmlError};
 pub use parser::{parse, parse_document, Document};
 pub use query::path_escape;

@@ -2,11 +2,11 @@
 //! original tree, for both the compact and the pretty writer; and the
 //! count, the appended text and the returned text of the compact writer
 //! are one thing; and a tree with shared children is, to every reader and
-//! writer, the tree with those children owned.
+//! writer, the tree with those children owned, and a shared child's
+//! counted length is the length of its text.
 
-use crate::{parse, Element, Node};
+use crate::{parse, Element, Node, SharedElement};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// Attribute/element names: XML name subset.
 fn arb_name() -> impl Strategy<Value = String> {
@@ -135,7 +135,7 @@ fn share(e: &Element, picks: &mut impl Iterator<Item = bool>) -> Element {
                 let pick = picks.next().expect("cycled");
                 let c = share(c, picks);
                 if pick {
-                    Node::Shared(Arc::new(c))
+                    Node::Shared(SharedElement::new(c))
                 } else {
                     Node::Element(c)
                 }
@@ -184,6 +184,25 @@ proptest! {
         shared.write_into(&mut bytes);
         prop_assert_eq!(bytes, (prefix + &xml).into_bytes());
         prop_assert_eq!(shared.to_pretty_xml(), owned.to_pretty_xml());
+    }
+
+    /// The length counted when an element is shared is its text's length,
+    /// also when the element holds shared children itself.
+    #[test]
+    fn shared_child_counted_length_is_the_text_length(
+        owned in arb_wild_element(3),
+        picks in arb_picks(),
+    ) {
+        let xml = owned.to_xml();
+        let shared = share(&owned, &mut picks.iter().copied().cycle());
+        prop_assert_eq!(SharedElement::new(owned).xml_len(), xml.len());
+        let nested = SharedElement::new(shared);
+        prop_assert_eq!(nested.xml_len(), xml.len());
+        prop_assert_eq!(nested.to_xml(), xml);
+        let mut outer = Element::new("outer");
+        outer.children.push(Node::Shared(nested.clone()));
+        outer.children.push(Node::Shared(nested));
+        prop_assert_eq!(outer.xml_len(), outer.to_xml().len());
     }
 
     #[test]

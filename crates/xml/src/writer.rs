@@ -6,13 +6,21 @@
 //! [`Element::xml_len`] are that routine with different sinks, so the count
 //! cannot drift from the text.
 
-use crate::doc::{Element, Node};
+use crate::doc::{Element, Node, SharedElement};
 
 /// Where serialized XML goes. The writer hands it whole clean runs and
 /// whole escape sequences, never single characters.
 pub trait XmlSink {
     /// Appends `s`.
     fn put(&mut self, s: &str);
+
+    /// Appends the text of a shared child. By default, writes it.
+    fn put_shared(&mut self, shared: &SharedElement)
+    where
+        Self: Sized,
+    {
+        shared.write_into(self);
+    }
 }
 
 impl XmlSink for String {
@@ -34,6 +42,12 @@ pub struct ByteCount(pub usize);
 impl XmlSink for ByteCount {
     fn put(&mut self, s: &str) {
         self.0 += s.len();
+    }
+
+    /// Adds the length counted when the child was shared: O(1), however
+    /// large the subtree.
+    fn put_shared(&mut self, shared: &SharedElement) {
+        self.0 += shared.xml_len();
     }
 }
 
@@ -174,7 +188,7 @@ impl Element {
         for child in &self.children {
             match child {
                 Node::Element(e) => e.write_into(out),
-                Node::Shared(e) => e.write_into(out),
+                Node::Shared(e) => out.put_shared(e),
                 Node::Text(t) => escape::<false, _>(t, out),
                 Node::Comment(c) => write_comment(c, out),
             }
