@@ -16,12 +16,22 @@
 //!   XML request/response envelopes (the SOAP-call analogue);
 //! * [`RegistryClient`] — the typed client the service manager, composers
 //!   and end users use to publish and search remotely.
+//!
+//! The remote query is split as UDDI splits it: `find_service` lists a
+//! [`ServiceSummary`] per hit (key, business, service name, provider —
+//! what the Search panel lists), read off a summary tree each record keeps
+//! from its publication, and `get_service` returns the full
+//! [`ServiceRecord`] of one key. The local [`UddiRegistry::find`] returns
+//! full records.
 
 mod model;
 mod server;
 mod store;
 
-pub use model::{BusinessEntity, BusinessKey, FindQuery, RegistryError, ServiceKey, ServiceRecord};
+pub use model::{
+    BusinessEntity, BusinessKey, FindQuery, RegistryError, ServiceKey, ServiceRecord,
+    ServiceSummary,
+};
 pub use server::{RegistryClient, RegistryServer, RegistryServerHandle};
 pub use store::UddiRegistry;
 

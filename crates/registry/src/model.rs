@@ -114,6 +114,81 @@ impl ServiceRecord {
     }
 }
 
+/// A find hit as UDDI's `find_service` lists it (a `serviceInfo`): the
+/// key [`crate::RegistryClient::get_service`] fetches the full record by,
+/// the owning business, the service name and the provider — what the
+/// Search panel of Figure 3 lists, without the description.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ServiceSummary {
+    /// Registry-assigned key.
+    pub key: ServiceKey,
+    /// Owning business.
+    pub business: BusinessKey,
+    /// Service name.
+    pub name: String,
+    /// Provider name.
+    pub provider_name: String,
+}
+
+impl From<&ServiceRecord> for ServiceSummary {
+    fn from(record: &ServiceRecord) -> Self {
+        ServiceSummary {
+            key: record.key.clone(),
+            business: record.business.clone(),
+            name: record.description.name.clone(),
+            provider_name: record.provider_name.clone(),
+        }
+    }
+}
+
+impl ServiceSummary {
+    /// Encodes the summary as an empty `<serviceInfo>` element.
+    pub fn to_xml(&self) -> Element {
+        Element::new("serviceInfo")
+            .with_attr("key", &self.key.0)
+            .with_attr("business", &self.business.0)
+            .with_attr("name", &self.name)
+            .with_attr("provider", &self.provider_name)
+    }
+
+    /// Decodes a transported summary. Every attribute is checked: each of
+    /// the four must be there, and anything else — another attribute, a
+    /// child such as a full record's `<definitions>` — is refused.
+    pub fn from_xml(e: &Element) -> Result<Self, RegistryError> {
+        if e.name != "serviceInfo" {
+            return Err(RegistryError::Protocol(format!(
+                "expected <serviceInfo>, got <{}>",
+                e.name
+            )));
+        }
+        if let Some((other, _)) = e
+            .attrs
+            .iter()
+            .find(|(n, _)| !matches!(n.as_str(), "key" | "business" | "name" | "provider"))
+        {
+            return Err(RegistryError::Protocol(format!(
+                "<serviceInfo> summary has unexpected attribute {other:?}"
+            )));
+        }
+        if !e.children.is_empty() {
+            return Err(RegistryError::Protocol(
+                "<serviceInfo> summary has content".into(),
+            ));
+        }
+        let attr = |name| {
+            e.require_attr(name)
+                .map(str::to_string)
+                .map_err(RegistryError::Protocol)
+        };
+        Ok(ServiceSummary {
+            key: ServiceKey(attr("key")?),
+            business: BusinessKey(attr("business")?),
+            name: attr("name")?,
+            provider_name: attr("provider")?,
+        })
+    }
+}
+
 /// A discovery query. All present criteria must match (logical AND);
 /// strings match case-insensitively by prefix, mirroring how the Search
 /// panel narrows the provider/service/operation lists.
@@ -335,6 +410,69 @@ mod tests {
                 doc.to_xml()
             );
         }
+    }
+
+    #[test]
+    fn summary_xml_round_trip() {
+        let r = record();
+        let summary = ServiceSummary::from(&r);
+        assert_eq!(summary.key, r.key);
+        assert_eq!(summary.business, r.business);
+        assert_eq!(summary.name, "Domestic Flight Booking");
+        assert_eq!(summary.provider_name, r.provider_name);
+        let back = ServiceSummary::from_xml(&summary.to_xml()).unwrap();
+        assert_eq!(back, summary);
+    }
+
+    /// A summary is refused for any one attribute missing, for anything it
+    /// does not carry, and when a full record arrives in its place.
+    #[test]
+    fn each_single_summary_fault_is_refused_with_its_own_error() {
+        let valid = ServiceSummary::from(&record()).to_xml();
+        type Fault = fn(&mut Element);
+        let cases: [(Fault, &str); 8] = [
+            (
+                |e| e.name = "serviceList".into(),
+                "expected <serviceInfo>, got <serviceList>",
+            ),
+            (
+                |e| e.attrs.retain(|(n, _)| n != "key"),
+                "<serviceInfo> is missing required attribute \"key\"",
+            ),
+            (
+                |e| e.attrs.retain(|(n, _)| n != "business"),
+                "<serviceInfo> is missing required attribute \"business\"",
+            ),
+            (
+                |e| e.attrs.retain(|(n, _)| n != "name"),
+                "<serviceInfo> is missing required attribute \"name\"",
+            ),
+            (
+                |e| e.attrs.retain(|(n, _)| n != "provider"),
+                "<serviceInfo> is missing required attribute \"provider\"",
+            ),
+            (
+                |e| e.set_attr("category", "flight-booking"),
+                "<serviceInfo> summary has unexpected attribute \"category\"",
+            ),
+            (
+                |e| e.push_child(Element::new("definitions")),
+                "<serviceInfo> summary has content",
+            ),
+            (|e| e.push_text(" "), "<serviceInfo> summary has content"),
+        ];
+        for (fault, expected) in cases {
+            let mut doc = valid.clone();
+            fault(&mut doc);
+            let err = ServiceSummary::from_xml(&doc).unwrap_err();
+            assert_eq!(
+                err,
+                RegistryError::Protocol(expected.into()),
+                "{}",
+                doc.to_xml()
+            );
+        }
+        assert!(ServiceSummary::from_xml(&record().to_xml()).is_err());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! server replies with and the records they were built from.
 
 use crate::server::RegistryLogic;
-use crate::{FindQuery, ServiceKey, ServiceRecord, UddiRegistry};
+use crate::{FindQuery, ServiceKey, ServiceSummary, UddiRegistry};
 use proptest::prelude::*;
 use selfserv_net::{Envelope, NodeId};
 use selfserv_wsdl::{Binding, OperationDef, ServiceDescription};
@@ -144,11 +144,11 @@ proptest! {
         prop_assert_eq!(reg.service_count(), published.len());
     }
 
-    /// The stored `<serviceInfo>` trees cannot go stale: after any sequence
-    /// of publishes, deletes, renewals, lease expiries and sweeps, a find
-    /// reply is the list of `find`'s records, encoded, in `find`'s order —
-    /// for every kind of criterion, charged the same bytes on the fabric — and
-    /// a get reply is `get_service`'s.
+    /// The stored summary trees cannot go stale: after any sequence of
+    /// publishes, deletes, renewals, lease expiries and sweeps, a find reply
+    /// is the list of the summaries of `find`'s records, encoded, in
+    /// `find`'s order — for every kind of criterion, charged the same bytes
+    /// on the fabric — and a get reply is `get_service`'s record, encoded.
     #[test]
     fn replies_are_the_encoded_records(ops in proptest::collection::vec(arb_store_op(), 1..40)) {
         let registry = Arc::new(UddiRegistry::new());
@@ -205,8 +205,9 @@ proptest! {
                         FindQuery::any().category("cat1"),
                         FindQuery::any().provider("propco").operation("op1").category("cat1"),
                     ] {
-                        let expected = Element::new("serviceList")
-                            .with_children(registry.find(&query).iter().map(ServiceRecord::to_xml));
+                        let expected = Element::new("serviceList").with_children(
+                            registry.find(&query).iter().map(|r| ServiceSummary::from(r).to_xml()),
+                        );
                         let reply = server
                             .handle(&request("uddi.find_service", query.to_xml()))
                             .unwrap();

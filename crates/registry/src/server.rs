@@ -3,6 +3,7 @@
 
 use crate::model::{
     BusinessEntity, BusinessKey, FindQuery, RegistryError, ServiceKey, ServiceRecord,
+    ServiceSummary,
 };
 use crate::store::UddiRegistry;
 use selfserv_net::{
@@ -27,30 +28,70 @@ mod kinds {
     pub const STOP: &str = "registry.stop";
 }
 
+/// A fault carries the error's fields, each in an attribute of its own,
+/// so that [`decode_fault`] rebuilds the same value.
 fn fault_body(err: &RegistryError) -> Element {
-    let code = match err {
-        RegistryError::UnknownBusiness(_) => "unknown-business",
-        RegistryError::UnknownService(_) => "unknown-service",
-        RegistryError::DuplicateService { .. } => "duplicate-service",
-        RegistryError::Protocol(_) => "protocol",
-        RegistryError::Unreachable(_) => "unreachable",
-    };
-    Element::new("fault")
-        .with_attr("code", code)
-        .with_attr("reason", err.to_string())
+    let fault = Element::new("fault");
+    match err {
+        RegistryError::UnknownBusiness(business) => fault
+            .with_attr("code", "unknown-business")
+            .with_attr("business", &business.0),
+        RegistryError::UnknownService(key) => fault
+            .with_attr("code", "unknown-service")
+            .with_attr("key", &key.0),
+        RegistryError::DuplicateService { business, name } => fault
+            .with_attr("code", "duplicate-service")
+            .with_attr("business", &business.0)
+            .with_attr("name", name),
+        RegistryError::Protocol(reason) => fault
+            .with_attr("code", "protocol")
+            .with_attr("reason", reason),
+        RegistryError::Unreachable(reason) => fault
+            .with_attr("code", "unreachable")
+            .with_attr("reason", reason),
+    }
 }
 
+/// The error [`fault_body`] encoded; a fault missing the attributes its
+/// code needs is itself a protocol error.
 fn decode_fault(body: &Element) -> RegistryError {
-    let reason = body.attr("reason").unwrap_or("unspecified").to_string();
-    match body.attr("code") {
-        Some("unknown-business") => RegistryError::UnknownBusiness(BusinessKey(reason)),
-        Some("unknown-service") => RegistryError::UnknownService(ServiceKey(reason)),
-        Some("duplicate-service") => RegistryError::DuplicateService {
-            business: BusinessKey(String::new()),
-            name: reason,
-        },
-        _ => RegistryError::Protocol(reason),
+    let attr = |name| body.attr(name).map(str::to_string);
+    let decoded = match body.attr("code") {
+        Some("unknown-business") => {
+            attr("business").map(|b| RegistryError::UnknownBusiness(BusinessKey(b)))
+        }
+        Some("unknown-service") => {
+            attr("key").map(|k| RegistryError::UnknownService(ServiceKey(k)))
+        }
+        Some("duplicate-service") => attr("business").zip(attr("name")).map(|(business, name)| {
+            RegistryError::DuplicateService {
+                business: BusinessKey(business),
+                name,
+            }
+        }),
+        Some("unreachable") => attr("reason").map(RegistryError::Unreachable),
+        _ => attr("reason").map(RegistryError::Protocol),
+    };
+    decoded.unwrap_or_else(|| RegistryError::Protocol(format!("malformed fault {}", body.to_xml())))
+}
+
+/// The summaries a find reply lists; anything else in it is refused.
+fn decode_summaries(list: &Element) -> Result<Vec<ServiceSummary>, RegistryError> {
+    if list.name != "serviceList" {
+        return Err(RegistryError::Protocol(format!(
+            "expected <serviceList>, got <{}>",
+            list.name
+        )));
     }
+    list.children
+        .iter()
+        .map(|child| match child.as_element() {
+            Some(info) => ServiceSummary::from_xml(info),
+            None => Err(RegistryError::Protocol(
+                "<serviceList> holds a non-element".into(),
+            )),
+        })
+        .collect()
 }
 
 /// Spawner for registry servers: serves the UDDI protocol on an executor
@@ -202,8 +243,7 @@ impl RegistryLogic {
                         .map_err(RegistryError::Protocol)?
                         .to_string(),
                 );
-                // An envelope owns its body, so this one reply copies the tree.
-                Ok(Element::clone(&*self.registry.get_info(&key)?))
+                self.registry.get_info(&key)
             }
             kinds::DELETE_SERVICE => {
                 let key = ServiceKey(
@@ -305,16 +345,11 @@ impl RegistryClient {
         ))
     }
 
-    /// Finds services matching a query. Every hit is published at the
-    /// instant the reply is decoded.
-    pub fn find(&self, query: &FindQuery) -> Result<Vec<ServiceRecord>, RegistryError> {
-        let reply = self.call(kinds::FIND_SERVICE, query.to_xml())?;
-        let now = Instant::now();
-        let mut hits = Vec::with_capacity(reply.children.len());
-        for info in reply.find_all("serviceInfo") {
-            hits.push(ServiceRecord::from_xml(info, now)?);
-        }
-        Ok(hits)
+    /// Finds services matching a query: one summary per hit, in key order,
+    /// as UDDI's `find_service` lists them. The full record of a hit is
+    /// [`RegistryClient::get_service`]'s.
+    pub fn find(&self, query: &FindQuery) -> Result<Vec<ServiceSummary>, RegistryError> {
+        decode_summaries(&self.call(kinds::FIND_SERVICE, query.to_xml())?)
     }
 
     /// Finds businesses by name prefix.
@@ -395,7 +430,8 @@ mod tests {
         let hits = client.find(&FindQuery::any().operation("search")).unwrap();
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].key, key);
-        assert_eq!(hits[0].description.name, "Attraction Search");
+        assert_eq!(hits[0].business, biz);
+        assert_eq!(hits[0].name, "Attraction Search");
         assert_eq!(hits[0].provider_name, "TestCo");
     }
 
@@ -415,11 +451,9 @@ mod tests {
         ));
     }
 
-    /// The bytes of a find reply, as they were before records kept their
-    /// trees: children in key order (`svc-10` before `svc-2`), each the
-    /// record's `to_xml()`.
-    #[test]
-    fn find_reply_bytes_are_pinned() {
+    /// Ten records of one business, `svc-2` and `svc-10` in "travel", and
+    /// the server that answers for them.
+    fn pinned_server() -> RegistryLogic {
         let registry = Arc::new(UddiRegistry::new());
         let biz = registry.save_business("Test & Co", "t@test").key;
         for i in 1..=10 {
@@ -428,36 +462,59 @@ mod tests {
                 .save_service(&biz, category, desc(&format!("S{i}"), "op<1>"), None)
                 .unwrap();
         }
+        RegistryLogic { registry }
+    }
+
+    /// The bytes of a find reply: one summary per hit, in key order
+    /// (`svc-10` before `svc-2`).
+    #[test]
+    fn find_reply_bytes_are_pinned() {
         let request = Envelope::synthetic(
             NodeId::new("client"),
             kinds::FIND_SERVICE,
             FindQuery::any().category("travel").to_xml(),
         );
-        let reply = RegistryLogic { registry }.handle(&request).unwrap();
+        let reply = pinned_server().handle(&request).unwrap();
         assert_eq!(
             reply.to_xml(),
             concat!(
                 "<serviceList>",
-                "<serviceInfo key=\"svc-10\" business=\"biz-1\" provider=\"Test &amp; Co\" category=\"travel\">",
-                "<definitions name=\"S10\" provider=\"TestCo\">",
-                "<operation name=\"op&lt;1&gt;\"/>",
-                "<binding protocol=\"selfserv\" endpoint=\"svc.x\"/>",
-                "</definitions></serviceInfo>",
+                "<serviceInfo key=\"svc-10\" business=\"biz-1\" name=\"S10\" provider=\"Test &amp; Co\"/>",
+                "<serviceInfo key=\"svc-2\" business=\"biz-1\" name=\"S2\" provider=\"Test &amp; Co\"/>",
+                "</serviceList>"
+            )
+        );
+        let reply = Envelope::synthetic(NodeId::new("uddi"), kinds::RESULT, reply);
+        assert_eq!(reply.wire_size(), 254);
+    }
+
+    /// The bytes of a get reply: the full record, metadata and
+    /// description, as `find` replies carried it before they were split.
+    #[test]
+    fn get_reply_bytes_are_pinned() {
+        let request = Envelope::synthetic(
+            NodeId::new("client"),
+            kinds::GET_SERVICE,
+            Element::new("get_service").with_attr("key", "svc-2"),
+        );
+        let reply = pinned_server().handle(&request).unwrap();
+        assert_eq!(
+            reply.to_xml(),
+            concat!(
                 "<serviceInfo key=\"svc-2\" business=\"biz-1\" provider=\"Test &amp; Co\" category=\"travel\">",
                 "<definitions name=\"S2\" provider=\"TestCo\">",
                 "<operation name=\"op&lt;1&gt;\"/>",
                 "<binding protocol=\"selfserv\" endpoint=\"svc.x\"/>",
                 "</definitions></serviceInfo>",
-                "</serviceList>"
             )
         );
         let reply = Envelope::synthetic(NodeId::new("uddi"), kinds::RESULT, reply);
-        assert_eq!(reply.wire_size(), 562);
+        assert_eq!(reply.wire_size(), 301);
     }
 
     /// What a client finds does not depend on what carried the reply: the
-    /// fabric hands the stored trees over by reference, TCP writes and
-    /// parses them.
+    /// fabric hands the stored summaries over by reference, TCP writes and
+    /// parses them. Nor does what it gets.
     #[test]
     fn find_results_agree_over_fabric_and_tcp() {
         use selfserv_net::TcpTransport;
@@ -479,10 +536,6 @@ mod tests {
         hub_a.register_peer("uddi", hub_b.addr_of("uddi").unwrap());
         hub_b.register_peer("client", hub_a.addr_of("client").unwrap());
 
-        let texts = |client: &RegistryClient, query: &FindQuery| -> Vec<String> {
-            let found = client.find(query).unwrap();
-            found.iter().map(|r| r.to_xml().to_xml()).collect()
-        };
         for (query, hits) in [
             (FindQuery::any(), 30),
             (FindQuery::any().category("travel"), 15),
@@ -490,19 +543,22 @@ mod tests {
             (FindQuery::any().service_name("service 2"), 11),
             (FindQuery::any().provider("nobody"), 0),
         ] {
-            let expected: Vec<String> = registry
+            let expected: Vec<ServiceSummary> = registry
                 .find(&query)
                 .iter()
-                .map(|r| r.to_xml().to_xml())
+                .map(ServiceSummary::from)
                 .collect();
             assert_eq!(expected.len(), hits, "{query:?}");
-            assert_eq!(texts(&over_fabric, &query), expected, "{query:?}");
-            assert_eq!(texts(&over_tcp, &query), expected, "{query:?}");
+            assert_eq!(over_fabric.find(&query).unwrap(), expected, "{query:?}");
+            assert_eq!(over_tcp.find(&query).unwrap(), expected, "{query:?}");
         }
-        let key = registry.find(&FindQuery::any())[7].key.clone();
-        let expected = registry.get_service(&key).unwrap().to_xml();
-        assert_eq!(over_fabric.get_service(&key).unwrap().to_xml(), expected);
-        assert_eq!(over_tcp.get_service(&key).unwrap().to_xml(), expected);
+        for summary in over_tcp.find(&FindQuery::any()).unwrap() {
+            let expected = registry.get_service(&summary.key).unwrap().to_xml();
+            let fabric = over_fabric.get_service(&summary.key).unwrap();
+            let tcp = over_tcp.get_service(&summary.key).unwrap();
+            assert_eq!(fabric.to_xml(), expected, "{summary:?}");
+            assert_eq!(tcp.to_xml(), expected, "{summary:?}");
+        }
     }
 
     #[test]
@@ -521,7 +577,11 @@ mod tests {
         let err = client
             .save_service(&BusinessKey("ghost".into()), "c", &desc("S", "op"), None)
             .unwrap_err();
-        assert!(matches!(err, RegistryError::UnknownBusiness(_)), "{err:?}");
+        assert_eq!(
+            err,
+            RegistryError::UnknownBusiness(BusinessKey("ghost".into()))
+        );
+        assert_eq!(err.to_string(), "unknown business 'ghost'");
         let biz = client.save_business("B", "x").unwrap();
         client
             .save_service(&biz, "c", &desc("S", "op"), None)
@@ -529,9 +589,68 @@ mod tests {
         let dup = client
             .save_service(&biz, "c", &desc("S", "op"), None)
             .unwrap_err();
-        assert!(
-            matches!(dup, RegistryError::DuplicateService { .. }),
-            "{dup:?}"
+        assert_eq!(
+            dup,
+            RegistryError::DuplicateService {
+                business: biz,
+                name: "S".into()
+            }
+        );
+    }
+
+    /// A find reply decodes only when it is a list of summaries.
+    #[test]
+    fn malformed_find_replies_are_refused() {
+        let summary = pinned_server().registry.find(&FindQuery::any())[0].clone();
+        let list = |child: Element| Element::new("serviceList").with_child(child);
+        assert_eq!(
+            decode_summaries(&list(ServiceSummary::from(&summary).to_xml())).unwrap(),
+            [ServiceSummary::from(&summary)]
+        );
+        for (reply, expected) in [
+            (
+                Element::new("businessList"),
+                "expected <serviceList>, got <businessList>",
+            ),
+            (
+                Element::new("serviceList").with_text("x"),
+                "<serviceList> holds a non-element",
+            ),
+            (
+                list(summary.to_xml()),
+                "<serviceInfo> summary has unexpected attribute \"category\"",
+            ),
+        ] {
+            assert_eq!(
+                decode_summaries(&reply).unwrap_err(),
+                RegistryError::Protocol(expected.into())
+            );
+        }
+    }
+
+    /// A fault decodes to the error it encoded, for every variant, with
+    /// text that needs escaping in every field.
+    #[test]
+    fn remote_errors_round_trip() {
+        let errors = [
+            RegistryError::UnknownBusiness(BusinessKey("ghost <&\"'>".into())),
+            RegistryError::UnknownService(ServiceKey("svc-404".into())),
+            RegistryError::DuplicateService {
+                business: BusinessKey("biz-7".into()),
+                name: "Car & \"Rental\"".into(),
+            },
+            RegistryError::Protocol("expected <find_service>, got <x>".into()),
+            RegistryError::Unreachable("rpc timeout".into()),
+        ];
+        for err in errors {
+            let body = fault_body(&err);
+            assert_eq!(decode_fault(&body), err, "{}", body.to_xml());
+            let parsed = selfserv_xml::parse(&body.to_xml()).unwrap();
+            assert_eq!(decode_fault(&parsed), err, "{}", body.to_xml());
+        }
+        assert_eq!(
+            decode_fault(&Element::new("fault").with_attr("code", "unknown-service")),
+            RegistryError::Protocol("malformed fault <fault code=\"unknown-service\"/>".into())
         );
     }
 

@@ -11,10 +11,11 @@
 
 use crate::model::{
     BusinessEntity, BusinessKey, FindQuery, RegistryError, ServiceKey, ServiceRecord,
+    ServiceSummary,
 };
 use parking_lot::RwLock;
 use selfserv_wsdl::ServiceDescription;
-use selfserv_xml::SharedElement;
+use selfserv_xml::{Element, SharedElement};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -116,14 +117,15 @@ impl Indexes {
     }
 }
 
-/// A record as the table holds it: with its `<serviceInfo>` tree
-/// ([`ServiceRecord::to_xml`]), built once at publication so that a reply
-/// refers to it instead of building its own. The tree encodes nothing that
-/// changes while the record is stored (`renew` moves only `published_at`),
-/// and the two leave the table together, so it cannot go stale.
+/// A record as the table holds it: with its summary tree
+/// ([`ServiceSummary::to_xml`]), built once at publication so that a find
+/// reply refers to it instead of building its own. The tree encodes nothing
+/// that changes while the record is stored (`renew` moves only
+/// `published_at`), and the two leave the table together, so it cannot go
+/// stale.
 struct Stored {
     record: ServiceRecord,
-    info: SharedElement,
+    summary: SharedElement,
 }
 
 /// One partition of the service table: its records plus their indexes,
@@ -186,7 +188,7 @@ impl Shard {
         Some(keys)
     }
 
-    /// Drops the entry under `key`, record, tree and index rows; false if
+    /// Drops the entry under `key`, record, summary and index rows; false if
     /// there is none.
     fn remove(&mut self, key: &ServiceKey) -> bool {
         match self.services.remove(key) {
@@ -325,14 +327,12 @@ impl UddiRegistry {
             published_at: now,
             lease,
         };
-        // Kept for the record's lifetime, so compacted: the copy has every
-        // string and vector at its exact length (as built, a one-child
-        // vector is four slots long). Copying, not shrinking in place:
-        // that left a free fragment behind each block, among live ones,
-        // for `find`'s clones to be scattered over.
-        let info = SharedElement::new(record.to_xml().clone());
+        // Four attributes and no children: built at its exact length.
+        let summary = SharedElement::new(ServiceSummary::from(&record).to_xml());
         shard.indexes.insert(&record);
-        shard.services.insert(key.clone(), Stored { record, info });
+        shard
+            .services
+            .insert(key.clone(), Stored { record, summary });
         Ok(key)
     }
 
@@ -361,9 +361,10 @@ impl UddiRegistry {
         self.lookup(key, |s| s.record.clone())
     }
 
-    /// [`UddiRegistry::get_service`]`.to_xml()`, as stored.
-    pub(crate) fn get_info(&self, key: &ServiceKey) -> Result<SharedElement, RegistryError> {
-        self.lookup(key, |s| s.info.clone())
+    /// [`UddiRegistry::get_service`]`.to_xml()`, built from the stored
+    /// record without copying it.
+    pub(crate) fn get_info(&self, key: &ServiceKey) -> Result<Element, RegistryError> {
+        self.lookup(key, |s| s.record.to_xml())
     }
 
     /// Deletes a service.
@@ -424,11 +425,11 @@ impl UddiRegistry {
         self.collect_hits(query, |s| s.record.clone())
     }
 
-    /// [`UddiRegistry::find`]`.map(to_xml)`, as stored: the same hits in
-    /// the same order for a reference count each — no record is cloned, no
-    /// tree built, no key copied to sort by.
+    /// The summaries of [`UddiRegistry::find`]'s hits, as stored: the same
+    /// hits in the same order for a reference count each — no record is
+    /// cloned, no tree built, no key copied to sort by.
     pub(crate) fn find_info(&self, query: &FindQuery) -> Vec<SharedElement> {
-        self.collect_hits(query, |s| s.info.clone())
+        self.collect_hits(query, |s| s.summary.clone())
     }
 
     /// `read` of every live hit, in key order. The shards are read-locked
@@ -621,16 +622,21 @@ mod tests {
     }
 
     #[test]
-    fn stored_tree_is_the_encoded_record_without_spare_capacity() {
+    fn stored_tree_is_the_encoded_summary_without_spare_capacity() {
         let (reg, _, _) = seeded();
-        let record = &reg.find(&FindQuery::any().service_name("Car Rental"))[0];
-        let info = reg.get_info(&record.key).unwrap();
-        assert_eq!(*info, record.to_xml());
-        let definitions = info.find("definitions").unwrap();
-        for e in [&*info, definitions] {
-            assert_eq!(e.attrs.capacity(), e.attrs.len());
-            assert_eq!(e.children.capacity(), e.children.len());
+        let query = FindQuery::any().service_name("Car Rental");
+        let record = &reg.find(&query)[0];
+        let [summary] = &reg.find_info(&query)[..] else {
+            panic!("one hit");
+        };
+        assert_eq!(**summary, ServiceSummary::from(record).to_xml());
+        assert_eq!(summary.attrs.capacity(), summary.attrs.len());
+        assert_eq!(summary.children.capacity(), 0);
+        for (name, value) in &summary.attrs {
+            assert_eq!(name.capacity(), name.len());
+            assert_eq!(value.capacity(), value.len());
         }
+        assert_eq!(reg.get_info(&record.key).unwrap(), record.to_xml());
     }
 
     #[test]
@@ -815,10 +821,11 @@ mod tests {
                         None,
                     )
                     .unwrap();
-                    // Trees found while other threads publish are whole.
-                    for info in reg.find_info(&FindQuery::any().operation("op")) {
-                        let found = ServiceRecord::from_xml(&info, Instant::now()).unwrap();
+                    // Summaries found while other threads publish are whole.
+                    for summary in reg.find_info(&FindQuery::any().operation("op")) {
+                        let found = ServiceSummary::from_xml(&summary).unwrap();
                         assert_eq!(found.provider_name, "Conc");
+                        assert!(found.name.starts_with("Svc-"), "{found:?}");
                     }
                 }
             }));
