@@ -34,7 +34,7 @@ use crate::replication::{
 use parking_lot::RwLock;
 use selfserv_net::{
     ConnectError, Endpoint, Envelope, LivenessProbe, NodeId, PeerDirectory, PeerStatus, ReplicaSet,
-    Transport, TransportHandle,
+    Transport,
 };
 use selfserv_obs::{Counter, Histogram, Registry};
 use selfserv_runtime::{
@@ -48,6 +48,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Message kinds of the community protocol.
+///
+/// None of them stops a server: a replica stops only through its handle
+/// (a runtime stop event), so no peer can stop it by sending it a frame.
 pub mod kinds {
     /// Invoke a generic operation through the community.
     pub const INVOKE: &str = "community.invoke";
@@ -61,8 +64,6 @@ pub mod kinds {
     pub const FAULT: &str = "community.fault";
     /// Re-advertise an existing member's data (typically new QoS figures).
     pub const UPDATE: &str = "community.update";
-    /// Stop the server.
-    pub const STOP: &str = "community.stop";
     /// The invocation kind member wrappers must answer.
     pub const MEMBER_INVOKE: &str = "invoke";
     /// The member wrapper's reply kind.
@@ -302,10 +303,6 @@ struct CommunityLogic {
     gauge: Arc<AtomicUsize>,
     /// Mirror of `waiting.len()` alone — the admission-queue depth gauge.
     queued: Arc<AtomicUsize>,
-    /// Set when a `community.stop` arrived while delegations were in
-    /// flight: the node finishes draining (event-driven — the last
-    /// completion finalizes it) instead of parking a worker in `on_stop`.
-    stopping: bool,
 }
 
 /// Spawner for community servers.
@@ -313,19 +310,17 @@ pub struct CommunityServer;
 
 /// Handle to a spawned [`CommunityServer`].
 pub struct CommunityServerHandle {
-    node: NodeId,
-    net: TransportHandle,
     membership: Arc<RwLock<MembershipState>>,
     history: Arc<ExecutionHistory>,
     gauge: Arc<AtomicUsize>,
     queued: Arc<AtomicUsize>,
-    handle: Option<NodeHandle>,
+    handle: NodeHandle,
 }
 
 impl CommunityServerHandle {
     /// The community's node name.
     pub fn node(&self) -> &NodeId {
-        &self.node
+        self.handle.node()
     }
 
     /// Audit gauge: delegations currently in flight (awaiting a member
@@ -387,24 +382,16 @@ impl CommunityServerHandle {
         &self.history
     }
 
-    /// Stops the server and joins its thread.
-    pub fn stop(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            // Clear any kill left by failure injection so the name isn't
-            // poisoned for a redeploy.
-            self.net.revive(&self.node);
-            handle.stop();
-        }
+    /// Stops the server and waits until its name is free. Delegations
+    /// still in flight are cancelled: their callers time out.
+    pub fn stop(self) {
+        self.handle.stop();
     }
 }
 
 impl Drop for CommunityServerHandle {
     fn drop(&mut self) {
-        self.stop_inner();
+        self.handle.stop();
     }
 }
 
@@ -438,7 +425,7 @@ impl CommunityServer {
         config: CommunityServerConfig,
     ) -> Result<CommunityServerHandle, ConnectError> {
         let endpoint = net.connect(NodeId::new(node_name))?;
-        Self::spawn_logic(net, exec, endpoint, community, policy, config)
+        Ok(Self::spawn_logic(exec, endpoint, community, policy, config))
     }
 
     /// Spawns `replicas` community servers, each with its **own**
@@ -526,21 +513,19 @@ impl CommunityServer {
             }
         }
         let endpoint = net.connect(NodeId::new(&name))?;
-        Self::spawn_logic(net, exec, endpoint, community, policy, config)
+        Ok(Self::spawn_logic(exec, endpoint, community, policy, config))
     }
 
     /// The common spawn tail: seeds this replica's private membership
     /// table from the community descriptor's member set and starts the
     /// node.
     fn spawn_logic(
-        net: &dyn Transport,
         exec: &ExecutorHandle,
         endpoint: Endpoint,
         community: Community,
         policy: Arc<dyn SelectionPolicy>,
         config: CommunityServerConfig,
-    ) -> Result<CommunityServerHandle, ConnectError> {
-        let node = endpoint.node().clone();
+    ) -> CommunityServerHandle {
         let membership = Arc::new(RwLock::new(MembershipState::seeded_from(&community)));
         let history = Arc::new(ExecutionHistory::new());
         let gauge = Arc::new(AtomicUsize::new(0));
@@ -557,17 +542,14 @@ impl CommunityServer {
             next_token: 0,
             gauge: Arc::clone(&gauge),
             queued: Arc::clone(&queued),
-            stopping: false,
         };
-        Ok(CommunityServerHandle {
-            node,
-            net: net.handle(),
+        CommunityServerHandle {
             membership,
             history,
             gauge,
             queued,
-            handle: Some(exec.spawn_node(endpoint, logic)),
-        })
+            handle: exec.spawn_node(endpoint, logic),
+        }
     }
 }
 
@@ -580,18 +562,6 @@ impl NodeLogic for CommunityLogic {
 
     fn on_message(&mut self, ctx: &mut NodeCtx<'_>, request: Envelope) -> Flow {
         match request.kind.as_str() {
-            kinds::STOP => {
-                // Event-driven drain: with delegations in flight, defer
-                // the stop until the last completion resolves them — no
-                // worker parks waiting. New invocations are no longer
-                // admitted (callers observe the same silence a stopped
-                // node would produce).
-                if self.pending.is_empty() {
-                    return Flow::Stop;
-                }
-                self.stopping = true;
-            }
-            _ if self.stopping => {}
             kinds::JOIN => {
                 let reply = self.handle_join(ctx, &request.body);
                 self.send_reply(ctx, &request, reply);
@@ -640,7 +610,7 @@ impl NodeLogic for CommunityLogic {
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, timer: TimerToken) -> Flow {
-        if timer == MEMBERSHIP_GOSSIP_TIMER && !self.stopping {
+        if timer == MEMBERSHIP_GOSSIP_TIMER {
             self.membership_gossip(ctx);
             ctx.set_timer(self.config.replication.interval(), MEMBERSHIP_GOSSIP_TIMER);
         }
@@ -654,16 +624,13 @@ impl NodeLogic for CommunityLogic {
         if let Some(pending) = self.pending.remove(&done.token) {
             self.advance_delegation(ctx, pending, done.result);
             // A slot freed: admit parked invocations up to the cap.
-            while self.pending.len() < self.config.max_in_flight && !self.stopping {
+            while self.pending.len() < self.config.max_in_flight {
                 let Some(request) = self.waiting.pop_front() else {
                     break;
                 };
                 self.start_delegation(ctx, request);
             }
             self.sync_gauge();
-        }
-        if self.stopping && self.pending.is_empty() {
-            return Flow::Stop;
         }
         Flow::Continue
     }

@@ -10,7 +10,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selfserv_expr::Value;
-use selfserv_net::{ConnectError, Envelope, NodeId, Transport, TransportHandle};
+use selfserv_net::{ConnectError, Envelope, NodeId, Transport};
 use selfserv_runtime::{ExecutorHandle, Flow, NodeCtx, NodeHandle, NodeLogic, RpcDone, RpcToken};
 use selfserv_wsdl::MessageDoc;
 use std::collections::HashMap;
@@ -138,14 +138,13 @@ impl ServiceBackend for FailingService {
     }
 }
 
-/// A configurable synthetic service: fixed-plus-jitter service time, a
-/// failure probability, and an invocation counter. This is the stand-in
+/// A configurable synthetic service: a fixed service time, a failure
+/// probability, and an invocation counter. This is the stand-in
 /// for the demo's provider stubs, with controllable QoS so communities
 /// have something to discriminate.
 pub struct SyntheticService {
     name: String,
     base_latency: Duration,
-    jitter: Duration,
     failure_probability: f64,
     rng: Mutex<StdRng>,
     invocations: AtomicU64,
@@ -159,7 +158,6 @@ impl SyntheticService {
         SyntheticService {
             name: name.into(),
             base_latency: Duration::ZERO,
-            jitter: Duration::ZERO,
             failure_probability: 0.0,
             rng: Mutex::new(StdRng::seed_from_u64(7)),
             invocations: AtomicU64::new(0),
@@ -173,19 +171,13 @@ impl SyntheticService {
         self
     }
 
-    /// Builder: sets uniform jitter added to the base service time.
-    pub fn with_jitter(mut self, d: Duration) -> Self {
-        self.jitter = d;
-        self
-    }
-
     /// Builder: sets failure probability (0–1).
     pub fn with_failure_probability(mut self, p: f64) -> Self {
         self.failure_probability = p;
         self
     }
 
-    /// Builder: sets the RNG seed (jitter + failures).
+    /// Builder: sets the RNG seed of the failure draws.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.rng = Mutex::new(StdRng::seed_from_u64(seed));
         self
@@ -206,19 +198,10 @@ impl SyntheticService {
 impl ServiceBackend for SyntheticService {
     fn invoke(&self, operation: &str, input: &MessageDoc) -> Result<MessageDoc, String> {
         self.invocations.fetch_add(1, Ordering::Relaxed);
-        let (sleep_for, fails) = {
-            let mut rng = self.rng.lock();
-            let jitter = if self.jitter.is_zero() {
-                Duration::ZERO
-            } else {
-                Duration::from_nanos(rng.gen_range(0..=self.jitter.as_nanos()) as u64)
-            };
-            let fails =
-                self.failure_probability > 0.0 && rng.gen::<f64>() < self.failure_probability;
-            (self.base_latency + jitter, fails)
-        };
-        if !sleep_for.is_zero() {
-            std::thread::sleep(sleep_for);
+        let fails = self.failure_probability > 0.0
+            && self.rng.lock().gen::<f64>() < self.failure_probability;
+        if !self.base_latency.is_zero() {
+            std::thread::sleep(self.base_latency);
         }
         if fails {
             return Err(format!("{} failed (synthetic fault)", self.name));
@@ -237,7 +220,7 @@ impl ServiceBackend for SyntheticService {
 
     fn may_block(&self) -> bool {
         // Sleeps only when configured with a service time.
-        !self.base_latency.is_zero() || !self.jitter.is_zero()
+        !self.base_latency.is_zero()
     }
 
     fn name(&self) -> &str {
@@ -252,16 +235,14 @@ pub struct ServiceHost;
 
 /// Handle to a spawned [`ServiceHost`].
 pub struct ServiceHostHandle {
-    node: NodeId,
-    net: TransportHandle,
     backend: Arc<dyn ServiceBackend>,
-    handle: Option<NodeHandle>,
+    handle: NodeHandle,
 }
 
 impl ServiceHostHandle {
     /// The host's node.
     pub fn node(&self) -> &NodeId {
-        &self.node
+        self.handle.node()
     }
 
     /// The backend being served.
@@ -269,24 +250,15 @@ impl ServiceHostHandle {
         &self.backend
     }
 
-    /// Stops the host.
-    pub fn stop(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            // Clear any kill left by failure injection so the name isn't
-            // poisoned for a redeploy.
-            self.net.revive(&self.node);
-            handle.stop();
-        }
+    /// Stops the host and waits until its name is free.
+    pub fn stop(self) {
+        self.handle.stop();
     }
 }
 
 impl Drop for ServiceHostHandle {
     fn drop(&mut self) {
-        self.stop_inner();
+        self.handle.stop();
     }
 }
 
@@ -312,17 +284,14 @@ impl ServiceHost {
         backend: Arc<dyn ServiceBackend>,
     ) -> Result<ServiceHostHandle, ConnectError> {
         let endpoint = net.connect(node_name.into())?;
-        let node = endpoint.node().clone();
         let logic = HostLogic {
             backend: Arc::clone(&backend),
             in_flight: HashMap::new(),
             next_token: 0,
         };
         Ok(ServiceHostHandle {
-            node,
-            net: net.handle(),
             backend,
-            handle: Some(exec.spawn_node(endpoint, logic)),
+            handle: exec.spawn_node(endpoint, logic),
         })
     }
 }
@@ -352,7 +321,6 @@ struct HostLogic {
 impl NodeLogic for HostLogic {
     fn on_message(&mut self, ctx: &mut NodeCtx<'_>, request: Envelope) -> Flow {
         match request.kind.as_str() {
-            kinds::STOP => Flow::Stop,
             kinds::INVOKE => {
                 let input = match MessageDoc::from_xml(&request.body) {
                     Ok(input) => input,

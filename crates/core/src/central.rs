@@ -17,9 +17,7 @@ use crate::coordinator::{apply_actions, build_input, eval_guard};
 use crate::functions::FunctionLibrary;
 use crate::protocol::{kinds, naming, ExecError, InstanceId, PersistentClient};
 use selfserv_expr::Value;
-use selfserv_net::{
-    ConnectError, Endpoint, Envelope, MessageId, NodeId, Transport, TransportHandle,
-};
+use selfserv_net::{ConnectError, Endpoint, Envelope, MessageId, NodeId, Transport};
 use selfserv_runtime::{ExecutorHandle, Flow, NodeCtx, NodeHandle, NodeLogic};
 use selfserv_statechart::{ServiceBinding, StateId, StateKind, Statechart};
 use selfserv_wsdl::MessageDoc;
@@ -44,16 +42,14 @@ pub struct CentralizedOrchestrator;
 
 /// Handle to a spawned central engine.
 pub struct CentralHandle {
-    node: NodeId,
-    net: TransportHandle,
-    handle: Option<NodeHandle>,
+    handle: NodeHandle,
     client: PersistentClient,
 }
 
 impl CentralHandle {
     /// The engine's node.
     pub fn node(&self) -> &NodeId {
-        &self.node
+        self.handle.node()
     }
 
     /// Executes the composite operation through the central engine (same
@@ -61,7 +57,7 @@ impl CentralHandle {
     /// persistent client node carries every call).
     pub fn execute(&self, input: MessageDoc, timeout: Duration) -> Result<MessageDoc, ExecError> {
         crate::deploy::decode_execute_reply(self.client.endpoint().rpc(
-            self.node.clone(),
+            self.node().clone(),
             kinds::EXECUTE,
             input.to_xml(),
             timeout,
@@ -76,31 +72,22 @@ impl CentralHandle {
         timeout: Duration,
     ) -> Result<MessageDoc, ExecError> {
         crate::deploy::decode_execute_reply(client.rpc(
-            self.node.clone(),
+            self.node().clone(),
             kinds::EXECUTE,
             input.to_xml(),
             timeout,
         ))
     }
 
-    /// Stops the engine.
-    pub fn stop(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            // Clear any kill left by failure injection so the name isn't
-            // poisoned for a redeploy.
-            self.net.revive(&self.node);
-            handle.stop();
-        }
+    /// Stops the engine and waits until its name is free.
+    pub fn stop(self) {
+        self.handle.stop();
     }
 }
 
 impl Drop for CentralHandle {
     fn drop(&mut self) {
-        self.stop_inner();
+        self.handle.stop();
     }
 }
 
@@ -134,7 +121,6 @@ impl CentralizedOrchestrator {
         cfg: CentralConfig,
     ) -> Result<CentralHandle, ConnectError> {
         let endpoint = net.connect(naming::central(&cfg.statechart.name))?;
-        let node = endpoint.node().clone();
         let engine = Engine {
             cfg,
             instances: HashMap::new(),
@@ -142,9 +128,7 @@ impl CentralizedOrchestrator {
             next_instance: 0,
         };
         Ok(CentralHandle {
-            node,
-            net: net.handle(),
-            handle: Some(exec.spawn_node(endpoint, engine)),
+            handle: exec.spawn_node(endpoint, engine),
             client: PersistentClient::new(net, "client"),
         })
     }
@@ -153,7 +137,6 @@ impl CentralizedOrchestrator {
 impl NodeLogic for Engine {
     fn on_message(&mut self, ctx: &mut NodeCtx<'_>, env: Envelope) -> Flow {
         match env.kind.as_str() {
-            kinds::STOP => return Flow::Stop,
             kinds::EXECUTE => self.on_execute(ctx.endpoint(), &env),
             kinds::INVOKE_RESULT | "community.result" | "community.fault" => {
                 self.on_reply(ctx.endpoint(), &env)

@@ -11,7 +11,7 @@ use crate::functions::FunctionLibrary;
 use crate::protocol::{fault_body, kinds, naming, InstanceId, NotifyPayload};
 use selfserv_expr::Value;
 use selfserv_net::{
-    ConnectError, Envelope, LivenessProbe, NodeId, ReplicaSet, RpcError, Transport, TransportHandle,
+    ConnectError, Envelope, LivenessProbe, NodeId, ReplicaSet, RpcError, Transport,
 };
 use selfserv_routing::{NotificationLabel, Participant, RoutingTable};
 use selfserv_runtime::{
@@ -127,36 +127,24 @@ pub struct Coordinator;
 
 /// Handle to a spawned coordinator.
 pub struct CoordinatorHandle {
-    node: NodeId,
-    net: TransportHandle,
-    handle: Option<NodeHandle>,
+    handle: NodeHandle,
 }
 
 impl CoordinatorHandle {
     /// The coordinator's node.
     pub fn node(&self) -> &NodeId {
-        &self.node
+        self.handle.node()
     }
 
-    /// Stops the coordinator.
-    pub fn stop(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            // A node killed by failure injection stays "dead" in the fault
-            // policy by name; revive it so the name isn't poisoned for a
-            // redeploy.
-            self.net.revive(&self.node);
-            handle.stop();
-        }
+    /// Stops the coordinator and waits until its name is free.
+    pub fn stop(self) {
+        self.handle.stop();
     }
 }
 
 impl Drop for CoordinatorHandle {
     fn drop(&mut self) {
-        self.stop_inner();
+        self.handle.stop();
     }
 }
 
@@ -250,7 +238,6 @@ impl Coordinator {
     ) -> Result<CoordinatorHandle, ConnectError> {
         let node_name = naming::coordinator(&cfg.composite, &cfg.state);
         let endpoint = net.connect(node_name)?;
-        let node = endpoint.node().clone();
         let wrapper_node = naming::wrapper(&cfg.composite);
         let logic = CoordinatorLogic {
             cfg,
@@ -262,9 +249,7 @@ impl Coordinator {
             replica_load: HashMap::new(),
         };
         Ok(CoordinatorHandle {
-            node,
-            net: net.handle(),
-            handle: Some(exec.spawn_node(endpoint, logic)),
+            handle: exec.spawn_node(endpoint, logic),
         })
     }
 }
@@ -337,7 +322,6 @@ pub(crate) fn apply_outputs(
 impl NodeLogic for CoordinatorLogic {
     fn on_message(&mut self, ctx: &mut NodeCtx<'_>, env: Envelope) -> Flow {
         match env.kind.as_str() {
-            kinds::STOP => return Flow::Stop,
             kinds::NOTIFY => self.on_notify(ctx, &env.body),
             kinds::CLEANUP => self.on_cleanup(&env.body),
             _ => { /* ignore unrelated traffic */ }

@@ -22,8 +22,7 @@
 use crate::protocol::InstanceId;
 use parking_lot::RwLock;
 use selfserv_net::{
-    ConnectError, Envelope, LivenessEvent, NodeId, PeerStatus, Transport, TransportHandle,
-    LIVENESS_KIND,
+    ConnectError, Envelope, LivenessEvent, NodeId, PeerStatus, Transport, LIVENESS_KIND,
 };
 use selfserv_runtime::{ExecutorHandle, Flow, NodeCtx, NodeHandle, NodeLogic};
 use selfserv_xml::Element;
@@ -249,10 +248,8 @@ pub struct ExecutionMonitor;
 
 /// Handle to a running monitor: query collected traces.
 pub struct MonitorHandle {
-    node: NodeId,
-    net: TransportHandle,
     store: Arc<RwLock<TraceStore>>,
-    handle: Option<NodeHandle>,
+    handle: NodeHandle,
 }
 
 impl ExecutionMonitor {
@@ -272,7 +269,6 @@ impl ExecutionMonitor {
         options: MonitorOptions,
     ) -> Result<MonitorHandle, ConnectError> {
         let endpoint = net.connect(NodeId::new(node_name))?;
-        let node = endpoint.node().clone();
         let store = Arc::new(RwLock::new(TraceStore::default()));
         let logic = MonitorLogic {
             store: Arc::clone(&store),
@@ -280,10 +276,8 @@ impl ExecutionMonitor {
             max_traces: options.max_traces,
         };
         Ok(MonitorHandle {
-            node,
-            net: net.handle(),
             store,
-            handle: Some(exec.spawn_node(endpoint, logic)),
+            handle: exec.spawn_node(endpoint, logic),
         })
     }
 }
@@ -360,7 +354,6 @@ impl MonitorLogic {
 impl NodeLogic for MonitorLogic {
     fn on_message(&mut self, _ctx: &mut NodeCtx<'_>, env: Envelope) -> Flow {
         match env.kind.as_str() {
-            crate::protocol::kinds::STOP => return Flow::Stop,
             TRACE_KIND => {
                 if let Some(event) = decode_trace(&env.body) {
                     let mut store = self.store.write();
@@ -393,7 +386,7 @@ impl NodeLogic for MonitorLogic {
 impl MonitorHandle {
     /// The monitor's node (pass to [`crate::Deployer::with_monitor`]).
     pub fn node(&self) -> &NodeId {
-        &self.node
+        self.handle.node()
     }
 
     /// The trace of one instance, in arrival order.
@@ -423,11 +416,6 @@ impl MonitorHandle {
     /// while the instance is still running, unknown, or evicted.
     pub fn instance_latency_us(&self, instance: InstanceId) -> Option<u64> {
         self.store.read().latency_us.get(&instance).copied()
-    }
-
-    /// End-to-end latencies of all retained finished instances, µs.
-    pub fn latencies_us(&self) -> Vec<u64> {
-        self.store.read().latency_us.values().copied().collect()
     }
 
     /// Every liveness transition reported by discovery failure detectors,
@@ -466,22 +454,15 @@ impl MonitorHandle {
         out
     }
 
-    /// Stops the monitor.
-    pub fn stop(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.net.revive(&self.node);
-            handle.stop();
-        }
+    /// Stops the monitor and waits until its name is free.
+    pub fn stop(self) {
+        self.handle.stop();
     }
 }
 
 impl Drop for MonitorHandle {
     fn drop(&mut self) {
-        self.stop_inner();
+        self.handle.stop();
     }
 }
 

@@ -46,6 +46,10 @@ impl PersistentClient {
 }
 
 /// Message kinds of the execution protocol.
+///
+/// None of them stops a node: a component stops only through its handle
+/// (a runtime stop event), so no peer can stop another by sending it a
+/// frame.
 pub mod kinds {
     /// Completion/start notification between peers (coordinators and the
     /// wrapper).
@@ -65,8 +69,6 @@ pub mod kinds {
     pub const EXECUTE_RESULT: &str = "wrapper.result";
     /// External ECA event injection.
     pub const RAISE_EVENT: &str = "wrapper.event";
-    /// Stop an actor.
-    pub const STOP: &str = "actor.stop";
 }
 
 /// Node naming conventions: one composite's actors live under a common

@@ -11,7 +11,7 @@ use crate::coordinator::{apply_actions, eval_guard, SweepTimer};
 use crate::functions::FunctionLibrary;
 use crate::protocol::{cleanup_body, kinds, naming, InstanceId, NotifyPayload};
 use selfserv_expr::Value;
-use selfserv_net::{ConnectError, Envelope, MessageId, NodeId, Transport, TransportHandle};
+use selfserv_net::{ConnectError, Envelope, MessageId, NodeId, Transport};
 use selfserv_routing::{NotificationLabel, WrapperTable};
 use selfserv_runtime::{ExecutorHandle, Flow, NodeCtx, NodeHandle, NodeLogic, TimerToken};
 use selfserv_statechart::{StateId, VarDecl};
@@ -44,35 +44,24 @@ pub struct CompositeWrapper;
 
 /// Handle to a spawned wrapper.
 pub struct WrapperHandle {
-    node: NodeId,
-    net: TransportHandle,
-    handle: Option<NodeHandle>,
+    handle: NodeHandle,
 }
 
 impl WrapperHandle {
     /// The wrapper's node.
     pub fn node(&self) -> &NodeId {
-        &self.node
+        self.handle.node()
     }
 
-    /// Stops the wrapper.
-    pub fn stop(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            // Clear any kill left by failure injection so the name isn't
-            // poisoned for a redeploy.
-            self.net.revive(&self.node);
-            handle.stop();
-        }
+    /// Stops the wrapper and waits until its name is free.
+    pub fn stop(self) {
+        self.handle.stop();
     }
 }
 
 impl Drop for WrapperHandle {
     fn drop(&mut self) {
-        self.stop_inner();
+        self.handle.stop();
     }
 }
 
@@ -100,7 +89,6 @@ impl CompositeWrapper {
         cfg: WrapperConfig,
     ) -> Result<WrapperHandle, ConnectError> {
         let endpoint = net.connect(naming::wrapper(&cfg.composite))?;
-        let node = endpoint.node().clone();
         let logic = WrapperLogic {
             cfg,
             next_instance: 0,
@@ -108,9 +96,7 @@ impl CompositeWrapper {
             sweep: SweepTimer::new(),
         };
         Ok(WrapperHandle {
-            node,
-            net: net.handle(),
-            handle: Some(exec.spawn_node(endpoint, logic)),
+            handle: exec.spawn_node(endpoint, logic),
         })
     }
 }
@@ -118,7 +104,6 @@ impl CompositeWrapper {
 impl NodeLogic for WrapperLogic {
     fn on_message(&mut self, ctx: &mut NodeCtx<'_>, env: Envelope) -> Flow {
         match env.kind.as_str() {
-            kinds::STOP => return Flow::Stop,
             kinds::EXECUTE => self.on_execute(ctx, &env),
             kinds::NOTIFY => self.on_notify(ctx, &env.body),
             kinds::FAULT => self.on_fault(ctx, &env.body),

@@ -151,12 +151,6 @@ impl DiscoveryConfig {
         self
     }
 
-    /// Builder: distinct gossip partners per round (clamped to ≥ 1).
-    pub fn with_fanout(mut self, fanout: usize) -> Self {
-        self.gossip_fanout = fanout;
-        self
-    }
-
     /// Builder: attach a shared gossip-payload registry to this hub's
     /// exchanges.
     pub fn with_payloads(mut self, payloads: GossipPayloads) -> Self {
@@ -275,25 +269,23 @@ impl PeerDiscovery {
     ) -> Result<DiscoveryHandle, ConnectError> {
         let name = disc_node_name(hub.hub_id());
         let endpoint = selfserv_net::Transport::connect(hub, name)?;
-        let node = endpoint.node().clone();
         let addr = hub
-            .addr_of(node.as_str())
+            .addr_of(endpoint.node().as_str())
             .expect("a freshly connected node has its hub's address");
         // Seeds greet this hub by address: their hellos, and the injected
         // ticks, are for this node.
-        hub.set_unaddressed_recipient(&node);
+        hub.set_unaddressed_recipient(endpoint.node());
         let events = EventLog::new();
         let stats = Arc::new(DiscoveryStats::default());
         let logic =
             DiscoveryNode::new(hub.clone(), config, Arc::clone(&events), Arc::clone(&stats));
         Ok(DiscoveryHandle {
-            node,
             addr,
             hub: hub.clone(),
             directory: hub.directory(),
             events,
             stats,
-            handle: Some(exec.spawn_node(endpoint, logic)),
+            handle: exec.spawn_node(endpoint, logic),
         })
     }
 }
@@ -301,19 +293,18 @@ impl PeerDiscovery {
 /// Handle to a running discovery node: the hub's seed address, its
 /// directory, the liveness log, and shutdown.
 pub struct DiscoveryHandle {
-    node: NodeId,
     addr: SocketAddr,
     hub: TcpTransport,
     directory: PeerDirectory,
     events: Arc<EventLog>,
     stats: Arc<DiscoveryStats>,
-    handle: Option<NodeHandle>,
+    handle: NodeHandle,
 }
 
 impl DiscoveryHandle {
     /// The discovery node's name (`disc.<hub-id>`).
     pub fn node(&self) -> &NodeId {
-        &self.node
+        self.handle.node()
     }
 
     /// The address other hubs seed with to join this one: the hub's
@@ -400,7 +391,7 @@ impl DiscoveryHandle {
         self.hub
             .send_to_addr(
                 self.addr,
-                &self.node,
+                self.node(),
                 node::kinds::TICK,
                 selfserv_xml::Element::new("tick"),
             )
@@ -424,27 +415,21 @@ impl DiscoveryHandle {
 
     /// Stops the discovery node (its name tombstones locally; peers will
     /// detect the silence and evict this hub's names on their side).
-    pub fn stop(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            handle.stop();
-        }
+    pub fn stop(self) {
+        self.handle.stop();
     }
 }
 
 impl Drop for DiscoveryHandle {
     fn drop(&mut self) {
-        self.stop_inner();
+        self.handle.stop();
     }
 }
 
 impl std::fmt::Debug for DiscoveryHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DiscoveryHandle")
-            .field("node", &self.node)
+            .field("node", self.node())
             .field("seed_addr", &self.addr)
             .finish()
     }

@@ -6,7 +6,9 @@ use crate::fault::{
     ChaosTarget, FaultAction, FaultPolicy, FaultSchedule, LatencyModel, LinkOverride,
 };
 use crate::metrics::{CountersTable, MetricsSnapshot};
-use crate::transport::{ConnectError, Endpoint, NodeTable, SendError, Transport, TransportHandle};
+use crate::transport::{
+    ConnectError, Endpoint, NodeHome, NodeTable, SendError, Transport, TransportHandle,
+};
 use parking_lot::{Condvar, Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -105,7 +107,7 @@ struct Inner {
     cfg: NetworkConfig,
     /// The connected nodes, their counters and the fabric's ids. A fabric
     /// node has nothing to claim beyond its table entry.
-    table: Arc<NodeTable>,
+    table: NodeTable,
     fault: RwLock<FaultPolicy>,
     /// Installed chaos schedule, consulted on every dispatch after the
     /// static fault policy.
@@ -116,6 +118,21 @@ struct Inner {
     /// latency models, lazily when a chaos schedule (whose delay/reorder/
     /// duplicate actions need the heap) is installed on an instant fabric.
     delivery_started: AtomicBool,
+}
+
+impl NodeHome for Inner {
+    fn table(&self) -> &NodeTable {
+        &self.table
+    }
+
+    /// The one place a kill is cleared when its node leaves. The fault
+    /// lock is taken outside the table's, and for writing only when the
+    /// name is marked dead.
+    fn released(&self, name: &NodeId) {
+        if self.fault.read().is_dead(name) {
+            self.fault.write().revive(name);
+        }
+    }
 }
 
 impl Drop for Inner {
@@ -141,7 +158,7 @@ impl Network {
         let inner = Arc::new(Inner {
             rng: Mutex::new(StdRng::seed_from_u64(cfg.seed)),
             cfg,
-            table: Arc::new(NodeTable::new(CountersTable::new())),
+            table: NodeTable::new(CountersTable::new()),
             fault: RwLock::new(fault),
             chaos: RwLock::new(None),
             delivery: Arc::new(DeliveryQueue::default()),
@@ -160,23 +177,14 @@ impl Network {
     /// counters are pruned on drop, which would silently lose a real
     /// node's metrics).
     pub fn connect(&self, name: impl Into<NodeId>) -> Result<Endpoint, ConnectError> {
-        NodeTable::connect(
-            self.inner.table.clone(),
-            Transport::handle(self),
-            name.into(),
-        )
+        NodeTable::connect(self.inner.clone(), Transport::handle(self), name.into())
     }
 
     /// Connects a node with a generated unique name beginning with `prefix`
-    /// (auxiliary identities: demo clients, control senders — the rpc path
-    /// no longer creates ephemeral endpoints).
+    /// (auxiliary identities: demo clients, nested composite callers — the
+    /// rpc path no longer creates ephemeral endpoints).
     pub fn connect_anonymous(&self, prefix: &str) -> Endpoint {
-        NodeTable::connect_anonymous(
-            self.inner.table.clone(),
-            Transport::handle(self),
-            prefix,
-            None,
-        )
+        NodeTable::connect_anonymous(self.inner.clone(), Transport::handle(self), prefix, None)
     }
 
     /// True when a node of this name is currently connected.
@@ -202,7 +210,8 @@ impl Network {
     }
 
     /// Kills a node: all traffic to and from it is dropped until
-    /// [`Network::revive`].
+    /// [`Network::revive`], or until the node leaves (its endpoint drops):
+    /// a kill belongs to the node, so its name connects again alive.
     pub fn kill(&self, node: &NodeId) {
         self.inner.fault.write().kill(node);
     }
@@ -456,10 +465,6 @@ impl Transport for Network {
             body,
         };
         self.dispatch(envelope)
-    }
-
-    fn revive(&self, node: &NodeId) {
-        Network::revive(self, node);
     }
 
     fn metrics(&self) -> MetricsSnapshot {

@@ -15,9 +15,9 @@ use std::sync::Arc;
 /// (`~`-suffixed [`connect_anonymous`]) endpoints, so pruning their
 /// per-node entries keeps fabric-wide totals conserved. Since the rpc path
 /// stopped creating ephemeral endpoints, the only `~` nodes left are
-/// auxiliary identities — demo clients, stop-control senders, nested
-/// composite callers. Contains `~` itself, so filters that exclude
-/// ephemeral nodes exclude the aggregate too.
+/// auxiliary identities — demo clients, nested composite callers.
+/// Contains `~` itself, so filters that exclude ephemeral nodes exclude
+/// the aggregate too.
 ///
 /// [`connect_anonymous`]: crate::Transport::connect_anonymous
 pub const EPHEMERAL_AGGREGATE: &str = "~ephemeral";

@@ -530,12 +530,6 @@ impl TcpTransport {
         self.hub.io.snapshot()
     }
 
-    /// Frames sitting in outbound connection queues right now, hub-wide —
-    /// sustained growth here means destinations are not draining.
-    pub fn queued_frames(&self) -> usize {
-        self.hub.pool.lock().values().map(|c| c.len()).sum()
-    }
-
     /// Replies discarded as stale (late or duplicate replies to retired
     /// rpcs) by any local endpoint since the hub started.
     pub fn stale_replies_dropped(&self) -> u64 {

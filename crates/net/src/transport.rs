@@ -187,9 +187,8 @@ pub trait Transport: Send + Sync {
     ///
     /// This provisions a full endpoint (a mailbox, a reply demultiplexer
     /// and a directory binding), so it belongs on setup and control paths
-    /// only — auxiliary identities such as demo clients, stop-control
-    /// senders, or nested composite callers. The rpc hot path does **not**
-    /// use it: replies
+    /// only — auxiliary identities such as demo clients or nested
+    /// composite callers. The rpc hot path does **not** use it: replies
     /// demultiplex on the caller's persistent endpoint.
     fn connect_anonymous(&self, prefix: &str) -> Endpoint;
 
@@ -235,12 +234,6 @@ pub trait Transport: Send + Sync {
         Ok(id)
     }
 
-    /// Failure-injection hook: brings a killed node back. Transports
-    /// without failure injection (e.g. TCP) treat this as a no-op; handles
-    /// call it before delivering their stop message so shutdown can never
-    /// deadlock on a killed node.
-    fn revive(&self, _node: &NodeId) {}
-
     /// Snapshot of per-node traffic counters.
     fn metrics(&self) -> MetricsSnapshot;
 
@@ -260,11 +253,6 @@ impl TransportHandle {
     /// Wraps a transport implementation.
     pub fn new(transport: impl Transport + 'static) -> Self {
         TransportHandle(Arc::new(transport))
-    }
-
-    /// Wraps an already-shared transport.
-    pub fn from_arc(transport: Arc<dyn Transport>) -> Self {
-        TransportHandle(transport)
     }
 }
 
@@ -465,9 +453,10 @@ struct LocalNode {
 }
 
 /// Where a transport keeps its connected nodes: the [`NodeTable`] plus the
-/// transport's own step for claiming and releasing a name. The fabric's
-/// nodes live in a bare table (nothing to claim); a TCP hub's live on its
-/// receive side, whose claim binds the name in the hub's peer directory.
+/// transport's own steps for claiming and releasing a name. A fabric node
+/// has nothing to claim, and its `released` step clears a kill left on its
+/// name; a TCP hub's nodes live on its receive side, whose claim binds the
+/// name in the hub's peer directory.
 pub(crate) trait NodeHome: Send + Sync {
     /// The table the nodes are entered in.
     fn table(&self) -> &NodeTable;
@@ -481,6 +470,11 @@ pub(crate) trait NodeHome: Send + Sync {
     /// Releases a departing node's name. Runs under the table's write
     /// lock, so a reconnect under the same name cannot slip in between.
     fn release(&self, _name: &NodeId) {}
+
+    /// Runs once a departed node's entry is gone and the table's lock is
+    /// released: the step for what the transport keeps about a name under
+    /// a lock of its own, which must never be taken inside the table's.
+    fn released(&self, _name: &NodeId) {}
 }
 
 /// The nodes connected on one transport — the fabric, or one TCP hub — and
@@ -507,12 +501,6 @@ pub(crate) struct NodeTable {
     /// Replies discarded as stale (late or duplicate) by any endpoint's
     /// demux — the transport's duplicate-traffic signal.
     stale_replies: Arc<AtomicU64>,
-}
-
-impl NodeHome for NodeTable {
-    fn table(&self) -> &NodeTable {
-        self
-    }
 }
 
 impl NodeTable {
@@ -620,13 +608,17 @@ impl NodeTable {
     /// Takes a departing node out: removes its entry, runs the home's
     /// release step, and folds its counters — all under the write lock, so
     /// no name can connect between the counters table asking whether a
-    /// name is connected and acting on the answer.
+    /// name is connected and acting on the answer. The home's `released`
+    /// step follows, outside the lock.
     fn detach(home: &dyn NodeHome, name: &NodeId) {
         let table = home.table();
-        let mut nodes = table.nodes.write();
-        nodes.remove(name);
-        home.release(name);
-        table.counters.depart(name, |name| nodes.contains_key(name));
+        {
+            let mut nodes = table.nodes.write();
+            nodes.remove(name);
+            home.release(name);
+            table.counters.depart(name, |name| nodes.contains_key(name));
+        }
+        home.released(name);
     }
 
     /// Delivers one envelope of `size` wire bytes to the node connected

@@ -6,16 +6,16 @@ use crate::model::{
     ServiceSummary,
 };
 use crate::store::UddiRegistry;
-use selfserv_net::{
-    ConnectError, Endpoint, Envelope, NodeId, RpcError, Transport, TransportHandle,
-};
+use selfserv_net::{ConnectError, Endpoint, Envelope, NodeId, RpcError, Transport};
 use selfserv_runtime::{ExecutorHandle, Flow, NodeCtx, NodeHandle, NodeLogic};
 use selfserv_wsdl::ServiceDescription;
 use selfserv_xml::{Element, Node};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Message kinds of the registry protocol.
+/// Message kinds of the registry protocol. None of them stops the server:
+/// it stops only through its handle, and any other kind is answered with
+/// a fault.
 mod kinds {
     pub const SAVE_BUSINESS: &str = "uddi.save_business";
     pub const SAVE_SERVICE: &str = "uddi.save_service";
@@ -25,7 +25,6 @@ mod kinds {
     pub const DELETE_SERVICE: &str = "uddi.delete_service";
     pub const RESULT: &str = "uddi.result";
     pub const FAULT: &str = "uddi.fault";
-    pub const STOP: &str = "registry.stop";
 }
 
 /// A fault carries the error's fields, each in an attribute of its own,
@@ -104,35 +103,24 @@ pub(crate) struct RegistryLogic {
 
 /// Handle to a spawned [`RegistryServer`] node.
 pub struct RegistryServerHandle {
-    node: NodeId,
-    net: TransportHandle,
-    handle: Option<NodeHandle>,
+    handle: NodeHandle,
 }
 
 impl RegistryServerHandle {
     /// The node name the server listens on.
     pub fn node(&self) -> &NodeId {
-        &self.node
+        self.handle.node()
     }
 
-    /// Stops the server and joins its thread.
-    pub fn stop(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            // Clear any kill left by failure injection so the name isn't
-            // poisoned for a redeploy.
-            self.net.revive(&self.node);
-            handle.stop();
-        }
+    /// Stops the server and waits until its name is free.
+    pub fn stop(self) {
+        self.handle.stop();
     }
 }
 
 impl Drop for RegistryServerHandle {
     fn drop(&mut self) {
-        self.stop_inner();
+        self.handle.stop();
     }
 }
 
@@ -155,20 +143,14 @@ impl RegistryServer {
         registry: Arc<UddiRegistry>,
     ) -> Result<RegistryServerHandle, ConnectError> {
         let endpoint = net.connect(NodeId::new(node_name))?;
-        let node = endpoint.node().clone();
         Ok(RegistryServerHandle {
-            node,
-            net: net.handle(),
-            handle: Some(exec.spawn_node(endpoint, RegistryLogic { registry })),
+            handle: exec.spawn_node(endpoint, RegistryLogic { registry }),
         })
     }
 }
 
 impl NodeLogic for RegistryLogic {
     fn on_message(&mut self, ctx: &mut NodeCtx<'_>, request: Envelope) -> Flow {
-        if request.kind == kinds::STOP {
-            return Flow::Stop;
-        }
         let reply = self.handle(&request);
         let (kind, body) = match reply {
             Ok(body) => (kinds::RESULT, body),
@@ -281,15 +263,6 @@ impl RegistryClient {
             registry_node: registry_node.into(),
             timeout: Duration::from_secs(5),
         })
-    }
-
-    /// Builds a client on an existing endpoint (sharing a component's node).
-    pub fn on_endpoint(endpoint: Endpoint, registry_node: impl Into<NodeId>) -> Self {
-        RegistryClient {
-            endpoint,
-            registry_node: registry_node.into(),
-            timeout: Duration::from_secs(5),
-        }
     }
 
     fn call(&self, kind: &str, body: Element) -> Result<Element, RegistryError> {

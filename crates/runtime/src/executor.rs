@@ -534,12 +534,6 @@ impl ExecutorHandle {
         self.pool.timers.live_len()
     }
 
-    /// All timer-heap entries, including lazily invalidated ones awaiting
-    /// their pop — for diagnostics on heap growth.
-    pub fn timer_entries(&self) -> usize {
-        self.pool.timers.heap_len()
-    }
-
     /// Runnables queued anywhere on the pool (injector plus local deques)
     /// and not yet claimed by a worker.
     pub fn run_queue_depth(&self) -> usize {
