@@ -22,8 +22,10 @@
 //! riding the runtime's timer heap) re-enters the node in
 //! [`NodeLogic::on_rpc_done`], which either relays the response to the
 //! caller or fails over to the next candidate. A community node therefore
-//! sustains thousands of in-flight delegations on a fixed worker pool —
-//! `blocked_workers` stays zero regardless of member latency.
+//! sustains thousands of in-flight delegations on a fixed worker pool and
+//! starts no thread for them: `blocked_workers`, which counts blocking
+//! backend calls on threads of their own, stays zero regardless of member
+//! latency.
 
 use crate::history::{ExecutionHistory, Outcome};
 use crate::membership::{Community, CommunityError, Member, MemberId, QosProfile};

@@ -10,7 +10,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selfserv_expr::Value;
-use selfserv_net::{ConnectError, Envelope, NodeId, Transport};
+use selfserv_net::{ConnectError, Envelope, NodeId, RpcError, Transport};
 use selfserv_runtime::{ExecutorHandle, Flow, NodeCtx, NodeHandle, NodeLogic, RpcDone, RpcToken};
 use selfserv_wsdl::MessageDoc;
 use std::collections::HashMap;
@@ -46,26 +46,26 @@ pub trait ServiceBackend: Send + Sync {
     /// node and waits for its reply — no local computation.
     ///
     /// Backends that compute in-process return `None` (the default) and
-    /// run under blocking compensation wherever they may sleep. Backends
+    /// run inline or, when they may sleep, on a thread of their own. Backends
     /// that only forward (e.g. [`crate::CompositeBackend`], whose "work"
     /// is a whole nested orchestration) return the exchange instead, so a
     /// coordinator can carry it **continuation-passing** via
     /// `NodeCtx::rpc_async`: zero workers parked for however long the
     /// remote takes, which is what lets thousands of invocations await
     /// replies concurrently on a fixed pool. Callers that can't (or don't
-    /// want to) suspend — e.g. [`ServiceHost`] tasks — simply keep using
-    /// [`ServiceBackend::invoke`], which must remain equivalent.
+    /// want to) suspend simply keep using [`ServiceBackend::invoke`], which
+    /// must remain equivalent.
     fn forward(&self, _operation: &str, _input: &MessageDoc) -> Option<ForwardCall> {
         None
     }
 
     /// Whether [`ServiceBackend::invoke`] may sleep or otherwise block the
-    /// calling thread. Defaults to `true` (the safe assumption): callers
-    /// run such backends under the pool's blocking compensation. Backends
-    /// that compute without ever parking — echo stubs, pure functions —
-    /// override this to `false`, letting hosts and coordinators dispatch
-    /// them without spawning a compensated task at all: the last scrap of
-    /// worker-blocking on the invocation path disappears for them.
+    /// calling thread. Defaults to `true` (the safe assumption): hosts and
+    /// coordinators run each call of such a backend on a thread of its own
+    /// (`ExecutorHandle::spawn_blocking`), never on a pool worker, so the
+    /// pool stays at its fixed size. Backends that compute without ever
+    /// parking — echo stubs, pure functions — override this to `false` and
+    /// are called inline on the caller's turn, with no thread at all.
     fn may_block(&self) -> bool {
         true
     }
@@ -264,10 +264,10 @@ impl Drop for ServiceHostHandle {
 
 impl ServiceHost {
     /// Spawns a host serving `backend` on `node_name`, scheduled on the
-    /// process-wide shared executor. Each invocation runs as its own pool
-    /// task so a slow backend doesn't serialize unrelated callers (hosts
-    /// model multi-threaded provider servers; the *coordinator* is the
-    /// capacity-1 component).
+    /// process-wide shared executor. Each invocation of a blocking backend
+    /// runs on a thread of its own so a slow backend doesn't serialize
+    /// unrelated callers (hosts model multi-threaded provider servers; the
+    /// *coordinator* is the capacity-1 component).
     pub fn spawn(
         net: &dyn Transport,
         node_name: impl Into<NodeId>,
@@ -296,152 +296,133 @@ impl ServiceHost {
     }
 }
 
-/// One host invocation awaiting its completion event.
-enum HostPending {
-    /// A backend call running as a (possibly compensated) pool task.
-    Task(Envelope),
-    /// A pure relay declared by [`ServiceBackend::forward`]: the remote's
-    /// reply (or its deadline) resolves the invocation — no task, no
-    /// parked worker, exactly like the coordinator's forward phase.
-    Forward {
-        request: Envelope,
-        operation: String,
-        label: String,
-    },
+/// A backend call in flight: what its caller keeps under the call's token
+/// until the completion arrives (see [`BackendCall::start`]).
+pub(crate) struct BackendCall {
+    operation: String,
+    /// Set when the call is a relay declared by [`ServiceBackend::forward`]:
+    /// how faults name the remote.
+    forwarded_to: Option<String>,
+}
+
+impl BackendCall {
+    /// Starts one call of `backend` on `input`. Its outcome re-enters the
+    /// caller's node as the completion of `token`, however it is carried:
+    ///
+    /// * a relay declared by [`ServiceBackend::forward`] goes out with
+    ///   `rpc_async` — no thread, no parked worker;
+    /// * a backend that [may block](ServiceBackend::may_block) runs on a
+    ///   thread of its own (`ExecutorHandle::spawn_blocking`);
+    /// * any other backend runs inline, on the caller's turn.
+    pub(crate) fn start(
+        ctx: &NodeCtx<'_>,
+        backend: &Arc<dyn ServiceBackend>,
+        input: MessageDoc,
+        token: RpcToken,
+    ) -> BackendCall {
+        let operation = input.operation.clone();
+        if let Some(call) = backend.forward(&operation, &input) {
+            ctx.rpc_async(call.to, call.kind, call.body, call.timeout, token);
+            return BackendCall {
+                operation,
+                forwarded_to: Some(call.label),
+            };
+        }
+        let completer = ctx.completer(token);
+        let node = ctx.node().clone();
+        let call = {
+            let backend = Arc::clone(backend);
+            move || {
+                let reply = backend
+                    .invoke(&input.operation, &input)
+                    .unwrap_or_else(|reason| MessageDoc::fault(&input.operation, reason));
+                completer.complete(Ok(Envelope::synthetic(node, "task.result", reply.to_xml())));
+            }
+        };
+        if backend.may_block() {
+            ctx.executor().spawn_blocking(call);
+        } else {
+            call();
+        }
+        BackendCall {
+            operation,
+            forwarded_to: None,
+        }
+    }
+
+    /// The response a finished call answers with: the backend's own reply,
+    /// or a fault saying what went wrong. A relay's faults name the remote
+    /// (`{label} timed out`, `{label} unreachable: …`, `{label} faulted: …`),
+    /// so errors read the same as through the blocking `invoke` of a
+    /// forwarding backend.
+    pub(crate) fn reply(self, result: Result<Envelope, RpcError>) -> MessageDoc {
+        let label = self.forwarded_to.as_deref().unwrap_or("backend call");
+        let reason = match result {
+            Ok(env) => match MessageDoc::from_xml(&env.body) {
+                Ok(resp) if resp.is_fault() && self.forwarded_to.is_some() => format!(
+                    "{label} faulted: {}",
+                    resp.fault_reason().unwrap_or("unspecified")
+                ),
+                Ok(resp) => return resp,
+                Err(e) => e.to_string(),
+            },
+            Err(RpcError::Timeout) => format!("{label} timed out"),
+            Err(RpcError::Send(s)) => format!("{label} unreachable: {s}"),
+        };
+        MessageDoc::fault(self.operation, reason)
+    }
+}
+
+/// One host invocation awaiting its completion event: the request to
+/// answer and the backend call that answers it.
+struct HostPending {
+    request: Envelope,
+    call: BackendCall,
 }
 
 struct HostLogic {
     backend: Arc<dyn ServiceBackend>,
-    /// In-flight invocations awaiting their completion event: the token
-    /// issued at dispatch → the request to answer.
+    /// In-flight invocations awaiting their completion event, by the token
+    /// issued at dispatch. The host — not the call — sends the reply, so a
+    /// host that stops mid-flight simply never answers (as a crashed
+    /// provider wouldn't).
     in_flight: HashMap<RpcToken, HostPending>,
     next_token: u64,
 }
 
 impl NodeLogic for HostLogic {
     fn on_message(&mut self, ctx: &mut NodeCtx<'_>, request: Envelope) -> Flow {
-        match request.kind.as_str() {
-            kinds::INVOKE => {
-                let input = match MessageDoc::from_xml(&request.body) {
-                    Ok(input) => input,
-                    Err(e) => {
-                        let fault = MessageDoc::fault("unknown", e.to_string());
-                        let _ = ctx.endpoint().send_correlated(
-                            request.from.clone(),
-                            kinds::INVOKE_RESULT,
-                            fault.to_xml(),
-                            Some(request.id),
-                        );
-                        return Flow::Continue;
-                    }
-                };
-                self.next_token += 1;
-                let token = RpcToken(self.next_token);
-                if let Some(call) = self.backend.forward(&input.operation, &input) {
-                    // Pure relay: fire the remote request and suspend the
-                    // invocation on its token. The reply re-enters in
-                    // on_rpc_done; the deadline rides the timer heap.
-                    self.in_flight.insert(
-                        token,
-                        HostPending::Forward {
-                            request,
-                            operation: input.operation,
-                            label: call.label,
-                        },
-                    );
-                    ctx.rpc_async(call.to, call.kind, call.body, call.timeout, token);
-                } else if self.backend.may_block() {
-                    // Each blocking invocation runs as its own pool task,
-                    // so concurrent callers overlap and a slow backend
-                    // never occupies the host node itself. The backend
-                    // call is declared blocking (synthetic services sleep
-                    // to simulate service time) so the pool compensates;
-                    // its result re-enters the host as an ordinary
-                    // completion event, and the host — not the task —
-                    // sends the reply, so a host that stops mid-flight
-                    // simply never answers (as a crashed provider
-                    // wouldn't).
-                    let backend = Arc::clone(&self.backend);
-                    let completer = ctx.completer(token);
-                    let node = ctx.node().clone();
-                    self.in_flight.insert(token, HostPending::Task(request));
-                    let exec = ctx.executor();
-                    let pool = exec.clone();
-                    exec.spawn_task(move || {
-                        let reply = match pool.block_on(|| backend.invoke(&input.operation, &input))
-                        {
-                            Ok(output) => output,
-                            Err(reason) => MessageDoc::fault(input.operation, reason),
-                        };
-                        completer.complete(Ok(Envelope::synthetic(
-                            node,
-                            "task.result",
-                            reply.to_xml(),
-                        )));
-                    });
-                } else {
-                    // Non-blocking backend: answer inline on the node's
-                    // own turn. No task, no compensation thread.
-                    let reply = match self.backend.invoke(&input.operation, &input) {
-                        Ok(output) => output,
-                        Err(reason) => MessageDoc::fault(input.operation, reason),
-                    };
-                    let _ = ctx.endpoint().send_correlated(
-                        request.from.clone(),
-                        kinds::INVOKE_RESULT,
-                        reply.to_xml(),
-                        Some(request.id),
-                    );
-                }
-                Flow::Continue
-            }
-            _ => Flow::Continue, // ignore unrelated traffic
+        if request.kind != kinds::INVOKE {
+            return Flow::Continue; // ignore unrelated traffic
         }
+        let input = match MessageDoc::from_xml(&request.body) {
+            Ok(input) => input,
+            Err(e) => {
+                let fault = MessageDoc::fault("unknown", e.to_string());
+                let _ = ctx.endpoint().send_correlated(
+                    request.from.clone(),
+                    kinds::INVOKE_RESULT,
+                    fault.to_xml(),
+                    Some(request.id),
+                );
+                return Flow::Continue;
+            }
+        };
+        self.next_token += 1;
+        let token = RpcToken(self.next_token);
+        let call = BackendCall::start(ctx, &self.backend, input, token);
+        self.in_flight.insert(token, HostPending { request, call });
+        Flow::Continue
     }
 
     fn on_rpc_done(&mut self, ctx: &mut NodeCtx<'_>, done: RpcDone) -> Flow {
-        let (request, body) = match self.in_flight.remove(&done.token) {
-            None => return Flow::Continue,
-            Some(HostPending::Task(request)) => {
-                let Ok(result) = done.result else {
-                    return Flow::Continue; // completer path always delivers Ok
-                };
-                (request, result.body)
-            }
-            Some(HostPending::Forward {
-                request,
-                operation,
-                label,
-            }) => {
-                // Map the relay's outcome exactly like the blocking
-                // `invoke` of a forwarding backend would, so errors read
-                // the same on both paths.
-                let reply = match done.result {
-                    Ok(env) => match MessageDoc::from_xml(&env.body) {
-                        Ok(resp) if resp.is_fault() => MessageDoc::fault(
-                            operation,
-                            format!(
-                                "{label} faulted: {}",
-                                resp.fault_reason().unwrap_or("unspecified")
-                            ),
-                        ),
-                        Ok(resp) => resp,
-                        Err(e) => MessageDoc::fault(operation, e.to_string()),
-                    },
-                    Err(selfserv_net::RpcError::Timeout) => {
-                        MessageDoc::fault(operation, format!("{label} timed out"))
-                    }
-                    Err(selfserv_net::RpcError::Send(s)) => {
-                        MessageDoc::fault(operation, format!("{label} unreachable: {s}"))
-                    }
-                };
-                (request, reply.to_xml())
-            }
+        let Some(HostPending { request, call }) = self.in_flight.remove(&done.token) else {
+            return Flow::Continue;
         };
         let _ = ctx.endpoint().send_correlated(
             request.from.clone(),
             kinds::INVOKE_RESULT,
-            body,
+            call.reply(done.result).to_xml(),
             Some(request.id),
         );
         Flow::Continue

@@ -6,7 +6,7 @@
 //! execution." All behaviour below is driven by the routing table; there is
 //! no scheduler.
 
-use crate::backend::ServiceBackend;
+use crate::backend::{BackendCall, ServiceBackend};
 use crate::functions::FunctionLibrary;
 use crate::protocol::{fault_body, kinds, naming, InstanceId, NotifyPayload};
 use selfserv_expr::Value;
@@ -195,12 +195,9 @@ enum InvokePhase {
     },
     /// Awaiting a redirect-mode member's direct reply.
     Redirect { member: String },
-    /// Awaiting a forwarding backend's remote reply
-    /// (see [`crate::ForwardCall`]). `label` names the remote in faults.
-    Forward { label: String },
-    /// Awaiting a co-located blocking backend running as a pool task
-    /// (resumed through a `TaskCompleter`).
-    Local,
+    /// Awaiting a co-located backend's call, however it is carried (see
+    /// [`BackendCall::start`]).
+    Backend(BackendCall),
 }
 
 /// Continuation state of one in-flight invocation, keyed by the
@@ -506,57 +503,10 @@ impl CoordinatorLogic {
                     Ok(input) => input,
                     Err(reason) => return self.fault(ctx, instance, &reason),
                 };
-                // Pure forwarders (e.g. nested composites) declare the
-                // remote exchange: carry it continuation-passing, with no
-                // task and no blocked worker at all.
-                if let Some(call) = backend.forward(operation, &input) {
-                    let token = self.issue_token(
-                        instance,
-                        vars,
-                        InvokePhase::Forward { label: call.label },
-                    );
-                    ctx.rpc_async(call.to, call.kind, call.body, call.timeout, token);
-                    return;
-                }
-                let backend = Arc::clone(backend);
-                let operation = operation.clone();
-                let token = self.issue_token(instance, vars, InvokePhase::Local);
-                let completer = ctx.completer(token);
-                let node = ctx.node().clone();
-                if !backend.may_block() {
-                    // A backend that never parks (echo stubs, pure
-                    // functions) runs inline on the coordinator's turn;
-                    // its completion event is queued for the end of the
-                    // turn like any other, so the phase machine is
-                    // identical — minus the task and compensation thread.
-                    let reply = match backend.invoke(&operation, &input) {
-                        Ok(doc) => doc,
-                        Err(reason) => MessageDoc::fault(&operation, reason),
-                    };
-                    completer.complete(Ok(Envelope::synthetic(
-                        node,
-                        "task.result",
-                        reply.to_xml(),
-                    )));
-                    return;
-                }
-                // A co-located backend may compute or simulate service
-                // latency (sleep): run it as a pool task under blocking
-                // compensation, and resume this coordinator through the
-                // task's completion event.
-                let exec = ctx.executor();
-                let pool = exec.clone();
-                exec.spawn_task(move || {
-                    let reply = match pool.block_on(|| backend.invoke(&operation, &input)) {
-                        Ok(doc) => doc,
-                        Err(reason) => MessageDoc::fault(&operation, reason),
-                    };
-                    completer.complete(Ok(Envelope::synthetic(
-                        node,
-                        "task.result",
-                        reply.to_xml(),
-                    )));
-                });
+                self.next_token += 1;
+                let token = RpcToken(self.next_token);
+                let call = BackendCall::start(ctx, backend, input, token);
+                self.track(token, instance, vars, InvokePhase::Backend(call));
             }
             TaskRuntime::Community {
                 node,
@@ -608,8 +558,8 @@ impl CoordinatorLogic {
         }
     }
 
-    /// Records the continuation of a dispatched invocation and marks its
-    /// instance busy.
+    /// Records the continuation of a dispatched invocation under a fresh
+    /// token and marks its instance busy.
     fn issue_token(
         &mut self,
         instance: InstanceId,
@@ -618,6 +568,19 @@ impl CoordinatorLogic {
     ) -> RpcToken {
         self.next_token += 1;
         let token = RpcToken(self.next_token);
+        self.track(token, instance, vars, phase);
+        token
+    }
+
+    /// Records the continuation of an invocation dispatched under `token`
+    /// and marks its instance busy.
+    fn track(
+        &mut self,
+        token: RpcToken,
+        instance: InstanceId,
+        vars: BTreeMap<String, Value>,
+        phase: InvokePhase,
+    ) {
         self.pending.insert(
             token,
             PendingInvoke {
@@ -629,7 +592,6 @@ impl CoordinatorLogic {
         if let Some(slot) = self.instances.get_mut(&instance) {
             slot.in_flight = Some(token);
         }
-        token
     }
 
     /// Picks an untried community replica for a failover attempt, or
@@ -682,46 +644,13 @@ impl CoordinatorLogic {
             return;
         }
         match phase {
-            InvokePhase::Local => {
-                // The completer path always delivers Ok(synthetic env);
-                // fault defensively rather than leave the instance busy.
-                let env = match done.result {
-                    Ok(env) => env,
-                    Err(e) => return self.fault(ctx, instance, &format!("task failed: {e}")),
-                };
-                let response = match MessageDoc::from_xml(&env.body) {
-                    Ok(r) => r,
-                    Err(e) => return self.fault(ctx, instance, &e.to_string()),
-                };
+            InvokePhase::Backend(call) => {
+                let response = call.reply(done.result);
                 if response.is_fault() {
                     let reason = response
                         .fault_reason()
                         .unwrap_or("backend fault")
                         .to_string();
-                    return self.fault(ctx, instance, &reason);
-                }
-                apply_outputs(self.task_outputs(), &response, &mut vars);
-                self.finish_invoke(ctx, instance, &mut vars);
-            }
-            InvokePhase::Forward { label } => {
-                let reply = match done.result {
-                    Ok(reply) => reply,
-                    Err(RpcError::Timeout) => {
-                        return self.fault(ctx, instance, &format!("{label} timed out"));
-                    }
-                    Err(RpcError::Send(s)) => {
-                        return self.fault(ctx, instance, &format!("{label} unreachable: {s}"));
-                    }
-                };
-                let response = match MessageDoc::from_xml(&reply.body) {
-                    Ok(r) => r,
-                    Err(e) => return self.fault(ctx, instance, &e.to_string()),
-                };
-                if response.is_fault() {
-                    let reason = format!(
-                        "{label} faulted: {}",
-                        response.fault_reason().unwrap_or("unspecified")
-                    );
                     return self.fault(ctx, instance, &reason);
                 }
                 apply_outputs(self.task_outputs(), &response, &mut vars);

@@ -74,8 +74,8 @@ pub struct Envelope {
 impl Envelope {
     /// A synthetic, transport-less envelope: carries `body` as if `node`
     /// had sent it to itself. Never touches a transport (no metrics, no
-    /// delivery) — it exists so off-wire results (e.g. a pool task's
-    /// outcome delivered through a runtime completion event) travel in the
+    /// delivery) — it exists so off-wire results (e.g. a blocking backend
+    /// call's outcome delivered through a runtime completion event) travel in the
     /// same shape as wire traffic. The id is `MessageId(0)` and there is
     /// no correlation.
     pub fn synthetic(node: NodeId, kind: impl Into<String>, body: Element) -> Envelope {

@@ -1,5 +1,5 @@
-//! The fixed-size worker pool: work-stealing run queues, workers, blocking
-//! compensation, and graceful shutdown.
+//! The fixed-size worker pool: work-stealing run queues, workers, threads
+//! for blocking sections, and graceful shutdown.
 //!
 //! # Run-queue topology
 //!
@@ -11,8 +11,8 @@
 //! the timer thread, client threads) land in a global **injector**. An
 //! idle worker looks for work in order: own deque → injector (stealing a
 //! batch to amortize the shared-queue touch) → stealing from a sibling's
-//! deque, so queued work is never stranded — anything a busy or blocked
-//! worker left behind is stolen by whoever runs dry.
+//! deque, so queued work is never stranded — anything a busy worker left
+//! behind is stolen by whoever runs dry.
 //!
 //! Per-node callback serialization is *not* the queue's job: the
 //! `scheduled` bit on each [`NodeCell`] guarantees at most one queue entry
@@ -28,9 +28,10 @@ use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How often an idle worker re-checks for shutdown and surplus.
+/// How often an idle worker re-checks for shutdown.
 const IDLE_TICK: Duration = Duration::from_millis(50);
 
 /// How many times an out-of-work worker yields and rescans before parking
@@ -38,7 +39,7 @@ const IDLE_TICK: Duration = Duration::from_millis(50);
 /// futex-wait path.
 const SPIN_RESCANS: usize = 2;
 
-/// A base worker's own run queue, installed in thread-local storage so
+/// A worker's own run queue, installed in thread-local storage so
 /// [`Pool::push`] can route work pushed *from* a worker back onto that
 /// worker's deque. Tagged with the owning pool's address: a worker of one
 /// executor may push to another executor's pool (cross-executor sends),
@@ -47,46 +48,25 @@ const SPIN_RESCANS: usize = 2;
 /// never be reused while this entry is live.
 struct LocalQueue {
     pool_id: usize,
-    worker: deque::Worker<Runnable>,
+    worker: deque::Worker<Arc<NodeCell>>,
 }
 
 thread_local! {
-    /// True on pool worker threads; [`Pool::block_on`] only compensates
-    /// when the caller actually occupies a worker.
-    static IS_WORKER: Cell<bool> = const { Cell::new(false) };
-    /// The local deque of a base worker (compensation workers run without
-    /// one and work injector-and-steal only).
+    /// The local deque of a worker.
     static LOCAL: RefCell<Option<LocalQueue>> = const { RefCell::new(None) };
     /// Per-thread rotation cursor so concurrent thieves start their victim
     /// scans at different siblings.
     static NEXT_VICTIM: Cell<usize> = const { Cell::new(0) };
 }
 
-/// One unit of work on the run queue.
-pub(crate) enum Runnable {
-    /// A node's scheduling turn (see [`run_node`]).
-    Node(Arc<NodeCell>),
-    /// A one-shot task (service invocations, community delegations —
-    /// work that is per-request, not per-node).
-    Task(Box<dyn FnOnce() + Send>),
-}
-
-struct Counts {
-    /// Workers currently alive (base + compensating).
-    live: usize,
-    /// Workers currently inside a [`Pool::block_on`] section.
-    blocked: usize,
-}
-
 /// Shared pool state. Everything public goes through [`Executor`] /
-/// [`ExecutorHandle`].
+/// [`ExecutorHandle`]. The run queues hold node turns only: a queued
+/// [`NodeCell`] is one scheduling turn of that node (see [`run_node`]).
 pub(crate) struct Pool {
     /// Global FIFO for work pushed from outside the pool's worker threads.
-    injector: deque::Injector<Runnable>,
-    /// One stealer per base worker's local deque, fixed at construction
-    /// (a retired base worker leaves an empty deque behind — stealing from
-    /// it just reports `Empty`).
-    stealers: Vec<deque::Stealer<Runnable>>,
+    injector: deque::Injector<Arc<NodeCell>>,
+    /// One stealer per worker's local deque, fixed at construction.
+    stealers: Vec<deque::Stealer<Arc<NodeCell>>>,
     /// Runnables queued anywhere (injector + all local deques) and not yet
     /// claimed by a worker. The only cross-queue signal: parking and
     /// shutdown key off it instead of scanning every queue.
@@ -96,11 +76,14 @@ pub(crate) struct Pool {
     idle: AtomicUsize,
     sleep: Mutex<()>,
     sleep_cv: Condvar,
-    counts: Mutex<Counts>,
-    counts_cv: Condvar,
-    /// The configured worker count: the pool keeps at least this many
-    /// *unblocked* workers alive.
+    /// The configured worker count, fixed for the pool's life.
     base: usize,
+    /// Workers alive: `base` until shutdown, then counting down as they
+    /// exit.
+    live: AtomicUsize,
+    /// Threads started by [`ExecutorHandle::spawn_blocking`] that have not
+    /// returned yet.
+    blocked: AtomicUsize,
     shutdown: AtomicBool,
     pub(crate) timers: TimerService,
     /// In-flight [`crate::NodeCtx::rpc_async`] requests across every node
@@ -117,7 +100,7 @@ pub(crate) struct Pool {
 }
 
 impl Pool {
-    pub(crate) fn push(&self, runnable: Runnable) {
+    pub(crate) fn push(&self, runnable: Arc<NodeCell>) {
         // Count before publishing: `pending` must never dip below the true
         // queue population, or a worker claiming a just-pushed runnable
         // ahead of our increment would wrap the counter below zero. The
@@ -128,7 +111,7 @@ impl Pool {
         let runnable = LOCAL.with(|slot| {
             let slot = slot.borrow();
             match slot.as_ref() {
-                // Pushed from one of our own base workers: keep it local.
+                // Pushed from one of our own workers: keep it local.
                 Some(local) if local.pool_id == pool_id => {
                     local.worker.push(runnable);
                     None
@@ -154,50 +137,6 @@ impl Pool {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Workers currently alive (for the stop-path liveness check).
-    pub(crate) fn live_worker_count(&self) -> usize {
-        self.counts.lock().live
-    }
-
-    /// Runs `f`, compensating the pool while it blocks: if the count of
-    /// unblocked workers would drop below `base`, a transient worker is
-    /// spawned first (the Go-scheduler move around syscalls), so nodes
-    /// waiting for each other's replies on one executor can never deadlock
-    /// the pool. Called off-worker (a plain client thread), `f` just runs.
-    pub(crate) fn block_on<R>(self: &Arc<Self>, f: impl FnOnce() -> R) -> R {
-        if !IS_WORKER.with(|w| w.get()) {
-            return f();
-        }
-        // Reserve the compensation slot under the lock, but perform the
-        // thread-creation syscall after releasing it — a burst of
-        // simultaneous blockers must not serialize behind each other's
-        // spawns.
-        let compensate = {
-            let mut counts = self.counts.lock();
-            counts.blocked += 1;
-            if counts.live - counts.blocked < self.base && !self.is_shut_down() {
-                counts.live += 1;
-                true
-            } else {
-                false
-            }
-        };
-        if compensate {
-            // Compensation workers run injector-and-steal only: they are
-            // transient, so handing them a local deque (and a stealer slot)
-            // would grow the victim list without bound.
-            spawn_worker(Arc::clone(self), None);
-        }
-        struct Unblock<'a>(&'a Pool);
-        impl Drop for Unblock<'_> {
-            fn drop(&mut self) {
-                self.0.counts.lock().blocked -= 1;
-            }
-        }
-        let _unblock = Unblock(self);
-        f()
-    }
-
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.timers.stop();
@@ -207,15 +146,10 @@ impl Pool {
         self.sleep_cv.notify_all();
     }
 
-    fn worker_exited(&self) {
-        self.counts.lock().live -= 1;
-        self.counts_cv.notify_all();
-    }
-
     /// One work-finding pass in steal order: own deque, then the injector
     /// (batching into the local deque to amortize the shared touch), then
     /// the siblings' deques starting at a rotating victim.
-    fn find_work(&self) -> Option<Runnable> {
+    fn find_work(&self) -> Option<Arc<NodeCell>> {
         let pool_id = self as *const Pool as usize;
         if let Some(runnable) = LOCAL.with(|slot| {
             let slot = slot.borrow();
@@ -265,80 +199,52 @@ impl Pool {
     }
 
     /// Parks the calling worker until new work is signalled or the idle
-    /// tick elapses; returns whether the wait timed out (retirement only
-    /// triggers off a full idle tick, so a worker woken into a lost steal
-    /// race is not mistaken for surplus).
-    fn park(&self) -> bool {
+    /// tick elapses.
+    fn park(&self) {
         let mut guard = self.sleep.lock();
         // Publish idleness, then re-check for work (see `push` for the
         // pairing); without the re-check a push landing between our last
         // scan and the wait would strand its runnable for a full tick.
         self.idle.fetch_add(1, Ordering::SeqCst);
-        let timed_out = if self.pending.load(Ordering::SeqCst) == 0 && !self.is_shut_down() {
-            self.sleep_cv.wait_for(&mut guard, IDLE_TICK).timed_out()
-        } else {
-            false
-        };
+        if self.pending.load(Ordering::SeqCst) == 0 && !self.is_shut_down() {
+            self.sleep_cv.wait_for(&mut guard, IDLE_TICK);
+        }
         self.idle.fetch_sub(1, Ordering::SeqCst);
-        timed_out
     }
 }
 
-fn spawn_worker(pool: Arc<Pool>, local: Option<deque::Worker<Runnable>>) {
+fn spawn_worker(pool: Arc<Pool>, worker: deque::Worker<Arc<NodeCell>>) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name("selfserv-exec-worker".to_string())
         .spawn(move || {
-            IS_WORKER.with(|w| w.set(true));
-            if let Some(worker) = local {
-                LOCAL.with(|slot| {
-                    *slot.borrow_mut() = Some(LocalQueue {
-                        pool_id: Arc::as_ptr(&pool) as usize,
-                        worker,
-                    });
-                });
-            }
-            let retired = worker_loop(&pool);
-            // A dying worker must not strand queued runnables: anything
-            // left in its deque (normally nothing — shutdown waits for
-            // `pending == 0`, and a retiring worker just scanned dry) goes
-            // back to the injector where the survivors can see it.
             LOCAL.with(|slot| {
-                if let Some(local) = slot.borrow_mut().take() {
-                    while let Some(runnable) = local.worker.pop() {
-                        pool.injector.push(runnable);
-                    }
-                }
+                *slot.borrow_mut() = Some(LocalQueue {
+                    pool_id: Arc::as_ptr(&pool) as usize,
+                    worker,
+                });
             });
-            if !retired {
-                pool.worker_exited();
-            }
+            worker_loop(&pool);
+            pool.live.fetch_sub(1, Ordering::SeqCst);
         })
-        .expect("spawn executor worker");
+        .expect("spawn executor worker")
 }
 
-/// Runs until shutdown (returns `false`; exit not yet recorded) or
-/// retirement (returns `true`; exit recorded under the retirement lock).
-fn worker_loop(pool: &Arc<Pool>) -> bool {
+/// Runs turns until shutdown has drained the run queue. The worker's own
+/// deque is empty on return: only this thread pushes to it, and it just
+/// found no work.
+fn worker_loop(pool: &Arc<Pool>) {
     let mut rescans = 0;
     loop {
-        // Panic fence: a panicking callback or task must not kill the
-        // worker — that would corrupt the live-worker accounting and
-        // hang shutdown. The panic is contained to the one runnable
-        // (run_node's own guard finalizes a node that dies mid-turn).
+        // Panic fence: a panicking callback must not kill the worker —
+        // that would shrink the fixed pool and hang shutdown. The panic is
+        // contained to the one turn (run_node's own guard finalizes a node
+        // that dies mid-turn).
         match pool.find_work() {
-            Some(runnable) => {
+            Some(cell) => {
                 pool.pending.fetch_sub(1, Ordering::SeqCst);
                 rescans = 0;
-                match runnable {
-                    Runnable::Node(cell) => {
-                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            run_node(pool, cell)
-                        }));
-                    }
-                    Runnable::Task(task) => {
-                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-                    }
-                }
+                let _ =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_node(pool, cell)));
                 continue;
             }
             None => {
@@ -350,34 +256,21 @@ fn worker_loop(pool: &Arc<Pool>) -> bool {
                 rescans = 0;
             }
         }
-        let timed_out = pool.park();
+        pool.park();
         // Drain-then-exit on shutdown: queued work always runs.
         if pool.is_shut_down() && pool.pending.load(Ordering::SeqCst) == 0 {
-            return false;
-        }
-        if timed_out {
-            // Lazy retirement of compensation surplus: decided and
-            // recorded under one lock so concurrent retirements can
-            // never undershoot `base`. The idle grace (one tick) keeps
-            // transient workers warm across bursts instead of
-            // thrashing spawn/join.
-            let mut counts = pool.counts.lock();
-            if counts.live - counts.blocked > pool.base {
-                counts.live -= 1;
-                drop(counts);
-                pool.counts_cv.notify_all();
-                return true;
-            }
+            return;
         }
     }
 }
 
 /// A fixed-size executor: `workers` threads multiplexing any number of
-/// [`NodeLogic`] nodes and one-shot tasks, plus one timer thread. See the
-/// crate docs for the scheduling model, blocking compensation, and the
-/// thread-budget formula.
+/// [`NodeLogic`] nodes, plus one timer thread. The worker count never
+/// changes while the executor runs. See the crate docs for the scheduling
+/// model, blocking sections, and the thread-budget formula.
 pub struct Executor {
     pool: Arc<Pool>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Executor {
@@ -385,7 +278,7 @@ impl Executor {
     /// thread.
     pub fn new(workers: usize) -> Executor {
         let workers = workers.max(1);
-        let locals: Vec<deque::Worker<Runnable>> =
+        let locals: Vec<deque::Worker<Arc<NodeCell>>> =
             (0..workers).map(|_| deque::Worker::new_fifo()).collect();
         let pool = Arc::new(Pool {
             injector: deque::Injector::new(),
@@ -394,22 +287,20 @@ impl Executor {
             idle: AtomicUsize::new(0),
             sleep: Mutex::new(()),
             sleep_cv: Condvar::new(),
-            counts: Mutex::new(Counts {
-                live: workers,
-                blocked: 0,
-            }),
-            counts_cv: Condvar::new(),
             base: workers,
+            live: AtomicUsize::new(workers),
+            blocked: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             timers: TimerService::new(),
             rpc_in_flight: AtomicUsize::new(0),
             steals: AtomicU64::new(0),
         });
         pool.timers.start();
-        for local in locals {
-            spawn_worker(Arc::clone(&pool), Some(local));
-        }
-        Executor { pool }
+        let workers = locals
+            .into_iter()
+            .map(|local| spawn_worker(Arc::clone(&pool), local))
+            .collect();
+        Executor { pool, workers }
     }
 
     /// Entries (live + tombstoned) in the timer heap — for tests
@@ -435,17 +326,13 @@ impl Executor {
     }
 
     /// Graceful shutdown: stop the timer thread, let workers drain the run
-    /// queue, then wait for every worker (including compensating ones) to
-    /// exit. Stop all spawned nodes *before* calling this — a stop
-    /// requested after shutdown is finalized inline without `on_stop`
-    /// (see [`NodeHandle::stop`]).
-    pub fn shutdown(self) {
+    /// queue, then join them. Stop all spawned nodes *before* calling
+    /// this — a stop requested after shutdown runs its stop turn on the
+    /// stopping thread (see [`NodeHandle::stop`]).
+    pub fn shutdown(mut self) {
         self.pool.begin_shutdown();
-        let mut counts = self.pool.counts.lock();
-        while counts.live > 0 {
-            self.pool
-                .counts_cv
-                .wait_for(&mut counts, Duration::from_millis(200));
+        for worker in std::mem::take(&mut self.workers) {
+            let _ = worker.join();
         }
     }
 }
@@ -486,20 +373,28 @@ impl ExecutorHandle {
         NodeCell::spawn(&self.pool, endpoint, Box::new(logic))
     }
 
-    /// Runs a one-shot closure on the pool — per-request work (a service
-    /// invocation, a community delegation) that would have been a spawned
-    /// thread in the old model. Tasks that wait (rpc, sleeping backends)
-    /// must wrap the waiting section in [`ExecutorHandle::block_on`].
-    pub fn spawn_task(&self, task: impl FnOnce() + Send + 'static) {
-        self.pool.push(Runnable::Task(Box::new(task)));
-    }
-
-    /// Runs a section that may block (sleep, wait on a condition, a
-    /// hand-rolled request/response), compensating the pool for the parked
-    /// worker so other nodes keep making progress. See the crate docs for
-    /// the thread-budget implications.
-    pub fn block_on<R>(&self, f: impl FnOnce() -> R) -> R {
-        self.pool.block_on(f)
+    /// Runs `section` on a thread of its own — work that parks its thread
+    /// (a backend that sleeps to simulate service time) and so must not
+    /// hold one of the pool's workers. The section hands its outcome back
+    /// to its node through a [`crate::TaskCompleter`]. Counted by
+    /// [`ExecutorHandle::blocked_workers`] until it returns.
+    pub fn spawn_blocking(&self, section: impl FnOnce() + Send + 'static) {
+        /// Uncounts the section however it ends, a panic included.
+        struct Returned(Arc<Pool>);
+        impl Drop for Returned {
+            fn drop(&mut self) {
+                self.0.blocked.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        self.pool.blocked.fetch_add(1, Ordering::SeqCst);
+        let returned = Returned(Arc::clone(&self.pool));
+        std::thread::Builder::new()
+            .name("selfserv-blocking".to_string())
+            .spawn(move || {
+                let _returned = returned;
+                section();
+            })
+            .expect("spawn blocking section");
     }
 
     /// The configured worker count.
@@ -507,16 +402,17 @@ impl ExecutorHandle {
         self.pool.base
     }
 
-    /// Workers currently alive (base plus compensation, minus retired) —
-    /// for tests and diagnostics.
+    /// Workers currently alive — [`ExecutorHandle::workers`] from start to
+    /// shutdown; for tests and diagnostics.
     pub fn live_workers(&self) -> usize {
-        self.pool.counts.lock().live
+        self.pool.live.load(Ordering::SeqCst)
     }
 
-    /// Workers currently parked in a [`ExecutorHandle::block_on`] section —
+    /// Sections started by [`ExecutorHandle::spawn_blocking`] that have
+    /// not returned yet: threads parked outside the pool, never workers —
     /// for tests and diagnostics.
     pub fn blocked_workers(&self) -> usize {
-        self.pool.counts.lock().blocked
+        self.pool.blocked.load(Ordering::SeqCst)
     }
 
     /// In-flight `rpc_async` requests across every node on this pool.
@@ -547,7 +443,7 @@ impl ExecutorHandle {
     }
 
     /// Registers the executor's scheduling metrics on `registry`:
-    /// run-queue depth, steals, worker liveness/blocking, in-flight
+    /// run-queue depth, steals, live workers, blocking sections, in-flight
     /// `rpc_async` continuations, and timer-heap gauges. `labels`
     /// (typically `[("hub", ...)]`) are attached to every series.
     pub fn register_metrics(&self, registry: &selfserv_obs::Registry, labels: &[(&str, &str)]) {
@@ -568,16 +464,16 @@ impl ExecutorHandle {
         let pool = Arc::clone(&self.pool);
         registry.gauge_fn(
             "selfserv_executor_live_workers",
-            "Workers currently alive (base plus compensation).",
+            "Workers currently alive.",
             labels,
-            move || pool.counts.lock().live as f64,
+            move || pool.live.load(Ordering::SeqCst) as f64,
         );
         let pool = Arc::clone(&self.pool);
         registry.gauge_fn(
             "selfserv_executor_blocked_workers",
-            "Workers currently parked in a block_on section.",
+            "Blocking sections running on threads of their own.",
             labels,
-            move || pool.counts.lock().blocked as f64,
+            move || pool.blocked.load(Ordering::SeqCst) as f64,
         );
         let pool = Arc::clone(&self.pool);
         registry.gauge_fn(

@@ -44,46 +44,43 @@
 //! `on_message`, and with **zero workers parked** while the request was
 //! in flight. A node that stops with requests outstanding cancels them:
 //! their ids are retired so late replies are discarded at delivery, and
-//! no completion is ever delivered. Off-node work (a spawned pool task)
+//! no completion is ever delivered. Off-node work (a blocking section)
 //! resumes its node the same way through a [`TaskCompleter`].
 //!
-//! ## Blocking inside callbacks
+//! ## Blocking sections
 //!
-//! Inside a node there is one way to ask: [`NodeCtx::rpc_async`]. Some
-//! waits still genuinely park a thread: a backend that simulates service
-//! latency with `sleep`, or a component handle's synchronous stop. Such
-//! sections go through [`ExecutorHandle::block_on`]: the worker declares
-//! itself *blocked*, and the pool — like Go's scheduler around syscalls —
-//! spawns a compensating worker whenever the count of unblocked workers
-//! would fall below the configured pool size, so node progress can never
-//! deadlock on parked workers. Compensating workers retire lazily once
-//! the pool is idle and over target, so bursts reuse them instead of
-//! thrashing spawn/join.
+//! Inside a node there is one way to ask: [`NodeCtx::rpc_async`]. The one
+//! kind of work that still parks a thread is a backend call that sleeps
+//! to simulate service time. It never runs on a worker: the node starts
+//! it with [`ExecutorHandle::spawn_blocking`], on a thread of its own,
+//! and the call resumes the node through a [`TaskCompleter`]. The pool
+//! itself is fixed: `W` workers from [`Executor::new`] to
+//! [`Executor::shutdown`], none added, none retired.
+//! [`NodeHandle::stop`] needs no worker either: unless a worker is
+//! mid-turn on the node, the stopping thread runs the stop turn itself.
 //!
 //! The **thread budget** of a process is therefore
-//! `W (workers) + 1 (timer) + B (concurrently blocked callbacks) +
+//! `W (workers) + 1 (timer) + B (blocking backend calls in flight) +
 //! transport threads` — independent of how many nodes are deployed, and,
 //! since in-flight `rpc_async` invocations contribute nothing to `B`,
-//! independent of how many requests are awaiting replies: the blocked
-//! term counts only genuinely thread-blocking sections (sleeping
-//! backends, synchronous stops). The whole delegation path is out
-//! of `B`: coordinators awaiting providers, community servers holding
-//! open delegations, and service hosts dispatching non-blocking backends
-//! all run continuation-passing, so `B` is bounded by the backends that
-//! truly park a thread — not by traffic. The transport term does not
-//! grow with nodes either: a TCP hub runs one accept thread, one reader
-//! per inbound peer-hub connection and one writer per active peer hub,
-//! however many nodes it hosts. It is elastic too: idle TCP writers
+//! independent of how many requests are awaiting replies. The whole
+//! delegation path is out of `B`: coordinators awaiting providers,
+//! community servers holding open delegations, and service hosts
+//! dispatching non-blocking backends all run continuation-passing, so `B`
+//! is bounded by the backend calls that truly park a thread — not by
+//! traffic; [`ExecutorHandle::blocked_workers`] reads it. The transport
+//! term does not grow with nodes either: a TCP hub runs one accept
+//! thread, one reader per inbound peer-hub connection and one writer per
+//! active peer hub, however many nodes it hosts. It is elastic too: idle TCP writers
 //! retire after a few seconds and respawn lazily on the next send.
 //!
 //! ## Shutdown ordering
 //!
-//! Stop nodes first ([`NodeHandle::stop`] delivers a stop event, runs
-//! `on_stop` on a worker, and drops the endpoint so the node's name frees
-//! up), then [`Executor::shutdown`] — which lets workers drain the run
-//! queue before joining them. Components' public handles do this in the
-//! right order already; the process-wide [`shared`] executor is never shut
-//! down.
+//! Stop nodes first ([`NodeHandle::stop`] queues a stop event, runs
+//! `on_stop`, and drops the endpoint so the node's name frees up), then
+//! [`Executor::shutdown`] — which lets workers drain the run queue before
+//! joining them. Components' public handles do this in the right order
+//! already; the process-wide [`shared`] executor is never shut down.
 
 mod executor;
 mod node;
@@ -126,19 +123,15 @@ mod tests {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    /// Answers `ping` with `pong`; stops on `stop`.
+    /// Answers `ping` with `pong`.
     struct EchoLogic;
 
     impl NodeLogic for EchoLogic {
         fn on_message(&mut self, ctx: &mut NodeCtx<'_>, env: Envelope) -> Flow {
-            match env.kind.as_str() {
-                "ping" => {
-                    let _ = ctx.endpoint().reply(&env, "pong", Element::new("pong"));
-                    Flow::Continue
-                }
-                "stop" => Flow::Stop,
-                _ => Flow::Continue,
+            if env.kind == "ping" {
+                let _ = ctx.endpoint().reply(&env, "pong", Element::new("pong"));
             }
+            Flow::Continue
         }
     }
 
@@ -448,24 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn flow_stop_from_on_message_stops_the_node() {
-        let exec = Executor::new(1);
-        let net = Network::new(NetworkConfig::instant());
-        let node = exec
-            .handle()
-            .spawn_node(net.connect("echo").unwrap(), EchoLogic);
-        let client = net.connect("client").unwrap();
-        client.send("echo", "stop", Element::new("stop")).unwrap();
-        let t0 = Instant::now();
-        while !node.is_stopped() && t0.elapsed() < Duration::from_secs(2) {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(node.is_stopped());
-        assert!(!net.is_connected("echo"));
-        exec.shutdown();
-    }
-
-    #[test]
     fn timers_fire_in_order_and_rearm() {
         struct Ticker {
             fired: Arc<AtomicUsize>,
@@ -503,106 +478,106 @@ mod tests {
         exec.shutdown();
     }
 
+    /// Blocking sections run on threads of their own: on a 1-worker pool
+    /// four 50 ms sleeps overlap, the worker count never moves, and the
+    /// blocked gauge counts the sections until they return.
     #[test]
-    fn tasks_run_in_parallel_across_workers() {
-        let exec = Executor::new(4);
+    fn blocking_sections_overlap_beside_a_fixed_pool() {
+        let exec = Executor::new(1);
         let handle = exec.handle();
         let done = Arc::new(AtomicUsize::new(0));
         let t0 = Instant::now();
         for _ in 0..4 {
             let done = Arc::clone(&done);
-            let h = handle.clone();
-            handle.spawn_task(move || {
-                h.block_on(|| std::thread::sleep(Duration::from_millis(50)));
+            handle.spawn_blocking(move || {
+                std::thread::sleep(Duration::from_millis(50));
                 done.fetch_add(1, Ordering::SeqCst);
             });
         }
-        while done.load(Ordering::SeqCst) < 4 && t0.elapsed() < Duration::from_secs(2) {
-            std::thread::sleep(Duration::from_millis(5));
+        assert_eq!(handle.blocked_workers(), 4);
+        while handle.blocked_workers() > 0 && t0.elapsed() < Duration::from_secs(2) {
+            assert_eq!(handle.live_workers(), 1, "the pool stays fixed");
+            std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(done.load(Ordering::SeqCst), 4);
+        assert_eq!(handle.blocked_workers(), 0);
         assert!(
             t0.elapsed() < Duration::from_millis(180),
-            "4 × 50 ms tasks must overlap: {:?}",
+            "4 × 50 ms sections must overlap: {:?}",
             t0.elapsed()
         );
         exec.shutdown();
     }
 
     #[test]
-    fn compensation_workers_retire_when_idle() {
-        let exec = Executor::new(2);
-        let handle = exec.handle();
-        let release = Arc::new(AtomicBool::new(false));
-        for _ in 0..6 {
-            let h = handle.clone();
-            let release = Arc::clone(&release);
-            handle.spawn_task(move || {
-                h.block_on(|| {
-                    while !release.load(Ordering::SeqCst) {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                });
-            });
-        }
-        // All six tasks block concurrently: compensation grew the pool.
-        let t0 = Instant::now();
-        while handle.blocked_workers() < 6 && t0.elapsed() < Duration::from_secs(2) {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(handle.live_workers() >= 6, "pool compensated for blockers");
-        release.store(true, Ordering::SeqCst);
-        let t0 = Instant::now();
-        while handle.live_workers() > 2 && t0.elapsed() < Duration::from_secs(5) {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(handle.live_workers(), 2, "surplus retired back to base");
-        exec.shutdown();
-    }
-
-    #[test]
     fn stopping_a_node_from_a_pool_task_on_a_one_worker_pool() {
-        // NodeHandle::stop called on a worker (a component handle dropped
-        // inside a task or another node's callback) parks that worker
-        // until the target's stop turn runs — which needs a worker. The
-        // wait is compensated, so even a 1-worker pool makes progress.
+        // NodeHandle::stop called on the only worker (here from another
+        // node's callback) runs the target's stop turn on that worker's
+        // thread: no second worker is needed, and none is started.
+        struct Stopper {
+            victim: Option<NodeHandle>,
+            done: Arc<AtomicBool>,
+        }
+        impl NodeLogic for Stopper {
+            fn on_message(&mut self, ctx: &mut NodeCtx<'_>, env: Envelope) -> Flow {
+                if let Some(victim) = self.victim.take() {
+                    victim.stop();
+                    assert!(victim.is_stopped());
+                    self.done.store(true, Ordering::SeqCst);
+                    let _ = ctx.endpoint().reply(&env, "stopped", Element::new("ok"));
+                }
+                Flow::Continue
+            }
+        }
         let exec = Executor::new(1);
         let net = Network::new(NetworkConfig::instant());
-        let node = exec
+        let victim = exec
             .handle()
             .spawn_node(net.connect("victim").unwrap(), EchoLogic);
         let done = Arc::new(AtomicBool::new(false));
-        let done2 = Arc::clone(&done);
-        exec.handle().spawn_task(move || {
-            node.stop();
-            assert!(node.is_stopped());
-            done2.store(true, Ordering::SeqCst);
-        });
-        let t0 = Instant::now();
-        while !done.load(Ordering::SeqCst) && t0.elapsed() < Duration::from_secs(5) {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let stopper = exec.handle().spawn_node(
+            net.connect("stopper").unwrap(),
+            Stopper {
+                victim: Some(victim),
+                done: Arc::clone(&done),
+            },
+        );
+        let client = net.connect("client").unwrap();
+        let reply = client
+            .rpc("stopper", "go", Element::new("go"), Duration::from_secs(5))
+            .unwrap();
+        assert_eq!(reply.kind, "stopped");
         assert!(done.load(Ordering::SeqCst), "stop-from-worker completed");
         assert!(!net.is_connected("victim"));
+        assert_eq!(exec.handle().live_workers(), 1, "no worker was added");
+        stopper.stop();
         exec.shutdown();
     }
 
     #[test]
-    fn shutdown_drains_queued_tasks() {
+    fn shutdown_drains_queued_turns() {
+        struct Count(Arc<AtomicUsize>);
+        impl NodeLogic for Count {
+            fn on_message(&mut self, _ctx: &mut NodeCtx<'_>, _env: Envelope) -> Flow {
+                self.0.fetch_add(1, Ordering::SeqCst);
+                Flow::Continue
+            }
+        }
         let exec = Executor::new(1);
-        let handle = exec.handle();
+        let net = Network::new(NetworkConfig::instant());
         let done = Arc::new(AtomicUsize::new(0));
+        let _node = exec
+            .handle()
+            .spawn_node(net.connect("count").unwrap(), Count(Arc::clone(&done)));
+        let client = net.connect("client").unwrap();
         for _ in 0..32 {
-            let done = Arc::clone(&done);
-            handle.spawn_task(move || {
-                done.fetch_add(1, Ordering::SeqCst);
-            });
+            client.send("count", "n", Element::new("n")).unwrap();
         }
         exec.shutdown();
         assert_eq!(
             done.load(Ordering::SeqCst),
             32,
-            "shutdown ran every queued task"
+            "shutdown ran every queued turn"
         );
     }
 
@@ -619,7 +594,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         exec.shutdown();
-        node.stop(); // documented ordering violation: inline finalize
+        node.stop(); // documented ordering violation: the stop turn runs here
         assert!(node.is_stopped());
         assert!(!net.is_connected("late"));
     }
@@ -692,8 +667,8 @@ mod tests {
     }
 
     /// A node relaying through rpc_async on a 1-worker pool: the reply
-    /// arrives as an on_rpc_done event and **no compensation worker is
-    /// ever spawned** — the in-flight request parks nothing.
+    /// arrives as an on_rpc_done event and nothing runs beside the one
+    /// worker — the in-flight request parks nothing.
     #[test]
     fn rpc_async_is_thread_free_on_a_one_worker_pool() {
         struct Front;
@@ -732,7 +707,7 @@ mod tests {
         assert_eq!(
             exec.handle().live_workers(),
             1,
-            "no compensation was needed: nothing parked"
+            "the pool stays at its one worker"
         );
         assert_eq!(exec.handle().blocked_workers(), 0);
         exec.shutdown();
@@ -907,7 +882,7 @@ mod tests {
         exec.shutdown();
     }
 
-    /// A TaskCompleter resumes its node from a spawned task; one for a
+    /// A TaskCompleter resumes its node from a blocking section; one for a
     /// stopped node is dropped silently.
     #[test]
     fn task_completer_resumes_the_node() {
@@ -917,7 +892,7 @@ mod tests {
                 if env.kind == "go" {
                     let completer = ctx.completer(RpcToken(5));
                     let node = ctx.node().clone();
-                    ctx.executor().spawn_task(move || {
+                    ctx.executor().spawn_blocking(move || {
                         completer.complete(Ok(Envelope::synthetic(
                             node,
                             "task.result",

@@ -1,7 +1,7 @@
 //! Node state machines: the [`NodeLogic`] contract, the per-node cell that
 //! guarantees serialized callback execution, and the public [`NodeHandle`].
 
-use crate::executor::{ExecutorHandle, Pool, Runnable};
+use crate::executor::{ExecutorHandle, Pool};
 use parking_lot::{Condvar, Mutex};
 use selfserv_net::{Endpoint, Envelope, MessageId, NodeId, ReplyDemux, RpcError};
 use selfserv_xml::Element;
@@ -16,14 +16,12 @@ use std::time::Duration;
 /// so one flooded node cannot starve its pool-mates.
 const BATCH: usize = 64;
 
-/// What a callback tells the runtime to do next.
+/// What a callback returns. A node keeps running until its
+/// [`NodeHandle`] stops it, so this has one value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Flow {
     /// Keep the node running.
     Continue,
-    /// Stop the node: `on_stop` runs, the endpoint is dropped (freeing the
-    /// node's name), and no further callbacks are delivered.
-    Stop,
 }
 
 /// Identifies a timer set via [`NodeCtx::set_timer`] when it fires in
@@ -73,9 +71,9 @@ pub struct RpcDone {
 /// and delivers the reply as an [`RpcDone`] completion to
 /// [`NodeLogic::on_rpc_done`], so any number of requests can be in flight
 /// with zero parked workers. Anything that genuinely *blocks the calling
-/// thread* — a sleeping backend, a hand-rolled wait — must go through
-/// [`ExecutorHandle::block_on`] so the pool can compensate for the parked
-/// worker. Don't call [`Endpoint::recv`] inside a callback:
+/// thread* — a sleeping backend, a hand-rolled wait — runs off the pool,
+/// on [`ExecutorHandle::spawn_blocking`], and resumes the node through a
+/// [`TaskCompleter`]. Don't call [`Endpoint::recv`] inside a callback:
 /// the runtime drains the mailbox for you and hands every envelope to
 /// `on_message`.
 pub trait NodeLogic: Send + 'static {
@@ -99,8 +97,8 @@ pub trait NodeLogic: Send + 'static {
     }
 
     /// Runs exactly once when the node stops (requested via
-    /// [`NodeHandle::stop`], the handle's drop, or a callback returning
-    /// [`Flow::Stop`]), while the endpoint is still connected.
+    /// [`NodeHandle::stop`] or the handle's drop), while the endpoint is
+    /// still connected.
     fn on_stop(&mut self, _ctx: &mut NodeCtx<'_>) {}
 }
 
@@ -125,7 +123,8 @@ impl NodeCtx<'_> {
         self.endpoint
     }
 
-    /// The executor this node runs on (to spawn tasks or further nodes).
+    /// The executor this node runs on (to spawn further nodes or blocking
+    /// sections).
     pub fn executor(&self) -> ExecutorHandle {
         ExecutorHandle::from_pool(Arc::clone(self.pool))
     }
@@ -280,8 +279,8 @@ impl NodeCtx<'_> {
     /// A one-shot handle that delivers an off-node task's outcome back
     /// into this node's event stream as an [`RpcDone`] completion — the
     /// continuation-passing analogue of returning from a blocking section.
-    /// Hand it to a task spawned via [`ExecutorHandle::spawn_task`]; when
-    /// the task calls [`TaskCompleter::complete`], the node resumes in
+    /// Hand it to a section started with [`ExecutorHandle::spawn_blocking`];
+    /// when the section calls [`TaskCompleter::complete`], the node resumes in
     /// [`NodeLogic::on_rpc_done`] under its usual serialization. If the
     /// node stopped in the meantime, the completion is dropped.
     pub fn completer(&self, token: RpcToken) -> TaskCompleter {
@@ -303,11 +302,11 @@ impl NodeCtx<'_> {
 
 /// One-shot handle delivering the outcome of off-node work back into the
 /// owning node's event stream as an [`RpcDone`] completion. Obtained from
-/// [`NodeCtx::completer`]; moved into a spawned pool task (or any thread).
+/// [`NodeCtx::completer`]; moved into a blocking section (or any thread).
 ///
 /// This is how a node delegates genuinely thread-blocking work (a backend
-/// call that sleeps, a file read) without occupying itself: the task runs
-/// under [`ExecutorHandle::block_on`] compensation, and its result
+/// call that sleeps, a file read) without occupying itself or a worker:
+/// the work runs on [`ExecutorHandle::spawn_blocking`], and its result
 /// re-enters the state machine through [`NodeLogic::on_rpc_done`] exactly
 /// like an [`NodeCtx::rpc_async`] reply. Completions for stopped nodes
 /// are dropped silently. Dropping the completer without calling
@@ -361,11 +360,12 @@ struct CellInner {
     /// scheduling turn ends — the bit that makes callbacks serialized: a
     /// scheduled/running node is never pushed again.
     scheduled: bool,
-    /// Terminal: `on_stop` ran (or the node was finalized inline) and the
+    /// Terminal: the stop turn ended (or a callback panicked) and the
     /// endpoint was dropped.
     stopped: bool,
-    /// The logic + endpoint, present unless a worker is running the node
-    /// (taken for the duration of a turn) or the node has stopped.
+    /// The logic + endpoint, present unless a turn is running (taken for
+    /// its duration, by a worker or by [`NodeHandle::stop`]) or the node
+    /// has stopped.
     body: Option<Body>,
     /// In-flight [`NodeCtx::rpc_async`] requests: request id → the token
     /// the completion will carry plus its scheduled deadline. Whichever of
@@ -448,7 +448,7 @@ impl NodeCell {
             inner.scheduled = true;
         }
         if let Some(pool) = self.pool.upgrade() {
-            pool.push(Runnable::Node(Arc::clone(self)));
+            pool.push(Arc::clone(self));
         }
     }
 
@@ -583,29 +583,56 @@ impl NodeCell {
     }
 }
 
-/// One scheduling turn of a node, executed by a pool worker: drain runtime
-/// events, then up to [`BATCH`] mailbox envelopes, re-queueing the node if
-/// work remains. Exclusive access is guaranteed by the `scheduled` bit —
-/// the queue holds at most one entry per node.
+/// One scheduling turn of a node, executed by a pool worker, re-queueing
+/// the node if work remains. Exclusive access is guaranteed by the
+/// `scheduled` bit — the queue holds at most one entry per node — and by
+/// the body itself, which a turn holds for its duration.
 pub(crate) fn run_node(pool: &Arc<Pool>, cell: Arc<NodeCell>) {
-    let (mut body, mut events) = {
+    let (body, events) = {
         let mut inner = cell.inner.lock();
+        // No body: the node stopped, or a `NodeHandle::stop` is running its
+        // stop turn, which ends with the node stopped. Nothing to run.
+        let Some(body) = inner.body.take() else {
+            return;
+        };
         debug_assert!(inner.scheduled, "a queued node is always marked scheduled");
-        match inner.body.take() {
-            Some(body) => (body, std::mem::take(&mut inner.events)),
-            None => {
-                // Already stopped (e.g. finalized inline after an executor
-                // shutdown); nothing to run.
-                inner.scheduled = false;
-                return;
-            }
-        }
+        (body, std::mem::take(&mut inner.events))
     };
+    let Some(body) = run_turn(pool, &cell, body, events, false) else {
+        return;
+    };
+    let mut inner = cell.inner.lock();
+    // Read the mailbox depth *under the cell lock*: a delivery landing
+    // after this read runs its waker after we release the lock, where it
+    // either observes `scheduled == true` (we re-queued below) or
+    // re-schedules the node itself — no lost wakeups either way.
+    let more = !inner.events.is_empty() || body.endpoint.pending() > 0;
+    inner.body = Some(body);
+    if more {
+        drop(inner);
+        pool.push(cell);
+    } else {
+        inner.scheduled = false;
+    }
+}
+
+/// Runs one turn over a claimed body: runtime events in order, then up to
+/// [`BATCH`] mailbox envelopes. A [`Event::StopRequested`] among the events
+/// — or `stopping`, set by a [`NodeHandle::stop`] running the turn itself —
+/// ends the turn with `on_stop` instead of the mailbox, and the node is
+/// finalized. Returns the body when the node keeps running.
+fn run_turn(
+    pool: &Arc<Pool>,
+    cell: &Arc<NodeCell>,
+    mut body: Body,
+    mut events: VecDeque<Event>,
+    mut stopping: bool,
+) -> Option<Body> {
     // Panic fence: if a callback unwinds, the body (and its endpoint) is
     // dropped by the unwind with the turn still holding the node — treat
     // that as node death. The guard finalizes the cell (stopped + name
     // already freed + waiters notified) so `NodeHandle::stop` cannot hang
-    // on a wedged node; the worker itself survives via the pool's
+    // on a wedged node; the thread itself survives via its caller's
     // catch_unwind.
     struct TurnGuard<'a> {
         cell: &'a Arc<NodeCell>,
@@ -618,85 +645,55 @@ pub(crate) fn run_node(pool: &Arc<Pool>, cell: Arc<NodeCell>) {
             }
         }
     }
-    let mut guard = TurnGuard {
-        cell: &cell,
-        armed: true,
-    };
-    let mut stop = false;
+    let mut guard = TurnGuard { cell, armed: true };
     {
         let Body { logic, endpoint } = &mut body;
         let endpoint: &Endpoint = endpoint;
         let mut ctx = NodeCtx {
             endpoint,
             pool,
-            cell: &cell,
+            cell,
         };
         while let Some(event) = events.pop_front() {
             match event {
                 Event::Start => logic.on_start(&mut ctx),
                 Event::Timer(token) => {
-                    if logic.on_timer(&mut ctx, token) == Flow::Stop {
-                        stop = true;
-                    }
+                    logic.on_timer(&mut ctx, token);
                 }
                 Event::RpcDone(done) => {
-                    if logic.on_rpc_done(&mut ctx, done) == Flow::Stop {
-                        stop = true;
-                    }
+                    logic.on_rpc_done(&mut ctx, done);
                 }
-                Event::StopRequested => stop = true,
-            }
-            if stop {
-                break;
-            }
-        }
-        let mut handled = 0;
-        while !stop && handled < BATCH {
-            let Some(env) = endpoint.try_recv() else {
-                break;
-            };
-            handled += 1;
-            if logic.on_message(&mut ctx, env) == Flow::Stop {
-                stop = true;
+                Event::StopRequested => {
+                    stopping = true;
+                    break;
+                }
             }
         }
-        if stop {
+        if stopping {
             logic.on_stop(&mut ctx);
+        } else {
+            for _ in 0..BATCH {
+                let Some(env) = endpoint.try_recv() else {
+                    break;
+                };
+                logic.on_message(&mut ctx, env);
+            }
         }
     }
     guard.armed = false;
-    if stop {
+    if stopping {
         cell.finalize(Some(body));
-        return;
+        return None;
     }
-    let mut inner = cell.inner.lock();
-    if inner.stopped {
-        // Stopped out from under us (inline finalization raced a late
-        // turn); discard the machine.
-        inner.scheduled = false;
-        drop(inner);
-        cell.finalize(Some(body));
-        return;
-    }
-    // Read the mailbox depth *under the cell lock*: a delivery landing
-    // after this read runs its waker after we release the lock, where it
-    // either observes `scheduled == true` (we re-queued below) or
-    // re-schedules the node itself — no lost wakeups either way.
-    let more = !inner.events.is_empty() || body.endpoint.pending() > 0;
-    inner.body = Some(body);
-    if more {
-        drop(inner);
-        pool.push(Runnable::Node(cell.clone()));
-    } else {
-        inner.scheduled = false;
-    }
+    Some(body)
 }
 
 /// Handle to a spawned node: observe it and stop it. Dropping the handle
 /// stops the node **without waiting**: the stop is queued behind whatever
-/// the node is doing, `on_stop` runs on a worker, and in-flight
-/// [`NodeCtx::rpc_async`] requests are cancelled. Call
-/// [`NodeHandle::stop`] to wait for all of that.
+/// the node is doing, `on_stop` runs on a worker (on the dropping thread
+/// once the executor has shut down), and in-flight [`NodeCtx::rpc_async`]
+/// requests are cancelled. Call [`NodeHandle::stop`] to do all of that
+/// before returning.
 pub struct NodeHandle {
     cell: Arc<NodeCell>,
 }
@@ -712,74 +709,64 @@ impl NodeHandle {
         self.cell.inner.lock().stopped
     }
 
-    /// Stops the node and waits until it has fully stopped: a stop event
+    /// Stops the node and returns once it has fully stopped: a stop event
     /// is queued behind whatever the node is currently doing, `on_stop`
-    /// runs on a worker, and the endpoint drops (freeing the name).
-    /// Idempotent; safe to call from any thread.
+    /// runs, and the endpoint drops (freeing the name). Idempotent; safe
+    /// to call from any thread, a pool worker included.
     ///
-    /// If the executor has already shut down (a documented
-    /// ordering violation — stop nodes first), the node is finalized
-    /// inline: the endpoint is dropped so the name frees, but `on_stop`
-    /// is skipped because no worker exists to run it.
+    /// The stop turn needs no free worker: unless a worker is mid-turn on
+    /// the node, the calling thread runs it — the events queued ahead of
+    /// the stop, then `on_stop`. A worker that is mid-turn runs the stop
+    /// turn next, and the call waits for it. This holds after
+    /// [`crate::Executor::shutdown`] too.
     pub fn stop(&self) {
-        if !self.request_stop() {
-            return;
-        }
-        let pool = self.cell.pool.upgrade();
-        // The wait is a blocking section: when stop() is called from a
-        // pool worker (a component handle dropped inside a task or
-        // another node's callback), the pool must compensate or the
-        // target's stop turn could starve on a saturated pool.
-        let wait = || {
-            let mut inner = self.cell.inner.lock();
-            while !inner.stopped {
-                let timed_out = self
-                    .cell
-                    .stopped_cv
-                    .wait_for(&mut inner, Duration::from_millis(100))
-                    .timed_out();
-                // Inline finalization only when no worker can ever run the
-                // stop turn: the pool is gone, or shut down with every
-                // worker already exited. During a shutdown *drain*
-                // (workers still alive), keep waiting — the queued stop
-                // turn runs normally, including `on_stop`.
-                let dead = pool
-                    .as_ref()
-                    .is_none_or(|p| p.is_shut_down() && p.live_worker_count() == 0);
-                if timed_out && dead {
-                    if let Some(body) = inner.body.take() {
-                        // Finalize inline: drops the endpoint before
-                        // announcing the stop (`is_stopped() == true` must
-                        // imply the name is free) and cancels in-flight
-                        // rpc_async requests.
-                        drop(inner);
-                        self.cell.finalize(Some(body));
-                        return;
-                    }
-                    // A worker still holds the body (mid-turn); keep
-                    // waiting — its turn ends even under shutdown, and the
-                    // `stopped` check in `run_node` finalizes the node.
-                }
-            }
-        };
-        match &pool {
-            Some(pool) => pool.block_on(wait),
-            None => wait(),
+        if self.request_stop() {
+            self.run_stop_turn();
         }
     }
 
-    /// Queues a stop event behind whatever the node is doing and schedules
-    /// it. False when the node has already stopped.
+    /// Queues a stop event behind whatever the node is doing. False when
+    /// the node has already stopped.
     fn request_stop(&self) -> bool {
-        {
-            let mut inner = self.cell.inner.lock();
-            if inner.stopped {
-                return false;
-            }
-            inner.events.push_back(Event::StopRequested);
+        let mut inner = self.cell.inner.lock();
+        if inner.stopped {
+            return false;
         }
-        self.cell.wake();
+        inner.events.push_back(Event::StopRequested);
         true
+    }
+
+    /// Runs the stop turn on the calling thread if no worker holds the
+    /// node's body. Returns once the node has stopped, here or on the
+    /// worker.
+    fn run_stop_turn(&self) {
+        let mut inner = self.cell.inner.lock();
+        while !inner.stopped {
+            let Some(body) = inner.body.take() else {
+                // A worker is mid-turn on the node. The stop event queued
+                // behind that turn re-queues the node, and the worker,
+                // free again, runs the stop turn.
+                self.cell.stopped_cv.wait(&mut inner);
+                continue;
+            };
+            // Keep wakes from queueing turns that would find no body.
+            inner.scheduled = true;
+            let events = std::mem::take(&mut inner.events);
+            drop(inner);
+            match self.cell.pool.upgrade() {
+                // As on a worker, a panicking callback kills the node (the
+                // turn's guard finalizes it), not the stopping thread.
+                Some(pool) => {
+                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        run_turn(&pool, &self.cell, body, events, true)
+                    }));
+                }
+                // The executor is gone with every handle to it: no context
+                // to run callbacks in. Free the name and cancel requests.
+                None => self.cell.finalize(Some(body)),
+            }
+            return;
+        }
     }
 }
 
@@ -788,18 +775,11 @@ impl Drop for NodeHandle {
         if !self.request_stop() {
             return;
         }
-        // As in `stop`: when no worker can ever run the stop turn, finalize
-        // inline so the name frees and in-flight requests are cancelled.
-        let orphaned = self
-            .cell
-            .pool
-            .upgrade()
-            .is_none_or(|p| p.is_shut_down() && p.live_worker_count() == 0);
-        if orphaned {
-            let body = self.cell.inner.lock().body.take();
-            if let Some(body) = body {
-                self.cell.finalize(Some(body));
-            }
+        // A running pool runs the stop turn; one that is shut down (or
+        // gone) may have no worker left to, so the dropping thread does.
+        match self.cell.pool.upgrade() {
+            Some(pool) if !pool.is_shut_down() => self.cell.wake(),
+            _ => self.run_stop_turn(),
         }
     }
 }

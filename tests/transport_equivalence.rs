@@ -108,7 +108,8 @@ fn run_quickstart_with(
             .expect("executes");
         outputs.push(normalized(&out));
     }
-    // Census before undeploy so stop messages don't show up. Anonymous
+    // Census before undeploy (which sends nothing): the counts are the
+    // execution traffic. Anonymous
     // (`~`) client/reply nodes are transport bookkeeping, not protocol.
     // TCP delivery counters are updated by reader threads after the reply
     // reaches the caller, so poll until the census stops moving.
