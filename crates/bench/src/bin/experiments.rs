@@ -115,12 +115,12 @@ fn e1_discovery() {
     }
     let per_call = t0.elapsed() / calls as u32;
     println!(
-        "\nSOAP-style find over the fabric (1k services; stored summaries shared, decoded by the client): {} us/call",
+        "\nSOAP-style find over the fabric (1k services; stored summaries shared, checked in place by the client): {} us/call",
         us(per_call)
     );
     println!(
         "expected shape: near-linear growth with registry size; remote call adds the \
-         client's decode of each hit's summary and a per-message constant."
+         client's check of each hit's summary and a per-message constant."
     );
 }
 

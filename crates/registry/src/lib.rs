@@ -19,10 +19,18 @@
 //!
 //! The remote query is split as UDDI splits it: `find_service` lists a
 //! [`ServiceSummary`] per hit (key, business, service name, provider —
-//! what the Search panel lists), read off a summary tree each record keeps
-//! from its publication, and `get_service` returns the full
+//! what the Search panel lists), and `get_service` returns the full
 //! [`ServiceRecord`] of one key. The local [`UddiRegistry::find`] returns
 //! full records.
+//!
+//! A summary is one checked `<serviceInfo key business name provider/>`
+//! tree, built when its record is published. The store keeps it, a find
+//! reply carries it, and the client's hit is it: over the fabric the very
+//! tree the store holds, over TCP the parsed one, checked in place. Its
+//! accessors ([`ServiceSummary::key`], [`ServiceSummary::business`],
+//! [`ServiceSummary::name`], [`ServiceSummary::provider_name`]) read the
+//! tree; only `key` copies, into the [`ServiceKey`] that
+//! [`RegistryClient::get_service`] takes.
 
 mod model;
 mod server;

@@ -1,7 +1,7 @@
 //! Registry data model: businesses, published services, queries.
 
 use selfserv_wsdl::ServiceDescription;
-use selfserv_xml::Element;
+use selfserv_xml::{Element, SharedElement};
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -114,54 +114,54 @@ impl ServiceRecord {
     }
 }
 
-/// A find hit as UDDI's `find_service` lists it (a `serviceInfo`): the
-/// key [`crate::RegistryClient::get_service`] fetches the full record by,
-/// the owning business, the service name and the provider — what the
-/// Search panel of Figure 3 lists, without the description.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServiceSummary {
-    /// Registry-assigned key.
-    pub key: ServiceKey,
-    /// Owning business.
-    pub business: BusinessKey,
-    /// Service name.
-    pub name: String,
-    /// Provider name.
-    pub provider_name: String,
+/// A find hit as UDDI's `find_service` lists it: one empty
+/// `<serviceInfo key business name provider/>` element — the key
+/// [`crate::RegistryClient::get_service`] fetches the full record by, the
+/// owning business, the service name and the provider, what the Search
+/// panel of Figure 3 lists, without the description.
+///
+/// The summary *is* that element, checked once when it is made and shared
+/// from then on: the store keeps one per record, a find reply carries it,
+/// and a client's hit is it (over the fabric the very tree the store
+/// holds, over TCP the parsed one). The accessors read it in place.
+#[derive(Debug, Clone)]
+pub struct ServiceSummary(pub(crate) SharedElement);
+
+/// Structural, as the elements compare.
+impl PartialEq for ServiceSummary {
+    fn eq(&self, other: &ServiceSummary) -> bool {
+        *self.0 == *other.0
+    }
 }
 
+impl Eq for ServiceSummary {}
+
 impl From<&ServiceRecord> for ServiceSummary {
+    /// Four attributes and no children: built at its exact length.
     fn from(record: &ServiceRecord) -> Self {
-        ServiceSummary {
-            key: record.key.clone(),
-            business: record.business.clone(),
-            name: record.description.name.clone(),
-            provider_name: record.provider_name.clone(),
-        }
+        ServiceSummary(SharedElement::new(
+            Element::new("serviceInfo")
+                .with_attr("key", &record.key.0)
+                .with_attr("business", &record.business.0)
+                .with_attr("name", &record.description.name)
+                .with_attr("provider", &record.provider_name),
+        ))
     }
 }
 
 impl ServiceSummary {
-    /// Encodes the summary as an empty `<serviceInfo>` element.
-    pub fn to_xml(&self) -> Element {
-        Element::new("serviceInfo")
-            .with_attr("key", &self.key.0)
-            .with_attr("business", &self.business.0)
-            .with_attr("name", &self.name)
-            .with_attr("provider", &self.provider_name)
-    }
-
-    /// Decodes a transported summary. Every attribute is checked: each of
-    /// the four must be there, and anything else — another attribute, a
-    /// child such as a full record's `<definitions>` — is refused.
-    pub fn from_xml(e: &Element) -> Result<Self, RegistryError> {
-        if e.name != "serviceInfo" {
+    /// Checks a transported summary and keeps the tree as it is. Every
+    /// attribute is checked: each of the four must be there, and anything
+    /// else — another attribute, a child such as a full record's
+    /// `<definitions>` — is refused.
+    pub fn from_xml(tree: SharedElement) -> Result<Self, RegistryError> {
+        if tree.name != "serviceInfo" {
             return Err(RegistryError::Protocol(format!(
                 "expected <serviceInfo>, got <{}>",
-                e.name
+                tree.name
             )));
         }
-        if let Some((other, _)) = e
+        if let Some((other, _)) = tree
             .attrs
             .iter()
             .find(|(n, _)| !matches!(n.as_str(), "key" | "business" | "name" | "provider"))
@@ -170,22 +170,42 @@ impl ServiceSummary {
                 "<serviceInfo> summary has unexpected attribute {other:?}"
             )));
         }
-        if !e.children.is_empty() {
+        if !tree.children.is_empty() {
             return Err(RegistryError::Protocol(
                 "<serviceInfo> summary has content".into(),
             ));
         }
-        let attr = |name| {
-            e.require_attr(name)
-                .map(str::to_string)
-                .map_err(RegistryError::Protocol)
-        };
-        Ok(ServiceSummary {
-            key: ServiceKey(attr("key")?),
-            business: BusinessKey(attr("business")?),
-            name: attr("name")?,
-            provider_name: attr("provider")?,
-        })
+        for name in ["key", "business", "name", "provider"] {
+            tree.require_attr(name).map_err(RegistryError::Protocol)?;
+        }
+        Ok(ServiceSummary(tree))
+    }
+
+    /// Registry-assigned key, the one [`crate::RegistryClient::get_service`]
+    /// takes.
+    pub fn key(&self) -> ServiceKey {
+        ServiceKey(self.attr("key").to_string())
+    }
+
+    /// Key of the owning business.
+    pub fn business(&self) -> &str {
+        self.attr("business")
+    }
+
+    /// Service name.
+    pub fn name(&self) -> &str {
+        self.attr("name")
+    }
+
+    /// Provider name.
+    pub fn provider_name(&self) -> &str {
+        self.attr("provider")
+    }
+
+    fn attr(&self, name: &str) -> &str {
+        self.0
+            .attr(name)
+            .expect("a summary's attributes are checked when it is made")
     }
 }
 
@@ -416,11 +436,12 @@ mod tests {
     fn summary_xml_round_trip() {
         let r = record();
         let summary = ServiceSummary::from(&r);
-        assert_eq!(summary.key, r.key);
-        assert_eq!(summary.business, r.business);
-        assert_eq!(summary.name, "Domestic Flight Booking");
-        assert_eq!(summary.provider_name, r.provider_name);
-        let back = ServiceSummary::from_xml(&summary.to_xml()).unwrap();
+        assert_eq!(summary.key(), r.key);
+        assert_eq!(summary.business(), r.business.0);
+        assert_eq!(summary.name(), "Domestic Flight Booking");
+        assert_eq!(summary.provider_name(), r.provider_name);
+        let parsed = selfserv_xml::parse(&summary.0.to_xml()).unwrap();
+        let back = ServiceSummary::from_xml(SharedElement::new(parsed)).unwrap();
         assert_eq!(back, summary);
     }
 
@@ -428,7 +449,7 @@ mod tests {
     /// does not carry, and when a full record arrives in its place.
     #[test]
     fn each_single_summary_fault_is_refused_with_its_own_error() {
-        let valid = ServiceSummary::from(&record()).to_xml();
+        let valid = (*ServiceSummary::from(&record()).0).clone();
         type Fault = fn(&mut Element);
         let cases: [(Fault, &str); 8] = [
             (
@@ -464,7 +485,7 @@ mod tests {
         for (fault, expected) in cases {
             let mut doc = valid.clone();
             fault(&mut doc);
-            let err = ServiceSummary::from_xml(&doc).unwrap_err();
+            let err = ServiceSummary::from_xml(SharedElement::new(doc.clone())).unwrap_err();
             assert_eq!(
                 err,
                 RegistryError::Protocol(expected.into()),
@@ -472,7 +493,7 @@ mod tests {
                 doc.to_xml()
             );
         }
-        assert!(ServiceSummary::from_xml(&record().to_xml()).is_err());
+        assert!(ServiceSummary::from_xml(SharedElement::new(record().to_xml())).is_err());
     }
 
     #[test]

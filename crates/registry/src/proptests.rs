@@ -206,7 +206,7 @@ proptest! {
                         FindQuery::any().provider("propco").operation("op1").category("cat1"),
                     ] {
                         let expected = Element::new("serviceList").with_children(
-                            registry.find(&query).iter().map(|r| ServiceSummary::from(r).to_xml()),
+                            registry.find(&query).iter().map(|r| (*ServiceSummary::from(r).0).clone()),
                         );
                         let reply = server
                             .handle(&request("uddi.find_service", query.to_xml()))

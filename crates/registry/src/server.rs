@@ -9,7 +9,7 @@ use crate::store::UddiRegistry;
 use selfserv_net::{ConnectError, Endpoint, Envelope, NodeId, RpcError, Transport};
 use selfserv_runtime::{ExecutorHandle, Flow, NodeCtx, NodeHandle, NodeLogic};
 use selfserv_wsdl::ServiceDescription;
-use selfserv_xml::{Element, Node};
+use selfserv_xml::{Element, Node, SharedElement};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -74,23 +74,30 @@ fn decode_fault(body: &Element) -> RegistryError {
     decoded.unwrap_or_else(|| RegistryError::Protocol(format!("malformed fault {}", body.to_xml())))
 }
 
-/// The summaries a find reply lists; anything else in it is refused.
-fn decode_summaries(list: &Element) -> Result<Vec<ServiceSummary>, RegistryError> {
+/// The summaries a find reply lists; anything else in it is refused. Each
+/// child is checked and kept as it came: a shared one (the fabric hands
+/// over the stored trees) for no allocation, a parsed one (TCP) for the
+/// one allocation that shares it. The hits vector is sized once.
+fn decode_summaries(list: Element) -> Result<Vec<ServiceSummary>, RegistryError> {
     if list.name != "serviceList" {
         return Err(RegistryError::Protocol(format!(
             "expected <serviceList>, got <{}>",
             list.name
         )));
     }
-    list.children
-        .iter()
-        .map(|child| match child.as_element() {
-            Some(info) => ServiceSummary::from_xml(info),
-            None => Err(RegistryError::Protocol(
-                "<serviceList> holds a non-element".into(),
-            )),
-        })
-        .collect()
+    let mut hits = Vec::with_capacity(list.children.len());
+    for child in list.children {
+        hits.push(ServiceSummary::from_xml(match child {
+            Node::Shared(info) => info,
+            Node::Element(info) => SharedElement::new(info),
+            Node::Text(_) | Node::Comment(_) => {
+                return Err(RegistryError::Protocol(
+                    "<serviceList> holds a non-element".into(),
+                ))
+            }
+        })?);
+    }
+    Ok(hits)
 }
 
 /// Spawner for registry servers: serves the UDDI protocol on an executor
@@ -202,7 +209,7 @@ impl RegistryLogic {
                     self.registry
                         .find_info(&query)
                         .into_iter()
-                        .map(Node::Shared),
+                        .map(|summary| Node::Shared(summary.0)),
                 );
                 Ok(list)
             }
@@ -319,10 +326,11 @@ impl RegistryClient {
     }
 
     /// Finds services matching a query: one summary per hit, in key order,
-    /// as UDDI's `find_service` lists them. The full record of a hit is
+    /// as UDDI's `find_service` lists them, each the reply's
+    /// `<serviceInfo>` tree checked in place. The full record of a hit is
     /// [`RegistryClient::get_service`]'s.
     pub fn find(&self, query: &FindQuery) -> Result<Vec<ServiceSummary>, RegistryError> {
-        decode_summaries(&self.call(kinds::FIND_SERVICE, query.to_xml())?)
+        decode_summaries(self.call(kinds::FIND_SERVICE, query.to_xml())?)
     }
 
     /// Finds businesses by name prefix.
@@ -402,10 +410,10 @@ mod tests {
             .unwrap();
         let hits = client.find(&FindQuery::any().operation("search")).unwrap();
         assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].key, key);
-        assert_eq!(hits[0].business, biz);
-        assert_eq!(hits[0].name, "Attraction Search");
-        assert_eq!(hits[0].provider_name, "TestCo");
+        assert_eq!(hits[0].key(), key);
+        assert_eq!(hits[0].business(), biz.0);
+        assert_eq!(hits[0].name(), "Attraction Search");
+        assert_eq!(hits[0].provider_name(), "TestCo");
     }
 
     #[test]
@@ -526,9 +534,9 @@ mod tests {
             assert_eq!(over_tcp.find(&query).unwrap(), expected, "{query:?}");
         }
         for summary in over_tcp.find(&FindQuery::any()).unwrap() {
-            let expected = registry.get_service(&summary.key).unwrap().to_xml();
-            let fabric = over_fabric.get_service(&summary.key).unwrap();
-            let tcp = over_tcp.get_service(&summary.key).unwrap();
+            let expected = registry.get_service(&summary.key()).unwrap().to_xml();
+            let fabric = over_fabric.get_service(&summary.key()).unwrap();
+            let tcp = over_tcp.get_service(&summary.key()).unwrap();
             assert_eq!(fabric.to_xml(), expected, "{summary:?}");
             assert_eq!(tcp.to_xml(), expected, "{summary:?}");
         }
@@ -571,15 +579,26 @@ mod tests {
         );
     }
 
-    /// A find reply decodes only when it is a list of summaries.
+    /// A find reply decodes only when it is a list of summaries, and a
+    /// faulty child is refused with the same error whether it was parsed
+    /// (TCP) or handed over shared (the fabric).
     #[test]
     fn malformed_find_replies_are_refused() {
-        let summary = pinned_server().registry.find(&FindQuery::any())[0].clone();
-        let list = |child: Element| Element::new("serviceList").with_child(child);
-        assert_eq!(
-            decode_summaries(&list(ServiceSummary::from(&summary).to_xml())).unwrap(),
-            [ServiceSummary::from(&summary)]
-        );
+        let record = pinned_server().registry.find(&FindQuery::any())[0].clone();
+        let summary = ServiceSummary::from(&record);
+        let owned = |child: Element| Element::new("serviceList").with_child(child);
+        let shared = |child: Element| {
+            let mut list = Element::new("serviceList");
+            list.children.push(Node::Shared(SharedElement::new(child)));
+            list
+        };
+        let valid = (*summary.0).clone();
+        for reply in [owned(valid.clone()), shared(valid.clone())] {
+            assert_eq!(
+                decode_summaries(reply).unwrap(),
+                std::slice::from_ref(&summary)
+            );
+        }
         for (reply, expected) in [
             (
                 Element::new("businessList"),
@@ -589,15 +608,40 @@ mod tests {
                 Element::new("serviceList").with_text("x"),
                 "<serviceList> holds a non-element",
             ),
-            (
-                list(summary.to_xml()),
-                "<serviceInfo> summary has unexpected attribute \"category\"",
-            ),
         ] {
             assert_eq!(
-                decode_summaries(&reply).unwrap_err(),
+                decode_summaries(reply).unwrap_err(),
                 RegistryError::Protocol(expected.into())
             );
+        }
+        let mut unnamed = valid.clone();
+        unnamed.attrs.retain(|(n, _)| n != "name");
+        for (child, expected) in [
+            (
+                record.to_xml(),
+                "<serviceInfo> summary has unexpected attribute \"category\"",
+            ),
+            (
+                Element::new("businessInfo"),
+                "expected <serviceInfo>, got <businessInfo>",
+            ),
+            (
+                unnamed,
+                "<serviceInfo> is missing required attribute \"name\"",
+            ),
+            (
+                valid.clone().with_text(" "),
+                "<serviceInfo> summary has content",
+            ),
+        ] {
+            for reply in [owned(child.clone()), shared(child.clone())] {
+                assert_eq!(
+                    decode_summaries(reply).unwrap_err(),
+                    RegistryError::Protocol(expected.into()),
+                    "{}",
+                    child.to_xml()
+                );
+            }
         }
     }
 

@@ -15,7 +15,7 @@ use crate::model::{
 };
 use parking_lot::RwLock;
 use selfserv_wsdl::ServiceDescription;
-use selfserv_xml::{Element, SharedElement};
+use selfserv_xml::Element;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -117,15 +117,14 @@ impl Indexes {
     }
 }
 
-/// A record as the table holds it: with its summary tree
-/// ([`ServiceSummary::to_xml`]), built once at publication so that a find
-/// reply refers to it instead of building its own. The tree encodes nothing
-/// that changes while the record is stored (`renew` moves only
-/// `published_at`), and the two leave the table together, so it cannot go
-/// stale.
+/// A record as the table holds it: with its [`ServiceSummary`], built once
+/// at publication so that a find reply and the client's hit are that tree
+/// instead of copies of it. The tree encodes nothing that changes while
+/// the record is stored (`renew` moves only `published_at`), and the two
+/// leave the table together, so it cannot go stale.
 struct Stored {
     record: ServiceRecord,
-    summary: SharedElement,
+    summary: ServiceSummary,
 }
 
 /// One partition of the service table: its records plus their indexes,
@@ -170,15 +169,14 @@ impl Shard {
             .enumerate()
             .min_by_key(|(_, sets)| sets.iter().map(|s| s.len()).sum::<usize>())?;
         let walked = criteria.swap_remove(smallest);
-        let mut keys: Vec<&ServiceKey> = walked
-            .iter()
-            .flat_map(|set| set.iter())
-            .filter(|key| {
-                criteria
-                    .iter()
-                    .all(|sets| sets.iter().any(|s| s.contains(*key)))
-            })
-            .collect();
+        // Sized for every walked key, so that it is one allocation however
+        // many match.
+        let mut keys = Vec::with_capacity(walked.iter().map(|s| s.len()).sum());
+        keys.extend(walked.iter().flat_map(|set| set.iter()).filter(|key| {
+            criteria
+                .iter()
+                .all(|sets| sets.iter().any(|s| s.contains(*key)))
+        }));
         if walked.len() > 1 {
             // A record indexed under two matching strings (two operations
             // sharing the prefix) was walked twice.
@@ -327,8 +325,7 @@ impl UddiRegistry {
             published_at: now,
             lease,
         };
-        // Four attributes and no children: built at its exact length.
-        let summary = SharedElement::new(ServiceSummary::from(&record).to_xml());
+        let summary = ServiceSummary::from(&record);
         shard.indexes.insert(&record);
         shard
             .services
@@ -428,23 +425,32 @@ impl UddiRegistry {
     /// The summaries of [`UddiRegistry::find`]'s hits, as stored: the same
     /// hits in the same order for a reference count each — no record is
     /// cloned, no tree built, no key copied to sort by.
-    pub(crate) fn find_info(&self, query: &FindQuery) -> Vec<SharedElement> {
+    pub(crate) fn find_info(&self, query: &FindQuery) -> Vec<ServiceSummary> {
         self.collect_hits(query, |s| s.summary.clone())
     }
 
     /// `read` of every live hit, in key order. The shards are read-locked
     /// together, so the hits are sorted by the keys their records hold —
-    /// each read once, in place — before `read` copies anything out.
+    /// each read once, in place — before `read` copies anything out. The
+    /// number of allocations does not grow with the number of hits.
     fn collect_hits<T>(&self, query: &FindQuery, read: impl Fn(&Stored) -> T) -> Vec<T> {
         let now = Instant::now();
         let live = |s: &&Stored| !s.record.is_expired(now);
         let shards: Vec<_> = self.shards.iter().map(|shard| shard.read()).collect();
-        let mut hits: Vec<(&str, &Stored)> = Vec::new();
+        let candidates: Vec<_> = shards.iter().map(|shard| shard.candidates(query)).collect();
+        let most = shards
+            .iter()
+            .zip(&candidates)
+            .map(|(shard, keys)| match keys {
+                Some(keys) => keys.len(),
+                None => shard.services.len(),
+            });
+        let mut hits: Vec<(&str, &Stored)> = Vec::with_capacity(most.sum());
         fn keyed(s: &Stored) -> (&str, &Stored) {
             (s.record.key.0.as_str(), s)
         }
-        for shard in &shards {
-            match shard.candidates(query) {
+        for (shard, keys) in shards.iter().zip(candidates) {
+            match keys {
                 Some(keys) => hits.extend(
                     keys.into_iter()
                         .filter_map(|k| shard.services.get(k))
@@ -629,10 +635,18 @@ mod tests {
         let [summary] = &reg.find_info(&query)[..] else {
             panic!("one hit");
         };
-        assert_eq!(**summary, ServiceSummary::from(record).to_xml());
-        assert_eq!(summary.attrs.capacity(), summary.attrs.len());
-        assert_eq!(summary.children.capacity(), 0);
-        for (name, value) in &summary.attrs {
+        assert_eq!(*summary, ServiceSummary::from(record));
+        let tree = &summary.0;
+        assert_eq!(
+            tree.to_xml(),
+            concat!(
+                "<serviceInfo key=\"svc-3\" business=\"biz-2\" name=\"Car Rental\" ",
+                "provider=\"WheelsNow\"/>"
+            )
+        );
+        assert_eq!(tree.attrs.capacity(), tree.attrs.len());
+        assert_eq!(tree.children.capacity(), 0);
+        for (name, value) in &tree.attrs {
             assert_eq!(name.capacity(), name.len());
             assert_eq!(value.capacity(), value.len());
         }
@@ -823,9 +837,9 @@ mod tests {
                     .unwrap();
                     // Summaries found while other threads publish are whole.
                     for summary in reg.find_info(&FindQuery::any().operation("op")) {
-                        let found = ServiceSummary::from_xml(&summary).unwrap();
-                        assert_eq!(found.provider_name, "Conc");
-                        assert!(found.name.starts_with("Svc-"), "{found:?}");
+                        let found = ServiceSummary::from_xml(summary.0).unwrap();
+                        assert_eq!(found.provider_name(), "Conc");
+                        assert!(found.name().starts_with("Svc-"), "{found:?}");
                     }
                 }
             }));

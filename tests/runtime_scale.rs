@@ -10,9 +10,9 @@
 //!   simultaneously awaiting a slow backend reply on the same 4-worker
 //!   executor, with zero blocked workers and an OS thread count that does
 //!   not scale with the number of awaiting instances (the
-//!   continuation-passing coordinator; under the blocking model this
-//!   would park ~2048 compensation threads). Outputs stay byte-identical
-//!   to the blocking path's goldens.
+//!   continuation-passing coordinator; a coordinator that waited on its
+//!   replies would hold ~2048 threads). Outputs stay byte-identical to the
+//!   blocking path's goldens.
 //! * `real_community_server_parks_2048_delegations_without_threads` —
 //!   same shape through the *real* community server: 2048 instances'
 //!   delegations each held open across two chained rpcs (coordinator →
@@ -168,20 +168,20 @@ fn deploy_256_composites_on_4_workers_with_bounded_threads() {
     peak = peak.max(thread_count());
 
     if baseline > 0 {
-        // Peak budget: pool + timer + transient blocking compensation
-        // (bounded by concurrent blocking sections: the in-flight
-        // invocations plus our 8 client threads) — two orders of magnitude
-        // under the 512 threads the seed model would hold here.
+        // Peak budget: pool + timer + our 8 client threads, with slack for
+        // harness threads (the pool is fixed and the echo backend does not
+        // block) — two orders of magnitude under the 512 threads the seed
+        // model would hold here.
         assert!(
             peak <= baseline + WORKERS + 1 + 32,
-            "thread peak {peak} exceeds pool + compensation budget (baseline {baseline})"
+            "thread peak {peak} exceeds pool + client threads budget (baseline {baseline})"
         );
         assert!(
             peak < 2 * COMPOSITES,
             "thread count must not scale with node count"
         );
-        // After the load stops, compensation retires back toward the base
-        // pool (lazy, one idle tick at a time).
+        // After the load stops, the client threads have ended and the
+        // count returns to the pool's.
         let t0 = Instant::now();
         let mut settled = thread_count();
         while settled > baseline + WORKERS + 1 + 4 && t0.elapsed() < Duration::from_secs(10) {
@@ -190,7 +190,7 @@ fn deploy_256_composites_on_4_workers_with_bounded_threads() {
         }
         assert!(
             settled <= baseline + WORKERS + 1 + 4,
-            "compensation must retire after the burst: {baseline} -> {settled}"
+            "threads must return to the pool's after the burst: {baseline} -> {settled}"
         );
     }
 
@@ -339,12 +339,12 @@ fn thousands_of_inflight_invocations_block_zero_workers() {
     );
 
     // The acceptance claim: N≫workers instances awaiting replies cost no
-    // threads. The pool is exactly its configured size, no worker is in a
-    // blocking section, and the process thread count is independent of
-    // INFLIGHT (under the blocking coordinator this point would hold
-    // ~2048 parked compensation threads).
-    assert_eq!(exec.handle().live_workers(), WORKERS, "no compensation");
-    assert_eq!(exec.handle().blocked_workers(), 0, "no blocked workers");
+    // threads. The pool is exactly its configured size, no blocking section
+    // is in flight, and the process thread count is independent of
+    // INFLIGHT (a coordinator that waited on its replies would hold ~2048
+    // threads at this point).
+    assert_eq!(exec.handle().live_workers(), WORKERS, "fixed pool size");
+    assert_eq!(exec.handle().blocked_workers(), 0, "no blocking sections");
     if baseline > 0 {
         let awaiting = thread_count();
         assert!(
@@ -458,11 +458,11 @@ fn real_community_server_parks_2048_delegations_without_threads() {
 
     // The tentpole claim: 2048 coordinator→community rpcs plus 2048
     // community→member rpcs are simultaneously open, the pool is exactly
-    // its configured size, and not one worker is blocked — the old
-    // delegate() loop would have parked a compensation thread per
+    // its configured size, and no blocking section is in flight — a
+    // delegate() loop that waited on each reply would hold a thread per
     // delegation here.
-    assert_eq!(exec.handle().live_workers(), WORKERS, "no compensation");
-    assert_eq!(exec.handle().blocked_workers(), 0, "no blocked workers");
+    assert_eq!(exec.handle().live_workers(), WORKERS, "fixed pool size");
+    assert_eq!(exec.handle().blocked_workers(), 0, "no blocking sections");
     assert_eq!(
         exec.handle().in_flight_rpcs(),
         2 * INFLIGHT,

@@ -260,7 +260,7 @@ fn rpc_round_trips_between_hubs_linked_only_by_register_peer() {
         .find(&FindQuery::any().service_name("Flight Booking"))
         .unwrap();
     assert_eq!(hits.len(), 1);
-    assert_eq!(hits[0].key, key);
+    assert_eq!(hits[0].key(), key);
     let fetched = client.get_service(&key).unwrap();
     assert_eq!(fetched.description.name, "Flight Booking");
     server.stop();

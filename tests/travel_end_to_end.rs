@@ -58,10 +58,10 @@ fn composite_discoverable_and_executable_via_remote_registry_lookup() {
         .find(&FindQuery::any().service_name("Travel Planning"))
         .unwrap();
     assert_eq!(hits.len(), 1);
-    assert_eq!(hits[0].name, "Travel Planning");
+    assert_eq!(hits[0].name(), "Travel Planning");
     // The hit lists the service; its record, binding included, is fetched
     // by key (UDDI's find, then get).
-    let record = client.get_service(&hits[0].key).unwrap();
+    let record = client.get_service(&hits[0].key()).unwrap();
     assert_eq!(record.description.name, "Travel Planning");
     let endpoint = record
         .description
