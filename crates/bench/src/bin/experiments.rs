@@ -327,7 +327,9 @@ fn e4_p2p_vs_central() {
     );
     println!(
         "expected shape: the central engine's per-node load grows ~2N per instance while the \
-         hottest P2P coordinator stays flat (~2-3); totals are comparable — the win is \
+         hottest P2P coordinator stays flat (2: one in, one out); P2P totals are N + 3 per \
+         instance (request, Start, N - 1 hand-offs, final notification, reply: a finished \
+         instance costs no cleanup message), below the central engine's 2N + 2 — the win is \
          distribution, exactly the paper's claim."
     );
 }

@@ -260,10 +260,9 @@ pub(crate) fn eval_guard(
 ) -> Result<bool, String> {
     match guard {
         None => Ok(true),
-        Some(g) => {
-            let env = functions.env_with(vars);
-            g.eval_bool(&env).map_err(|e| format!("guard '{g}': {e}"))
-        }
+        Some(g) => g
+            .eval_bool(&functions.env(vars))
+            .map_err(|e| format!("guard '{g}': {e}")),
     }
 }
 
@@ -274,10 +273,9 @@ pub(crate) fn apply_actions(
     vars: &mut BTreeMap<String, Value>,
 ) -> Result<(), String> {
     for a in actions {
-        let env = functions.env_with(vars);
         let value = a
             .expr
-            .eval(&env)
+            .eval(&functions.env(vars))
             .map_err(|e| format!("action '{} := {}': {e}", a.var, a.expr))?;
         vars.insert(a.var.clone(), value);
     }
@@ -291,7 +289,7 @@ pub(crate) fn build_input(
     functions: &FunctionLibrary,
     vars: &BTreeMap<String, Value>,
 ) -> Result<MessageDoc, String> {
-    let env = functions.env_with(vars);
+    let env = functions.env(vars);
     let mut msg = MessageDoc::request(operation);
     for m in inputs {
         let value = m
@@ -818,6 +816,11 @@ impl CoordinatorLogic {
     /// Post-invoke: write updated vars back so later activations of this
     /// instance (loops) observe them, route the outcome, then replay any
     /// notifications that arrived while the invocation was in flight.
+    ///
+    /// A slot with nothing left to wait for (no invocation in flight, no
+    /// unconsumed label, nothing deferred) is then forgotten: a later
+    /// notification for the instance — a loop re-entry — opens a fresh
+    /// slot, and carries the sender's full variable snapshot into it.
     fn finish_invoke(
         &mut self,
         ctx: &mut NodeCtx<'_>,
@@ -832,6 +835,11 @@ impl CoordinatorLogic {
         }
         self.postprocess(ctx, instance, vars);
         self.replay_deferred(ctx, instance);
+        if self.instances.get(&instance).is_some_and(|slot| {
+            slot.in_flight.is_none() && slot.seen.is_empty() && slot.deferred.is_empty()
+        }) {
+            self.instances.remove(&instance);
+        }
     }
 
     /// Replays notifications deferred while the instance was busy, in

@@ -563,15 +563,150 @@ mod tests {
         )
         .unwrap();
         let m = net.metrics();
-        // The wrapper sends Start + 5 cleanups and receives 1 completion;
-        // each intermediate coordinator handles ~1 in + 1 out. No node is a
-        // hotspot proportional to chart size.
+        // The wrapper sends Start and the result and receives 1
+        // completion; each intermediate coordinator handles 1 in + 1 out.
+        // No node is a hotspot proportional to chart size.
         let wrapper = m.node("synthseq5.wrapper").unwrap();
         // The wrapper receives the execute request plus the single final
         // notification; intermediate control flow never touches it.
         assert_eq!(wrapper.received, 2);
         let c0 = m.node("synthseq5.coord.s0").unwrap();
         assert_eq!(c0.sent, 1, "s0 notifies s1 only");
+    }
+
+    /// Per executed instance: the wrapper sends the Start notifications and
+    /// the result, and each coordinator receives its one activation. No
+    /// message is spent on forgetting a finished instance.
+    #[test]
+    fn a_finished_instance_costs_no_cleanup_message() {
+        const RUNS: u64 = 10;
+        for (chart, starts) in [(synth::sequence(5), 1), (synth::parallel(4), 4)] {
+            let net = Network::new(NetworkConfig::instant());
+            let dep = Deployer::new(&net)
+                .deploy(&chart, &synth_backends(5))
+                .unwrap();
+            let coordinators: Vec<NodeId> = dep
+                .plan()
+                .tables
+                .keys()
+                .map(|state| naming::coordinator(&chart.name, state))
+                .collect();
+            net.reset_metrics();
+            for _ in 0..RUNS {
+                dep.execute(
+                    MessageDoc::request("execute").with("payload", Value::str("x")),
+                    Duration::from_secs(5),
+                )
+                .unwrap();
+            }
+            // Stopping waits out every turn, so whatever the last one sent
+            // has been delivered and counted.
+            let wrapper = dep.wrapper_node().clone();
+            dep.undeploy();
+            let m = net.metrics();
+            assert_eq!(
+                m.node(wrapper.as_str()).unwrap().sent,
+                (starts + 1) * RUNS,
+                "{}: wrapper sends per instance",
+                chart.name
+            );
+            for node in &coordinators {
+                assert_eq!(
+                    m.node(node.as_str()).unwrap().received,
+                    RUNS,
+                    "{node}: messages received per instance"
+                );
+            }
+        }
+    }
+
+    /// Polls until the executor holds no timer, allowing three sweep
+    /// periods: a coordinator or wrapper that still holds a slot re-arms
+    /// its sweep timer, so the count reaches 0 only once every slot is
+    /// gone.
+    fn assert_timers_drain(exec: &ExecutorHandle, what: &str) {
+        let deadline = std::time::Instant::now() + 3 * crate::coordinator::SWEEP_INTERVAL;
+        while exec.live_timers() > 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{what}: {} timers still live, so a slot was kept",
+                exec.live_timers()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// Submits `runs` executions (`input(i)` for the i-th) and collects
+    /// them all, each a success.
+    fn run_all(dep: &Deployment, runs: u64, input: impl Fn(u64) -> MessageDoc) {
+        for i in 0..runs {
+            dep.submit(input(i)).unwrap();
+        }
+        for _ in 0..runs {
+            let (_, outcome) = dep.collect_result(Duration::from_secs(10)).unwrap();
+            outcome.unwrap();
+        }
+    }
+
+    #[test]
+    fn finished_instances_free_their_slots_without_a_message() {
+        let exec = selfserv_runtime::Executor::new(2);
+        for chart in [synth::sequence(5), synth::parallel(4)] {
+            let net = Network::new(NetworkConfig::instant());
+            let dep = Deployer::new(&net)
+                .with_executor(exec.handle())
+                .deploy(&chart, &synth_backends(5))
+                .unwrap();
+            run_all(&dep, 500, |i| {
+                MessageDoc::request("execute").with("payload", Value::str(format!("p{i}")))
+            });
+            assert_timers_drain(&exec.handle(), &chart.name);
+        }
+        exec.shutdown();
+    }
+
+    #[test]
+    fn an_unconsumed_event_label_is_cleaned_up_at_finish() {
+        // `ship` awaits the `approved` event; instances with `branch != 1`
+        // skip it, so the event raised for them leaves a label at `ship`
+        // that only the wrapper's cleanup at finish can clear.
+        let sc = StatechartBuilder::new("Gated")
+            .variable("payload", ParamType::Str)
+            .variable("branch", ParamType::Int)
+            .initial("prepare")
+            .task(TaskDef::new("prepare", "Prepare").service(synth::synth_service_name(0), "run"))
+            .task(TaskDef::new("ship", "Ship").service(synth::synth_service_name(1), "run"))
+            .final_state("done")
+            .transition(
+                TransitionDef::new("t_ship", "prepare", "ship")
+                    .event("approved")
+                    .guard("branch == 1"),
+            )
+            .transition(TransitionDef::new("t_skip", "prepare", "done").guard("branch != 1"))
+            .transition(TransitionDef::new("t_done", "ship", "done"))
+            .build()
+            .unwrap();
+        let exec = selfserv_runtime::Executor::new(2);
+        let net = Network::new(NetworkConfig::instant());
+        let dep = Deployer::new(&net)
+            .with_executor(exec.handle())
+            .deploy(&sc, &synth_backends(2))
+            .unwrap();
+        // The wrapper numbers instances from 1 in arrival order, and it
+        // forwards an event for a named instance at once, so each event
+        // reaches `ship` before its instance starts.
+        const RUNS: u64 = 100;
+        for i in 1..=RUNS {
+            dep.raise_event("approved", Some(InstanceId(i)));
+        }
+        run_all(&dep, RUNS, |i| {
+            MessageDoc::request("execute")
+                .with("payload", Value::str("p"))
+                .with("branch", Value::Int(1 + (i % 2) as i64))
+        });
+        assert_timers_drain(&exec.handle(), "Gated");
+        drop(dep);
+        exec.shutdown();
     }
 
     #[test]

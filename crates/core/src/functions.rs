@@ -5,7 +5,7 @@
 //! downloaded `Coordinator` class; here a [`FunctionLibrary`] is cloned
 //! into every coordinator and wrapper at deployment time.
 
-use selfserv_expr::{EvalError, MapEnv, NativeFn, Value};
+use selfserv_expr::{Env, EvalError, NativeFn, Value};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -42,26 +42,19 @@ impl FunctionLibrary {
         self.fns.contains_key(name)
     }
 
-    /// Builds an evaluation environment over `vars` with the builtin
-    /// function set plus this library.
-    pub fn env_with(&self, vars: &BTreeMap<String, Value>) -> MapEnv {
-        let mut env = MapEnv::with_builtins();
-        for (k, v) in vars {
-            env.set(k.clone(), v.clone());
+    /// An evaluation environment that reads `vars` in place, with the
+    /// builtin function set plus this library (a library function shadows
+    /// a builtin of the same name). Building it copies nothing.
+    pub fn env<'a>(&'a self, vars: &'a BTreeMap<String, Value>) -> InstanceEnv<'a> {
+        InstanceEnv {
+            vars,
+            functions: self,
         }
-        for (name, f) in &self.fns {
-            env.register_shared(name.clone(), Arc::clone(f));
-        }
-        env
     }
 
     /// The travel scenario's predicate library (`domestic`, `near`).
     pub fn travel() -> Self {
         let mut lib = Self::new();
-        let mut env = MapEnv::new();
-        selfserv_statechart::travel::register_predicates(&mut env);
-        // Re-wrap through a MapEnv is awkward; register directly instead.
-        let _ = env;
         lib.register("domestic", |args: &[Value]| {
             let city =
                 args.first()
@@ -94,6 +87,38 @@ impl FunctionLibrary {
     }
 }
 
+/// An instance's variables and a [`FunctionLibrary`], borrowed for the
+/// evaluation of guards, actions and input mappings. Names resolve as in
+/// [`selfserv_expr::MapEnv`]: a dotted path looks up the joined name, then
+/// falls back to a record under its first segment.
+pub struct InstanceEnv<'a> {
+    vars: &'a BTreeMap<String, Value>,
+    functions: &'a FunctionLibrary,
+}
+
+impl Env for InstanceEnv<'_> {
+    fn get_var(&self, path: &[String]) -> Option<Value> {
+        let value = match path {
+            [name] => self.vars.get(name),
+            _ => self
+                .vars
+                .get(&path.join("."))
+                .or_else(|| path.first().and_then(|first| self.vars.get(first))),
+        };
+        value.cloned()
+    }
+
+    fn call(&self, name: &str, args: &[Value]) -> Result<Value, EvalError> {
+        if let Some(f) = self.functions.fns.get(name) {
+            return f(args);
+        }
+        match selfserv_expr::builtin(name) {
+            Some(f) => f(args),
+            None => Err(EvalError::UnknownFunction(name.to_string())),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,7 +132,7 @@ mod tests {
         });
         let mut vars = BTreeMap::new();
         vars.insert("x".to_string(), Value::Int(21));
-        let env = lib.env_with(&vars);
+        let env = lib.env(&vars);
         assert_eq!(
             parse("double(x)").unwrap().eval(&env).unwrap(),
             Value::Int(42)
@@ -115,6 +140,77 @@ mod tests {
         assert_eq!(
             parse("len(\"ab\")").unwrap().eval(&env).unwrap(),
             Value::Int(2)
+        );
+    }
+
+    /// The borrowed environment resolves every name exactly as a
+    /// `MapEnv` loaded with the same variables and library does.
+    #[test]
+    fn instance_env_resolves_names_as_map_env_does() {
+        use selfserv_expr::MapEnv;
+        let mut lib = FunctionLibrary::travel();
+        lib.register("double", |args| {
+            Ok(Value::Int(args[0].as_f64().unwrap_or(0.0) as i64 * 2))
+        });
+        // A library function shadows the builtin of the same name.
+        lib.register("len", |_| Ok(Value::Int(-1)));
+        let mut vars = BTreeMap::new();
+        vars.insert("x".to_string(), Value::Int(21));
+        vars.insert("destination".to_string(), Value::str("Perth"));
+        vars.insert("booking".to_string(), Value::str("whole record"));
+        vars.insert("booking.price".to_string(), Value::Int(99));
+        vars.insert("maybe".to_string(), Value::Null);
+        let mut map_env = MapEnv::with_builtins();
+        for (k, v) in &vars {
+            map_env.set(k.clone(), v.clone());
+        }
+        for (name, f) in &lib.fns {
+            map_env.register_shared(name.clone(), Arc::clone(f));
+        }
+        let env = lib.env(&vars);
+        for src in [
+            "booking.price",
+            "booking.missing",
+            "booking",
+            "x.y.z",
+            "ghost",
+            "ghost.field",
+            "x * 2 + 1",
+            "min(3, 5.5)",
+            "max(x, 30)",
+            "abs(-4)",
+            "upper(destination)",
+            "contains(destination, \"er\")",
+            "starts_with(destination, \"P\")",
+            "ends_with(destination, \"h\")",
+            "lower(\"AB\")",
+            "defined(maybe)",
+            "min(1)",
+            "upper(3)",
+            "len(destination)",
+            "double(x)",
+            "domestic(destination)",
+            "near(\"Blue Mountains\", destination)",
+            "nope(1)",
+        ] {
+            let expr = parse(src).unwrap();
+            assert_eq!(expr.eval(&env), expr.eval(&map_env), "{src}");
+        }
+        assert_eq!(
+            parse("len(destination)").unwrap().eval(&env),
+            Ok(Value::Int(-1))
+        );
+        assert_eq!(
+            parse("booking.missing").unwrap().eval(&env),
+            Ok(Value::str("whole record"))
+        );
+        assert_eq!(
+            parse("nope(1)").unwrap().eval(&env),
+            Err(EvalError::UnknownFunction("nope".into()))
+        );
+        assert_eq!(
+            parse("ghost.field").unwrap().eval(&env),
+            Err(EvalError::UndefinedVariable("ghost.field".into()))
         );
     }
 
@@ -134,13 +230,13 @@ mod tests {
         let lib = FunctionLibrary::travel();
         let mut vars = BTreeMap::new();
         vars.insert("destination".to_string(), Value::str("Perth"));
-        let env = lib.env_with(&vars);
+        let env = lib.env(&vars);
         assert_eq!(
             parse("domestic(destination)").unwrap().eval(&env).unwrap(),
             Value::Bool(true)
         );
         vars.insert("destination".to_string(), Value::str("Tokyo"));
-        let env = lib.env_with(&vars);
+        let env = lib.env(&vars);
         assert_eq!(
             parse("domestic(destination)").unwrap().eval(&env).unwrap(),
             Value::Bool(false)

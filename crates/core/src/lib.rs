@@ -56,7 +56,7 @@ pub use central::{CentralConfig, CentralHandle, CentralizedOrchestrator};
 pub use composite_backend::CompositeBackend;
 pub use coordinator::{Coordinator, CoordinatorConfig, CoordinatorHandle, TaskRuntime};
 pub use deploy::{Deployer, Deployment, DeploymentError};
-pub use functions::FunctionLibrary;
+pub use functions::{FunctionLibrary, InstanceEnv};
 pub use manager::{AccommodationChoice, ServiceManager, TravelDemo, TravelDemoConfig};
 pub use monitor::{
     mono_us, ExecutionMonitor, MonitorHandle, MonitorMetrics, MonitorOptions, TraceEvent, TraceKind,

@@ -75,6 +75,9 @@ struct WrapperSlot {
 
 struct WrapperLogic {
     cfg: WrapperConfig,
+    /// The distinct states of `cfg.event_subscribers`: the coordinators
+    /// that may still hold an event label when an instance finishes.
+    event_gated: Vec<StateId>,
     next_instance: u64,
     instances: HashMap<InstanceId, WrapperSlot>,
     sweep: SweepTimer,
@@ -89,8 +92,15 @@ impl CompositeWrapper {
         cfg: WrapperConfig,
     ) -> Result<WrapperHandle, ConnectError> {
         let endpoint = net.connect(naming::wrapper(&cfg.composite))?;
+        let mut event_gated: Vec<StateId> = Vec::new();
+        for (_, state) in &cfg.event_subscribers {
+            if !event_gated.contains(state) {
+                event_gated.push(state.clone());
+            }
+        }
         let logic = WrapperLogic {
             cfg,
+            event_gated,
             next_instance: 0,
             instances: HashMap::new(),
             sweep: SweepTimer::new(),
@@ -146,8 +156,9 @@ impl WrapperLogic {
     /// Abandoned instances are *faulted*, not silently dropped: the caller
     /// gets an execute fault (meaningful now that `Deployment::submit`
     /// lets thousands of executions run without a blocked caller thread
-    /// each), and the cleanup broadcast clears the coordinators' slots —
-    /// including any invocation state still pending for the instance.
+    /// each), and the fault's cleanup broadcast to every coordinator
+    /// clears their slots — including any invocation still in flight for
+    /// the instance.
     fn sweep_stale(&mut self, ctx: &NodeCtx<'_>) {
         let ttl = self.cfg.instance_ttl;
         if ttl.is_zero() {
@@ -294,7 +305,11 @@ impl WrapperLogic {
                     crate::monitor::TraceKind::InstanceFinished,
                     "",
                 );
-                self.cleanup(ctx, instance);
+                // Every other coordinator forgot the instance when its
+                // state completed; only an event-gated one may still hold
+                // a label the instance never consumed.
+                self.send_cleanup(ctx, instance, &self.event_gated);
+                self.instances.remove(&instance);
             }
             (None, None) => {}
         }
@@ -312,6 +327,9 @@ impl WrapperLogic {
         self.finish_fault(ctx, instance, &format!("state '{state}': {reason}"));
     }
 
+    /// Answers the caller with a fault and sends cleanup to every
+    /// coordinator: any of them may hold the instance's slot, an
+    /// invocation still in flight included.
     fn finish_fault(&mut self, ctx: &NodeCtx<'_>, instance: InstanceId, reason: &str) {
         self.trace(ctx, instance, crate::monitor::TraceKind::Faulted, reason);
         if let Some(slot) = self.instances.get(&instance) {
@@ -324,19 +342,18 @@ impl WrapperLogic {
                 Some(reply_to.1),
             );
         }
-        self.cleanup(ctx, instance);
+        self.send_cleanup(ctx, instance, &self.cfg.table.all_states);
+        self.instances.remove(&instance);
     }
 
-    /// Broadcasts per-instance cleanup to every coordinator and forgets the
-    /// local slot.
-    fn cleanup(&mut self, ctx: &NodeCtx<'_>, instance: InstanceId) {
-        for state in &self.cfg.table.all_states {
+    /// Sends per-instance cleanup to the coordinators of `states`.
+    fn send_cleanup(&self, ctx: &NodeCtx<'_>, instance: InstanceId, states: &[StateId]) {
+        for state in states {
             let node = naming::coordinator(&self.cfg.composite, state);
             let _ = ctx
                 .endpoint()
                 .send(node, kinds::CLEANUP, cleanup_body(instance));
         }
-        self.instances.remove(&instance);
     }
 
     fn on_event(&mut self, ctx: &NodeCtx<'_>, env: &Envelope) {

@@ -154,106 +154,124 @@ impl MapEnv {
     }
 
     fn register_builtins(&mut self) {
-        fn arity(function: &str, expected: usize, args: &[Value]) -> Result<(), EvalError> {
-            if args.len() != expected {
-                Err(EvalError::ArityMismatch {
-                    function: function.to_string(),
-                    expected,
-                    found: args.len(),
-                })
-            } else {
-                Ok(())
-            }
+        for (name, f) in BUILTINS {
+            self.register_fn(name, f);
         }
-        self.register_fn("len", |args| {
-            arity("len", 1, args)?;
-            match &args[0] {
-                Value::Str(s) => Ok(Value::Int(s.chars().count() as i64)),
-                Value::List(l) => Ok(Value::Int(l.len() as i64)),
-                other => Err(EvalError::TypeMismatch {
-                    op: "len".into(),
-                    found: other.type_name().into(),
-                }),
-            }
-        });
-        self.register_fn("contains", |args| {
-            arity("contains", 2, args)?;
-            match (&args[0], &args[1]) {
-                (Value::Str(hay), Value::Str(needle)) => Ok(Value::Bool(hay.contains(needle))),
-                (Value::List(items), needle) => {
-                    Ok(Value::Bool(items.iter().any(|i| i.loose_eq(needle))))
-                }
-                (a, b) => Err(EvalError::TypeMismatch {
-                    op: "contains".into(),
-                    found: format!("{}, {}", a.type_name(), b.type_name()),
-                }),
-            }
-        });
-        self.register_fn("starts_with", |args| {
-            arity("starts_with", 2, args)?;
-            match (&args[0], &args[1]) {
-                (Value::Str(s), Value::Str(p)) => Ok(Value::Bool(s.starts_with(p.as_str()))),
-                (a, b) => Err(EvalError::TypeMismatch {
-                    op: "starts_with".into(),
-                    found: format!("{}, {}", a.type_name(), b.type_name()),
-                }),
-            }
-        });
-        self.register_fn("ends_with", |args| {
-            arity("ends_with", 2, args)?;
-            match (&args[0], &args[1]) {
-                (Value::Str(s), Value::Str(p)) => Ok(Value::Bool(s.ends_with(p.as_str()))),
-                (a, b) => Err(EvalError::TypeMismatch {
-                    op: "ends_with".into(),
-                    found: format!("{}, {}", a.type_name(), b.type_name()),
-                }),
-            }
-        });
-        self.register_fn("lower", |args| {
-            arity("lower", 1, args)?;
-            match &args[0] {
-                Value::Str(s) => Ok(Value::Str(s.to_lowercase())),
-                other => Err(EvalError::TypeMismatch {
-                    op: "lower".into(),
-                    found: other.type_name().into(),
-                }),
-            }
-        });
-        self.register_fn("upper", |args| {
-            arity("upper", 1, args)?;
-            match &args[0] {
-                Value::Str(s) => Ok(Value::Str(s.to_uppercase())),
-                other => Err(EvalError::TypeMismatch {
-                    op: "upper".into(),
-                    found: other.type_name().into(),
-                }),
-            }
-        });
-        self.register_fn("min", |args| {
-            arity("min", 2, args)?;
-            numeric_pair("min", &args[0], &args[1], |a, b| a.min(b))
-        });
-        self.register_fn("max", |args| {
-            arity("max", 2, args)?;
-            numeric_pair("max", &args[0], &args[1], |a, b| a.max(b))
-        });
-        self.register_fn("abs", |args| {
-            arity("abs", 1, args)?;
-            match &args[0] {
-                Value::Int(i) => Ok(Value::Int(i.abs())),
-                Value::Float(f) => Ok(Value::Float(f.abs())),
-                other => Err(EvalError::TypeMismatch {
-                    op: "abs".into(),
-                    found: other.type_name().into(),
-                }),
-            }
-        });
-        self.register_fn("defined", |args| {
-            arity("defined", 1, args)?;
-            Ok(Value::Bool(!matches!(args[0], Value::Null)))
-        });
     }
 }
+
+/// Signature of a builtin function.
+pub type BuiltinFn = fn(&[Value]) -> Result<Value, EvalError>;
+
+/// The builtin function named `name` (see [`MapEnv::with_builtins`] for
+/// the set). The table is static, so an environment that resolves calls
+/// through it builds nothing per evaluation.
+pub fn builtin(name: &str) -> Option<BuiltinFn> {
+    BUILTINS.iter().find(|(n, _)| *n == name).map(|(_, f)| *f)
+}
+
+fn arity(function: &str, expected: usize, args: &[Value]) -> Result<(), EvalError> {
+    if args.len() != expected {
+        Err(EvalError::ArityMismatch {
+            function: function.to_string(),
+            expected,
+            found: args.len(),
+        })
+    } else {
+        Ok(())
+    }
+}
+
+/// The builtin function library, by name.
+const BUILTINS: [(&str, BuiltinFn); 10] = [
+    ("len", |args| {
+        arity("len", 1, args)?;
+        match &args[0] {
+            Value::Str(s) => Ok(Value::Int(s.chars().count() as i64)),
+            Value::List(l) => Ok(Value::Int(l.len() as i64)),
+            other => Err(EvalError::TypeMismatch {
+                op: "len".into(),
+                found: other.type_name().into(),
+            }),
+        }
+    }),
+    ("contains", |args| {
+        arity("contains", 2, args)?;
+        match (&args[0], &args[1]) {
+            (Value::Str(hay), Value::Str(needle)) => Ok(Value::Bool(hay.contains(needle))),
+            (Value::List(items), needle) => {
+                Ok(Value::Bool(items.iter().any(|i| i.loose_eq(needle))))
+            }
+            (a, b) => Err(EvalError::TypeMismatch {
+                op: "contains".into(),
+                found: format!("{}, {}", a.type_name(), b.type_name()),
+            }),
+        }
+    }),
+    ("starts_with", |args| {
+        arity("starts_with", 2, args)?;
+        match (&args[0], &args[1]) {
+            (Value::Str(s), Value::Str(p)) => Ok(Value::Bool(s.starts_with(p.as_str()))),
+            (a, b) => Err(EvalError::TypeMismatch {
+                op: "starts_with".into(),
+                found: format!("{}, {}", a.type_name(), b.type_name()),
+            }),
+        }
+    }),
+    ("ends_with", |args| {
+        arity("ends_with", 2, args)?;
+        match (&args[0], &args[1]) {
+            (Value::Str(s), Value::Str(p)) => Ok(Value::Bool(s.ends_with(p.as_str()))),
+            (a, b) => Err(EvalError::TypeMismatch {
+                op: "ends_with".into(),
+                found: format!("{}, {}", a.type_name(), b.type_name()),
+            }),
+        }
+    }),
+    ("lower", |args| {
+        arity("lower", 1, args)?;
+        match &args[0] {
+            Value::Str(s) => Ok(Value::Str(s.to_lowercase())),
+            other => Err(EvalError::TypeMismatch {
+                op: "lower".into(),
+                found: other.type_name().into(),
+            }),
+        }
+    }),
+    ("upper", |args| {
+        arity("upper", 1, args)?;
+        match &args[0] {
+            Value::Str(s) => Ok(Value::Str(s.to_uppercase())),
+            other => Err(EvalError::TypeMismatch {
+                op: "upper".into(),
+                found: other.type_name().into(),
+            }),
+        }
+    }),
+    ("min", |args| {
+        arity("min", 2, args)?;
+        numeric_pair("min", &args[0], &args[1], |a, b| a.min(b))
+    }),
+    ("max", |args| {
+        arity("max", 2, args)?;
+        numeric_pair("max", &args[0], &args[1], |a, b| a.max(b))
+    }),
+    ("abs", |args| {
+        arity("abs", 1, args)?;
+        match &args[0] {
+            Value::Int(i) => Ok(Value::Int(i.abs())),
+            Value::Float(f) => Ok(Value::Float(f.abs())),
+            other => Err(EvalError::TypeMismatch {
+                op: "abs".into(),
+                found: other.type_name().into(),
+            }),
+        }
+    }),
+    ("defined", |args| {
+        arity("defined", 1, args)?;
+        Ok(Value::Bool(!matches!(args[0], Value::Null)))
+    }),
+];
 
 fn numeric_pair(
     op: &str,

@@ -17,7 +17,9 @@
 //! * [`parse`] — a Pratt parser for the surface syntax,
 //! * [`Expr::eval`] — evaluation against an [`Env`] that resolves
 //!   variables and (application-registered) predicate functions,
-//! * [`MapEnv`] — a ready-made environment backed by hash maps.
+//! * [`MapEnv`] — a ready-made environment backed by hash maps, and
+//!   [`builtin`] — the builtin functions it registers, for environments
+//!   that resolve calls themselves.
 //!
 //! ## Syntax
 //!
@@ -53,7 +55,7 @@ mod parser;
 mod value;
 
 pub use ast::{BinOp, Expr, UnOp};
-pub use eval::{Env, EvalError, MapEnv, NativeFn};
+pub use eval::{builtin, BuiltinFn, Env, EvalError, MapEnv, NativeFn};
 pub use parser::{parse, ParseError};
 pub use value::Value;
 

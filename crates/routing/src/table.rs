@@ -172,8 +172,8 @@ pub struct WrapperTable {
     pub start_targets: Vec<StateId>,
     /// Completion alternatives (same semantics as state preconditions).
     pub finish_alternatives: Vec<Precondition>,
-    /// Every coordinator of the composite (for instance cleanup
-    /// broadcasts).
+    /// Every coordinator of the composite: the wrapper sends a faulted
+    /// or abandoned instance's cleanup to all of them.
     pub all_states: Vec<StateId>,
 }
 
