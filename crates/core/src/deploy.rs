@@ -297,6 +297,27 @@ impl Deployer {
             }
         }
 
+        // Coordinators that can be left holding labels when an instance
+        // succeeds: a precondition with a receiver-side condition (a
+        // guarded exit from a compound or concurrent state, whose senders
+        // notify every target) or awaiting an event. The wrapper sends
+        // them cleanup at finish; every other coordinator frees a
+        // finished instance's slot itself.
+        let cleanup_on_success: Vec<StateId> = plan
+            .tables
+            .values()
+            .filter(|table| {
+                table.preconditions.iter().any(|pre| {
+                    pre.condition.is_some()
+                        || pre
+                            .labels
+                            .iter()
+                            .any(|label| matches!(label, NotificationLabel::Event(_)))
+                })
+            })
+            .map(|table| table.state.clone())
+            .collect();
+
         // "Upload" the tables: spawn coordinators.
         let mut coordinators = Vec::with_capacity(plan.tables.len());
         for (state_id, table) in &plan.tables {
@@ -327,6 +348,7 @@ impl Deployer {
                 functions: self.functions.clone(),
                 variables: statechart.variables.clone(),
                 event_subscribers,
+                cleanup_on_success,
                 instance_ttl: self.instance_ttl,
                 monitor: self.monitor.clone(),
             },
@@ -623,15 +645,25 @@ mod tests {
     /// Polls until the executor holds no timer, allowing three sweep
     /// periods: a coordinator or wrapper that still holds a slot re-arms
     /// its sweep timer, so the count reaches 0 only once every slot is
-    /// gone.
+    /// gone. Between a sweep timer firing and its turn re-arming it the
+    /// count reads 0 for a moment, so a 0 counts only once it has held
+    /// for 50 ms.
     fn assert_timers_drain(exec: &ExecutorHandle, what: &str) {
-        let deadline = std::time::Instant::now() + 3 * crate::coordinator::SWEEP_INTERVAL;
-        while exec.live_timers() > 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "{what}: {} timers still live, so a slot was kept",
-                exec.live_timers()
-            );
+        const SETTLE: Duration = Duration::from_millis(50);
+        let start = std::time::Instant::now();
+        let mut zero_since = None;
+        loop {
+            let live = exec.live_timers();
+            let now = std::time::Instant::now();
+            if live > 0 {
+                zero_since = None;
+                assert!(
+                    now - start < 3 * crate::coordinator::SWEEP_INTERVAL,
+                    "{what}: {live} timers still live, so a slot was kept"
+                );
+            } else if now - *zero_since.get_or_insert(now) >= SETTLE {
+                return;
+            }
             std::thread::sleep(Duration::from_millis(5));
         }
     }
@@ -648,17 +680,53 @@ mod tests {
         }
     }
 
+    /// A concurrent block with a guarded exit to `X` (`branch == 1`) or
+    /// straight to the final state. Both regions notify both targets of
+    /// the join, and the guard runs at the receiver, so when it is false
+    /// `X` is left holding the join labels.
+    fn guarded_join() -> Statechart {
+        StatechartBuilder::new("GuardedJoin")
+            .variable("payload", ParamType::Str)
+            .variable("branch", ParamType::Int)
+            .initial("P")
+            .concurrent("P", "Parallel Block", vec![("r0", "s0"), ("r1", "s1")])
+            .task_in_region(
+                "P",
+                0,
+                TaskDef::new("s0", "Left").service(synth::synth_service_name(0), "run"),
+            )
+            .final_in("P", 0, "rf0")
+            .task_in_region(
+                "P",
+                1,
+                TaskDef::new("s1", "Right").service(synth::synth_service_name(1), "run"),
+            )
+            .final_in("P", 1, "rf1")
+            .task(TaskDef::new("X", "Extra").service(synth::synth_service_name(2), "run"))
+            .final_state("F")
+            .transition(TransitionDef::new("t0", "s0", "rf0"))
+            .transition(TransitionDef::new("t1", "s1", "rf1"))
+            .transition(TransitionDef::new("t_x", "P", "X").guard("branch == 1"))
+            .transition(TransitionDef::new("t_skip", "P", "F").guard("branch != 1"))
+            .transition(TransitionDef::new("t_xf", "X", "F"))
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn finished_instances_free_their_slots_without_a_message() {
         let exec = selfserv_runtime::Executor::new(2);
-        for chart in [synth::sequence(5), synth::parallel(4)] {
+        for chart in [synth::sequence(5), synth::parallel(4), guarded_join()] {
             let net = Network::new(NetworkConfig::instant());
             let dep = Deployer::new(&net)
                 .with_executor(exec.handle())
                 .deploy(&chart, &synth_backends(5))
                 .unwrap();
+            // Half the instances take each side of `guarded_join`'s guard.
             run_all(&dep, 500, |i| {
-                MessageDoc::request("execute").with("payload", Value::str(format!("p{i}")))
+                MessageDoc::request("execute")
+                    .with("payload", Value::str(format!("p{i}")))
+                    .with("branch", Value::Int(1 + (i % 2) as i64))
             });
             assert_timers_drain(&exec.handle(), &chart.name);
         }

@@ -88,9 +88,8 @@ impl FunctionLibrary {
 }
 
 /// An instance's variables and a [`FunctionLibrary`], borrowed for the
-/// evaluation of guards, actions and input mappings. Names resolve as in
-/// [`selfserv_expr::MapEnv`]: a dotted path looks up the joined name, then
-/// falls back to a record under its first segment.
+/// evaluation of guards, actions and input mappings. Names resolve by
+/// [`selfserv_expr::resolve`], as in [`selfserv_expr::MapEnv`].
 pub struct InstanceEnv<'a> {
     vars: &'a BTreeMap<String, Value>,
     functions: &'a FunctionLibrary,
@@ -98,14 +97,7 @@ pub struct InstanceEnv<'a> {
 
 impl Env for InstanceEnv<'_> {
     fn get_var(&self, path: &[String]) -> Option<Value> {
-        let value = match path {
-            [name] => self.vars.get(name),
-            _ => self
-                .vars
-                .get(&path.join("."))
-                .or_else(|| path.first().and_then(|first| self.vars.get(first))),
-        };
-        value.cloned()
+        selfserv_expr::resolve(path, |name| self.vars.get(name))
     }
 
     fn call(&self, name: &str, args: &[Value]) -> Result<Value, EvalError> {

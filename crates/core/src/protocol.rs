@@ -57,9 +57,10 @@ pub mod kinds {
     /// Instance fault report to the wrapper.
     pub const FAULT: &str = "coord.fault";
     /// Per-instance state cleanup from the wrapper: after a success to
-    /// the event-gated coordinators (which may hold an unconsumed event
-    /// label), after a fault or abandonment to every coordinator. Other
-    /// coordinators free a finished instance's slot on their own.
+    /// the coordinators whose precondition awaits an event or has a
+    /// receiver-side condition (they may hold a label the instance never
+    /// consumed), after a fault or abandonment to every coordinator.
+    /// Other coordinators free a finished instance's slot on their own.
     pub const CLEANUP: &str = "coord.cleanup";
     /// Service invocation request to a [`crate::ServiceHost`] (also the
     /// community member protocol).

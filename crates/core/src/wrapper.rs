@@ -33,6 +33,11 @@ pub struct WrapperConfig {
     /// Event name → subscribed states (computed by the deployer from the
     /// routing plan).
     pub event_subscribers: Vec<(String, StateId)>,
+    /// Coordinators that may still hold a label when an instance succeeds
+    /// (computed by the deployer from the routing plan): those with a
+    /// precondition under a receiver-side condition or awaiting an event.
+    /// The wrapper sends them the instance's cleanup at finish.
+    pub cleanup_on_success: Vec<StateId>,
     /// Instances idle longer than this are abandoned.
     pub instance_ttl: Duration,
     /// Optional monitor node receiving trace events.
@@ -75,9 +80,6 @@ struct WrapperSlot {
 
 struct WrapperLogic {
     cfg: WrapperConfig,
-    /// The distinct states of `cfg.event_subscribers`: the coordinators
-    /// that may still hold an event label when an instance finishes.
-    event_gated: Vec<StateId>,
     next_instance: u64,
     instances: HashMap<InstanceId, WrapperSlot>,
     sweep: SweepTimer,
@@ -92,15 +94,8 @@ impl CompositeWrapper {
         cfg: WrapperConfig,
     ) -> Result<WrapperHandle, ConnectError> {
         let endpoint = net.connect(naming::wrapper(&cfg.composite))?;
-        let mut event_gated: Vec<StateId> = Vec::new();
-        for (_, state) in &cfg.event_subscribers {
-            if !event_gated.contains(state) {
-                event_gated.push(state.clone());
-            }
-        }
         let logic = WrapperLogic {
             cfg,
-            event_gated,
             next_instance: 0,
             instances: HashMap::new(),
             sweep: SweepTimer::new(),
@@ -306,9 +301,8 @@ impl WrapperLogic {
                     "",
                 );
                 // Every other coordinator forgot the instance when its
-                // state completed; only an event-gated one may still hold
-                // a label the instance never consumed.
-                self.send_cleanup(ctx, instance, &self.event_gated);
+                // state completed.
+                self.send_cleanup(ctx, instance, &self.cfg.cleanup_on_success);
                 self.instances.remove(&instance);
             }
             (None, None) => {}

@@ -160,6 +160,18 @@ impl MapEnv {
     }
 }
 
+/// Resolves a variable path through `lookup`, the naming rule every
+/// [`Env`] over named variables follows: a single name is looked up as
+/// is; a dotted path looks up the joined name first, then falls back to a
+/// record under its first segment.
+pub fn resolve<'v>(path: &[String], lookup: impl Fn(&str) -> Option<&'v Value>) -> Option<Value> {
+    match path {
+        [name] => lookup(name),
+        _ => lookup(&path.join(".")).or_else(|| path.first().and_then(|first| lookup(first))),
+    }
+    .cloned()
+}
+
 /// Signature of a builtin function.
 pub type BuiltinFn = fn(&[Value]) -> Result<Value, EvalError>;
 
@@ -293,14 +305,7 @@ fn numeric_pair(
 
 impl Env for MapEnv {
     fn get_var(&self, path: &[String]) -> Option<Value> {
-        let joined = path.join(".");
-        if let Some(v) = self.vars.get(&joined) {
-            return Some(v.clone());
-        }
-        if path.len() > 1 {
-            return self.vars.get(&path[0]).cloned();
-        }
-        None
+        resolve(path, |name| self.vars.get(name))
     }
 
     fn call(&self, name: &str, args: &[Value]) -> Result<Value, EvalError> {

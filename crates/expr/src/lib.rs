@@ -19,7 +19,8 @@
 //!   variables and (application-registered) predicate functions,
 //! * [`MapEnv`] — a ready-made environment backed by hash maps, and
 //!   [`builtin`] — the builtin functions it registers, for environments
-//!   that resolve calls themselves.
+//!   that resolve calls themselves, and [`resolve`] — the rule by which
+//!   a variable path names a variable.
 //!
 //! ## Syntax
 //!
@@ -55,7 +56,7 @@ mod parser;
 mod value;
 
 pub use ast::{BinOp, Expr, UnOp};
-pub use eval::{builtin, BuiltinFn, Env, EvalError, MapEnv, NativeFn};
+pub use eval::{builtin, resolve, BuiltinFn, Env, EvalError, MapEnv, NativeFn};
 pub use parser::{parse, ParseError};
 pub use value::Value;
 
