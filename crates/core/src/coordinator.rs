@@ -19,6 +19,7 @@ use selfserv_runtime::{
 };
 use selfserv_statechart::{Assignment, InputMapping, OutputMapping, StateId};
 use selfserv_wsdl::MessageDoc;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -150,6 +151,8 @@ impl Drop for CoordinatorHandle {
 
 struct InstanceSlot {
     seen: Vec<NotificationLabel>,
+    /// The instance's variables; empty while its task is in flight, when
+    /// they travel with the invocation ([`PendingInvoke::vars`]).
     vars: BTreeMap<String, Value>,
     last_touched: Instant,
     /// `Some(token)` while this instance's state task is in flight (fired
@@ -462,10 +465,13 @@ impl CoordinatorLogic {
             &self.cfg.table.preconditions[fired].id.clone(),
         );
         let pre_actions = self.cfg.table.preconditions[fired].actions.clone();
+        // The variables travel with the invocation and return to the slot
+        // at finish: while the task is in flight nothing reads the slot's
+        // (a notification arriving meanwhile is deferred with its own).
         let mut vars = self
             .instances
-            .get(&instance)
-            .map(|s| s.vars.clone())
+            .get_mut(&instance)
+            .map(|s| std::mem::take(&mut s.vars))
             .unwrap_or_default();
         if let Err(reason) = apply_actions(&pre_actions, &self.cfg.functions, &mut vars) {
             self.fault(ctx, instance, &reason);
@@ -487,10 +493,10 @@ impl CoordinatorLogic {
         &mut self,
         ctx: &mut NodeCtx<'_>,
         instance: InstanceId,
-        mut vars: BTreeMap<String, Value>,
+        vars: BTreeMap<String, Value>,
     ) {
         match &self.cfg.task {
-            TaskRuntime::None => self.finish_invoke(ctx, instance, &mut vars),
+            TaskRuntime::None => self.finish_invoke(ctx, instance, vars),
             TaskRuntime::Local {
                 backend,
                 operation,
@@ -652,7 +658,7 @@ impl CoordinatorLogic {
                     return self.fault(ctx, instance, &reason);
                 }
                 apply_outputs(self.task_outputs(), &response, &mut vars);
-                self.finish_invoke(ctx, instance, &mut vars);
+                self.finish_invoke(ctx, instance, vars);
             }
             InvokePhase::Community { input, node, tried } => {
                 let reply = match done.result {
@@ -775,7 +781,7 @@ impl CoordinatorLogic {
                     return self.fault(ctx, instance, &reason);
                 }
                 apply_outputs(self.task_outputs(), &response, &mut vars);
-                self.finish_invoke(ctx, instance, &mut vars);
+                self.finish_invoke(ctx, instance, vars);
             }
             InvokePhase::Redirect { member } => {
                 let reply = match done.result {
@@ -800,7 +806,7 @@ impl CoordinatorLogic {
                     return self.fault(ctx, instance, &reason);
                 }
                 apply_outputs(self.task_outputs(), &response, &mut vars);
-                self.finish_invoke(ctx, instance, &mut vars);
+                self.finish_invoke(ctx, instance, vars);
             }
         }
     }
@@ -813,27 +819,34 @@ impl CoordinatorLogic {
         }
     }
 
-    /// Post-invoke: write updated vars back so later activations of this
-    /// instance (loops) observe them, route the outcome, then replay any
-    /// notifications that arrived while the invocation was in flight.
+    /// Post-invoke: route the outcome, then — if the slot is still waiting
+    /// for something (an unconsumed label, a deferred notification) — give
+    /// it back the updated variables, so later activations of this
+    /// instance (loops) observe them, and replay what was deferred.
     ///
     /// A slot with nothing left to wait for (no invocation in flight, no
-    /// unconsumed label, nothing deferred) is then forgotten: a later
-    /// notification for the instance — a loop re-entry — opens a fresh
-    /// slot, and carries the sender's full variable snapshot into it.
+    /// unconsumed label, nothing deferred) is forgotten instead, its
+    /// variables dropped uncopied: a later notification for the instance —
+    /// a loop re-entry — opens a fresh slot, and carries the sender's full
+    /// variable snapshot into it.
     fn finish_invoke(
         &mut self,
         ctx: &mut NodeCtx<'_>,
         instance: InstanceId,
-        vars: &mut BTreeMap<String, Value>,
+        vars: BTreeMap<String, Value>,
     ) {
         self.trace(ctx, instance, crate::monitor::TraceKind::Completed, "");
-        if let Some(slot) = self.instances.get_mut(&instance) {
-            slot.vars = vars.clone();
-            slot.last_touched = Instant::now();
-            slot.in_flight = None;
+        self.postprocess(ctx, instance, &vars);
+        let Some(slot) = self.instances.get_mut(&instance) else {
+            return;
+        };
+        if slot.seen.is_empty() && slot.deferred.is_empty() {
+            self.instances.remove(&instance);
+            return;
         }
-        self.postprocess(ctx, instance, vars);
+        slot.vars = vars;
+        slot.last_touched = Instant::now();
+        slot.in_flight = None;
         self.replay_deferred(ctx, instance);
         if self.instances.get(&instance).is_some_and(|slot| {
             slot.in_flight.is_none() && slot.seen.is_empty() && slot.deferred.is_empty()
@@ -868,12 +881,13 @@ impl CoordinatorLogic {
 
     /// Evaluates postprocessing rows in order; the first row whose guard
     /// holds fires, emitting all its notifications with the current
-    /// variable snapshot.
+    /// variable snapshot — encoded from `vars` where they are, copied
+    /// only when the row has actions to apply to them.
     fn postprocess(
         &mut self,
         ctx: &NodeCtx<'_>,
         instance: InstanceId,
-        vars: &mut BTreeMap<String, Value>,
+        vars: &BTreeMap<String, Value>,
     ) {
         let table = &self.cfg.table;
         let mut fired = false;
@@ -888,29 +902,32 @@ impl CoordinatorLogic {
                     return;
                 }
                 Ok(true) => {
-                    let mut local_vars = vars.clone();
-                    if let Err(reason) =
-                        apply_actions(&post.actions, &self.cfg.functions, &mut local_vars)
-                    {
-                        let body = fault_body(instance, self.cfg.state.as_str(), &reason);
-                        let _ = ctx
-                            .endpoint()
-                            .send(self.wrapper_node.clone(), kinds::FAULT, body);
-                        return;
-                    }
+                    let local_vars = if post.actions.is_empty() {
+                        Cow::Borrowed(vars)
+                    } else {
+                        let mut local_vars = vars.clone();
+                        if let Err(reason) =
+                            apply_actions(&post.actions, &self.cfg.functions, &mut local_vars)
+                        {
+                            let body = fault_body(instance, self.cfg.state.as_str(), &reason);
+                            let _ =
+                                ctx.endpoint()
+                                    .send(self.wrapper_node.clone(), kinds::FAULT, body);
+                            return;
+                        }
+                        Cow::Owned(local_vars)
+                    };
                     for notification in post.notifications() {
                         let target_node = match &notification.target {
                             Participant::State(s) => naming::coordinator(&self.cfg.composite, s),
                             Participant::Wrapper => self.wrapper_node.clone(),
                         };
-                        let payload = NotifyPayload {
-                            label: notification.label.encode(),
+                        let body = NotifyPayload::encode(
+                            &notification.label.encode(),
                             instance,
-                            vars: local_vars.clone(),
-                        };
-                        let _ = ctx
-                            .endpoint()
-                            .send(target_node, kinds::NOTIFY, payload.to_xml());
+                            &local_vars,
+                        );
+                        let _ = ctx.endpoint().send(target_node, kinds::NOTIFY, body);
                     }
                     fired = true;
                     break;

@@ -777,6 +777,39 @@ mod tests {
         exec.shutdown();
     }
 
+    /// An event raised for an instance that has already finished is not
+    /// forwarded: nothing would consume its label, and the subscriber
+    /// would hold the slot until the TTL sweep.
+    #[test]
+    fn an_event_for_a_finished_instance_opens_no_slot() {
+        let sc = StatechartBuilder::new("GatedLate")
+            .variable("payload", ParamType::Str)
+            .initial("prepare")
+            .task(TaskDef::new("prepare", "Prepare").service(synth::synth_service_name(0), "run"))
+            .task(TaskDef::new("ship", "Ship").service(synth::synth_service_name(1), "run"))
+            .final_state("done")
+            .transition(TransitionDef::new("t_ship", "prepare", "ship").event("approved"))
+            .transition(TransitionDef::new("t_done", "ship", "done"))
+            .build()
+            .unwrap();
+        let exec = selfserv_runtime::Executor::new(2);
+        let net = Network::new(NetworkConfig::instant());
+        let dep = Deployer::new(&net)
+            .with_executor(exec.handle())
+            .deploy(&sc, &synth_backends(2))
+            .unwrap();
+        // Instance 1 gets its event before it starts, and finishes.
+        dep.raise_event("approved", Some(InstanceId(1)));
+        run_all(&dep, 1, |_| {
+            MessageDoc::request("execute").with("payload", Value::str("p"))
+        });
+        assert_timers_drain(&exec.handle(), "GatedLate, finished");
+        dep.raise_event("approved", Some(InstanceId(1)));
+        assert_timers_drain(&exec.handle(), "GatedLate, event after finish");
+        drop(dep);
+        exec.shutdown();
+    }
+
     #[test]
     fn xor_takes_exactly_one_branch() {
         let net = Network::new(NetworkConfig::instant());

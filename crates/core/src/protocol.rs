@@ -195,14 +195,17 @@ pub struct NotifyPayload {
 impl NotifyPayload {
     /// XML form.
     pub fn to_xml(&self) -> Element {
-        let mut vars_msg = MessageDoc::request("vars");
-        for (k, v) in &self.vars {
-            vars_msg.set(k, v.clone());
-        }
+        Self::encode(&self.label, self.instance, &self.vars)
+    }
+
+    /// The XML form of the notification `label` for `instance` carrying
+    /// `vars`, encoded from the borrowed variables: a sender notifying
+    /// several targets copies its variables only into each document.
+    pub fn encode(label: &str, instance: InstanceId, vars: &BTreeMap<String, Value>) -> Element {
         Element::new("notification")
-            .with_attr("label", &self.label)
-            .with_attr("instance", self.instance.to_string())
-            .with_child(vars_msg.to_xml())
+            .with_attr("label", label)
+            .with_attr("instance", instance.to_string())
+            .with_child(MessageDoc::request_xml("vars", vars))
     }
 
     /// Decodes the XML form.

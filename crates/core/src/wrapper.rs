@@ -197,16 +197,7 @@ impl WrapperLogic {
         for (k, v) in input.iter() {
             vars.insert(k.to_string(), v.clone());
         }
-        self.instances.insert(
-            instance,
-            WrapperSlot {
-                seen: Vec::new(),
-                vars: vars.clone(),
-                reply_to: (env.from.clone(), env.id),
-                started_at: Instant::now(),
-                last_touched: Instant::now(),
-            },
-        );
+        let started_at = Instant::now();
         self.trace(
             ctx,
             instance,
@@ -214,15 +205,22 @@ impl WrapperLogic {
             "",
         );
         // Kick off the initial state(s).
+        let start = NotificationLabel::Start.encode();
         for target in &self.cfg.table.start_targets {
-            let payload = NotifyPayload {
-                label: NotificationLabel::Start.encode(),
-                instance,
-                vars: vars.clone(),
-            };
             let node = naming::coordinator(&self.cfg.composite, target);
-            let _ = ctx.endpoint().send(node, kinds::NOTIFY, payload.to_xml());
+            let body = NotifyPayload::encode(&start, instance, &vars);
+            let _ = ctx.endpoint().send(node, kinds::NOTIFY, body);
         }
+        self.instances.insert(
+            instance,
+            WrapperSlot {
+                seen: Vec::new(),
+                vars,
+                reply_to: (env.from.clone(), env.id),
+                started_at,
+                last_touched: started_at,
+            },
+        );
     }
 
     fn on_notify(&mut self, ctx: &NodeCtx<'_>, body: &Element) {
@@ -356,9 +354,15 @@ impl WrapperLogic {
         let targets: Vec<InstanceId> = if instance_attr == "all" {
             self.instances.keys().copied().collect()
         } else {
+            // An id not yet issued is forwarded: its instance may start
+            // later and consume the label. One issued and no longer live
+            // has finished, and a label sent for it would hold a slot at
+            // the subscriber until the TTL sweep.
             match InstanceId::decode(instance_attr) {
-                Ok(id) => vec![id],
-                Err(_) => Vec::new(),
+                Ok(id) if id.0 > self.next_instance || self.instances.contains_key(&id) => {
+                    vec![id]
+                }
+                _ => Vec::new(),
             }
         };
         for instance in targets {

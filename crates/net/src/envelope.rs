@@ -125,6 +125,19 @@ impl Envelope {
         out.put("</envelope>");
     }
 
+    /// What [`Envelope::write_wire`] would write for `stamp` if no byte
+    /// needed escaping: O(nodes), no byte of text read (see
+    /// [`Element::unescaped_len`]). A lower bound on the frame's length,
+    /// for sizing its buffer.
+    pub(crate) fn unescaped_wire_len(&self, stamp: &[(&str, String)]) -> usize {
+        let mut len = "<envelope></envelope>".len() + self.body.unescaped_len();
+        self.for_each_header_attr(|name, value| len += 4 + name.len() + value.len());
+        len + stamp
+            .iter()
+            .map(|(name, value)| 4 + name.len() + value.len())
+            .sum::<usize>()
+    }
+
     /// Byte length of [`Envelope::write_wire`]'s output for `stamp`.
     pub(crate) fn wire_len(&self, stamp: &[(&str, String)]) -> usize {
         let mut count = ByteCount(0);
@@ -267,6 +280,24 @@ mod tests {
         big.body = Element::new("completed").with_text("x".repeat(512));
         assert!(small.wire_size() > 0);
         assert!(big.wire_size() > small.wire_size());
+    }
+
+    #[test]
+    fn unescaped_wire_len_is_the_length_of_a_text_with_nothing_to_escape() {
+        let stamp = [("peer-addr", "127.0.0.1:9".to_string())];
+        for env in [
+            sample(),
+            Envelope {
+                correlation: None,
+                ..sample()
+            },
+        ] {
+            assert_eq!(env.unescaped_wire_len(&stamp), env.wire_len(&stamp));
+            assert_eq!(env.unescaped_wire_len(&[]), env.wire_size());
+        }
+        let mut escaped = sample();
+        escaped.kind = "a<b".into();
+        assert_eq!(escaped.unescaped_wire_len(&[]) + 3, escaped.wire_size());
     }
 
     #[test]

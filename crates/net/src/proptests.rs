@@ -84,6 +84,7 @@ proptest! {
         env.write_wire(stamp, &mut frame);
         prop_assert_eq!(&String::from_utf8(frame).unwrap(), &text);
         prop_assert_eq!(env.wire_len(stamp), text.len());
+        prop_assert!(env.unescaped_wire_len(stamp) <= text.len());
         prop_assert_eq!(env.wire_size(), env.to_xml().to_xml().len());
         // The owning decode is the borrowing one, and neither sees the stamp.
         let parsed = selfserv_xml::parse(&text).unwrap();

@@ -57,31 +57,41 @@ use std::time::Duration;
 /// prefixes.
 const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// The `u32` length prefix of a `len`-byte payload, or `InvalidInput` when
-/// no reader would accept the frame — decided on the count, before a byte
-/// is serialized or written.
-fn frame_prefix(len: usize) -> std::io::Result<[u8; 4]> {
-    match u32::try_from(len) {
-        Ok(n) if n <= MAX_FRAME => Ok(n.to_be_bytes()),
-        _ => Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            oversized(len),
-        )),
-    }
-}
-
 fn oversized(len: usize) -> String {
     format!("envelope of {len} bytes exceeds the {MAX_FRAME}-byte frame limit")
 }
 
+/// Appends the text of `envelope`'s frame, with the `stamp` attributes, to
+/// `out` and returns its length — or, when no reader would accept a frame
+/// that long, the length it came to. The one pass that serializes a frame,
+/// for a hub and for [`write_frame`] alike: the room it reserves comes from
+/// the tree's unescaped size, not from a counting pass over the text, and
+/// the limit is checked on what was written, before it is queued or sent.
+fn append_frame_text(
+    out: &mut Vec<u8>,
+    envelope: &Envelope,
+    stamp: &[(&str, String)],
+) -> Result<u32, usize> {
+    let start = out.len();
+    // Escapes lengthen the text; an eighth more covers the usual share.
+    let unescaped = envelope.unescaped_wire_len(stamp);
+    out.reserve(unescaped + unescaped / 8);
+    envelope.write_wire(stamp, out);
+    let len = out.len() - start;
+    u32::try_from(len)
+        .ok()
+        .filter(|&n| n <= MAX_FRAME)
+        .ok_or(len)
+}
+
 /// Writes one length-prefixed XML frame: prefix and envelope text go into
-/// one buffer allocated at the counted size, then to `stream` in one write.
+/// one buffer, then to `stream` in one write. An envelope over the frame
+/// limit is refused with `InvalidInput` and nothing is written.
 pub fn write_frame(stream: &mut impl Write, envelope: &Envelope) -> std::io::Result<()> {
-    let len = envelope.wire_len(&[]);
-    let prefix = frame_prefix(len)?;
-    let mut frame = Vec::with_capacity(prefix.len() + len);
-    frame.extend_from_slice(&prefix);
-    envelope.write_wire(&[], &mut frame);
+    let mut frame = vec![0; 4];
+    let len = append_frame_text(&mut frame, envelope, &[])
+        .map_err(|len| std::io::Error::new(std::io::ErrorKind::InvalidInput, oversized(len)))?;
+    frame[..4].copy_from_slice(&len.to_be_bytes());
     stream.write_all(&frame)?;
     stream.flush()
 }
@@ -395,24 +405,20 @@ impl Hub {
         }
     }
 
-    /// The shared back half of every send path: counts the stamped frame
-    /// (the count is what the metrics layer charges, so sender and receiver
-    /// sizes match by construction), enforces the frame limit on the *send*
-    /// side before anything is serialized (the receiver would reject the
+    /// The shared back half of every send path: serializes the stamped
+    /// frame once ([`append_frame_text`]), refuses it on the *send* side
+    /// when it exceeds the frame limit (the receiver would reject the
     /// length prefix and close the shared pooled connection, losing
-    /// in-flight messages with no diagnostic), writes header, stamp and
-    /// body once into the frame's own buffer, queues it for `addr`'s
+    /// in-flight messages with no diagnostic), queues it for `addr`'s
     /// connection writer, and records the sender's metrics once the
-    /// transport accepts the frame.
+    /// transport accepts the frame — charging the frame's length, so
+    /// sender and receiver sizes match by construction.
     fn send_envelope(&self, addr: SocketAddr, envelope: &Envelope) -> Result<(), FrameSendError> {
         let stamp = self.sender_claim_stamp(&envelope.from);
         let stamp = stamp.as_ref().map_or(&[][..], |s| s.as_slice());
-        let len = envelope.wire_len(stamp);
-        if len > MAX_FRAME as usize {
-            return Err(FrameSendError::Oversized(len));
-        }
-        let mut payload = Vec::with_capacity(len);
-        envelope.write_wire(stamp, &mut payload);
+        let mut payload = Vec::new();
+        append_frame_text(&mut payload, envelope, stamp).map_err(FrameSendError::Oversized)?;
+        let len = payload.len();
         self.send_frame(addr, payload).map_err(FrameSendError::Io)?;
         self.table()
             .counters
@@ -1171,6 +1177,51 @@ mod tests {
         ));
         // The pooled connection was never poisoned: normal traffic flows.
         a.send("b", "ok", Element::new("small")).unwrap();
+        assert_eq!(b.recv_timeout(Duration::from_secs(5)).unwrap().kind, "ok");
+    }
+
+    /// The limit is exact on the stamped frame a hub sends: one byte over
+    /// is refused before anything is queued, the largest accepted frame
+    /// goes out, and the pooled connection carries the next frame.
+    #[test]
+    fn hub_refuses_a_frame_one_byte_over_the_limit_and_keeps_the_connection() {
+        let t = TcpTransport::new();
+        let _a = Transport::connect(&t, NodeId::new("a")).unwrap();
+        let b = Transport::connect(&t, NodeId::new("b")).unwrap();
+        let blob = |len: usize| Element::new("blob").with_text("x".repeat(len));
+        let send = |kind: &str, body: Element| {
+            t.send_prepared(
+                MessageId(7),
+                &NodeId::new("a"),
+                NodeId::new("b"),
+                kind.to_string(),
+                body,
+                None,
+            )
+        };
+        let stamp = t.hub.sender_claim_stamp(&NodeId::new("a")).unwrap();
+        let mut probe = env("at-limit");
+        probe.id = MessageId(7);
+        probe.from = NodeId::new("a");
+        probe.to = NodeId::new("b");
+        probe.body = blob(1);
+        let fill = MAX_FRAME as usize - (probe.wire_len(&stamp) - 1);
+        assert!(matches!(
+            send("at-limit", blob(fill + 1)),
+            Err(SendError::Transport(_))
+        ));
+        assert_eq!(t.metrics().node("a").unwrap().sent, 0, "nothing was queued");
+        send("at-limit", blob(fill)).unwrap();
+        assert_eq!(
+            t.metrics().node("a").unwrap().bytes_sent,
+            u64::from(MAX_FRAME)
+        );
+        send("ok", Element::new("small")).unwrap();
+        let got = b.recv_timeout(Duration::from_secs(30)).unwrap();
+        assert_eq!(
+            (got.kind.as_str(), got.body.text().len()),
+            ("at-limit", fill)
+        );
         assert_eq!(b.recv_timeout(Duration::from_secs(5)).unwrap().kind, "ok");
     }
 

@@ -176,13 +176,15 @@ impl MessageDoc {
     /// </message>
     /// ```
     pub fn to_xml(&self) -> Element {
-        let mut e = Element::new("message")
-            .with_attr("operation", &self.operation)
-            .with_attr("kind", self.kind.name());
-        for (name, value) in &self.params {
-            e.push_child(encode_param(name, value));
-        }
-        e
+        encode(&self.operation, self.kind, &self.params)
+    }
+
+    /// The XML form of a request for `operation` carrying `params` —
+    /// `MessageDoc::request(operation)` with each of them set, `.to_xml()`
+    /// — encoded from the borrowed map, without copying it into a
+    /// message first.
+    pub fn request_xml(operation: &str, params: &BTreeMap<String, Value>) -> Element {
+        encode(operation, MessageKind::Request, params)
     }
 
     /// Decodes the XML message form.
@@ -209,6 +211,16 @@ impl MessageDoc {
     pub fn from_xml_str(s: &str) -> Result<Self, WsdlError> {
         Self::from_xml(&selfserv_xml::parse(s)?)
     }
+}
+
+fn encode(operation: &str, kind: MessageKind, params: &BTreeMap<String, Value>) -> Element {
+    let mut e = Element::new("message")
+        .with_attr("operation", operation)
+        .with_attr("kind", kind.name());
+    for (name, value) in params {
+        e.push_child(encode_param(name, value));
+    }
+    e
 }
 
 fn encode_param(name: &str, value: &Value) -> Element {

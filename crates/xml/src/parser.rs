@@ -16,6 +16,7 @@
 
 use crate::doc::{Element, Node};
 use crate::error::{Position, XmlError};
+use crate::scan::hits;
 
 /// A parsed document: the root element plus any comments that appeared
 /// before or after it.
@@ -260,9 +261,24 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Reads an entity reference; the cursor is on `&`.
+    /// Reads an entity reference; the cursor is on `&`. The five named
+    /// entities are matched on their bytes; anything else is scanned to its
+    /// `;` and must be a decimal or hex character reference.
     fn read_entity(&mut self, out: &mut String) -> Result<(), XmlError> {
         let ent_at = self.pos;
+        let named = match &self.src.as_bytes()[ent_at + 1..] {
+            [b'l', b't', b';', ..] => Some(('<', 3)),
+            [b'g', b't', b';', ..] => Some(('>', 3)),
+            [b'a', b'm', b'p', b';', ..] => Some(('&', 4)),
+            [b'q', b'u', b'o', b't', b';', ..] => Some(('"', 5)),
+            [b'a', b'p', b'o', b's', b';', ..] => Some(('\'', 5)),
+            _ => None,
+        };
+        if let Some((c, len)) = named {
+            out.push(c);
+            self.pos += 1 + len;
+            return Ok(());
+        }
         self.consume("&");
         let start = self.pos;
         // Entities are short; cap the scan so an unterminated `&` gives a
@@ -272,36 +288,26 @@ impl<'a> Parser<'a> {
                 Some(';') => {
                     let entity = &self.src[start..self.pos];
                     self.pos += 1;
-                    let decoded = match entity {
-                        "amp" => '&',
-                        "lt" => '<',
-                        "gt" => '>',
-                        "apos" => '\'',
-                        "quot" => '"',
-                        _ => {
-                            let code = if let Some(hex) = entity
-                                .strip_prefix("#x")
-                                .or_else(|| entity.strip_prefix("#X"))
-                            {
-                                u32::from_str_radix(hex, 16).ok()
-                            } else if let Some(dec) = entity.strip_prefix('#') {
-                                dec.parse::<u32>().ok()
-                            } else {
-                                None
-                            };
-                            match code.and_then(char::from_u32) {
-                                Some(c) => c,
-                                None => {
-                                    return Err(XmlError::InvalidEntity {
-                                        entity: entity.to_string(),
-                                        position: self.position_at(ent_at),
-                                    })
-                                }
-                            }
-                        }
+                    let code = if let Some(hex) = entity
+                        .strip_prefix("#x")
+                        .or_else(|| entity.strip_prefix("#X"))
+                    {
+                        u32::from_str_radix(hex, 16).ok()
+                    } else if let Some(dec) = entity.strip_prefix('#') {
+                        dec.parse::<u32>().ok()
+                    } else {
+                        None
                     };
-                    out.push(decoded);
-                    return Ok(());
+                    return match code.and_then(char::from_u32) {
+                        Some(c) => {
+                            out.push(c);
+                            Ok(())
+                        }
+                        None => Err(XmlError::InvalidEntity {
+                            entity: entity.to_string(),
+                            position: self.position_at(ent_at),
+                        }),
+                    };
                 }
                 Some(c) => self.pos += c.len_utf8(),
                 None => break,
@@ -313,36 +319,38 @@ impl<'a> Parser<'a> {
         })
     }
 
-    /// Reads the character data between the cursor and byte offset `end`
-    /// (where the caller found the delimiter), decoding entity references,
-    /// into one `String` allocated at the raw span's length: clean runs are
-    /// copied whole and decoding only ever shortens.
-    fn read_run(&mut self, end: usize) -> Result<String, XmlError> {
-        let raw = &self.src[self.pos..end];
-        let Some(first) = raw.find('&') else {
-            self.pos = end;
-            return Ok(raw.to_string());
-        };
-        let mut out = String::with_capacity(raw.len());
-        out.push_str(&raw[..first]);
-        self.pos += first;
-        loop {
-            self.read_entity(&mut out)?;
-            // A reference that decoded contains no delimiter, so it ended
-            // at or before `end`.
-            let raw = &self.src[self.pos..end];
-            match raw.find('&') {
-                Some(next) => {
-                    out.push_str(&raw[..next]);
-                    self.pos += next;
-                }
-                None => {
-                    out.push_str(raw);
-                    self.pos = end;
-                    return Ok(out);
-                }
+    /// Reads character data from the cursor up to the first byte `stop`
+    /// accepts, or the end of input, decoding entity references on the
+    /// way: one [`hits`] scan for `stop` and `&` reads each byte once. A
+    /// run without references is copied whole into a string of its exact
+    /// length; one with references is decoded piece by piece into a string
+    /// trimmed to size at the end, as decoding only ever shortens.
+    fn read_run(&mut self, stop: impl Fn(u8) -> bool) -> Result<String, XmlError> {
+        let start = self.pos;
+        let bytes = &self.src.as_bytes()[start..];
+        let mut out = String::new();
+        let mut clean = start;
+        let mut end = self.src.len();
+        // A reference that decodes holds no `&`, `<` or quote, so the next
+        // hit lies past the one just decoded.
+        for at in hits(bytes, |b| stop(b) | (b == b'&')) {
+            let at = start + at;
+            if self.src.as_bytes()[at] != b'&' {
+                end = at;
+                break;
             }
+            out.push_str(&self.src[clean..at]);
+            self.pos = at;
+            self.read_entity(&mut out)?;
+            clean = self.pos;
         }
+        self.pos = end;
+        if clean == start {
+            return Ok(self.src[start..end].to_string());
+        }
+        out.push_str(&self.src[clean..end]);
+        out.shrink_to_fit();
+        Ok(out)
     }
 
     fn read_attr_value(&mut self) -> Result<String, XmlError> {
@@ -351,12 +359,7 @@ impl<'a> Parser<'a> {
             _ => return Err(self.unexpected("quoted attribute value")),
         };
         self.pos += 1;
-        let rest = self.rest();
-        let end = rest
-            .bytes()
-            .position(|b| b == quote || b == b'<')
-            .unwrap_or(rest.len());
-        let value = self.read_run(self.pos + end)?;
+        let value = self.read_run(|b| (b == quote) | (b == b'<'))?;
         match self.peek_byte() {
             None => Err(XmlError::UnexpectedEof {
                 expected: "closing attribute quote",
@@ -447,9 +450,7 @@ impl<'a> Parser<'a> {
                 raw_children.push(Node::Element(self.read_element()?));
             } else {
                 // Character data run, up to the next tag.
-                let rest = self.rest();
-                let end = rest.find('<').unwrap_or(rest.len());
-                raw_children.push(Node::Text(self.read_run(self.pos + end)?));
+                raw_children.push(Node::Text(self.read_run(|b| b == b'<')?));
             }
         }
     }
@@ -530,6 +531,57 @@ mod tests {
     fn rejects_invalid_entity() {
         let err = parse("<t>&bogus;</t>").unwrap_err();
         assert!(matches!(err, XmlError::InvalidEntity { .. }), "{err:?}");
+    }
+
+    /// A bad reference at every offset of the first three chunks of a
+    /// text and of an attribute value, after one- to four-byte characters,
+    /// is refused with the entity text and the position it always had:
+    /// up to the `;` if one follows within 12 characters, else those 12,
+    /// at the column of the `&`, counted in characters.
+    #[test]
+    fn bad_references_are_refused_where_they_start_at_every_offset() {
+        let filler = ['a', 'é', '✓', '𝄞', ' '];
+        for bad in [
+            "&bogus;",
+            "&#xZZ;",
+            "&#1114112;",
+            "&;",
+            "&am p;",
+            "&amp",
+            "&lt",
+        ] {
+            for at in 0..48 {
+                let pre: String = (0..at).map(|i| filler[i % filler.len()]).collect();
+                let value = format!("{pre}{bad}b✓zzzzzzzzzz");
+                for (open, doc) in [
+                    ("<t>", format!("<t>{value}</t>")),
+                    ("<t a=\"", format!("<t a=\"{value}\"/>")),
+                ] {
+                    let amp = open.len() + pre.len();
+                    let tail: Vec<char> = doc[amp + 1..].chars().take(12).collect();
+                    let entity: String = match tail.iter().position(|&c| c == ';') {
+                        Some(end) => tail[..end].iter().collect(),
+                        None => tail.iter().collect(),
+                    };
+                    let expected = XmlError::InvalidEntity {
+                        entity,
+                        position: Position {
+                            line: 1,
+                            column: 1 + (open.len() + at) as u32,
+                        },
+                    };
+                    assert_eq!(parse(&doc).unwrap_err(), expected, "{doc:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn named_and_numeric_references_decode_beside_each_other() {
+        let e = parse("<t a=\"&lt;&gt;&amp;&quot;&apos;&#60;&#x1D11E;\">&apos;&#x3c;&lt;x&gt;</t>")
+            .unwrap();
+        assert_eq!(e.attr("a"), Some("<>&\"'<𝄞"));
+        assert_eq!(e.text(), "'<<x>");
     }
 
     #[test]

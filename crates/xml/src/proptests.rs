@@ -150,6 +150,26 @@ fn share(e: &Element, picks: &mut impl Iterator<Item = bool>) -> Element {
     }
 }
 
+/// `e` with every byte the writer would escape or rewrite in its text,
+/// attribute values and comments replaced by `x`.
+fn scrub(e: &Element) -> Element {
+    let plain = |s: &str| s.replace(['<', '>', '&', '"', '\t', '\n', '\r', '-'], "x");
+    Element {
+        name: e.name.clone(),
+        attrs: e.attrs.iter().map(|(k, v)| (k.clone(), plain(v))).collect(),
+        children: e
+            .children
+            .iter()
+            .map(|n| match n {
+                Node::Element(c) => Node::Element(scrub(c)),
+                Node::Shared(c) => Node::Element(scrub(c)),
+                Node::Text(t) => Node::Text(plain(t)),
+                Node::Comment(c) => Node::Comment(plain(c)),
+            })
+            .collect(),
+    }
+}
+
 fn has_shared(e: &Element) -> bool {
     e.children.iter().any(|n| match n {
         Node::Shared(_) => true,
@@ -249,6 +269,18 @@ proptest! {
         let mut out = prefix.clone();
         e.write_into(&mut out);
         prop_assert_eq!(out, prefix + &xml);
+    }
+
+    /// The size hint is a lower bound on the text's length, and the
+    /// length itself when nothing needs escaping.
+    #[test]
+    fn unescaped_len_bounds_the_text_length(e in arb_wild_element(3), picks in arb_picks()) {
+        let shared = share(&e, &mut picks.iter().copied().cycle());
+        prop_assert!(shared.unescaped_len() <= shared.xml_len());
+        let plain = scrub(&e);
+        prop_assert_eq!(plain.unescaped_len(), plain.to_xml().len());
+        let plain_shared = share(&plain, &mut picks.iter().copied().cycle());
+        prop_assert_eq!(plain_shared.unescaped_len(), plain.to_xml().len());
     }
 
     #[test]
