@@ -21,12 +21,17 @@ use selfserv_core::{
 use selfserv_expr::Value;
 use selfserv_net::{Network, NetworkConfig, NodeId};
 use selfserv_registry::{FindQuery, RegistryClient, RegistryServer};
+use selfserv_runtime::{Executor, ExecutorHandle};
 use selfserv_statechart::{synth, Statechart};
 use selfserv_wsdl::{MessageDoc, OperationDef, Param, ParamType};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const EXPERIMENTS: [(&str, fn()); 7] = [
+/// One table's generator; every component it spawns runs on the pool it
+/// is handed.
+type Experiment = fn(&ExecutorHandle);
+
+const EXPERIMENTS: [(&str, Experiment); 7] = [
     ("e1", e1_discovery),
     ("e2", e2_deployment),
     ("e3", e3_travel),
@@ -46,18 +51,23 @@ fn main() {
     let run_all = args.is_empty() || args.iter().any(|a| a == "all");
 
     println!("SELF-SERV experiment harness (index: DESIGN.md, \"Testing strategy\")");
+    // Every component of every experiment runs on this one pool, a worker
+    // per core; each experiment stops its components before it returns.
+    let workers = std::thread::available_parallelism().map_or(2, |n| n.get().clamp(2, 8));
+    let exec = Executor::new(workers);
     for (name, run) in EXPERIMENTS {
         if run_all || args.iter().any(|a| a == name) {
-            run();
+            run(&exec.handle());
         }
     }
+    exec.shutdown();
     println!("\ndone.");
 }
 
 // ---------------------------------------------------------------------
 // E1 — Figure 1: the discovery engine (UDDI registry) under load.
 // ---------------------------------------------------------------------
-fn e1_discovery() {
+fn e1_discovery(exec: &ExecutorHandle) {
     let mut rows = Vec::new();
     for &size in &[100usize, 1_000, 10_000] {
         let t0 = Instant::now();
@@ -104,7 +114,7 @@ fn e1_discovery() {
     // The SOAP-call shape: the same finds through the fabric.
     let net = instant_net();
     let registry = Arc::new(seed_registry(1_000));
-    let _server = RegistryServer::spawn(&net, "uddi", Arc::clone(&registry)).unwrap();
+    let _server = RegistryServer::spawn_on(&net, exec, "uddi", Arc::clone(&registry)).unwrap();
     let client = RegistryClient::connect(&net, "e1-client", "uddi").unwrap();
     let t0 = Instant::now();
     let calls = 500;
@@ -128,7 +138,7 @@ fn e1_discovery() {
 // E2 — Figure 2: the editor→deployer pipeline (statechart XML → routing
 // tables).
 // ---------------------------------------------------------------------
-fn e2_deployment() {
+fn e2_deployment(_exec: &ExecutorHandle) {
     type ShapeFn = Box<dyn Fn(usize) -> Statechart>;
     let shapes: Vec<(&str, ShapeFn)> = vec![
         ("sequence", Box::new(synth::sequence)),
@@ -193,10 +203,11 @@ fn e2_deployment() {
 // ---------------------------------------------------------------------
 // E3 — Figure 3 + Section 4: locate and execute the travel scenario.
 // ---------------------------------------------------------------------
-fn e3_travel() {
+fn e3_travel(exec: &ExecutorHandle) {
     let net = Network::new(NetworkConfig::instant());
     let demo = TravelDemo::launch(
         &net,
+        exec,
         TravelDemoConfig {
             service_latency: Duration::from_millis(5),
             accommodation: AccommodationChoice::Mixed,
@@ -269,7 +280,7 @@ fn e3_travel() {
 // ---------------------------------------------------------------------
 // E4 — Section 1 claim: P2P avoids the central coordination bottleneck.
 // ---------------------------------------------------------------------
-fn e4_p2p_vs_central() {
+fn e4_p2p_vs_central(exec: &ExecutorHandle) {
     let mut rows = Vec::new();
     let instances = 200;
     let concurrency = 8;
@@ -278,7 +289,7 @@ fn e4_p2p_vs_central() {
 
         // P2P.
         let net = instant_net();
-        let dep = deploy_p2p(&net, &sc, Duration::ZERO);
+        let dep = deploy_p2p(&net, exec, &sc, Duration::ZERO);
         net.reset_metrics();
         let p2p = run_batch(instances, concurrency, |i| {
             dep.execute(synth_input(i), Duration::from_secs(30))
@@ -290,7 +301,7 @@ fn e4_p2p_vs_central() {
 
         // Central.
         let net = instant_net();
-        let (_hosts, central) = deploy_central(&net, &sc, Duration::ZERO);
+        let (_hosts, central) = deploy_central(&net, exec, &sc, Duration::ZERO);
         net.reset_metrics();
         let cen = run_batch(instances, concurrency, |i| {
             central.execute(synth_input(i), Duration::from_secs(30))
@@ -337,7 +348,7 @@ fn e4_p2p_vs_central() {
 // ---------------------------------------------------------------------
 // E5 — Section 1 claim: availability under failure.
 // ---------------------------------------------------------------------
-fn e5_availability() {
+fn e5_availability(exec: &ExecutorHandle) {
     let instances = 60;
     let concurrency = 6;
     let sc = synth::sequence(6);
@@ -346,7 +357,7 @@ fn e5_availability() {
     // (a) centralized, engine killed mid-run.
     {
         let net = instant_net();
-        let (_hosts, central) = deploy_central(&net, &sc, Duration::from_millis(3));
+        let (_hosts, central) = deploy_central(&net, exec, &sc, Duration::from_millis(3));
         let killed = std::sync::atomic::AtomicBool::new(false);
         let stats = run_batch(instances, concurrency, |i| {
             if i == instances / 3 && !killed.swap(true, std::sync::atomic::Ordering::SeqCst) {
@@ -363,7 +374,7 @@ fn e5_availability() {
     // (b) P2P, one mid-pipeline coordinator killed mid-run.
     {
         let net = instant_net();
-        let dep = deploy_p2p(&net, &sc, Duration::from_millis(3));
+        let dep = deploy_p2p(&net, exec, &sc, Duration::from_millis(3));
         let victim = naming::coordinator(&sc.name, &"s3".into());
         let killed = std::sync::atomic::AtomicBool::new(false);
         let stats = run_batch(instances, concurrency, |i| {
@@ -383,7 +394,7 @@ fn e5_availability() {
     {
         let xor = synth::xor_choice(3);
         let net = instant_net();
-        let dep = deploy_p2p(&net, &xor, Duration::from_millis(3));
+        let dep = deploy_p2p(&net, exec, &xor, Duration::from_millis(3));
         let victim = naming::coordinator(&xor.name, &"s2".into());
         net.kill(&victim);
         let stats = run_batch(instances, concurrency, |i| {
@@ -398,8 +409,9 @@ fn e5_availability() {
     // (d) community failover masks a dead member.
     {
         let net = instant_net();
-        let community = CommunityServer::spawn(
+        let community = CommunityServer::spawn_on(
             &net,
+            exec,
             "community.acc",
             Community::new("acc", "").with_operation(OperationDef::new("book")),
             Arc::new(RoundRobin::new()),
@@ -410,8 +422,8 @@ fn e5_availability() {
         )
         .unwrap();
         let backend: Arc<dyn ServiceBackend> = Arc::new(SyntheticService::new("M"));
-        let _h1 = ServiceHost::spawn(&net, "svc.m1", Arc::clone(&backend)).unwrap();
-        let _h2 = ServiceHost::spawn(&net, "svc.m2", Arc::clone(&backend)).unwrap();
+        let _h1 = ServiceHost::spawn_on(&net, exec, "svc.m1", Arc::clone(&backend)).unwrap();
+        let _h2 = ServiceHost::spawn_on(&net, exec, "svc.m2", Arc::clone(&backend)).unwrap();
         let client = CommunityClient::connect(&net, "e5-client", "community.acc").unwrap();
         for (id, ep) in [("m1", "svc.m1"), ("m2", "svc.m2")] {
             client
@@ -452,7 +464,7 @@ fn e5_availability() {
 // ---------------------------------------------------------------------
 // E6 — Section 2: delegatee selection policies.
 // ---------------------------------------------------------------------
-fn e6_selection_policies() {
+fn e6_selection_policies(exec: &ExecutorHandle) {
     let requests = 400;
     let policies: Vec<(&str, Arc<dyn SelectionPolicy>)> = vec![
         ("round-robin", Arc::new(RoundRobin::new())),
@@ -477,8 +489,9 @@ fn e6_selection_policies() {
     for (name, policy) in policies {
         let net = instant_net();
         let node = format!("community.{name}");
-        let community = CommunityServer::spawn(
+        let community = CommunityServer::spawn_on(
             &net,
+            exec,
             &node,
             Community::new("bench", "").with_operation(
                 OperationDef::new("work").with_input(Param::optional("case", ParamType::Int)),
@@ -500,8 +513,9 @@ fn e6_selection_policies() {
                 backend = backend.with_failure_probability(0.3).with_seed(5);
             }
             hosts.push(
-                ServiceHost::spawn(
+                ServiceHost::spawn_on(
                     &net,
+                    exec,
                     ep.as_str(),
                     Arc::new(backend) as Arc<dyn ServiceBackend>,
                 )
@@ -564,13 +578,13 @@ fn e6_selection_policies() {
          pays mean latency."
     );
 
-    e6_delegation_modes();
+    e6_delegation_modes(exec);
 }
 
 /// Ablation: proxy vs redirect delegation. Proxy keeps
 /// the community on the data path (it relays request + reply); redirect
 /// hands the caller the member binding and steps aside.
-fn e6_delegation_modes() {
+fn e6_delegation_modes(exec: &ExecutorHandle) {
     use selfserv_community::DelegationMode;
     let requests = 300;
     let mut rows = Vec::new();
@@ -580,8 +594,9 @@ fn e6_delegation_modes() {
     ] {
         let net = instant_net();
         let node = format!("community.mode-{label}");
-        let community = CommunityServer::spawn(
+        let community = CommunityServer::spawn_on(
             &net,
+            exec,
             &node,
             Community::new("mode-bench", "").with_operation(OperationDef::new("work")),
             Arc::new(RoundRobin::new()),
@@ -596,8 +611,9 @@ fn e6_delegation_modes() {
         for i in 0..4 {
             let ep = format!("svc.mode{i}");
             hosts.push(
-                ServiceHost::spawn(
+                ServiceHost::spawn_on(
                     &net,
+                    exec,
                     ep.as_str(),
                     Arc::new(SyntheticService::new(format!("m{i}"))) as Arc<dyn ServiceBackend>,
                 )
@@ -658,7 +674,7 @@ fn e6_delegation_modes() {
 // E7 — Section 2: 'no complex scheduling algorithm' — per-notification
 // routing-table decision cost.
 // ---------------------------------------------------------------------
-fn e7_routing_lookup() {
+fn e7_routing_lookup(_exec: &ExecutorHandle) {
     use selfserv_routing::NotificationLabel;
     let mut rows = Vec::new();
     for &n in &[5usize, 20, 80, 160] {

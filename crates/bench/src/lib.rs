@@ -10,6 +10,7 @@ use selfserv_core::{
 use selfserv_expr::Value;
 use selfserv_net::{MetricsSnapshot, Network, NetworkConfig};
 use selfserv_registry::UddiRegistry;
+use selfserv_runtime::ExecutorHandle;
 use selfserv_statechart::Statechart;
 use selfserv_wsdl::{Binding, MessageDoc, OperationDef, Param, ParamType, ServiceDescription};
 use std::collections::HashMap;
@@ -26,8 +27,14 @@ fn synth_backend(name: &str, latency: Duration) -> Arc<dyn ServiceBackend> {
     }
 }
 
-/// Deploys a synthetic chart peer-to-peer and returns the deployment.
-pub fn deploy_p2p(net: &Network, sc: &Statechart, service_latency: Duration) -> Deployment {
+/// Deploys a synthetic chart peer-to-peer on `exec` and returns the
+/// deployment.
+pub fn deploy_p2p(
+    net: &Network,
+    exec: &ExecutorHandle,
+    sc: &Statechart,
+    service_latency: Duration,
+) -> Deployment {
     let backends: HashMap<String, Arc<dyn ServiceBackend>> = sc
         .referenced_services()
         .into_iter()
@@ -37,14 +44,17 @@ pub fn deploy_p2p(net: &Network, sc: &Statechart, service_latency: Duration) -> 
         })
         .collect();
     Deployer::new(net)
+        .with_executor(exec.clone())
         .with_functions(FunctionLibrary::new())
         .deploy(sc, &backends)
         .expect("p2p deployment")
 }
 
-/// Spawns remote hosts plus the centralized engine for the same chart.
+/// Spawns remote hosts plus the centralized engine for the same chart, all
+/// on `exec`.
 pub fn deploy_central(
     net: &Network,
+    exec: &ExecutorHandle,
     sc: &Statechart,
     service_latency: Duration,
 ) -> (Vec<ServiceHostHandle>, CentralHandle) {
@@ -53,11 +63,12 @@ pub fn deploy_central(
     for name in sc.referenced_services() {
         let node = selfserv_core::naming::service_host(&name);
         let backend = synth_backend(&name, service_latency);
-        hosts.push(ServiceHost::spawn(net, node.clone(), backend).expect("host"));
+        hosts.push(ServiceHost::spawn_on(net, exec, node.clone(), backend).expect("host"));
         service_nodes.insert(name, node);
     }
-    let central = CentralizedOrchestrator::spawn(
+    let central = CentralizedOrchestrator::spawn_on(
         net,
+        exec,
         CentralConfig {
             statechart: sc.clone(),
             functions: FunctionLibrary::new(),
@@ -289,16 +300,19 @@ mod tests {
     #[test]
     fn p2p_and_central_harness_agree() {
         let sc = selfserv_statechart::synth::sequence(3);
+        let exec = selfserv_runtime::Executor::new(2);
         let net = instant_net();
-        let dep = deploy_p2p(&net, &sc, Duration::ZERO);
+        let dep = deploy_p2p(&net, &exec.handle(), &sc, Duration::ZERO);
         let out1 = dep.execute(synth_input(1), Duration::from_secs(5)).unwrap();
 
         let net2 = instant_net();
-        let (_hosts, central) = deploy_central(&net2, &sc, Duration::ZERO);
+        let (hosts, central) = deploy_central(&net2, &exec.handle(), &sc, Duration::ZERO);
         let out2 = central
             .execute(synth_input(1), Duration::from_secs(5))
             .unwrap();
         assert_eq!(out1.get_str("payload"), out2.get_str("payload"));
+        drop((dep, hosts, central));
+        exec.shutdown();
     }
 
     #[test]

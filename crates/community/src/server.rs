@@ -399,25 +399,7 @@ impl Drop for CommunityServerHandle {
 
 impl CommunityServer {
     /// Spawns a community server on `node_name`, over any [`Transport`],
-    /// scheduled on the process-wide shared executor.
-    pub fn spawn(
-        net: &dyn Transport,
-        node_name: &str,
-        community: Community,
-        policy: Arc<dyn SelectionPolicy>,
-        config: CommunityServerConfig,
-    ) -> Result<CommunityServerHandle, ConnectError> {
-        Self::spawn_on(
-            net,
-            selfserv_runtime::shared(),
-            node_name,
-            community,
-            policy,
-            config,
-        )
-    }
-
-    /// Spawns a community server scheduled on an explicit executor.
+    /// scheduled on `exec`.
     pub fn spawn_on(
         net: &dyn Transport,
         exec: &ExecutorHandle,
@@ -437,28 +419,7 @@ impl CommunityServer {
     /// — a join or leave through any replica reaches the others as
     /// versioned membership rows (an eager push plus periodic
     /// anti-entropy), the same way it would reach a replica on another
-    /// hub or in another process. Spawned on the process-wide shared
-    /// executor; see [`CommunityServer::spawn_replicas_on`].
-    pub fn spawn_replicas(
-        net: &dyn Transport,
-        node_name: &str,
-        replicas: usize,
-        community: Community,
-        policy: Arc<dyn SelectionPolicy>,
-        config: CommunityServerConfig,
-    ) -> Result<Vec<CommunityServerHandle>, ConnectError> {
-        Self::spawn_replicas_on(
-            net,
-            selfserv_runtime::shared(),
-            node_name,
-            replicas,
-            community,
-            policy,
-            config,
-        )
-    }
-
-    /// [`CommunityServer::spawn_replicas`] on an explicit executor.
+    /// hub or in another process. Every replica runs on `exec`.
     pub fn spawn_replicas_on(
         net: &dyn Transport,
         exec: &ExecutorHandle,
@@ -1119,6 +1080,7 @@ mod tests {
     use crate::policy::RoundRobin;
     use selfserv_expr::Value;
     use selfserv_net::{Network, NetworkConfig};
+    use selfserv_runtime::Executor;
     use selfserv_wsdl::OperationDef;
 
     /// A minimal member wrapper: answers `invoke` with a response that
@@ -1163,10 +1125,14 @@ mod tests {
             .with_operation(OperationDef::new("bookAccommodation"))
     }
 
-    fn setup(mode: DelegationMode) -> (Network, CommunityServerHandle, CommunityClient) {
+    fn setup(
+        exec: &ExecutorHandle,
+        mode: DelegationMode,
+    ) -> (Network, CommunityServerHandle, CommunityClient) {
         let net = Network::new(NetworkConfig::instant());
-        let handle = CommunityServer::spawn(
+        let handle = CommunityServer::spawn_on(
             &net,
+            exec,
             "community.ab",
             community(),
             Arc::new(RoundRobin::new()),
@@ -1182,7 +1148,8 @@ mod tests {
 
     #[test]
     fn proxy_delegation_round_robin() {
-        let (net, _handle, client) = setup(DelegationMode::Proxy);
+        let exec = Executor::new(2);
+        let (net, _handle, client) = setup(&exec.handle(), DelegationMode::Proxy);
         let _m1 = spawn_member(&net, "svc.h1", false, Duration::ZERO);
         let _m2 = spawn_member(&net, "svc.h2", false, Duration::ZERO);
         client.join(&member("h1", "svc.h1")).unwrap();
@@ -1198,40 +1165,48 @@ mod tests {
             servers.contains(&"svc.h1") && servers.contains(&"svc.h2"),
             "{servers:?}"
         );
+        exec.shutdown();
     }
 
     #[test]
     fn redirect_delegation_reaches_member() {
-        let (net, _handle, client) = setup(DelegationMode::Redirect);
+        let exec = Executor::new(2);
+        let (net, _handle, client) = setup(&exec.handle(), DelegationMode::Redirect);
         let _m1 = spawn_member(&net, "svc.h1", false, Duration::ZERO);
         client.join(&member("h1", "svc.h1")).unwrap();
         let resp = client
             .invoke(&MessageDoc::request("bookAccommodation"))
             .unwrap();
         assert_eq!(resp.get_str("served_by"), Some("svc.h1"));
+        exec.shutdown();
     }
 
     #[test]
     fn empty_community_faults() {
-        let (_net, _handle, client) = setup(DelegationMode::Proxy);
+        let exec = Executor::new(2);
+        let (_net, _handle, client) = setup(&exec.handle(), DelegationMode::Proxy);
         let err = client
             .invoke(&MessageDoc::request("bookAccommodation"))
             .unwrap_err();
         assert!(err.to_string().contains("no members"), "{err}");
+        exec.shutdown();
     }
 
     #[test]
     fn unknown_operation_faults() {
-        let (net, _handle, client) = setup(DelegationMode::Proxy);
+        let exec = Executor::new(2);
+        let (net, _handle, client) = setup(&exec.handle(), DelegationMode::Proxy);
         let _m1 = spawn_member(&net, "svc.h1", false, Duration::ZERO);
         client.join(&member("h1", "svc.h1")).unwrap();
         let err = client.invoke(&MessageDoc::request("teleport")).unwrap_err();
         assert!(err.to_string().contains("teleport"), "{err}");
+        exec.shutdown();
     }
 
     #[test]
     fn failover_masks_failing_member() {
-        let (net, handle, client) = setup(DelegationMode::Proxy);
+        let exec = Executor::new(2);
+        let (net, handle, client) = setup(&exec.handle(), DelegationMode::Proxy);
         let _bad = spawn_member(&net, "svc.bad", true, Duration::ZERO);
         let _good = spawn_member(&net, "svc.good", false, Duration::ZERO);
         client.join(&member("a-bad", "svc.bad")).unwrap();
@@ -1249,11 +1224,13 @@ mod tests {
             stats.failures > 0,
             "failures recorded against the bad member"
         );
+        exec.shutdown();
     }
 
     #[test]
     fn dead_member_times_out_and_fails_over() {
-        let (net, _handle, mut client) = setup(DelegationMode::Proxy);
+        let exec = Executor::new(2);
+        let (net, _handle, mut client) = setup(&exec.handle(), DelegationMode::Proxy);
         // "svc.dead" is registered on the fabric but its node is killed.
         let _dead = spawn_member(&net, "svc.dead", false, Duration::ZERO);
         let _live = spawn_member(&net, "svc.live", false, Duration::ZERO);
@@ -1264,8 +1241,9 @@ mod tests {
         // Shrink the member timeout by respawning? Instead rely on default
         // 5 s — too slow for tests. Use a dedicated server with short
         // timeout below.
-        let handle2 = CommunityServer::spawn(
+        let handle2 = CommunityServer::spawn_on(
             &net,
+            &exec.handle(),
             "community.fast",
             community(),
             Arc::new(RoundRobin::new()),
@@ -1285,11 +1263,13 @@ mod tests {
             .unwrap();
         assert_eq!(resp.get_str("served_by"), Some("svc.live"));
         drop(handle2);
+        exec.shutdown();
     }
 
     #[test]
     fn all_members_failing_reports_delegation_failure() {
-        let (net, _handle, client) = setup(DelegationMode::Proxy);
+        let exec = Executor::new(2);
+        let (net, _handle, client) = setup(&exec.handle(), DelegationMode::Proxy);
         let _b1 = spawn_member(&net, "svc.b1", true, Duration::ZERO);
         let _b2 = spawn_member(&net, "svc.b2", true, Duration::ZERO);
         client.join(&member("b1", "svc.b1")).unwrap();
@@ -1301,11 +1281,13 @@ mod tests {
             matches!(err, CommunityError::DelegationFailed(_)),
             "{err:?}"
         );
+        exec.shutdown();
     }
 
     #[test]
     fn leave_removes_member_from_rotation() {
-        let (net, handle, client) = setup(DelegationMode::Proxy);
+        let exec = Executor::new(2);
+        let (net, handle, client) = setup(&exec.handle(), DelegationMode::Proxy);
         let _m1 = spawn_member(&net, "svc.h1", false, Duration::ZERO);
         let _m2 = spawn_member(&net, "svc.h2", false, Duration::ZERO);
         client.join(&member("h1", "svc.h1")).unwrap();
@@ -1319,14 +1301,17 @@ mod tests {
             assert_eq!(resp.get_str("served_by"), Some("svc.h2"));
         }
         assert!(client.leave(&MemberId("h1".into())).is_err());
+        exec.shutdown();
     }
 
     #[test]
     fn duplicate_join_faults() {
-        let (net, _handle, client) = setup(DelegationMode::Proxy);
+        let exec = Executor::new(2);
+        let (net, _handle, client) = setup(&exec.handle(), DelegationMode::Proxy);
         let _m1 = spawn_member(&net, "svc.h1", false, Duration::ZERO);
         client.join(&member("h1", "svc.h1")).unwrap();
         assert!(client.join(&member("h1", "svc.h1")).is_err());
+        exec.shutdown();
     }
 
     /// One non-finite QoS figure makes the scoring policies' min-max
@@ -1335,7 +1320,8 @@ mod tests {
     /// door.
     #[test]
     fn non_finite_qos_is_refused_on_join_update_and_gossip() {
-        let (net, handle, client) = setup(DelegationMode::Proxy);
+        let exec = Executor::new(2);
+        let (net, handle, client) = setup(&exec.handle(), DelegationMode::Proxy);
         client.join(&member("h1", "svc.h1")).unwrap();
         let hostile = net.connect("test.hostile").unwrap();
         for (kind, id) in [(kinds::JOIN, "evil"), (kinds::UPDATE, "h1")] {
@@ -1370,11 +1356,13 @@ mod tests {
         let m = handle.membership().read();
         assert!(m.member(&MemberId("evil".into())).is_none());
         assert_eq!(m.member(&MemberId("h1".into())).unwrap().qos.cost, 1.0);
+        exec.shutdown();
     }
 
     #[test]
     fn weight_directives_are_stripped_from_member_requests() {
-        let (net, _handle, client) = setup(DelegationMode::Proxy);
+        let exec = Executor::new(2);
+        let (net, _handle, client) = setup(&exec.handle(), DelegationMode::Proxy);
         let ep = net.connect("svc.echo").unwrap();
         std::thread::spawn(move || {
             while let Ok(req) = ep.recv() {
@@ -1393,6 +1381,7 @@ mod tests {
             resp.get(&"param_count".to_string()[..]),
             Some(&Value::Int(1))
         );
+        exec.shutdown();
     }
 
     /// A canned failure-detector view keyed by member endpoint name.
@@ -1406,6 +1395,7 @@ mod tests {
 
     #[test]
     fn liveness_gate_skips_evicted_and_deprioritizes_suspected() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
         let liveness = Arc::new(FixedLiveness(
             [
@@ -1415,8 +1405,9 @@ mod tests {
             .into_iter()
             .collect(),
         ));
-        let handle = CommunityServer::spawn(
+        let handle = CommunityServer::spawn_on(
             &net,
+            &exec.handle(),
             "community.live",
             community(),
             Arc::new(RoundRobin::new()),
@@ -1458,15 +1449,18 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("no members"), "{err}");
         drop(handle);
+        exec.shutdown();
     }
 
     #[test]
     fn metrics_capture_delegations_failovers_and_latency() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
         let registry = Registry::new();
         let metrics = CommunityMetrics::register(&registry, &[("community", "ab")]);
-        let handle = CommunityServer::spawn(
+        let handle = CommunityServer::spawn_on(
             &net,
+            &exec.handle(),
             "community.metered",
             community(),
             Arc::new(RoundRobin::new()),
@@ -1510,11 +1504,14 @@ mod tests {
         assert!(text.contains("selfserv_community_delegations_total{community=\"ab\"} 4"));
         assert!(text.contains("selfserv_community_members{community=\"ab\",replica=\"0\"} 0"));
         assert!(text.contains("selfserv_community_in_flight{community=\"ab\",replica=\"0\"} 0"));
+        drop(handle);
+        exec.shutdown();
     }
 
     #[test]
     fn history_records_latency() {
-        let (net, handle, client) = setup(DelegationMode::Proxy);
+        let exec = Executor::new(2);
+        let (net, handle, client) = setup(&exec.handle(), DelegationMode::Proxy);
         let _m = spawn_member(&net, "svc.slow", false, Duration::from_millis(30));
         client.join(&member("slow", "svc.slow")).unwrap();
         client
@@ -1523,6 +1520,7 @@ mod tests {
         let stats = handle.history().stats(&MemberId("slow".into()));
         assert_eq!(stats.completed, 1);
         assert!(stats.latency_ewma_ms.unwrap() >= 25.0);
+        exec.shutdown();
     }
 
     /// Polls until the two replicas hold byte-identical membership tables.
@@ -1544,9 +1542,11 @@ mod tests {
 
     #[test]
     fn replica_join_leave_converges_by_eager_push() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
-        let handles = CommunityServer::spawn_replicas(
+        let handles = CommunityServer::spawn_replicas_on(
             &net,
+            &exec.handle(),
             "community.ab",
             2,
             community(),
@@ -1574,13 +1574,18 @@ mod tests {
         await_convergence(&handles[0], &handles[1]);
         let m = handles[0].membership().read();
         assert_eq!(m.member(&MemberId("h2".into())).unwrap().qos.cost, 9.0);
+        drop(m);
+        drop(handles);
+        exec.shutdown();
     }
 
     #[test]
     fn mtick_anti_entropy_repairs_divergence() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
-        let handles = CommunityServer::spawn_replicas(
+        let handles = CommunityServer::spawn_replicas_on(
             &net,
+            &exec.handle(),
             "community.ab",
             2,
             community(),
@@ -1612,13 +1617,17 @@ mod tests {
             .unwrap();
         await_convergence(&handles[0], &handles[1]);
         assert_eq!(handles[0].member_count(), 1);
+        drop(handles);
+        exec.shutdown();
     }
 
     #[test]
     fn empty_replica_redirects_to_sibling() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
-        let handles = CommunityServer::spawn_replicas(
+        let handles = CommunityServer::spawn_replicas_on(
             &net,
+            &exec.handle(),
             "community.ab",
             2,
             community(),
@@ -1660,5 +1669,7 @@ mod tests {
             text.contains("redirect loop") || text.contains("no members"),
             "{text}"
         );
+        drop(handles);
+        exec.shutdown();
     }
 }

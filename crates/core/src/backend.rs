@@ -263,20 +263,11 @@ impl Drop for ServiceHostHandle {
 }
 
 impl ServiceHost {
-    /// Spawns a host serving `backend` on `node_name`, scheduled on the
-    /// process-wide shared executor. Each invocation of a blocking backend
-    /// runs on a thread of its own so a slow backend doesn't serialize
-    /// unrelated callers (hosts model multi-threaded provider servers; the
-    /// *coordinator* is the capacity-1 component).
-    pub fn spawn(
-        net: &dyn Transport,
-        node_name: impl Into<NodeId>,
-        backend: Arc<dyn ServiceBackend>,
-    ) -> Result<ServiceHostHandle, ConnectError> {
-        Self::spawn_on(net, selfserv_runtime::shared(), node_name, backend)
-    }
-
-    /// Spawns a host scheduled on an explicit executor.
+    /// Spawns a host serving `backend` on `node_name`, scheduled on
+    /// `exec`. Each invocation of a blocking backend runs on a thread of
+    /// its own so a slow backend doesn't serialize unrelated callers
+    /// (hosts model multi-threaded provider servers; the *coordinator* is
+    /// the capacity-1 component).
     pub fn spawn_on(
         net: &dyn Transport,
         exec: &ExecutorHandle,
@@ -433,6 +424,7 @@ impl NodeLogic for HostLogic {
 mod tests {
     use super::*;
     use selfserv_net::{Network, NetworkConfig};
+    use selfserv_runtime::Executor;
 
     #[test]
     fn echo_backend() {
@@ -483,9 +475,15 @@ mod tests {
 
     #[test]
     fn host_serves_invocations() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
-        let _host =
-            ServiceHost::spawn(&net, "svc.echo", Arc::new(EchoService::new("Echo"))).unwrap();
+        let _host = ServiceHost::spawn_on(
+            &net,
+            &exec.handle(),
+            "svc.echo",
+            Arc::new(EchoService::new("Echo")),
+        )
+        .unwrap();
         let client = net.connect("client").unwrap();
         let req = MessageDoc::request("ping").with("n", Value::Int(5));
         let reply = client
@@ -499,13 +497,21 @@ mod tests {
         assert_eq!(reply.kind, kinds::INVOKE_RESULT);
         let msg = MessageDoc::from_xml(&reply.body).unwrap();
         assert_eq!(msg.get("n"), Some(&Value::Int(5)));
+        drop(_host);
+        exec.shutdown();
     }
 
     #[test]
     fn host_faults_travel_back() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
-        let _host = ServiceHost::spawn(&net, "svc.bad", Arc::new(FailingService::new("B", "boom")))
-            .unwrap();
+        let _host = ServiceHost::spawn_on(
+            &net,
+            &exec.handle(),
+            "svc.bad",
+            Arc::new(FailingService::new("B", "boom")),
+        )
+        .unwrap();
         let client = net.connect("client").unwrap();
         let reply = client
             .rpc(
@@ -518,15 +524,19 @@ mod tests {
         let msg = MessageDoc::from_xml(&reply.body).unwrap();
         assert!(msg.is_fault());
         assert_eq!(msg.fault_reason(), Some("boom"));
+        drop(_host);
+        exec.shutdown();
     }
 
     #[test]
     fn host_handles_concurrent_invocations() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
         let backend =
             Arc::new(SyntheticService::new("Slow").with_latency(Duration::from_millis(50)));
-        let _host = ServiceHost::spawn(
+        let _host = ServiceHost::spawn_on(
             &net,
+            &exec.handle(),
             "svc.slow",
             Arc::clone(&backend) as Arc<dyn ServiceBackend>,
         )
@@ -557,14 +567,24 @@ mod tests {
             t0.elapsed()
         );
         assert_eq!(backend.invocation_count(), 4);
+        drop(_host);
+        exec.shutdown();
     }
 
     #[test]
     fn host_stop_disconnects() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
-        let host = ServiceHost::spawn(&net, "svc.x", Arc::new(EchoService::new("X"))).unwrap();
+        let host = ServiceHost::spawn_on(
+            &net,
+            &exec.handle(),
+            "svc.x",
+            Arc::new(EchoService::new("X")),
+        )
+        .unwrap();
         assert!(net.is_connected("svc.x"));
         host.stop();
         assert!(!net.is_connected("svc.x"));
+        exec.shutdown();
     }
 }

@@ -109,12 +109,7 @@ struct Engine {
 
 impl CentralizedOrchestrator {
     /// Spawns the engine on `<composite>.central`, over any [`Transport`],
-    /// scheduled on the process-wide shared executor.
-    pub fn spawn(net: &dyn Transport, cfg: CentralConfig) -> Result<CentralHandle, ConnectError> {
-        Self::spawn_on(net, selfserv_runtime::shared(), cfg)
-    }
-
-    /// Spawns the engine scheduled on an explicit executor.
+    /// scheduled on `exec`.
     pub fn spawn_on(
         net: &dyn Transport,
         exec: &ExecutorHandle,
@@ -447,10 +442,12 @@ mod tests {
     use super::*;
     use crate::backend::{EchoService, ServiceHost};
     use selfserv_net::{Network, NetworkConfig};
+    use selfserv_runtime::Executor;
     use selfserv_statechart::synth;
     use std::sync::Arc;
 
     fn central_setup(
+        exec: &ExecutorHandle,
         sc: &Statechart,
         n_services: usize,
     ) -> (
@@ -465,13 +462,19 @@ mod tests {
             let name = synth::synth_service_name(i);
             let node = naming::service_host(&name);
             hosts.push(
-                ServiceHost::spawn(&net, node.clone(), Arc::new(EchoService::new(name.clone())))
-                    .unwrap(),
+                ServiceHost::spawn_on(
+                    &net,
+                    exec,
+                    node.clone(),
+                    Arc::new(EchoService::new(name.clone())),
+                )
+                .unwrap(),
             );
             service_nodes.insert(name, node);
         }
-        let handle = CentralizedOrchestrator::spawn(
+        let handle = CentralizedOrchestrator::spawn_on(
             &net,
+            exec,
             CentralConfig {
                 statechart: sc.clone(),
                 functions: FunctionLibrary::new(),
@@ -485,8 +488,9 @@ mod tests {
 
     #[test]
     fn central_executes_sequence() {
+        let exec = Executor::new(2);
         let sc = synth::sequence(4);
-        let (_net, _hosts, central) = central_setup(&sc, 4);
+        let (_net, _hosts, central) = central_setup(&exec.handle(), &sc, 4);
         let out = central
             .execute(
                 MessageDoc::request("execute").with("payload", Value::str("p")),
@@ -494,23 +498,27 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.get_str("payload"), Some("p"));
+        exec.shutdown();
     }
 
     #[test]
     fn central_executes_parallel_and_xor() {
+        let exec = Executor::new(2);
         for (sc, n) in [(synth::parallel(3), 3), (synth::xor_choice(3), 3)] {
-            let (_net, _hosts, central) = central_setup(&sc, n);
+            let (_net, _hosts, central) = central_setup(&exec.handle(), &sc, n);
             let input = MessageDoc::request("execute")
                 .with("payload", Value::str("p"))
                 .with("branch", Value::Int(2));
             central.execute(input, Duration::from_secs(5)).unwrap();
         }
+        exec.shutdown();
     }
 
     #[test]
     fn central_concentrates_traffic() {
+        let exec = Executor::new(2);
         let sc = synth::sequence(6);
-        let (net, _hosts, central) = central_setup(&sc, 6);
+        let (net, _hosts, central) = central_setup(&exec.handle(), &sc, 6);
         net.reset_metrics();
         central
             .execute(
@@ -531,12 +539,14 @@ mod tests {
         let host = m.node("svc.synthservice0").unwrap();
         assert_eq!(host.received, 1);
         assert_eq!(host.sent, 1);
+        exec.shutdown();
     }
 
     #[test]
     fn central_faults_on_missing_host() {
+        let exec = Executor::new(2);
         let sc = synth::sequence(2);
-        let (_net, _hosts, central) = central_setup(&sc, 1); // host 1 missing
+        let (_net, _hosts, central) = central_setup(&exec.handle(), &sc, 1); // host 1 missing
         let err = central
             .execute(
                 MessageDoc::request("execute").with("payload", Value::str("p")),
@@ -544,12 +554,14 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, ExecError::Fault(_)), "{err:?}");
+        exec.shutdown();
     }
 
     #[test]
     fn central_concurrent_instances() {
+        let exec = Executor::new(2);
         let sc = synth::sequence(3);
-        let (net, _hosts, central) = central_setup(&sc, 3);
+        let (net, _hosts, central) = central_setup(&exec.handle(), &sc, 3);
         let central = Arc::new(central);
         let mut handles = Vec::new();
         for i in 0..6 {
@@ -568,5 +580,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+        exec.shutdown();
     }
 }

@@ -115,6 +115,7 @@ mod tests {
     use crate::deploy::Deployer;
     use selfserv_expr::Value;
     use selfserv_net::{Network, NetworkConfig};
+    use selfserv_runtime::Executor;
     use selfserv_statechart::{StatechartBuilder, TaskDef, TransitionDef};
     use selfserv_wsdl::ParamType;
     use std::collections::HashMap;
@@ -164,11 +165,13 @@ mod tests {
 
     #[test]
     fn composite_as_component_of_composite() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
         // Deploy the inner composite.
         let mut inner_backends: HashMap<String, Arc<dyn ServiceBackend>> = HashMap::new();
         inner_backends.insert("PriceDb".into(), Arc::new(EchoService::new("PriceDb")));
         let inner = Deployer::new(&net)
+            .with_executor(exec.handle())
             .deploy(&inner_chart(), &inner_backends)
             .unwrap();
 
@@ -184,6 +187,7 @@ mod tests {
         );
         outer_backends.insert("OrderDesk".into(), Arc::new(EchoService::new("OrderDesk")));
         let outer = Deployer::new(&net)
+            .with_executor(exec.handle())
             .deploy(&outer_chart(), &outer_backends)
             .unwrap();
 
@@ -195,10 +199,13 @@ mod tests {
             .unwrap();
         assert_eq!(out.get_str("quote"), Some("PriceDb"), "{out:?}");
         assert_eq!(out.get_str("order_ref"), Some("OrderDesk"));
+        drop((outer, inner));
+        exec.shutdown();
     }
 
     #[test]
     fn nested_fault_propagates_to_outer_instance() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
         let mut inner_backends: HashMap<String, Arc<dyn ServiceBackend>> = HashMap::new();
         inner_backends.insert(
@@ -206,6 +213,7 @@ mod tests {
             Arc::new(crate::backend::FailingService::new("PriceDb", "db down")),
         );
         let inner = Deployer::new(&net)
+            .with_executor(exec.handle())
             .deploy(&inner_chart(), &inner_backends)
             .unwrap();
 
@@ -220,6 +228,7 @@ mod tests {
         );
         outer_backends.insert("OrderDesk".into(), Arc::new(EchoService::new("OrderDesk")));
         let outer = Deployer::new(&net)
+            .with_executor(exec.handle())
             .deploy(&outer_chart(), &outer_backends)
             .unwrap();
 
@@ -235,10 +244,13 @@ mod tests {
             }
             other => panic!("expected fault, got {other:?}"),
         }
+        drop((outer, inner));
+        exec.shutdown();
     }
 
     #[test]
     fn undeployed_inner_composite_times_out() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
         let mut outer_backends: HashMap<String, Arc<dyn ServiceBackend>> = HashMap::new();
         let mut backend =
@@ -247,6 +259,7 @@ mod tests {
         outer_backends.insert("Inner Pricing".into(), Arc::new(backend));
         outer_backends.insert("OrderDesk".into(), Arc::new(EchoService::new("OrderDesk")));
         let outer = Deployer::new(&net)
+            .with_executor(exec.handle())
             .deploy(&outer_chart(), &outer_backends)
             .unwrap();
         let err = outer
@@ -256,5 +269,7 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, crate::ExecError::Fault(_)), "{err:?}");
+        drop(outer);
+        exec.shutdown();
     }
 }

@@ -64,6 +64,10 @@ pub enum DeploymentError {
     /// already deployed?) or a transport provisioning failure (e.g. a TCP
     /// listener bind error) — see [`ConnectError`] for which.
     Connect(ConnectError),
+    /// The deployer was built without [`Deployer::with_executor`]: there
+    /// is no pool to run the coordinators and the wrapper on, so nothing
+    /// was spawned or connected.
+    NoExecutor,
 }
 
 impl fmt::Display for DeploymentError {
@@ -90,6 +94,9 @@ impl fmt::Display for DeploymentError {
             }
             DeploymentError::Connect(e) => {
                 write!(f, "could not connect an actor's node: {e}")
+            }
+            DeploymentError::NoExecutor => {
+                write!(f, "no executor named: build the deployer with_executor")
             }
         }
     }
@@ -119,10 +126,8 @@ impl From<ConnectError> for DeploymentError {
 /// The service deployer.
 pub struct Deployer {
     net: TransportHandle,
-    /// `None` until [`Deployer::with_executor`]: the process-wide shared
-    /// executor is resolved lazily at deploy time, so a deployer pinned to
-    /// an explicit pool never instantiates the shared one as a side
-    /// effect.
+    /// `None` until [`Deployer::with_executor`]; [`Deployer::deploy`]
+    /// refuses to run without it.
     exec: Option<ExecutorHandle>,
     functions: FunctionLibrary,
     /// Deadline for community invocations made by coordinators.
@@ -137,9 +142,9 @@ pub struct Deployer {
 }
 
 impl Deployer {
-    /// A deployer over `net` (any [`Transport`]) with no guard functions;
-    /// coordinators and the wrapper are scheduled on the process-wide
-    /// shared executor.
+    /// A deployer over `net` (any [`Transport`]) with no guard functions
+    /// and no executor yet: name one with [`Deployer::with_executor`]
+    /// before deploying.
     pub fn new(net: &dyn Transport) -> Self {
         Deployer {
             net: net.handle(),
@@ -153,9 +158,9 @@ impl Deployer {
         }
     }
 
-    /// Builder: schedule every spawned coordinator and wrapper on an
-    /// explicit executor instead of the shared one — the knob scale tests
-    /// use to pin a whole deployment onto a fixed worker pool.
+    /// Builder: schedule every spawned coordinator and the wrapper on
+    /// `exec`. A component runs on the executor its caller names; without
+    /// one, [`Deployer::deploy`] returns [`DeploymentError::NoExecutor`].
     pub fn with_executor(mut self, exec: ExecutorHandle) -> Self {
         self.exec = Some(exec);
         self
@@ -195,11 +200,8 @@ impl Deployer {
         statechart: &Statechart,
         backends: &HashMap<String, Arc<dyn ServiceBackend>>,
     ) -> Result<Deployment, DeploymentError> {
+        let exec = self.exec.as_ref().ok_or(DeploymentError::NoExecutor)?;
         let plan = selfserv_routing::generate(statechart)?;
-        let exec = self
-            .exec
-            .clone()
-            .unwrap_or_else(|| selfserv_runtime::shared().clone());
 
         // Resolve every task binding before spawning anything.
         let mut runtimes: HashMap<StateId, TaskRuntime> = HashMap::new();
@@ -333,7 +335,7 @@ impl Deployer {
                 monitor: self.monitor.clone(),
                 liveness: self.liveness.clone(),
             };
-            let handle = Coordinator::spawn_on(&*self.net, &exec, cfg)?;
+            let handle = Coordinator::spawn_on(&*self.net, exec, cfg)?;
             coordinators.push(handle);
         }
 
@@ -341,7 +343,7 @@ impl Deployer {
         // notifications.
         let wrapper = CompositeWrapper::spawn_on(
             &*self.net,
-            &exec,
+            exec,
             WrapperConfig {
                 composite: statechart.name.clone(),
                 table: plan.wrapper.clone(),
@@ -546,6 +548,7 @@ mod tests {
     use crate::backend::{EchoService, FailingService, SyntheticService};
     use selfserv_expr::Value;
     use selfserv_net::{Network, NetworkConfig};
+    use selfserv_runtime::Executor;
     use selfserv_statechart::synth;
     use selfserv_statechart::{StatechartBuilder, TaskDef, TransitionDef};
     use selfserv_wsdl::ParamType;
@@ -561,8 +564,10 @@ mod tests {
 
     #[test]
     fn deploy_and_execute_sequence() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
         let dep = Deployer::new(&net)
+            .with_executor(exec.handle())
             .deploy(&synth::sequence(4), &synth_backends(4))
             .unwrap();
         assert_eq!(dep.coordinator_count(), 4);
@@ -570,12 +575,16 @@ mod tests {
         let out = dep.execute(input, Duration::from_secs(5)).unwrap();
         assert_eq!(out.get_str("payload"), Some("hello"));
         assert!(out.get("_elapsed_ms").is_some());
+        drop(dep);
+        exec.shutdown();
     }
 
     #[test]
     fn sequence_messages_flow_peer_to_peer() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
         let dep = Deployer::new(&net)
+            .with_executor(exec.handle())
             .deploy(&synth::sequence(5), &synth_backends(5))
             .unwrap();
         net.reset_metrics();
@@ -594,6 +603,8 @@ mod tests {
         assert_eq!(wrapper.received, 2);
         let c0 = m.node("synthseq5.coord.s0").unwrap();
         assert_eq!(c0.sent, 1, "s0 notifies s1 only");
+        drop(dep);
+        exec.shutdown();
     }
 
     /// Per executed instance: the wrapper sends the Start notifications and
@@ -601,10 +612,12 @@ mod tests {
     /// message is spent on forgetting a finished instance.
     #[test]
     fn a_finished_instance_costs_no_cleanup_message() {
+        let exec = Executor::new(2);
         const RUNS: u64 = 10;
         for (chart, starts) in [(synth::sequence(5), 1), (synth::parallel(4), 4)] {
             let net = Network::new(NetworkConfig::instant());
             let dep = Deployer::new(&net)
+                .with_executor(exec.handle())
                 .deploy(&chart, &synth_backends(5))
                 .unwrap();
             let coordinators: Vec<NodeId> = dep
@@ -640,6 +653,7 @@ mod tests {
                 );
             }
         }
+        exec.shutdown();
     }
 
     /// Polls until the executor holds no timer, allowing three sweep
@@ -715,7 +729,7 @@ mod tests {
 
     #[test]
     fn finished_instances_free_their_slots_without_a_message() {
-        let exec = selfserv_runtime::Executor::new(2);
+        let exec = Executor::new(2);
         for chart in [synth::sequence(5), synth::parallel(4), guarded_join()] {
             let net = Network::new(NetworkConfig::instant());
             let dep = Deployer::new(&net)
@@ -754,7 +768,7 @@ mod tests {
             .transition(TransitionDef::new("t_done", "ship", "done"))
             .build()
             .unwrap();
-        let exec = selfserv_runtime::Executor::new(2);
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
         let dep = Deployer::new(&net)
             .with_executor(exec.handle())
@@ -792,7 +806,7 @@ mod tests {
             .transition(TransitionDef::new("t_done", "ship", "done"))
             .build()
             .unwrap();
-        let exec = selfserv_runtime::Executor::new(2);
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
         let dep = Deployer::new(&net)
             .with_executor(exec.handle())
@@ -812,6 +826,7 @@ mod tests {
 
     #[test]
     fn xor_takes_exactly_one_branch() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
         let mut backends = synth_backends(3);
         let counters: Vec<Arc<SyntheticService>> = (0..3)
@@ -824,6 +839,7 @@ mod tests {
             );
         }
         let dep = Deployer::new(&net)
+            .with_executor(exec.handle())
             .deploy(&synth::xor_choice(3), &backends)
             .unwrap();
         let input = MessageDoc::request("execute")
@@ -833,10 +849,13 @@ mod tests {
         assert_eq!(counters[0].invocation_count(), 0);
         assert_eq!(counters[1].invocation_count(), 1);
         assert_eq!(counters[2].invocation_count(), 0);
+        drop(dep);
+        exec.shutdown();
     }
 
     #[test]
     fn parallel_joins_all_regions() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
         let mut backends = HashMap::new();
         let counters: Vec<Arc<SyntheticService>> = (0..3)
@@ -849,6 +868,7 @@ mod tests {
             );
         }
         let dep = Deployer::new(&net)
+            .with_executor(exec.handle())
             .deploy(&synth::parallel(3), &backends)
             .unwrap();
         let out = dep
@@ -862,12 +882,16 @@ mod tests {
         for c in &counters {
             assert_eq!(c.invocation_count(), 1);
         }
+        drop(dep);
+        exec.shutdown();
     }
 
     #[test]
     fn nested_compound_executes() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
         let dep = Deployer::new(&net)
+            .with_executor(exec.handle())
             .deploy(&synth::nested(3), &synth_backends(1))
             .unwrap();
         dep.execute(
@@ -875,12 +899,16 @@ mod tests {
             Duration::from_secs(5),
         )
         .unwrap();
+        drop(dep);
+        exec.shutdown();
     }
 
     #[test]
     fn ladder_executes() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
         let dep = Deployer::new(&net)
+            .with_executor(exec.handle())
             .deploy(&synth::ladder(3, 2), &synth_backends(6))
             .unwrap();
         dep.execute(
@@ -888,22 +916,42 @@ mod tests {
             Duration::from_secs(5),
         )
         .unwrap();
+        drop(dep);
+        exec.shutdown();
+    }
+
+    #[test]
+    fn a_deployer_without_an_executor_spawns_nothing() {
+        let net = Network::new(NetworkConfig::instant());
+        let err = Deployer::new(&net)
+            .deploy(&synth::sequence(2), &synth_backends(2))
+            .unwrap_err();
+        assert!(matches!(err, DeploymentError::NoExecutor), "{err}");
+        assert_eq!(
+            net.node_names(),
+            Vec::<NodeId>::new(),
+            "a node was connected"
+        );
     }
 
     #[test]
     fn missing_backend_rejected() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
         let err = Deployer::new(&net)
+            .with_executor(exec.handle())
             .deploy(&synth::sequence(2), &synth_backends(1))
             .unwrap_err();
         assert!(
             matches!(err, DeploymentError::MissingBackend { .. }),
             "{err}"
         );
+        exec.shutdown();
     }
 
     #[test]
     fn missing_community_rejected() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
         let sc = StatechartBuilder::new("NeedsCommunity")
             .variable("x", ParamType::Str)
@@ -914,21 +962,26 @@ mod tests {
             .build()
             .unwrap();
         let err = Deployer::new(&net)
+            .with_executor(exec.handle())
             .deploy(&sc, &HashMap::new())
             .unwrap_err();
         assert!(
             matches!(err, DeploymentError::MissingCommunity { .. }),
             "{err}"
         );
+        exec.shutdown();
     }
 
     #[test]
     fn double_deploy_collides() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
         let _dep = Deployer::new(&net)
+            .with_executor(exec.handle())
             .deploy(&synth::sequence(1), &synth_backends(1))
             .unwrap();
         let err = Deployer::new(&net)
+            .with_executor(exec.handle())
             .deploy(&synth::sequence(1), &synth_backends(1))
             .unwrap_err();
         match &err {
@@ -936,12 +989,16 @@ mod tests {
             other => panic!("expected connect error, got {other}"),
         }
         assert!(err.to_string().contains("already deployed"), "{err}");
+        drop(_dep);
+        exec.shutdown();
     }
 
     #[test]
     fn undeploy_frees_nodes() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
         let dep = Deployer::new(&net)
+            .with_executor(exec.handle())
             .deploy(&synth::sequence(1), &synth_backends(1))
             .unwrap();
         assert!(net.is_connected("synthseq1.wrapper"));
@@ -950,12 +1007,50 @@ mod tests {
         assert!(!net.is_connected("synthseq1.coord.s0"));
         // Redeploy works after teardown.
         let _dep2 = Deployer::new(&net)
+            .with_executor(exec.handle())
             .deploy(&synth::sequence(1), &synth_backends(1))
             .unwrap();
+        drop(_dep2);
+        exec.shutdown();
+    }
+
+    #[test]
+    fn a_failing_finish_action_faults_the_caller() {
+        let exec = Executor::new(2);
+        let net = Network::new(NetworkConfig::instant());
+        // An action on the exit of a concurrent block runs at the
+        // receiver: here the wrapper, as the instance finishes.
+        let sc = StatechartBuilder::new("BadFinish")
+            .variable("x", ParamType::Int)
+            .initial("P")
+            .concurrent("P", "Block", vec![("r0", "s0")])
+            .task_in_region("P", 0, TaskDef::new("s0", "A").service("A", "run"))
+            .final_in("P", 0, "rf0")
+            .final_state("F")
+            .transition(TransitionDef::new("t0", "s0", "rf0"))
+            .transition(TransitionDef::new("t", "P", "F").action("x", "nosuch(1)"))
+            .build()
+            .unwrap();
+        let mut backends: HashMap<String, Arc<dyn ServiceBackend>> = HashMap::new();
+        backends.insert("A".into(), Arc::new(EchoService::new("A")));
+        let dep = Deployer::new(&net)
+            .with_executor(exec.handle())
+            .deploy(&sc, &backends)
+            .unwrap();
+        let err = dep
+            .execute(MessageDoc::request("execute"), Duration::from_secs(5))
+            .unwrap_err();
+        match err {
+            ExecError::Fault(reason) => assert!(reason.contains("nosuch"), "{reason}"),
+            other => panic!("expected fault, got {other:?}"),
+        }
+        drop(dep);
+        exec.shutdown();
     }
 
     #[test]
     fn failing_backend_faults_execution() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
         let mut backends = synth_backends(2);
         backends.insert(
@@ -963,6 +1058,7 @@ mod tests {
             Arc::new(FailingService::new("S1", "no inventory")),
         );
         let dep = Deployer::new(&net)
+            .with_executor(exec.handle())
             .deploy(&synth::sequence(2), &backends)
             .unwrap();
         let err = dep
@@ -975,6 +1071,8 @@ mod tests {
             ExecError::Fault(reason) => assert!(reason.contains("no inventory"), "{reason}"),
             other => panic!("expected fault, got {other:?}"),
         }
+        drop(dep);
+        exec.shutdown();
     }
 
     /// A task state bound to a community: `name` must match the chart's
@@ -998,10 +1096,16 @@ mod tests {
 
     #[test]
     fn redirect_mode_community_is_invoked_through_the_member() {
+        let exec = Executor::new(2);
         use crate::backend::{EchoService, ServiceHost};
         let net = Network::new(NetworkConfig::instant());
-        let _member =
-            ServiceHost::spawn(&net, "svc.member", Arc::new(EchoService::new("Member"))).unwrap();
+        let _member = ServiceHost::spawn_on(
+            &net,
+            &exec.handle(),
+            "svc.member",
+            Arc::new(EchoService::new("Member")),
+        )
+        .unwrap();
         // A redirect-mode community stand-in on a bare endpoint: answers
         // every invoke with the member's binding, so the coordinator's
         // second await (the redirected direct invocation) is exercised.
@@ -1022,6 +1126,7 @@ mod tests {
             }
         });
         let dep = Deployer::new(&net)
+            .with_executor(exec.handle())
             .deploy(&community_chart("redirecting"), &HashMap::new())
             .unwrap();
         let out = dep
@@ -1038,13 +1143,16 @@ mod tests {
             .send("community.redirecting", "stop", Element::new("s"))
             .unwrap();
         comm_thread.join().unwrap();
+        drop(_member);
+        exec.shutdown();
     }
 
     #[test]
     fn unreachable_and_silent_communities_fault_the_instance() {
+        let exec = Executor::new(2);
         // Unreachable: the community node never comes up.
         let net = Network::new(NetworkConfig::instant());
-        let mut deployer = Deployer::new(&net);
+        let mut deployer = Deployer::new(&net).with_executor(exec.handle());
         deployer.allow_missing_communities = true;
         let dep = deployer
             .deploy(&community_chart("ghost"), &HashMap::new())
@@ -1064,7 +1172,7 @@ mod tests {
         // Silent: connected but never replies — the rpc deadline faults
         // the instance instead of wedging it.
         let _mute = net.connect("community.mute").unwrap();
-        let mut deployer = Deployer::new(&net);
+        let mut deployer = Deployer::new(&net).with_executor(exec.handle());
         deployer.invoke_timeout = Duration::from_millis(100);
         let dep = deployer
             .deploy(&community_chart("mute"), &HashMap::new())
@@ -1079,16 +1187,19 @@ mod tests {
             ExecError::Fault(reason) => assert!(reason.contains("timed out"), "{reason}"),
             other => panic!("expected fault, got {other:?}"),
         }
+        drop(dep);
+        exec.shutdown();
     }
 
     #[test]
     fn idle_instance_is_faulted_by_the_timer_alone() {
+        let exec = Executor::new(2);
         // The community never answers and the invocation outlives the TTL,
         // so after the execute request nothing reaches the wrapper: only
         // the sweep timer can fault the instance.
         let net = Network::new(NetworkConfig::instant());
         let _mute = net.connect("community.mute").unwrap();
-        let mut deployer = Deployer::new(&net);
+        let mut deployer = Deployer::new(&net).with_executor(exec.handle());
         deployer.invoke_timeout = Duration::from_secs(30);
         deployer.instance_ttl = Duration::from_millis(100);
         let dep = deployer
@@ -1106,12 +1217,16 @@ mod tests {
             other => panic!("expected fault, got {other:?}"),
         }
         assert!(started.elapsed() < Duration::from_secs(5));
+        drop(dep);
+        exec.shutdown();
     }
 
     #[test]
     fn submit_and_collect_round_trip_without_blocking() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
         let dep = Deployer::new(&net)
+            .with_executor(exec.handle())
             .deploy(&synth::sequence(2), &synth_backends(2))
             .unwrap();
         // Fire-and-collect: nothing blocks between the submits.
@@ -1133,12 +1248,16 @@ mod tests {
         assert!(expected.is_empty(), "every submission completed");
         // Nothing further arrives once the backlog is drained.
         assert!(dep.collect_result(Duration::from_millis(50)).is_err());
+        drop(dep);
+        exec.shutdown();
     }
 
     #[test]
     fn concurrent_instances_are_isolated() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
         let dep = Deployer::new(&net)
+            .with_executor(exec.handle())
             .deploy(&synth::sequence(3), &synth_backends(3))
             .unwrap();
         let dep = Arc::new(dep);
@@ -1155,12 +1274,16 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+        drop(dep);
+        exec.shutdown();
     }
 
     #[test]
     fn executions_work_under_network_latency() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::lan());
         let dep = Deployer::new(&net)
+            .with_executor(exec.handle())
             .deploy(&synth::parallel(2), &synth_backends(2))
             .unwrap();
         let out = dep
@@ -1170,5 +1293,7 @@ mod tests {
             )
             .unwrap();
         assert!(out.get("_elapsed_ms").is_some());
+        drop(dep);
+        exec.shutdown();
     }
 }

@@ -52,37 +52,13 @@ impl FunctionLibrary {
         }
     }
 
-    /// The travel scenario's predicate library (`domestic`, `near`).
+    /// The travel scenario's predicate library:
+    /// [`selfserv_statechart::travel::domestic`] and
+    /// [`selfserv_statechart::travel::near`].
     pub fn travel() -> Self {
         let mut lib = Self::new();
-        lib.register("domestic", |args: &[Value]| {
-            let city =
-                args.first()
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| EvalError::FunctionError {
-                        function: "domestic".into(),
-                        message: "expects one string argument".into(),
-                    })?;
-            Ok(Value::Bool(
-                selfserv_statechart::travel::DOMESTIC_CITIES.contains(&city),
-            ))
-        });
-        lib.register("near", |args: &[Value]| {
-            if args.len() != 2 {
-                return Err(EvalError::ArityMismatch {
-                    function: "near".into(),
-                    expected: 2,
-                    found: args.len(),
-                });
-            }
-            let attraction = args[0].as_str().unwrap_or("");
-            let place = args[1].as_str().unwrap_or("");
-            Ok(Value::Bool(
-                selfserv_statechart::travel::NEAR_PAIRS
-                    .iter()
-                    .any(|(a, p)| *a == attraction && *p == place),
-            ))
-        });
+        lib.register("domestic", selfserv_statechart::travel::domestic);
+        lib.register("near", selfserv_statechart::travel::near);
         lib
     }
 }

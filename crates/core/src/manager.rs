@@ -15,6 +15,7 @@ use selfserv_registry::{
     BusinessKey, FindQuery, RegistryError, RegistryServer, RegistryServerHandle, ServiceKey,
     UddiRegistry,
 };
+use selfserv_runtime::ExecutorHandle;
 use selfserv_statechart::travel::{self, services};
 use selfserv_statechart::Statechart;
 use selfserv_wsdl::{Binding, OperationDef, Param, ParamType, ServiceDescription};
@@ -32,15 +33,20 @@ pub struct ServiceManager {
 }
 
 impl ServiceManager {
-    /// Starts a manager whose discovery engine listens on `uddi`.
-    pub fn start(net: &dyn Transport) -> Result<Self, ConnectError> {
-        Self::start_on(net, "uddi")
+    /// Starts a manager whose discovery engine listens on `uddi`,
+    /// scheduled on `exec`.
+    pub fn start(net: &dyn Transport, exec: &ExecutorHandle) -> Result<Self, ConnectError> {
+        Self::start_on(net, exec, "uddi")
     }
 
     /// Starts a manager with an explicit discovery-engine node name.
-    pub fn start_on(net: &dyn Transport, node_name: &str) -> Result<Self, ConnectError> {
+    pub fn start_on(
+        net: &dyn Transport,
+        exec: &ExecutorHandle,
+        node_name: &str,
+    ) -> Result<Self, ConnectError> {
         let registry = Arc::new(UddiRegistry::new());
-        let server = RegistryServer::spawn(net, node_name, Arc::clone(&registry))?;
+        let server = RegistryServer::spawn_on(net, exec, node_name, Arc::clone(&registry))?;
         Ok(ServiceManager {
             net: net.handle(),
             registry,
@@ -196,9 +202,14 @@ pub struct TravelDemo {
 
 impl TravelDemo {
     /// Spins up the whole scenario on `net` (any [`Transport`] — the demo
-    /// runs identically over the simulated fabric and real TCP sockets).
-    pub fn launch(net: &dyn Transport, config: TravelDemoConfig) -> Result<TravelDemo, String> {
-        let manager = ServiceManager::start(net).map_err(|e| e.to_string())?;
+    /// runs identically over the simulated fabric and real TCP sockets),
+    /// every component scheduled on `exec`.
+    pub fn launch(
+        net: &dyn Transport,
+        exec: &ExecutorHandle,
+        config: TravelDemoConfig,
+    ) -> Result<TravelDemo, String> {
+        let manager = ServiceManager::start(net, exec).map_err(|e| e.to_string())?;
 
         // (i) providers register their services with the discovery engine.
         for desc in travel::travel_service_descriptions() {
@@ -208,8 +219,9 @@ impl TravelDemo {
         }
 
         // (ii) the accommodation community and its members.
-        let community = CommunityServer::spawn(
+        let community = CommunityServer::spawn_on(
             net,
+            exec,
             naming::community(services::ACCOMMODATION_COMMUNITY).as_str(),
             Community::new(
                 services::ACCOMMODATION_COMMUNITY,
@@ -240,8 +252,9 @@ impl TravelDemo {
                         qos: QosProfile|
          -> Result<(), String> {
             let node = NodeId::new(format!("svc.accommodation.{id}"));
-            let host = ServiceHost::spawn(
+            let host = ServiceHost::spawn_on(
                 net,
+                exec,
                 node.clone(),
                 Arc::new(AccommodationService::new(
                     provider,
@@ -328,6 +341,7 @@ impl TravelDemo {
         // (iv) deploy and publish the composite.
         let statechart = travel::travel_statechart();
         let deployment = Deployer::new(net)
+            .with_executor(exec.clone())
             .with_functions(FunctionLibrary::travel())
             .deploy(&statechart, &backends)
             .map_err(|e: DeploymentError| e.to_string())?;
@@ -365,11 +379,13 @@ impl TravelDemo {
 mod tests {
     use super::*;
     use selfserv_net::{Network, NetworkConfig};
+    use selfserv_runtime::Executor;
 
     #[test]
     fn manager_edit_check_flags_unregistered_services() {
         let net = Network::new(NetworkConfig::instant());
-        let manager = ServiceManager::start(&net).unwrap();
+        let exec = Executor::new(2);
+        let manager = ServiceManager::start(&net, &exec.handle()).unwrap();
         let sc = travel::travel_statechart();
         let findings = manager.edit_check(&sc);
         assert!(
@@ -391,12 +407,15 @@ mod tests {
             !findings.iter().any(|f| f.contains("unregistered-service")),
             "{findings:?}"
         );
+        drop(manager);
+        exec.shutdown();
     }
 
     #[test]
     fn demo_books_domestic_trip_near_attraction_skips_car() {
         let net = Network::new(NetworkConfig::instant());
-        let demo = TravelDemo::launch(&net, TravelDemoConfig::default()).unwrap();
+        let exec = Executor::new(2);
+        let demo = TravelDemo::launch(&net, &exec.handle(), TravelDemoConfig::default()).unwrap();
         let out = demo
             .book_trip("Eileen", "Sydney", "2002-08-20", "2002-08-27")
             .unwrap();
@@ -411,13 +430,17 @@ mod tests {
         assert!(out.get("car_confirmation").is_none(), "{out:?}");
         // No insurance on the domestic branch.
         assert!(out.get("insurance_policy").is_none());
+        drop(demo);
+        exec.shutdown();
     }
 
     #[test]
     fn demo_far_accommodation_triggers_car_rental() {
         let net = Network::new(NetworkConfig::instant());
+        let exec = Executor::new(2);
         let demo = TravelDemo::launch(
             &net,
+            &exec.handle(),
             TravelDemoConfig {
                 accommodation: AccommodationChoice::FarFromAttraction,
                 ..Default::default()
@@ -429,13 +452,17 @@ mod tests {
             .unwrap();
         assert_eq!(out.get_str("accommodation"), Some("Bondi Hostel"));
         assert!(out.get_str("car_confirmation").unwrap().starts_with("CAR-"));
+        drop(demo);
+        exec.shutdown();
     }
 
     #[test]
     fn demo_international_trip_takes_insurance_branch() {
         let net = Network::new(NetworkConfig::instant());
+        let exec = Executor::new(2);
         let demo = TravelDemo::launch(
             &net,
+            &exec.handle(),
             TravelDemoConfig {
                 accommodation: AccommodationChoice::FarFromAttraction,
                 ..Default::default()
@@ -453,12 +480,15 @@ mod tests {
         assert!(out.get_str("insurance_policy").unwrap().starts_with("POL-"));
         // Bondi Hostel is far from the Peak Tram → car rented.
         assert!(out.get("car_confirmation").is_some());
+        drop(demo);
+        exec.shutdown();
     }
 
     #[test]
     fn composite_is_locatable_in_the_registry() {
         let net = Network::new(NetworkConfig::instant());
-        let demo = TravelDemo::launch(&net, TravelDemoConfig::default()).unwrap();
+        let exec = Executor::new(2);
+        let demo = TravelDemo::launch(&net, &exec.handle(), TravelDemoConfig::default()).unwrap();
         let hits = demo
             .manager
             .registry()
@@ -468,5 +498,7 @@ mod tests {
         assert_eq!(binding.endpoint, demo.deployment.wrapper_node().as_str());
         // Elementary services are all registered too.
         assert_eq!(demo.manager.registry().find(&FindQuery::any()).len(), 6);
+        drop(demo);
+        exec.shutdown();
     }
 }

@@ -254,13 +254,7 @@ pub struct MonitorHandle {
 
 impl ExecutionMonitor {
     /// Spawns a monitor on `node_name`, over any [`Transport`], scheduled
-    /// on the process-wide shared executor.
-    pub fn spawn(net: &dyn Transport, node_name: &str) -> Result<MonitorHandle, ConnectError> {
-        let options = MonitorOptions::default();
-        Self::spawn_with(net, selfserv_runtime::shared(), node_name, options)
-    }
-
-    /// Spawns a monitor on an explicit executor with [`MonitorOptions`] — metrics
+    /// on `exec`, with [`MonitorOptions`] — metrics
     /// recording and/or a trace-retention bound for sustained load.
     pub fn spawn_with(
         net: &dyn Transport,
@@ -470,6 +464,7 @@ impl Drop for MonitorHandle {
 mod tests {
     use super::*;
     use selfserv_net::{Network, NetworkConfig};
+    use selfserv_runtime::Executor;
 
     #[test]
     fn trace_codec_round_trip() {
@@ -497,8 +492,15 @@ mod tests {
 
     #[test]
     fn monitor_collects_and_renders() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
-        let monitor = ExecutionMonitor::spawn(&net, "monitor").unwrap();
+        let monitor = ExecutionMonitor::spawn_with(
+            &net,
+            &exec.handle(),
+            "monitor",
+            MonitorOptions::default(),
+        )
+        .unwrap();
         let reporter = net.connect("reporter").unwrap();
         reporter
             .send(
@@ -531,13 +533,22 @@ mod tests {
         assert!(monitor
             .render_timeline(InstanceId(99))
             .contains("no events"));
+        drop(monitor);
+        exec.shutdown();
     }
 
     #[test]
     fn monitor_ingests_liveness_events() {
+        let exec = Executor::new(2);
         use selfserv_net::HubId;
         let net = Network::new(NetworkConfig::instant());
-        let monitor = ExecutionMonitor::spawn(&net, "monitor").unwrap();
+        let monitor = ExecutionMonitor::spawn_with(
+            &net,
+            &exec.handle(),
+            "monitor",
+            MonitorOptions::default(),
+        )
+        .unwrap();
         let detector = net.connect("disc.feed").unwrap();
         let suspected = LivenessEvent {
             hub: HubId(7),
@@ -565,17 +576,28 @@ mod tests {
         assert_eq!(monitor.peer_status("svc.b"), Some(PeerStatus::Suspected));
         assert_eq!(monitor.peer_status("svc.unknown"), None);
         assert_eq!(monitor.event_count(), 0, "liveness is not a trace");
+        drop(monitor);
+        exec.shutdown();
     }
 
     #[test]
     fn malformed_traces_are_ignored() {
+        let exec = Executor::new(2);
         let net = Network::new(NetworkConfig::instant());
-        let monitor = ExecutionMonitor::spawn(&net, "monitor").unwrap();
+        let monitor = ExecutionMonitor::spawn_with(
+            &net,
+            &exec.handle(),
+            "monitor",
+            MonitorOptions::default(),
+        )
+        .unwrap();
         let reporter = net.connect("reporter").unwrap();
         reporter
             .send("monitor", TRACE_KIND, Element::new("garbage"))
             .unwrap();
         std::thread::sleep(Duration::from_millis(30));
         assert_eq!(monitor.event_count(), 0);
+        drop(monitor);
+        exec.shutdown();
     }
 }

@@ -3,7 +3,7 @@
 
 use selfserv_expr::Value;
 use selfserv_net::{Endpoint, Transport, TransportHandle};
-use selfserv_wsdl::MessageDoc;
+use selfserv_wsdl::{MessageDoc, MessageKind};
 use selfserv_xml::Element;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -205,7 +205,7 @@ impl NotifyPayload {
         Element::new("notification")
             .with_attr("label", label)
             .with_attr("instance", instance.to_string())
-            .with_child(MessageDoc::request_xml("vars", vars))
+            .with_child(MessageDoc::params_xml("vars", MessageKind::Request, vars))
     }
 
     /// Decodes the XML form.

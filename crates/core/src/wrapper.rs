@@ -15,7 +15,7 @@ use selfserv_net::{ConnectError, Envelope, MessageId, NodeId, Transport};
 use selfserv_routing::{NotificationLabel, WrapperTable};
 use selfserv_runtime::{ExecutorHandle, Flow, NodeCtx, NodeHandle, NodeLogic, TimerToken};
 use selfserv_statechart::{StateId, VarDecl};
-use selfserv_wsdl::MessageDoc;
+use selfserv_wsdl::{MessageDoc, MessageKind};
 use selfserv_xml::Element;
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
@@ -269,28 +269,31 @@ impl WrapperLogic {
         match outcome {
             (_, Some(reason)) => self.finish_fault(ctx, instance, &reason),
             (Some(idx), None) => {
-                let actions = self.cfg.table.finish_alternatives[idx].actions.clone();
-                let Some(slot) = self.instances.get_mut(&instance) else {
+                // The instance ends here either way: its variables become
+                // the reply (or are dropped with a fault) without a copy.
+                let Some(mut slot) = self.instances.remove(&instance) else {
                     return;
                 };
-                let mut vars = slot.vars.clone();
-                if let Err(reason) = apply_actions(&actions, &self.cfg.functions, &mut vars) {
+                let actions = &self.cfg.table.finish_alternatives[idx].actions;
+                if let Err(reason) = apply_actions(actions, &self.cfg.functions, &mut slot.vars) {
+                    // The fault goes to the caller the slot names.
+                    self.instances.insert(instance, slot);
                     self.finish_fault(ctx, instance, &reason);
                     return;
                 }
                 let elapsed = slot.started_at.elapsed();
-                let reply_to = slot.reply_to.clone();
-                let mut response = MessageDoc::response("execute");
-                for (k, v) in &vars {
-                    response.set(k.clone(), v.clone());
-                }
-                response.set("_elapsed_ms", Value::Int(elapsed.as_millis() as i64));
-                response.set("_instance", Value::str(instance.to_string()));
+                let mut vars = slot.vars;
+                vars.insert(
+                    "_elapsed_ms".to_string(),
+                    Value::Int(elapsed.as_millis() as i64),
+                );
+                vars.insert("_instance".to_string(), Value::str(instance.to_string()));
+                let (reply_node, reply_id) = slot.reply_to;
                 let _ = ctx.endpoint().send_correlated(
-                    reply_to.0,
+                    reply_node,
                     kinds::EXECUTE_RESULT,
-                    response.to_xml(),
-                    Some(reply_to.1),
+                    MessageDoc::params_xml("execute", MessageKind::Response, &vars),
+                    Some(reply_id),
                 );
                 self.trace(
                     ctx,
@@ -301,7 +304,6 @@ impl WrapperLogic {
                 // Every other coordinator forgot the instance when its
                 // state completed.
                 self.send_cleanup(ctx, instance, &self.cfg.cleanup_on_success);
-                self.instances.remove(&instance);
             }
             (None, None) => {}
         }

@@ -50,16 +50,20 @@
 //! ```no_run
 //! use selfserv_discovery::{DiscoveryConfig, PeerDiscovery};
 //! use selfserv_net::TcpTransport;
+//! use selfserv_runtime::Executor;
 //!
 //! // Process 1: nothing to seed — just run discovery and publish the addr.
+//! let exec_a = Executor::new(2);
 //! let hub_a = TcpTransport::new();
-//! let disc_a = PeerDiscovery::spawn(&hub_a, DiscoveryConfig::default()).unwrap();
+//! let disc_a = PeerDiscovery::spawn_on(&hub_a, &exec_a.handle(), DiscoveryConfig::default())
+//!     .unwrap();
 //! let seed = disc_a.seed_addr(); // hand this one address to process 2
 //!
 //! // Process 2: seed with that one address; directories converge.
+//! let exec_b = Executor::new(2);
 //! let hub_b = TcpTransport::new();
-//! let disc_b =
-//!     PeerDiscovery::spawn(&hub_b, DiscoveryConfig::default().with_seed(seed)).unwrap();
+//! let config = DiscoveryConfig::default().with_seed(seed);
+//! let disc_b = PeerDiscovery::spawn_on(&hub_b, &exec_b.handle(), config).unwrap();
 //! ```
 
 mod node;
@@ -252,16 +256,7 @@ impl DiscoveryStats {
 pub struct PeerDiscovery;
 
 impl PeerDiscovery {
-    /// Spawns the hub's discovery node on the process-wide shared
-    /// executor.
-    pub fn spawn(
-        hub: &TcpTransport,
-        config: DiscoveryConfig,
-    ) -> Result<DiscoveryHandle, ConnectError> {
-        Self::spawn_on(hub, selfserv_runtime::shared(), config)
-    }
-
-    /// Spawns the hub's discovery node on an explicit executor.
+    /// Spawns the hub's discovery node on `exec`.
     pub fn spawn_on(
         hub: &TcpTransport,
         exec: &ExecutorHandle,

@@ -5,6 +5,7 @@
 
 use crate::{disc_node_name, DiscoveryConfig, PeerDiscovery};
 use selfserv_net::{LivenessProbe, NodeId, PeerStatus, TcpTransport, Transport};
+use selfserv_runtime::Executor;
 use selfserv_xml::Element;
 use std::time::{Duration, Instant};
 
@@ -25,13 +26,16 @@ fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
 
 #[test]
 fn one_seed_address_bootstraps_bidirectional_rpc() {
+    let exec = Executor::new(2);
     let hub_a = TcpTransport::new();
     let hub_b = TcpTransport::new();
     let server = Transport::connect(&hub_a, NodeId::new("server")).unwrap();
-    let disc_a = PeerDiscovery::spawn(&hub_a, fast()).unwrap();
+    let disc_a = PeerDiscovery::spawn_on(&hub_a, &exec.handle(), fast()).unwrap();
     // B knows exactly one address: A's hub listener. No
     // register_peer anywhere.
-    let disc_b = PeerDiscovery::spawn(&hub_b, fast().with_seed(disc_a.seed_addr())).unwrap();
+    let disc_b =
+        PeerDiscovery::spawn_on(&hub_b, &exec.handle(), fast().with_seed(disc_a.seed_addr()))
+            .unwrap();
     let client = Transport::connect(&hub_b, NodeId::new("client")).unwrap();
     assert!(
         disc_b.wait_until_bound("server", Duration::from_secs(5)),
@@ -55,10 +59,13 @@ fn one_seed_address_bootstraps_bidirectional_rpc() {
         .unwrap();
     assert_eq!(reply.kind, "pong");
     server_thread.join().unwrap();
+    drop((disc_b, disc_a));
+    exec.shutdown();
 }
 
 #[test]
 fn seed_that_starts_late_is_greeted_until_it_answers() {
+    let exec = Executor::new(2);
     let hub_a = TcpTransport::new();
     let hub_b = TcpTransport::new();
     // Reserve B's future discovery address before B's node exists, by
@@ -72,25 +79,32 @@ fn seed_that_starts_late_is_greeted_until_it_answers() {
     // whose process is slow — emulated by delaying B's spawn while A
     // retries a dead port, then checking A still converges via B's hello.
     let dead: std::net::SocketAddr = "127.0.0.1:9".parse().unwrap();
-    let disc_a = PeerDiscovery::spawn(&hub_a, fast().with_seed(dead)).unwrap();
+    let disc_a = PeerDiscovery::spawn_on(&hub_a, &exec.handle(), fast().with_seed(dead)).unwrap();
     let _svc = Transport::connect(&hub_a, NodeId::new("svc.alpha")).unwrap();
     std::thread::sleep(Duration::from_millis(100));
-    let disc_b = PeerDiscovery::spawn(&hub_b, fast().with_seed(disc_a.seed_addr())).unwrap();
+    let disc_b =
+        PeerDiscovery::spawn_on(&hub_b, &exec.handle(), fast().with_seed(disc_a.seed_addr()))
+            .unwrap();
     assert!(
         disc_b.wait_until_bound("svc.alpha", Duration::from_secs(5)),
         "B joined despite A's dead seed"
     );
     // A's dead seed never produced a peer, but B's handshake did.
     assert!(disc_a.wait_until_bound(disc_b.node().as_str(), Duration::from_secs(5)));
+    drop((disc_b, disc_a));
+    exec.shutdown();
 }
 
 #[test]
 fn silent_hub_is_suspected_then_evicted_and_recovery_reasserts() {
+    let exec = Executor::new(2);
     let hub_a = TcpTransport::new();
     let hub_b = TcpTransport::new();
-    let disc_a = PeerDiscovery::spawn(&hub_a, fast()).unwrap();
+    let disc_a = PeerDiscovery::spawn_on(&hub_a, &exec.handle(), fast()).unwrap();
     let member = Transport::connect(&hub_b, NodeId::new("svc.member")).unwrap();
-    let disc_b = PeerDiscovery::spawn(&hub_b, fast().with_seed(disc_a.seed_addr())).unwrap();
+    let disc_b =
+        PeerDiscovery::spawn_on(&hub_b, &exec.handle(), fast().with_seed(disc_a.seed_addr()))
+            .unwrap();
     let b_hub_id = hub_b.hub_id();
     assert!(disc_a.wait_until_bound("svc.member", Duration::from_secs(5)));
 
@@ -124,7 +138,9 @@ fn silent_hub_is_suspected_then_evicted_and_recovery_reasserts() {
 
     // B comes back (new discovery node, same hub, same member endpoint):
     // its re-handshake must out-version A's tombstones.
-    let disc_b2 = PeerDiscovery::spawn(&hub_b, fast().with_seed(disc_a.seed_addr())).unwrap();
+    let disc_b2 =
+        PeerDiscovery::spawn_on(&hub_b, &exec.handle(), fast().with_seed(disc_a.seed_addr()))
+            .unwrap();
     assert!(
         wait_until(Duration::from_secs(5), || {
             dir_a.status_of("svc.member") == PeerStatus::Alive && hub_a.is_connected("svc.member")
@@ -133,10 +149,13 @@ fn silent_hub_is_suspected_then_evicted_and_recovery_reasserts() {
     );
     drop(member);
     drop(disc_b2);
+    drop(disc_a);
+    exec.shutdown();
 }
 
 #[test]
 fn two_hubs_binding_one_name_surface_an_operator_conflict_event() {
+    let exec = Executor::new(2);
     let hub_a = TcpTransport::new();
     let hub_b = TcpTransport::new();
     // The operator error: both hubs bind `svc.shared` before discovery
@@ -144,8 +163,10 @@ fn two_hubs_binding_one_name_surface_an_operator_conflict_event() {
     // re-asserts its own endpoint — and the sweep must say so.
     let _mine = Transport::connect(&hub_a, NodeId::new("svc.shared")).unwrap();
     let _theirs = Transport::connect(&hub_b, NodeId::new("svc.shared")).unwrap();
-    let disc_a = PeerDiscovery::spawn(&hub_a, fast()).unwrap();
-    let disc_b = PeerDiscovery::spawn(&hub_b, fast().with_seed(disc_a.seed_addr())).unwrap();
+    let disc_a = PeerDiscovery::spawn_on(&hub_a, &exec.handle(), fast()).unwrap();
+    let disc_b =
+        PeerDiscovery::spawn_on(&hub_b, &exec.handle(), fast().with_seed(disc_a.seed_addr()))
+            .unwrap();
     let b_hub_id = hub_b.hub_id();
     assert!(disc_a.wait_until_bound(disc_b.node().as_str(), Duration::from_secs(5)));
     // Step gossip deterministically from both sides until the repeated
@@ -165,10 +186,13 @@ fn two_hubs_binding_one_name_surface_an_operator_conflict_event() {
     );
     // The contested name stays bound locally — detection, not resolution.
     assert!(disc_a.directory().is_bound("svc.shared"));
+    drop((disc_b, disc_a));
+    exec.shutdown();
 }
 
 #[test]
 fn injected_ticks_step_failure_detection_without_waiting_for_timers() {
+    let exec = Executor::new(2);
     // Slow cadence: wall-clock timers alone could not evict inside this
     // test's budget — only injected ticks can drive the sweep.
     let slow = DiscoveryConfig::default().with_cadence(Duration::from_secs(60));
@@ -180,9 +204,11 @@ fn injected_ticks_step_failure_detection_without_waiting_for_timers() {
     config_a.eviction_timeout = Duration::from_millis(400);
     let hub_a = TcpTransport::new();
     let hub_b = TcpTransport::new();
-    let disc_a = PeerDiscovery::spawn(&hub_a, config_a).unwrap();
+    let disc_a = PeerDiscovery::spawn_on(&hub_a, &exec.handle(), config_a).unwrap();
     let member = Transport::connect(&hub_b, NodeId::new("svc.stepped")).unwrap();
-    let disc_b = PeerDiscovery::spawn(&hub_b, slow.with_seed(disc_a.seed_addr())).unwrap();
+    let disc_b =
+        PeerDiscovery::spawn_on(&hub_b, &exec.handle(), slow.with_seed(disc_a.seed_addr()))
+            .unwrap();
     assert!(disc_a.wait_until_bound("svc.stepped", Duration::from_secs(5)));
     disc_b.stop();
     let dir_a = disc_a.directory().clone();
@@ -195,10 +221,13 @@ fn injected_ticks_step_failure_detection_without_waiting_for_timers() {
         "injected ticks did not drive suspicion → eviction of the silent hub"
     );
     drop(member);
+    drop(disc_a);
+    exec.shutdown();
 }
 
 #[test]
 fn total_mutual_eviction_re_merges_once_ticks_resume() {
+    let exec = Executor::new(2);
     // Only injected ticks drive the protocol: the probe interval (the
     // sweep timer's period) is far past the eviction timeout, so no timer
     // fires and no ping keeps a silent peer alive.
@@ -209,8 +238,10 @@ fn total_mutual_eviction_re_merges_once_ticks_resume() {
     let hub_b = TcpTransport::new();
     let _svc_a = Transport::connect(&hub_a, NodeId::new("svc.left")).unwrap();
     let _svc_b = Transport::connect(&hub_b, NodeId::new("svc.right")).unwrap();
-    let disc_a = PeerDiscovery::spawn(&hub_a, config.clone()).unwrap();
-    let disc_b = PeerDiscovery::spawn(&hub_b, config.with_seed(disc_a.seed_addr())).unwrap();
+    let disc_a = PeerDiscovery::spawn_on(&hub_a, &exec.handle(), config.clone()).unwrap();
+    let disc_b =
+        PeerDiscovery::spawn_on(&hub_b, &exec.handle(), config.with_seed(disc_a.seed_addr()))
+            .unwrap();
     let converged = || {
         disc_a.directory().fingerprint() == disc_b.directory().fingerprint()
             && hub_a.is_connected("svc.right")
@@ -256,10 +287,13 @@ fn total_mutual_eviction_re_merges_once_ticks_resume() {
         disc_b.directory().snapshot(),
         "identical directories"
     );
+    drop((disc_b, disc_a));
+    exec.shutdown();
 }
 
 #[test]
 fn stats_count_gossip_sweeps_and_evictions() {
+    let exec = Executor::new(2);
     // Same silent-hub scenario as above, but observed through the stats
     // counters and the Prometheus exposition instead of the event log.
     let slow = DiscoveryConfig::default().with_cadence(Duration::from_secs(60));
@@ -269,9 +303,11 @@ fn stats_count_gossip_sweeps_and_evictions() {
     config_a.eviction_timeout = Duration::from_millis(400);
     let hub_a = TcpTransport::new();
     let hub_b = TcpTransport::new();
-    let disc_a = PeerDiscovery::spawn(&hub_a, config_a).unwrap();
+    let disc_a = PeerDiscovery::spawn_on(&hub_a, &exec.handle(), config_a).unwrap();
     let member = Transport::connect(&hub_b, NodeId::new("svc.counted")).unwrap();
-    let disc_b = PeerDiscovery::spawn(&hub_b, slow.with_seed(disc_a.seed_addr())).unwrap();
+    let disc_b =
+        PeerDiscovery::spawn_on(&hub_b, &exec.handle(), slow.with_seed(disc_a.seed_addr()))
+            .unwrap();
     assert!(disc_a.wait_until_bound("svc.counted", Duration::from_secs(5)));
     let registry = selfserv_obs::Registry::new();
     disc_a.register_metrics(&registry, &[("hub", "a")]);
@@ -291,17 +327,21 @@ fn stats_count_gossip_sweeps_and_evictions() {
     assert!(text.contains("selfserv_discovery_evictions_total{hub=\"a\"} 1"));
     assert!(text.contains("selfserv_discovery_directory_size{hub=\"a\"}"));
     drop(member);
+    drop(disc_a);
+    exec.shutdown();
 }
 
 #[test]
 fn discovery_node_name_is_derived_from_hub_id() {
+    let exec = Executor::new(2);
     let hub = TcpTransport::new();
-    let disc = PeerDiscovery::spawn(&hub, fast()).unwrap();
+    let disc = PeerDiscovery::spawn_on(&hub, &exec.handle(), fast()).unwrap();
     let name = disc.node().clone();
     assert_eq!(name, disc_node_name(hub.hub_id()));
     assert_eq!(hub.addr_of(name.as_str()), Some(disc.seed_addr()));
     disc.stop();
     assert!(!hub.is_connected(name.as_str()));
+    exec.shutdown();
 }
 
 /// A registered gossip payload converges across hubs through the same
@@ -309,6 +349,7 @@ fn discovery_node_name_is_derived_from_hub_id() {
 /// community membership between hubs (see `selfserv_community::replication`).
 #[test]
 fn gossip_payloads_ride_the_exchange_across_hubs() {
+    let exec = Executor::new(2);
     use parking_lot::RwLock;
     use selfserv_net::gossip::PAYLOAD_ELEMENT;
     use selfserv_net::{GossipPayload, GossipPayloads};
@@ -359,9 +400,11 @@ fn gossip_payloads_ride_the_exchange_across_hubs() {
     payloads_b.register(Arc::new(Cell {
         state: Arc::clone(&state_b),
     }));
-    let disc_a = PeerDiscovery::spawn(&hub_a, fast().with_payloads(payloads_a)).unwrap();
-    let disc_b = PeerDiscovery::spawn(
+    let disc_a =
+        PeerDiscovery::spawn_on(&hub_a, &exec.handle(), fast().with_payloads(payloads_a)).unwrap();
+    let disc_b = PeerDiscovery::spawn_on(
         &hub_b,
+        &exec.handle(),
         fast()
             .with_seed(disc_a.seed_addr())
             .with_payloads(payloads_b),
@@ -381,4 +424,5 @@ fn gossip_payloads_ride_the_exchange_across_hubs() {
     );
     disc_b.stop();
     disc_a.stop();
+    exec.shutdown();
 }

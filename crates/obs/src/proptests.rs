@@ -1,9 +1,40 @@
 //! Property tests for histogram snapshots: merge forms a commutative
 //! monoid over snapshots, quantiles stay inside the recorded value range,
-//! and quantile estimates never under-report the true rank statistic.
+//! and quantile estimates never under-report the true rank statistic. The
+//! exposition parser refuses hostile text without panicking.
 
-use crate::{Histogram, HistogramSnapshot};
+use crate::{parse, Histogram, HistogramSnapshot};
 use proptest::prelude::*;
+
+/// Hostile exposition text of up to 4 KiB: runs of the format's syntax
+/// bytes, line prefixes, printable ASCII and 2-, 3- and 4-byte characters.
+fn arb_hostile_text() -> impl Strategy<Value = String> {
+    let run = prop_oneof![
+        "[{}\",=# \n\\\\x0-9.+-]{1,8}",
+        "[ -~]{1,16}",
+        "[\u{80}-\u{9F}\u{7F0}-\u{7FF}é]{1,8}",
+        "[\u{800}-\u{80F}\u{FFF0}-\u{FFFD}€]{1,8}",
+        "[\u{10000}-\u{1000F}\u{1F600}-\u{1F60F}\u{10FFF0}-\u{10FFFF}]{1,8}",
+        prop_oneof![
+            Just("# HELP ".to_string()),
+            Just("# TYPE ".to_string()),
+            Just("x{a=\"".to_string()),
+            Just("\"} ".to_string()),
+            Just("NaN".to_string()),
+            Just("+Inf".to_string()),
+        ],
+    ];
+    proptest::collection::vec(run, 0..512).prop_map(|runs| {
+        let mut s = String::new();
+        for run in runs {
+            if s.len() + run.len() > 4096 {
+                break;
+            }
+            s.push_str(&run);
+        }
+        s
+    })
+}
 
 fn arb_samples() -> impl Strategy<Value = Vec<u64>> {
     // Mix magnitudes so samples cross many octaves.
@@ -73,6 +104,12 @@ proptest! {
                 prop_assert_eq!(est, 0);
             }
         }
+    }
+
+    #[test]
+    fn exposition_parser_never_panics_on_arbitrary_input(s in arb_hostile_text()) {
+        // Errors are fine; panics are not.
+        let _ = parse::parse(&s);
     }
 
     /// The estimate at quantile `q` is an upper bound for the true rank

@@ -133,16 +133,7 @@ impl Drop for RegistryServerHandle {
 
 impl RegistryServer {
     /// Spawns a registry server on `node_name`, serving `registry`, over
-    /// any [`Transport`], scheduled on the process-wide shared executor.
-    pub fn spawn(
-        net: &dyn Transport,
-        node_name: &str,
-        registry: Arc<UddiRegistry>,
-    ) -> Result<RegistryServerHandle, ConnectError> {
-        Self::spawn_on(net, selfserv_runtime::shared(), node_name, registry)
-    }
-
-    /// Spawns a registry server scheduled on an explicit executor.
+    /// any [`Transport`], scheduled on `exec`.
     pub fn spawn_on(
         net: &dyn Transport,
         exec: &ExecutorHandle,
@@ -381,11 +372,13 @@ impl RegistryClient {
 mod tests {
     use super::*;
     use selfserv_net::{Network, NetworkConfig};
+    use selfserv_runtime::Executor;
     use selfserv_wsdl::{Binding, OperationDef};
 
-    fn setup() -> (Network, RegistryServerHandle, RegistryClient) {
+    fn setup(exec: &ExecutorHandle) -> (Network, RegistryServerHandle, RegistryClient) {
         let net = Network::new(NetworkConfig::instant());
-        let handle = RegistryServer::spawn(&net, "uddi", Arc::new(UddiRegistry::new())).unwrap();
+        let handle =
+            RegistryServer::spawn_on(&net, exec, "uddi", Arc::new(UddiRegistry::new())).unwrap();
         let client = RegistryClient::connect(&net, "client", "uddi").unwrap();
         (net, handle, client)
     }
@@ -398,7 +391,8 @@ mod tests {
 
     #[test]
     fn remote_publish_and_find() {
-        let (_net, _handle, client) = setup();
+        let exec = Executor::new(2);
+        let (_net, _handle, client) = setup(&exec.handle());
         let biz = client.save_business("TestCo", "t@test").unwrap();
         let key = client
             .save_service(
@@ -414,11 +408,13 @@ mod tests {
         assert_eq!(hits[0].business(), biz.0);
         assert_eq!(hits[0].name(), "Attraction Search");
         assert_eq!(hits[0].provider_name(), "TestCo");
+        exec.shutdown();
     }
 
     #[test]
     fn remote_get_and_delete() {
-        let (_net, _handle, client) = setup();
+        let exec = Executor::new(2);
+        let (_net, _handle, client) = setup(&exec.handle());
         let biz = client.save_business("TestCo", "t@test").unwrap();
         let key = client
             .save_service(&biz, "c", &desc("S", "op"), None)
@@ -430,6 +426,7 @@ mod tests {
             client.get_service(&key),
             Err(RegistryError::UnknownService(_))
         ));
+        exec.shutdown();
     }
 
     /// Ten records of one business, `svc-2` and `svc-10` in "travel", and
@@ -498,6 +495,7 @@ mod tests {
     /// parses them. Nor does what it gets.
     #[test]
     fn find_results_agree_over_fabric_and_tcp() {
+        let exec = Executor::new(2);
         use selfserv_net::TcpTransport;
         let registry = Arc::new(UddiRegistry::new());
         let biz = registry.save_business("TestCo", "t@test").key;
@@ -508,11 +506,14 @@ mod tests {
         }
 
         let net = Network::new(NetworkConfig::instant());
-        let _fabric_server = RegistryServer::spawn(&net, "uddi", Arc::clone(&registry)).unwrap();
+        let _fabric_server =
+            RegistryServer::spawn_on(&net, &exec.handle(), "uddi", Arc::clone(&registry)).unwrap();
         let over_fabric = RegistryClient::connect(&net, "client", "uddi").unwrap();
 
         let (hub_a, hub_b) = (TcpTransport::new(), TcpTransport::new());
-        let _tcp_server = RegistryServer::spawn(&hub_b, "uddi", Arc::clone(&registry)).unwrap();
+        let _tcp_server =
+            RegistryServer::spawn_on(&hub_b, &exec.handle(), "uddi", Arc::clone(&registry))
+                .unwrap();
         let over_tcp = RegistryClient::connect(&hub_a, "client", "uddi").unwrap();
         hub_a.register_peer("uddi", hub_b.addr_of("uddi").unwrap());
         hub_b.register_peer("client", hub_a.addr_of("client").unwrap());
@@ -540,21 +541,26 @@ mod tests {
             assert_eq!(fabric.to_xml(), expected, "{summary:?}");
             assert_eq!(tcp.to_xml(), expected, "{summary:?}");
         }
+        drop((_tcp_server, _fabric_server));
+        exec.shutdown();
     }
 
     #[test]
     fn remote_find_businesses() {
-        let (_net, _handle, client) = setup();
+        let exec = Executor::new(2);
+        let (_net, _handle, client) = setup(&exec.handle());
         client.save_business("AusAir", "a@a").unwrap();
         client.save_business("AusRail", "r@r").unwrap();
         client.save_business("WheelsNow", "w@w").unwrap();
         let hits = client.find_businesses("aus").unwrap();
         assert_eq!(hits.len(), 2);
+        exec.shutdown();
     }
 
     #[test]
     fn faults_travel_back() {
-        let (_net, _handle, client) = setup();
+        let exec = Executor::new(2);
+        let (_net, _handle, client) = setup(&exec.handle());
         let err = client
             .save_service(&BusinessKey("ghost".into()), "c", &desc("S", "op"), None)
             .unwrap_err();
@@ -577,6 +583,7 @@ mod tests {
                 name: "S".into()
             }
         );
+        exec.shutdown();
     }
 
     /// A find reply decodes only when it is a list of summaries, and a
@@ -673,7 +680,8 @@ mod tests {
 
     #[test]
     fn unknown_request_kind_faults() {
-        let (net, handle, _client) = setup();
+        let exec = Executor::new(2);
+        let (net, handle, _client) = setup(&exec.handle());
         let probe = net.connect("probe").unwrap();
         let reply = probe
             .rpc(
@@ -684,29 +692,35 @@ mod tests {
             )
             .unwrap();
         assert_eq!(reply.kind, "uddi.fault");
+        exec.shutdown();
     }
 
     #[test]
     fn client_times_out_when_registry_dead() {
-        let (net, handle, client) = setup();
+        let exec = Executor::new(2);
+        let (net, handle, client) = setup(&exec.handle());
         net.kill(handle.node());
         let mut client = client;
         client.timeout = Duration::from_millis(80);
         let err = client.find(&FindQuery::any()).unwrap_err();
         assert!(matches!(err, RegistryError::Unreachable(_)), "{err:?}");
+        exec.shutdown();
     }
 
     #[test]
     fn server_stop_disconnects_node() {
-        let (net, handle, _client) = setup();
+        let exec = Executor::new(2);
+        let (net, handle, _client) = setup(&exec.handle());
         assert!(net.is_connected("uddi"));
         handle.stop();
         assert!(!net.is_connected("uddi"));
+        exec.shutdown();
     }
 
     #[test]
     fn leases_respected_remotely() {
-        let (_net, _handle, client) = setup();
+        let exec = Executor::new(2);
+        let (_net, _handle, client) = setup(&exec.handle());
         let biz = client.save_business("B", "x").unwrap();
         client
             .save_service(
@@ -718,11 +732,13 @@ mod tests {
             .unwrap();
         std::thread::sleep(Duration::from_millis(10));
         assert!(client.find(&FindQuery::any()).unwrap().is_empty());
+        exec.shutdown();
     }
 
     #[test]
     fn concurrent_clients() {
-        let (net, _handle, client) = setup();
+        let exec = Executor::new(2);
+        let (net, _handle, client) = setup(&exec.handle());
         let biz = client.save_business("B", "x").unwrap();
         let mut handles = Vec::new();
         for t in 0..4 {
@@ -746,5 +762,6 @@ mod tests {
                 .len(),
             40
         );
+        exec.shutdown();
     }
 }

@@ -317,14 +317,6 @@ impl Executor {
         }
     }
 
-    /// Converts into a handle, leaking the shutdown-on-drop obligation —
-    /// for process-lifetime executors like [`crate::shared`].
-    pub fn into_handle(self) -> ExecutorHandle {
-        let handle = self.handle();
-        std::mem::forget(self);
-        handle
-    }
-
     /// Graceful shutdown: stop the timer thread, let workers drain the run
     /// queue, then join them. Stop all spawned nodes *before* calling
     /// this — a stop requested after shutdown runs its stop turn on the

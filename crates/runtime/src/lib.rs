@@ -59,9 +59,11 @@
 //! [`NodeHandle::stop`] needs no worker either: unless a worker is
 //! mid-turn on the node, the stopping thread runs the stop turn itself.
 //!
-//! The **thread budget** of a process is therefore
-//! `W (workers) + 1 (timer) + B (blocking backend calls in flight) +
-//! transport threads` — independent of how many nodes are deployed, and,
+//! The **thread budget** of an executor is therefore
+//! `W (workers) + 1 (timer) + B (blocking backend calls in flight)`, and
+//! a process adds its transport threads to the executors it created
+//! itself (nothing starts a pool that no caller named). It is
+//! independent of how many nodes are deployed, and,
 //! since in-flight `rpc_async` invocations contribute nothing to `B`,
 //! independent of how many requests are awaiting replies. The whole
 //! delegation path is out of `B`: coordinators awaiting providers,
@@ -80,7 +82,9 @@
 //! `on_stop`, and drops the endpoint so the node's name frees up), then
 //! [`Executor::shutdown`] — which lets workers drain the run queue before
 //! joining them. Components' public handles do this in the right order
-//! already; the process-wide [`shared`] executor is never shut down.
+//! already. There is no process-wide pool: every component runs on the
+//! executor its caller names, and whoever creates an [`Executor`] shuts
+//! it down.
 
 mod executor;
 mod node;
@@ -90,26 +94,6 @@ pub use executor::{Executor, ExecutorHandle};
 pub use node::{
     Flow, NodeCtx, NodeHandle, NodeLogic, RpcDone, RpcToken, TaskCompleter, TimerToken,
 };
-
-use std::sync::OnceLock;
-
-/// The process-wide shared executor: sized to the machine
-/// (`available_parallelism`, clamped to 2–8 workers), created on first
-/// use, never shut down. Components spawned without an explicit executor
-/// (e.g. [`Transport`]-only `spawn` signatures) land here, so an
-/// application that never names an executor still runs every node on one
-/// bounded pool.
-///
-/// [`Transport`]: selfserv_net::Transport
-pub fn shared() -> &'static ExecutorHandle {
-    static SHARED: OnceLock<ExecutorHandle> = OnceLock::new();
-    SHARED.get_or_init(|| {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get().clamp(2, 8))
-            .unwrap_or(4);
-        Executor::new(workers).into_handle()
-    })
-}
 
 #[cfg(test)]
 mod proptests;
@@ -924,14 +908,6 @@ mod tests {
         assert_eq!(resumed.load(Ordering::SeqCst), 1);
         node.stop();
         exec.shutdown();
-    }
-
-    #[test]
-    fn shared_executor_is_a_singleton() {
-        let a = shared();
-        let b = shared();
-        assert_eq!(a.workers(), b.workers());
-        assert!(a.workers() >= 2);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 
 use crate::builder::{StatechartBuilder, TaskDef, TransitionDef};
 use crate::model::Statechart;
-use selfserv_expr::{EvalError, MapEnv, Value};
+use selfserv_expr::{EvalError, Value};
 use selfserv_wsdl::{Binding, OperationDef, Param, ParamType, ServiceDescription};
 
 /// Names of the component services of the travel scenario.
@@ -188,36 +188,36 @@ pub const NEAR_PAIRS: &[(&str, &str)] = &[
     ("Queen Victoria Market", "Melbourne Central Stay"),
 ];
 
-/// Registers the travel scenario's guard predicates (`domestic`, `near`)
-/// into an expression environment — the code the composer supplies
-/// alongside the statechart.
-pub fn register_predicates(env: &mut MapEnv) {
-    env.register_fn("domestic", |args| {
-        let city =
-            args.first()
-                .and_then(Value::as_str)
-                .ok_or_else(|| EvalError::FunctionError {
-                    function: "domestic".into(),
-                    message: "expects one string argument".into(),
-                })?;
-        Ok(Value::Bool(DOMESTIC_CITIES.contains(&city)))
-    });
-    env.register_fn("near", |args| {
-        if args.len() != 2 {
-            return Err(EvalError::ArityMismatch {
-                function: "near".into(),
-                expected: 2,
-                found: args.len(),
-            });
-        }
-        let attraction = args[0].as_str().unwrap_or("");
-        let place = args[1].as_str().unwrap_or("");
-        Ok(Value::Bool(
-            NEAR_PAIRS
-                .iter()
-                .any(|(a, p)| *a == attraction && *p == place),
-        ))
-    });
+/// The `domestic(city)` guard predicate the composer supplies alongside
+/// the statechart: true for the [`DOMESTIC_CITIES`].
+pub fn domestic(args: &[Value]) -> Result<Value, EvalError> {
+    let city = args
+        .first()
+        .and_then(Value::as_str)
+        .ok_or_else(|| EvalError::FunctionError {
+            function: "domestic".into(),
+            message: "expects one string argument".into(),
+        })?;
+    Ok(Value::Bool(DOMESTIC_CITIES.contains(&city)))
+}
+
+/// The `near(attraction, place)` guard predicate: true for the
+/// [`NEAR_PAIRS`].
+pub fn near(args: &[Value]) -> Result<Value, EvalError> {
+    if args.len() != 2 {
+        return Err(EvalError::ArityMismatch {
+            function: "near".into(),
+            expected: 2,
+            found: args.len(),
+        });
+    }
+    let attraction = args[0].as_str().unwrap_or("");
+    let place = args[1].as_str().unwrap_or("");
+    Ok(Value::Bool(
+        NEAR_PAIRS
+            .iter()
+            .any(|(a, p)| *a == attraction && *p == place),
+    ))
 }
 
 /// WSDL-style descriptions of every elementary service in the scenario,
@@ -278,7 +278,7 @@ pub fn travel_service_descriptions() -> Vec<ServiceDescription> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use selfserv_expr::parse;
+    use selfserv_expr::{parse, MapEnv};
 
     #[test]
     fn travel_chart_validates_cleanly() {
@@ -290,7 +290,8 @@ mod tests {
     #[test]
     fn predicates_match_scenario_semantics() {
         let mut env = MapEnv::with_builtins();
-        register_predicates(&mut env);
+        env.register_fn("domestic", domestic);
+        env.register_fn("near", near);
         env.set("destination", Value::str("Sydney"));
         assert!(parse("domestic(destination)")
             .unwrap()
@@ -318,7 +319,8 @@ mod tests {
     fn predicate_errors_on_bad_arguments() {
         use selfserv_expr::Env as _;
         let mut env = MapEnv::new();
-        register_predicates(&mut env);
+        env.register_fn("domestic", domestic);
+        env.register_fn("near", near);
         assert!(env.call("domestic", &[Value::Int(1)]).is_err());
         assert!(env.call("near", &[Value::str("a")]).is_err());
     }

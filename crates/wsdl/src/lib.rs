@@ -23,7 +23,7 @@ mod message;
 pub use description::{
     Binding, OperationDef, Param, ParamType, Protocol, ServiceDescription, WsdlError,
 };
-pub use message::MessageDoc;
+pub use message::{MessageDoc, MessageKind};
 
 #[cfg(test)]
 mod proptests;

@@ -179,12 +179,16 @@ impl MessageDoc {
         encode(&self.operation, self.kind, &self.params)
     }
 
-    /// The XML form of a request for `operation` carrying `params` —
-    /// `MessageDoc::request(operation)` with each of them set, `.to_xml()`
-    /// — encoded from the borrowed map, without copying it into a
-    /// message first.
-    pub fn request_xml(operation: &str, params: &BTreeMap<String, Value>) -> Element {
-        encode(operation, MessageKind::Request, params)
+    /// The XML form of a `kind` message for `operation` carrying `params`
+    /// — e.g. `MessageDoc::request(operation)` with each of them set,
+    /// `.to_xml()` — encoded from the borrowed map, without copying it
+    /// into a message first.
+    pub fn params_xml(
+        operation: &str,
+        kind: MessageKind,
+        params: &BTreeMap<String, Value>,
+    ) -> Element {
+        encode(operation, kind, params)
     }
 
     /// Decodes the XML message form.

@@ -27,6 +27,38 @@ fn arb_attr_value() -> impl Strategy<Value = String> {
     "[ -~\t\n]{0,20}"
 }
 
+/// Hostile input of up to 4 KiB: runs of markup bytes, markup fragments,
+/// printable ASCII and 2-, 3- and 4-byte characters, so that multi-byte
+/// characters straddle the parser's 16-byte chunk edges.
+fn arb_hostile_text() -> impl Strategy<Value = String> {
+    let run = prop_oneof![
+        "[<>&\"';#x]{1,8}",
+        "[ -~]{1,16}",
+        "[\u{80}-\u{9F}\u{7F0}-\u{7FF}é]{1,8}",
+        "[\u{800}-\u{80F}\u{FFF0}-\u{FFFD}€]{1,8}",
+        "[\u{10000}-\u{1000F}\u{1F600}-\u{1F60F}\u{10FFF0}-\u{10FFFF}]{1,8}",
+        prop_oneof![
+            Just("<x a=\"".to_string()),
+            Just("</x>".to_string()),
+            Just("&#x".to_string()),
+            Just("&amp;".to_string()),
+            Just("<![CDATA[".to_string()),
+            Just("]]>".to_string()),
+            Just("<!--".to_string()),
+        ],
+    ];
+    proptest::collection::vec(run, 0..512).prop_map(|runs| {
+        let mut s = String::new();
+        for run in runs {
+            if s.len() + run.len() > 4096 {
+                break;
+            }
+            s.push_str(&run);
+        }
+        s
+    })
+}
+
 fn arb_attrs() -> impl Strategy<Value = Vec<(String, String)>> {
     proptest::collection::vec((arb_name(), arb_attr_value()), 0..4).prop_map(|pairs| {
         // Deduplicate attribute names: duplicates are a parse error by
@@ -300,7 +332,7 @@ proptest! {
     }
 
     #[test]
-    fn parser_never_panics_on_arbitrary_input(s in "[ -~<>&\"']{0,64}") {
+    fn parser_never_panics_on_arbitrary_input(s in arb_hostile_text()) {
         // Errors are fine; panics are not.
         let _ = parse(&s);
     }

@@ -20,6 +20,7 @@ use selfserv::core::{naming, Deployer, ServiceBackend, ServiceHost, SyntheticSer
 use selfserv::net::{
     ChaosConfig, ChaosController, FaultSchedule, KindRule, Network, NetworkConfig, NodeId,
 };
+use selfserv::runtime::Executor;
 use selfserv::statechart::{StatechartBuilder, TaskDef, TransitionDef};
 use selfserv::wsdl::{MessageDoc, OperationDef, ParamType};
 use selfserv_expr::Value;
@@ -33,11 +34,13 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(7);
     let net = Network::new(NetworkConfig::instant());
+    let exec = Executor::new(2);
 
     // A community of two workers. Alpha is slow enough that the scheduled
     // crash lands while it is serving; beta is the failover target.
-    let community = CommunityServer::spawn(
+    let community = CommunityServer::spawn_on(
         &net,
+        &exec.handle(),
         naming::community("Workers").as_str(),
         Community::new("Workers", "chaos demo workers").with_operation(OperationDef::new("run")),
         Arc::new(RoundRobin::new()),
@@ -53,7 +56,7 @@ fn main() {
         let node = format!("svc.{id}");
         let backend: Arc<dyn ServiceBackend> =
             Arc::new(SyntheticService::new(id).with_latency(Duration::from_millis(latency_ms)));
-        hosts.push(ServiceHost::spawn(&net, node.as_str(), backend).unwrap());
+        hosts.push(ServiceHost::spawn_on(&net, &exec.handle(), node.as_str(), backend).unwrap());
         admin
             .join(&Member {
                 id: MemberId(id.to_string()),
@@ -79,6 +82,7 @@ fn main() {
         .build()
         .unwrap();
     let dep = Deployer::new(&net)
+        .with_executor(exec.handle())
         .deploy(&chart, &HashMap::new())
         .expect("composite deploys");
 
@@ -161,4 +165,6 @@ fn main() {
         println!("  {event}");
     }
     dep.undeploy();
+    drop((hosts, community));
+    exec.shutdown();
 }

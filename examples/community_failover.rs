@@ -11,6 +11,7 @@ use selfserv::community::{
 };
 use selfserv::core::{ServiceBackend, ServiceHost, SyntheticService};
 use selfserv::net::{Network, NetworkConfig, NodeId};
+use selfserv::runtime::Executor;
 use selfserv::wsdl::{MessageDoc, OperationDef, Param, ParamType};
 use selfserv_expr::Value;
 use std::sync::Arc;
@@ -18,10 +19,12 @@ use std::time::Duration;
 
 fn main() {
     let net = Network::new(NetworkConfig::instant());
+    let exec = Executor::new(2);
 
     // A community of accommodation providers with very different quality.
-    let community = CommunityServer::spawn(
+    let community = CommunityServer::spawn_on(
         &net,
+        &exec.handle(),
         "community.accommodation",
         Community::new("AccommodationBooking", "hotels & hostels").with_operation(
             OperationDef::new("bookAccommodation")
@@ -51,7 +54,7 @@ fn main() {
                 .with_latency(Duration::from_millis(actual_ms))
                 .with_output("nightly_rate", Value::Float(rate)),
         );
-        hosts.push(ServiceHost::spawn(&net, node.as_str(), backend).unwrap());
+        hosts.push(ServiceHost::spawn_on(&net, &exec.handle(), node.as_str(), backend).unwrap());
         client
             .join(&Member {
                 id: MemberId(id.to_string()),
@@ -102,4 +105,6 @@ fn main() {
     assert!(served.iter().all(|s| s != "bondi-hostel"));
     println!("\nno booking was lost: the community retried with live members,");
     println!("and the timeouts it observed now count against the dead member's history.");
+    drop((hosts, community));
+    exec.shutdown();
 }

@@ -29,6 +29,7 @@ use selfserv::community::{
 use selfserv::core::{naming, Deployer, EchoService, ServiceHost};
 use selfserv::expr::Value;
 use selfserv::net::{NodeId, TcpTransport, Transport};
+use selfserv::runtime::{Executor, ExecutorHandle};
 use selfserv::statechart::{StatechartBuilder, TaskDef, TransitionDef};
 use selfserv::wsdl::{MessageDoc, OperationDef, ParamType};
 use selfserv::xml::Element;
@@ -64,17 +65,19 @@ fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
     false
 }
 
-/// One replica of the community, pinned to this process's hub. The
+/// One replica of the community, pinned to this process's hub and run on
+/// `exec`. The
 /// discovery directory is the only way a replica learns where its
 /// siblings live — there is no static wiring across the processes.
 fn spawn_replica(
     hub: &TcpTransport,
+    exec: &ExecutorHandle,
     disc: &DiscoveryHandle,
     index: usize,
 ) -> selfserv::community::CommunityServerHandle {
     CommunityServer::spawn_replica_on(
         hub,
-        selfserv::runtime::shared(),
+        exec,
         naming::community(COMMUNITY).as_str(),
         index,
         2,
@@ -117,11 +120,13 @@ impl Drop for ChildGuard {
 fn child(seed: SocketAddr) {
     let pid = std::process::id();
     let hub = TcpTransport::new();
-    let disc = PeerDiscovery::spawn(&hub, discovery_config().with_seed(seed))
+    let exec = Executor::new(2);
+    let disc = PeerDiscovery::spawn_on(&hub, &exec.handle(), discovery_config().with_seed(seed))
         .expect("spawn child discovery");
-    let replica = spawn_replica(&hub, &disc, 1);
-    let _host = ServiceHost::spawn(
+    let replica = spawn_replica(&hub, &exec.handle(), &disc, 1);
+    let host = ServiceHost::spawn_on(
         &hub,
+        &exec.handle(),
         "svc.jobs-child",
         Arc::new(EchoService::new(format!("child-pid-{pid}"))),
     )
@@ -171,22 +176,27 @@ fn child(seed: SocketAddr) {
                     "parent's leave never reached the child as a tombstone"
                 );
                 println!("[child {pid}] parent's leave tombstoned here — exiting");
-                return;
+                break;
             }
             Ok(_) => {}
-            Err(_) => return,
+            Err(_) => break,
         }
     }
+    drop((host, replica, disc));
+    exec.shutdown();
 }
 
 /// The parent process: hosts replica 0, drives the demo.
 fn parent() {
     let pid = std::process::id();
     let hub = TcpTransport::new();
-    let disc = PeerDiscovery::spawn(&hub, discovery_config()).expect("spawn parent discovery");
-    let replica = spawn_replica(&hub, &disc, 0);
-    let _host = ServiceHost::spawn(
+    let exec = Executor::new(2);
+    let disc = PeerDiscovery::spawn_on(&hub, &exec.handle(), discovery_config())
+        .expect("spawn parent discovery");
+    let replica = spawn_replica(&hub, &exec.handle(), &disc, 0);
+    let host = ServiceHost::spawn_on(
         &hub,
+        &exec.handle(),
         "svc.jobs-parent",
         Arc::new(EchoService::new(format!("parent-pid-{pid}"))),
     )
@@ -239,6 +249,7 @@ fn parent() {
         .build()
         .expect("valid statechart");
     let dep = Deployer::new(&hub)
+        .with_executor(exec.handle())
         .deploy(&statechart, &HashMap::new())
         .expect("deploy against the replicated community");
 
@@ -280,4 +291,6 @@ fn parent() {
     let status = child.disarm().wait().expect("child exit status");
     assert!(status.success(), "child exited cleanly");
     println!("[parent {pid}] done — both directions of membership gossip verified");
+    drop((host, replica, disc));
+    exec.shutdown();
 }

@@ -27,6 +27,7 @@ use selfserv::community::{
 use selfserv::core::{naming, Deployer, EchoService, ServiceHost};
 use selfserv::expr::Value;
 use selfserv::net::{NodeId, TcpTransport, Transport};
+use selfserv::runtime::Executor;
 use selfserv::statechart::{StatechartBuilder, TaskDef, TransitionDef};
 use selfserv::wsdl::{MessageDoc, OperationDef, ParamType};
 use selfserv::xml::Element;
@@ -78,10 +79,12 @@ impl Drop for ChildGuard {
 /// hosts the community + member until told to exit.
 fn provider(seed: SocketAddr) {
     let hub = TcpTransport::new();
-    let _disc = PeerDiscovery::spawn(&hub, discovery_config().with_seed(seed))
+    let exec = Executor::new(2);
+    let disc = PeerDiscovery::spawn_on(&hub, &exec.handle(), discovery_config().with_seed(seed))
         .expect("spawn provider discovery");
-    let community = CommunityServer::spawn(
+    let community = CommunityServer::spawn_on(
         &hub,
+        &exec.handle(),
         naming::community(COMMUNITY).as_str(),
         Community::new(COMMUNITY, "multi-process demo community")
             .with_operation(OperationDef::new("book")),
@@ -89,8 +92,9 @@ fn provider(seed: SocketAddr) {
         CommunityServerConfig::default(),
     )
     .expect("spawn community");
-    let _host = ServiceHost::spawn(
+    let host = ServiceHost::spawn_on(
         &hub,
+        &exec.handle(),
         "svc.bookings",
         Arc::new(EchoService::new(format!(
             "provider-pid-{}",
@@ -116,19 +120,23 @@ fn provider(seed: SocketAddr) {
         match ctl.recv() {
             Ok(env) if env.kind == "demo.exit" => {
                 println!("[provider {}] exiting", std::process::id());
-                return;
+                break;
             }
             Ok(_) => {}
-            Err(_) => return,
+            Err(_) => break,
         }
     }
+    drop((host, community, disc));
+    exec.shutdown();
 }
 
 /// The parent process: spawns the provider, deploys against its
 /// community, executes, shuts everything down.
 fn consumer() {
     let hub = TcpTransport::new();
-    let disc = PeerDiscovery::spawn(&hub, discovery_config()).expect("spawn consumer discovery");
+    let exec = Executor::new(2);
+    let disc = PeerDiscovery::spawn_on(&hub, &exec.handle(), discovery_config())
+        .expect("spawn consumer discovery");
     println!(
         "[consumer {}] discovery listening on {} — spawning provider process",
         std::process::id(),
@@ -174,6 +182,7 @@ fn consumer() {
         .build()
         .expect("valid statechart");
     let dep = Deployer::new(&hub)
+        .with_executor(exec.handle())
         .deploy(&statechart, &HashMap::new())
         .expect("deploy across processes");
     for i in 0..3 {
@@ -208,4 +217,6 @@ fn consumer() {
         "[consumer {}] done — provider exited cleanly",
         std::process::id()
     );
+    drop(disc);
+    exec.shutdown();
 }

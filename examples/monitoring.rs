@@ -13,6 +13,7 @@ use selfserv::core::{
 };
 use selfserv::net::{Network, NetworkConfig};
 use selfserv::obs::{http_get, parse, MetricsServer, Registry};
+use selfserv::runtime::Executor;
 use selfserv::statechart::synth;
 use selfserv::wsdl::MessageDoc;
 use selfserv_expr::Value;
@@ -22,6 +23,8 @@ use std::time::Duration;
 
 fn main() {
     let net = Network::new(NetworkConfig::instant());
+    // The monitor, the coordinators and the wrapper all run on this pool.
+    let exec = Executor::new(2);
 
     // A monitor wired to a metrics registry: every trace it ingests also
     // feeds lifecycle counters and latency histograms, and the registry is
@@ -30,7 +33,7 @@ fn main() {
     let metrics = MonitorMetrics::register(&registry, &[("deployment", "demo")]);
     let monitor = ExecutionMonitor::spawn_with(
         &net,
-        selfserv::runtime::shared(),
+        &exec.handle(),
         "monitor",
         MonitorOptions {
             metrics: Some(metrics),
@@ -57,6 +60,7 @@ fn main() {
         backends.insert(name, backend);
     }
     let deployment = Deployer::new(&net)
+        .with_executor(exec.handle())
         .with_functions(FunctionLibrary::new())
         .with_monitor(monitor.node().clone())
         .deploy(&sc, &backends)
@@ -139,4 +143,6 @@ fn main() {
         expo.value("selfserv_phase_latency_us_count", &demo)
             .unwrap_or(0.0),
     );
+    drop((deployment, monitor));
+    exec.shutdown();
 }

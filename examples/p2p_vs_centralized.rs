@@ -11,6 +11,7 @@ use selfserv::core::{
     ServiceBackend, ServiceHost,
 };
 use selfserv::net::{Network, NetworkConfig};
+use selfserv::runtime::{Executor, ExecutorHandle};
 use selfserv::statechart::synth;
 use selfserv::wsdl::MessageDoc;
 use selfserv_expr::Value;
@@ -27,9 +28,10 @@ fn main() {
         "N", "p2p hottest coord", "central engine"
     );
     println!("{}", "-".repeat(60));
+    let exec = Executor::new(2);
     for n in [2usize, 4, 8, 16, 32] {
-        let p2p = run_p2p(n);
-        let central = run_central(n);
+        let p2p = run_p2p(&exec.handle(), n);
+        let central = run_central(&exec.handle(), n);
         println!(
             "{n:>4} | {:>18} | {:>18} | {:.1}x",
             p2p,
@@ -37,6 +39,7 @@ fn main() {
             central as f64 / p2p.max(1) as f64
         );
     }
+    exec.shutdown();
     println!(
         "\nthe centralized engine handles ~2 messages per component per instance;\n\
          the hottest SELF-SERV coordinator stays flat regardless of N — the paper's claim."
@@ -47,7 +50,7 @@ fn input(i: usize) -> MessageDoc {
     MessageDoc::request("execute").with("payload", Value::str(format!("case-{i}")))
 }
 
-fn run_p2p(n: usize) -> u64 {
+fn run_p2p(exec: &ExecutorHandle, n: usize) -> u64 {
     let net = Network::new(NetworkConfig::instant());
     let sc = synth::sequence(n);
     let mut backends: HashMap<String, Arc<dyn ServiceBackend>> = HashMap::new();
@@ -55,7 +58,10 @@ fn run_p2p(n: usize) -> u64 {
         let name = synth::synth_service_name(i);
         backends.insert(name.clone(), Arc::new(EchoService::new(name)));
     }
-    let dep = Deployer::new(&net).deploy(&sc, &backends).unwrap();
+    let dep = Deployer::new(&net)
+        .with_executor(exec.clone())
+        .deploy(&sc, &backends)
+        .unwrap();
     net.reset_metrics();
     for i in 0..INSTANCES {
         dep.execute(input(i), Duration::from_secs(30)).unwrap();
@@ -66,7 +72,7 @@ fn run_p2p(n: usize) -> u64 {
         .unwrap_or(0)
 }
 
-fn run_central(n: usize) -> u64 {
+fn run_central(exec: &ExecutorHandle, n: usize) -> u64 {
     let net = Network::new(NetworkConfig::instant());
     let sc = synth::sequence(n);
     let mut hosts = Vec::new();
@@ -75,13 +81,19 @@ fn run_central(n: usize) -> u64 {
         let name = synth::synth_service_name(i);
         let node = naming::service_host(&name);
         hosts.push(
-            ServiceHost::spawn(&net, node.clone(), Arc::new(EchoService::new(name.clone())))
-                .unwrap(),
+            ServiceHost::spawn_on(
+                &net,
+                exec,
+                node.clone(),
+                Arc::new(EchoService::new(name.clone())),
+            )
+            .unwrap(),
         );
         service_nodes.insert(name, node);
     }
-    let central = CentralizedOrchestrator::spawn(
+    let central = CentralizedOrchestrator::spawn_on(
         &net,
+        exec,
         CentralConfig {
             statechart: sc.clone(),
             functions: FunctionLibrary::new(),

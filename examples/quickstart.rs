@@ -7,6 +7,7 @@
 
 use selfserv::core::{Deployer, EchoService, ServiceBackend};
 use selfserv::net::{Network, NetworkConfig};
+use selfserv::runtime::Executor;
 use selfserv::statechart::{StatechartBuilder, TaskDef, TransitionDef};
 use selfserv::wsdl::{MessageDoc, ParamType};
 use selfserv_expr::Value;
@@ -63,8 +64,11 @@ fn main() {
     }
 
     // 3. Deploy: routing tables are generated from the statechart and one
-    //    coordinator is spawned per state, plus the composite wrapper.
+    //    coordinator is spawned per state, plus the composite wrapper, all
+    //    on a 2-worker executor this program owns.
+    let exec = Executor::new(2);
     let deployment = Deployer::new(&net)
+        .with_executor(exec.handle())
         .deploy(&statechart, &backends)
         .expect("deploys");
     println!(
@@ -121,4 +125,6 @@ fn main() {
             );
         }
     }
+    drop(deployment);
+    exec.shutdown();
 }

@@ -14,6 +14,7 @@
 use selfserv::core::{Deployer, EchoService, ServiceBackend};
 use selfserv::net::tcp::{read_frame, write_frame};
 use selfserv::net::{Envelope, MessageId, NodeId, TcpTransport, Transport};
+use selfserv::runtime::Executor;
 use selfserv::statechart::{StatechartBuilder, TaskDef, TransitionDef};
 use selfserv::wsdl::{MessageDoc, ParamType};
 use selfserv_expr::Value;
@@ -55,7 +56,9 @@ fn platform_over_tcp_demo() {
     for name in ["Pricing", "Orders"] {
         backends.insert(name.to_string(), Arc::new(EchoService::new(name)));
     }
+    let exec = Executor::new(2);
     let deployment = Deployer::new(&tcp)
+        .with_executor(exec.handle())
         .deploy(&statechart, &backends)
         .expect("deploys");
     // Every node of the hub is reached through the hub's one listener.
@@ -77,6 +80,8 @@ fn platform_over_tcp_demo() {
     );
     assert_eq!(out.get_str("confirmed_by"), Some("Orders"));
     println!("the full coordinator protocol ran over a real TCP listener.");
+    drop(deployment);
+    exec.shutdown();
 }
 
 /// The wire format by hand: one length-prefixed XML frame each way over a

@@ -9,14 +9,17 @@
 use selfserv::core::{AccommodationChoice, TravelDemo, TravelDemoConfig};
 use selfserv::net::{Network, NetworkConfig};
 use selfserv::registry::FindQuery;
+use selfserv::runtime::Executor;
 use std::time::Duration;
 
 fn main() {
     // A WAN-ish fabric: 5–25 ms per hop, like providers spread across the
     // Internet, with 5 ms of work inside each provider.
     let net = Network::new(NetworkConfig::wan());
+    let exec = Executor::new(2);
     let demo = TravelDemo::launch(
         &net,
+        &exec.handle(),
         TravelDemoConfig {
             service_latency: Duration::from_millis(5),
             accommodation: AccommodationChoice::Mixed,
@@ -88,6 +91,8 @@ fn main() {
         "  wrapper handled {} messages — coordination ran peer-to-peer, not through it",
         wrapper.handled()
     );
+    drop(demo);
+    exec.shutdown();
 }
 
 fn print_booking(out: &selfserv::wsdl::MessageDoc) {

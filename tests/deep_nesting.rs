@@ -4,6 +4,7 @@
 
 use selfserv::core::{Deployer, EchoService, ServiceBackend, SyntheticService};
 use selfserv::net::{Network, NetworkConfig};
+use selfserv::runtime::Executor;
 use selfserv::statechart::{StatechartBuilder, TaskDef, TransitionDef};
 use selfserv::wsdl::{MessageDoc, ParamType};
 use selfserv_expr::Value;
@@ -26,6 +27,7 @@ fn echo_backends(names: &[&str]) -> HashMap<String, Arc<dyn ServiceBackend>> {
 /// concurrent(P) { region0: compound(C) { t1 → f }, region1: t2 → f } → t3
 #[test]
 fn compound_inside_concurrent_executes() {
+    let exec = Executor::new(2);
     let sc = StatechartBuilder::new("MixedNest")
         .variable("payload", ParamType::Str)
         .initial("P")
@@ -67,6 +69,7 @@ fn compound_inside_concurrent_executes() {
 
     let net = Network::new(NetworkConfig::instant());
     let dep = Deployer::new(&net)
+        .with_executor(exec.handle())
         .deploy(&sc, &echo_backends(&["S1", "S2", "S3"]))
         .unwrap();
     let out = dep
@@ -76,6 +79,8 @@ fn compound_inside_concurrent_executes() {
         )
         .unwrap();
     assert_eq!(out.get_str("last"), Some("S3"));
+    drop(dep);
+    exec.shutdown();
 }
 
 /// A completion cascade crossing two final states with a guard chain:
@@ -83,6 +88,7 @@ fn compound_inside_concurrent_executes() {
 /// guarded, so the wrapper's precondition carries the conjoined condition.
 #[test]
 fn double_final_cascade_with_guard_chain() {
+    let exec = Executor::new(2);
     let build = |skip_tail: &str| {
         StatechartBuilder::new(format!("Cascade{skip_tail}"))
             .variable("mode", ParamType::Str)
@@ -145,6 +151,7 @@ fn double_final_cascade_with_guard_chain() {
 
     let net = Network::new(NetworkConfig::instant());
     let dep = Deployer::new(&net)
+        .with_executor(exec.handle())
         .deploy(&sc, &echo_backends(&["W", "X", "T"]))
         .unwrap();
     // fast: w → (cascade) → tail, no extra.
@@ -174,12 +181,15 @@ fn double_final_cascade_with_guard_chain() {
         .unwrap();
     assert_eq!(out.get_str("extra_by"), Some("X"));
     assert!(out.get("tail_by").is_none());
+    drop(dep);
+    exec.shutdown();
 }
 
 /// Concurrent directly inside a concurrent region: the inner AND-join must
 /// resolve before the outer one.
 #[test]
 fn concurrent_inside_concurrent() {
+    let exec = Executor::new(2);
     let sc = StatechartBuilder::new("NestedAnd")
         .variable("payload", ParamType::Str)
         .initial("P")
@@ -218,7 +228,10 @@ fn concurrent_inside_concurrent() {
             Arc::clone(c) as Arc<dyn ServiceBackend>,
         );
     }
-    let dep = Deployer::new(&net).deploy(&sc, &backends).unwrap();
+    let dep = Deployer::new(&net)
+        .with_executor(exec.handle())
+        .deploy(&sc, &backends)
+        .unwrap();
     dep.execute(
         MessageDoc::request("execute").with("payload", Value::str("p")),
         Duration::from_secs(10),
@@ -227,4 +240,6 @@ fn concurrent_inside_concurrent() {
     for c in &counters {
         assert_eq!(c.invocation_count(), 1);
     }
+    drop(dep);
+    exec.shutdown();
 }

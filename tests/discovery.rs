@@ -17,9 +17,12 @@ use selfserv::community::{
     Community, CommunityClient, CommunityServer, CommunityServerConfig, Member, MemberId,
     QosProfile, RoundRobin,
 };
-use selfserv::core::{naming, Deployer, EchoService, ExecutionMonitor, ServiceHost};
+use selfserv::core::{
+    naming, Deployer, EchoService, ExecutionMonitor, MonitorOptions, ServiceHost,
+};
 use selfserv::expr::Value;
 use selfserv::net::{LivenessProbe, NodeId, PeerStatus, TcpTransport, Transport};
+use selfserv::runtime::Executor;
 use selfserv::statechart::{Statechart, StatechartBuilder, TaskDef, TransitionDef};
 use selfserv::wsdl::{MessageDoc, OperationDef, ParamType};
 use selfserv_discovery::{DiscoveryConfig, DiscoveryHandle, PeerDiscovery};
@@ -75,22 +78,30 @@ fn member(id: &str, endpoint: &str) -> Member {
 /// round trips across the hub boundary.
 #[test]
 fn one_seed_address_deploys_a_composite_across_two_hubs() {
+    let exec = Executor::new(2);
     let hub_a = TcpTransport::new();
     let hub_b = TcpTransport::new();
-    let disc_a = PeerDiscovery::spawn(&hub_a, fast(25)).unwrap();
-    let disc_b = PeerDiscovery::spawn(&hub_b, fast(25).with_seed(disc_a.seed_addr())).unwrap();
+    let disc_a = PeerDiscovery::spawn_on(&hub_a, &exec.handle(), fast(25)).unwrap();
+    let disc_b = PeerDiscovery::spawn_on(
+        &hub_b,
+        &exec.handle(),
+        fast(25).with_seed(disc_a.seed_addr()),
+    )
+    .unwrap();
 
     // Hub B: the provider process — community + one member service.
-    let community = CommunityServer::spawn(
+    let community = CommunityServer::spawn_on(
         &hub_b,
+        &exec.handle(),
         naming::community("Booking").as_str(),
         Community::new("Booking", "cross-hub booking").with_operation(OperationDef::new("book")),
         Arc::new(RoundRobin::new()),
         CommunityServerConfig::default(),
     )
     .unwrap();
-    let _host = ServiceHost::spawn(
+    let _host = ServiceHost::spawn_on(
         &hub_b,
+        &exec.handle(),
         "svc.bookings",
         Arc::new(EchoService::new("bookings-on-b")),
     )
@@ -108,6 +119,7 @@ fn one_seed_address_deploys_a_composite_across_two_hubs() {
         "gossip delivers the community's name to the deploying hub"
     );
     let dep = Deployer::new(&hub_a)
+        .with_executor(exec.handle())
         .deploy(&booking_composite("CrossHub"), &HashMap::new())
         .unwrap();
     for i in 0..3 {
@@ -128,6 +140,8 @@ fn one_seed_address_deploys_a_composite_across_two_hubs() {
     drop(admin);
     drop(community);
     drop(disc_b);
+    drop((_host, disc_a));
+    exec.shutdown();
 }
 
 /// Sixteen hubs, each seeded only with its predecessor's address (a line —
@@ -136,6 +150,7 @@ fn one_seed_address_deploys_a_composite_across_two_hubs() {
 /// addresses, same owners, same versions.
 #[test]
 fn sixteen_hub_line_topology_converges_to_identical_directories() {
+    let exec = Executor::new(2);
     const N: usize = 16;
     let mut hubs = Vec::with_capacity(N);
     let mut discs: Vec<DiscoveryHandle> = Vec::with_capacity(N);
@@ -149,7 +164,7 @@ fn sixteen_hub_line_topology_converges_to_identical_directories() {
         if let Some(prev) = discs.last() {
             config = config.with_seed(prev.seed_addr());
         }
-        discs.push(PeerDiscovery::spawn(&hub, config).unwrap());
+        discs.push(PeerDiscovery::spawn_on(&hub, &exec.handle(), config).unwrap());
         hubs.push(hub);
     }
     let converged = wait_until(Duration::from_secs(60), || {
@@ -190,6 +205,7 @@ fn sixteen_hub_line_topology_converges_to_identical_directories() {
         .unwrap();
     assert_eq!(reply.kind, "pong");
     server.join().unwrap();
+    exec.shutdown();
 }
 
 /// Failure detection under a mid-deployment hub kill: the dead hub's
@@ -199,20 +215,33 @@ fn sixteen_hub_line_topology_converges_to_identical_directories() {
 /// transition.
 #[test]
 fn killed_hub_is_evicted_and_community_selection_drops_its_members() {
+    let exec = Executor::new(2);
     let hub_a = TcpTransport::new();
     let hub_b = TcpTransport::new();
     // 25 ms cadence → suspected after 150 ms of silence, evicted after
     // 300 ms. The assertion budget below is the eviction timeout plus
     // generous scheduler slack.
-    let monitor = ExecutionMonitor::spawn(&hub_a, "monitor").unwrap();
-    let disc_a =
-        PeerDiscovery::spawn(&hub_a, fast(25).with_monitor(monitor.node().clone())).unwrap();
-    let disc_b = PeerDiscovery::spawn(&hub_b, fast(25).with_seed(disc_a.seed_addr())).unwrap();
+    let monitor =
+        ExecutionMonitor::spawn_with(&hub_a, &exec.handle(), "monitor", MonitorOptions::default())
+            .unwrap();
+    let disc_a = PeerDiscovery::spawn_on(
+        &hub_a,
+        &exec.handle(),
+        fast(25).with_monitor(monitor.node().clone()),
+    )
+    .unwrap();
+    let disc_b = PeerDiscovery::spawn_on(
+        &hub_b,
+        &exec.handle(),
+        fast(25).with_seed(disc_a.seed_addr()),
+    )
+    .unwrap();
 
     // Community lives on the surviving hub A, with the failure detector's
     // directory as its liveness view. One member local, one on doomed B.
-    let community = CommunityServer::spawn(
+    let community = CommunityServer::spawn_on(
         &hub_a,
+        &exec.handle(),
         naming::community("Booking").as_str(),
         Community::new("Booking", "").with_operation(OperationDef::new("book")),
         Arc::new(RoundRobin::new()),
@@ -223,14 +252,16 @@ fn killed_hub_is_evicted_and_community_selection_drops_its_members() {
         },
     )
     .unwrap();
-    let _local = ServiceHost::spawn(
+    let _local = ServiceHost::spawn_on(
         &hub_a,
+        &exec.handle(),
         "svc.local",
         Arc::new(EchoService::new("local-member")),
     )
     .unwrap();
-    let remote = ServiceHost::spawn(
+    let remote = ServiceHost::spawn_on(
         &hub_b,
+        &exec.handle(),
         "svc.remote",
         Arc::new(EchoService::new("remote-member")),
     )
@@ -242,6 +273,7 @@ fn killed_hub_is_evicted_and_community_selection_drops_its_members() {
 
     // Deploy and prove the composite works while both hubs are alive.
     let dep = Deployer::new(&hub_a)
+        .with_executor(exec.handle())
         .deploy(&booking_composite("Survivable"), &HashMap::new())
         .unwrap();
     let out = dep
@@ -305,4 +337,6 @@ fn killed_hub_is_evicted_and_community_selection_drops_its_members() {
     assert!(events.iter().any(|e| e.hub == b_hub_id
         && e.status == PeerStatus::Evicted
         && e.names.contains(&NodeId::new("svc.remote"))));
+    drop((dep, _local, community, disc_a, monitor));
+    exec.shutdown();
 }

@@ -7,6 +7,7 @@ use selfserv::core::{
     ServiceBackend, ServiceHost,
 };
 use selfserv::net::{Network, NetworkConfig};
+use selfserv::runtime::Executor;
 use selfserv::statechart::{synth, Statechart};
 use selfserv::wsdl::MessageDoc;
 use selfserv_expr::Value;
@@ -16,12 +17,16 @@ use std::time::Duration;
 
 fn run_both(sc: &Statechart, input: MessageDoc) -> (MessageDoc, MessageDoc) {
     // P2P.
+    let exec = Executor::new(2);
     let net = Network::new(NetworkConfig::instant());
     let mut backends: HashMap<String, Arc<dyn ServiceBackend>> = HashMap::new();
     for name in sc.referenced_services() {
         backends.insert(name.clone(), Arc::new(EchoService::new(name)));
     }
-    let dep = Deployer::new(&net).deploy(sc, &backends).unwrap();
+    let dep = Deployer::new(&net)
+        .with_executor(exec.handle())
+        .deploy(sc, &backends)
+        .unwrap();
     let p2p = dep.execute(input.clone(), Duration::from_secs(20)).unwrap();
 
     // Central.
@@ -31,13 +36,19 @@ fn run_both(sc: &Statechart, input: MessageDoc) -> (MessageDoc, MessageDoc) {
     for name in sc.referenced_services() {
         let node = naming::service_host(&name);
         hosts.push(
-            ServiceHost::spawn(&net, node.clone(), Arc::new(EchoService::new(name.clone())))
-                .unwrap(),
+            ServiceHost::spawn_on(
+                &net,
+                &exec.handle(),
+                node.clone(),
+                Arc::new(EchoService::new(name.clone())),
+            )
+            .unwrap(),
         );
         service_nodes.insert(name, node);
     }
-    let central = CentralizedOrchestrator::spawn(
+    let central = CentralizedOrchestrator::spawn_on(
         &net,
+        &exec.handle(),
         CentralConfig {
             statechart: sc.clone(),
             functions: FunctionLibrary::new(),
@@ -47,6 +58,8 @@ fn run_both(sc: &Statechart, input: MessageDoc) -> (MessageDoc, MessageDoc) {
     )
     .unwrap();
     let cen = central.execute(input, Duration::from_secs(20)).unwrap();
+    drop((dep, hosts, central));
+    exec.shutdown();
     (p2p, cen)
 }
 

@@ -8,6 +8,7 @@ use selfserv::expr::{parse, MapEnv, Value};
 use selfserv::net::{Network, NetworkConfig};
 use selfserv::registry::{FindQuery, UddiRegistry};
 use selfserv::routing::generate;
+use selfserv::runtime::Executor;
 use selfserv::statechart::{synth, StatechartBuilder, TaskDef, TransitionDef};
 use selfserv::wsdl::{MessageDoc, ParamType};
 use selfserv::xml::Element;
@@ -17,6 +18,7 @@ use std::time::Duration;
 
 #[test]
 fn readme_quickstart_compiles_and_runs() {
+    let exec = Executor::new(2);
     let net = Network::new(NetworkConfig::instant());
     let statechart = StatechartBuilder::new("Hello")
         .variable("name", ParamType::Str)
@@ -32,7 +34,10 @@ fn readme_quickstart_compiles_and_runs() {
         .unwrap();
     let mut backends: HashMap<String, Arc<dyn ServiceBackend>> = HashMap::new();
     backends.insert("Greeter".into(), Arc::new(EchoService::new("Greeter")));
-    let deployment = Deployer::new(&net).deploy(&statechart, &backends).unwrap();
+    let deployment = Deployer::new(&net)
+        .with_executor(exec.handle())
+        .deploy(&statechart, &backends)
+        .unwrap();
     let out = deployment
         .execute(
             MessageDoc::request("execute").with("name", "world".into()),
@@ -40,6 +45,8 @@ fn readme_quickstart_compiles_and_runs() {
         )
         .unwrap();
     assert_eq!(out.get_str("name"), Some("world"));
+    drop(deployment);
+    exec.shutdown();
 }
 
 #[test]

@@ -7,10 +7,11 @@ use selfserv::community::{
 };
 use selfserv::core::{
     kinds, naming, CentralConfig, CentralizedOrchestrator, Deployer, Deployment, EchoService,
-    ExecutionMonitor, FailingService, FunctionLibrary, ServiceBackend, ServiceHost,
+    ExecutionMonitor, FailingService, FunctionLibrary, MonitorOptions, ServiceBackend, ServiceHost,
 };
 use selfserv::net::{Network, NetworkConfig, NodeId, TcpTransport, Transport};
 use selfserv::registry::{FindQuery, RegistryClient, RegistryServer, UddiRegistry};
+use selfserv::runtime::Executor;
 use selfserv::statechart::synth;
 use selfserv::wsdl::{MessageDoc, OperationDef, ServiceDescription};
 use selfserv::xml::Element;
@@ -36,9 +37,13 @@ fn input(i: usize) -> MessageDoc {
 
 #[test]
 fn dead_coordinator_stalls_only_instances_that_need_it() {
+    let exec = Executor::new(2);
     let net = Network::new(NetworkConfig::instant());
     let sc = synth::xor_choice(3);
-    let dep = Deployer::new(&net).deploy(&sc, &backends(3)).unwrap();
+    let dep = Deployer::new(&net)
+        .with_executor(exec.handle())
+        .deploy(&sc, &backends(3))
+        .unwrap();
     // Kill the branch-2 coordinator.
     net.kill(&naming::coordinator(&sc.name, &"s2".into()));
     let mut ok = 0;
@@ -53,10 +58,13 @@ fn dead_coordinator_stalls_only_instances_that_need_it() {
     // branch = i % 3; branch 2 (i = 2, 5, 8) needs the dead coordinator.
     assert_eq!(ok, 6);
     assert_eq!(timed_out, 3);
+    drop(dep);
+    exec.shutdown();
 }
 
 #[test]
 fn dead_central_engine_kills_everything() {
+    let exec = Executor::new(2);
     let net = Network::new(NetworkConfig::instant());
     let sc = synth::sequence(3);
     let mut hosts = Vec::new();
@@ -65,13 +73,19 @@ fn dead_central_engine_kills_everything() {
         let name = synth::synth_service_name(i);
         let node = naming::service_host(&name);
         hosts.push(
-            ServiceHost::spawn(&net, node.clone(), Arc::new(EchoService::new(name.clone())))
-                .unwrap(),
+            ServiceHost::spawn_on(
+                &net,
+                &exec.handle(),
+                node.clone(),
+                Arc::new(EchoService::new(name.clone())),
+            )
+            .unwrap(),
         );
         service_nodes.insert(name, node);
     }
-    let central = CentralizedOrchestrator::spawn(
+    let central = CentralizedOrchestrator::spawn_on(
         &net,
+        &exec.handle(),
         CentralConfig {
             statechart: sc,
             functions: FunctionLibrary::new(),
@@ -91,39 +105,55 @@ fn dead_central_engine_kills_everything() {
             "central dead → everything times out, got {err}"
         );
     }
+    drop(central);
+    exec.shutdown();
 }
 
 #[test]
 fn revived_coordinator_serves_new_instances() {
+    let exec = Executor::new(2);
     let net = Network::new(NetworkConfig::instant());
     let sc = synth::sequence(2);
-    let dep = Deployer::new(&net).deploy(&sc, &backends(2)).unwrap();
+    let dep = Deployer::new(&net)
+        .with_executor(exec.handle())
+        .deploy(&sc, &backends(2))
+        .unwrap();
     let victim = naming::coordinator(&sc.name, &"s1".into());
     net.kill(&victim);
     assert!(dep.execute(input(0), Duration::from_millis(300)).is_err());
     net.revive(&victim);
     dep.execute(input(1), Duration::from_secs(5)).unwrap();
+    drop(dep);
+    exec.shutdown();
 }
 
 #[test]
 fn partition_between_coordinators_stalls_downstream() {
+    let exec = Executor::new(2);
     let net = Network::new(NetworkConfig::instant());
     let sc = synth::sequence(3);
-    let dep = Deployer::new(&net).deploy(&sc, &backends(3)).unwrap();
+    let dep = Deployer::new(&net)
+        .with_executor(exec.handle())
+        .deploy(&sc, &backends(3))
+        .unwrap();
     let a = naming::coordinator(&sc.name, &"s0".into());
     let b = naming::coordinator(&sc.name, &"s1".into());
     net.partition(&a, &b);
     assert!(dep.execute(input(0), Duration::from_millis(400)).is_err());
     net.heal(&a, &b);
     dep.execute(input(1), Duration::from_secs(5)).unwrap();
+    drop(dep);
+    exec.shutdown();
 }
 
 #[test]
 fn community_failover_inside_composite_execution() {
+    let exec = Executor::new(2);
     let net = Network::new(NetworkConfig::instant());
     // Community with one failing and one healthy member.
-    let community = CommunityServer::spawn(
+    let community = CommunityServer::spawn_on(
         &net,
+        &exec.handle(),
         naming::community("Workers").as_str(),
         Community::new("Workers", "").with_operation(OperationDef::new("run")),
         Arc::new(RoundRobin::new()),
@@ -133,14 +163,20 @@ fn community_failover_inside_composite_execution() {
         },
     )
     .unwrap();
-    let _bad = ServiceHost::spawn(
+    let _bad = ServiceHost::spawn_on(
         &net,
+        &exec.handle(),
         "svc.bad-member",
         Arc::new(FailingService::new("bad", "always fails")),
     )
     .unwrap();
-    let _good =
-        ServiceHost::spawn(&net, "svc.good-member", Arc::new(EchoService::new("good"))).unwrap();
+    let _good = ServiceHost::spawn_on(
+        &net,
+        &exec.handle(),
+        "svc.good-member",
+        Arc::new(EchoService::new("good")),
+    )
+    .unwrap();
     let admin = CommunityClient::connect(&net, "admin", community.node().clone()).unwrap();
     for (id, ep) in [("a-bad", "svc.bad-member"), ("b-good", "svc.good-member")] {
         admin
@@ -169,7 +205,10 @@ fn community_failover_inside_composite_execution() {
         .transition(TransitionDef::new("t", "w", "f"))
         .build()
         .unwrap();
-    let dep = Deployer::new(&net).deploy(&sc, &HashMap::new()).unwrap();
+    let dep = Deployer::new(&net)
+        .with_executor(exec.handle())
+        .deploy(&sc, &HashMap::new())
+        .unwrap();
     // Round-robin hits the failing member on alternating calls; failover
     // must mask every one of them.
     for i in 0..6 {
@@ -181,10 +220,13 @@ fn community_failover_inside_composite_execution() {
             .unwrap();
         assert_eq!(out.get_str("worker"), Some("good"));
     }
+    drop((dep, _good, _bad, community));
+    exec.shutdown();
 }
 
 #[test]
 fn lossy_network_degrades_but_does_not_wedge_the_platform() {
+    let exec = Executor::new(2);
     // With 30% loss and no retransmission some instances stall (and time
     // out), but completed ones are correct and the actors survive to serve
     // a lossless epoch afterwards.
@@ -194,7 +236,10 @@ fn lossy_network_degrades_but_does_not_wedge_the_platform() {
             .with_seed(13),
     );
     let sc = synth::sequence(3);
-    let dep = Deployer::new(&net).deploy(&sc, &backends(3)).unwrap();
+    let dep = Deployer::new(&net)
+        .with_executor(exec.handle())
+        .deploy(&sc, &backends(3))
+        .unwrap();
     let mut completed = 0;
     for i in 0..10 {
         if let Ok(out) = dep.execute(input(i), Duration::from_millis(300)) {
@@ -207,6 +252,8 @@ fn lossy_network_degrades_but_does_not_wedge_the_platform() {
     // With seed 13, at least one must have made it through; mostly this
     // documents that loss yields timeouts, not corruption.
     assert!(completed <= 10);
+    drop(dep);
+    exec.shutdown();
 }
 
 /// The wrapper and coordinator nodes of a deployment.
@@ -235,14 +282,18 @@ fn eventually(timeout: Duration, done: impl Fn() -> bool) -> bool {
 
 #[test]
 fn hostile_stop_kinds_stop_nothing() {
+    let exec = Executor::new(2);
     // A node stops only through its handle. The stop kinds components
     // once honoured are unrelated traffic now: an anonymous peer that
     // sends them stops no coordinator, wrapper, host, central engine,
     // monitor, community replica or registry.
     let net = Network::new(NetworkConfig::instant());
-    let monitor = ExecutionMonitor::spawn(&net, "monitor").unwrap();
+    let monitor =
+        ExecutionMonitor::spawn_with(&net, &exec.handle(), "monitor", MonitorOptions::default())
+            .unwrap();
     let sc = synth::sequence(3);
     let dep = Deployer::new(&net)
+        .with_executor(exec.handle())
         .with_monitor(monitor.node().clone())
         .deploy(&sc, &backends(3))
         .unwrap();
@@ -252,13 +303,19 @@ fn hostile_stop_kinds_stop_nothing() {
         let name = synth::synth_service_name(i);
         let node = naming::service_host(&name);
         hosts.push(
-            ServiceHost::spawn(&net, node.clone(), Arc::new(EchoService::new(name.clone())))
-                .unwrap(),
+            ServiceHost::spawn_on(
+                &net,
+                &exec.handle(),
+                node.clone(),
+                Arc::new(EchoService::new(name.clone())),
+            )
+            .unwrap(),
         );
         service_nodes.insert(name, node);
     }
-    let central = CentralizedOrchestrator::spawn(
+    let central = CentralizedOrchestrator::spawn_on(
         &net,
+        &exec.handle(),
         CentralConfig {
             statechart: sc.clone(),
             functions: FunctionLibrary::new(),
@@ -267,8 +324,9 @@ fn hostile_stop_kinds_stop_nothing() {
         },
     )
     .unwrap();
-    let community = CommunityServer::spawn(
+    let community = CommunityServer::spawn_on(
         &net,
+        &exec.handle(),
         naming::community("Workers").as_str(),
         Community::new("Workers", "").with_operation(OperationDef::new("run")),
         Arc::new(RoundRobin::new()),
@@ -286,7 +344,9 @@ fn hostile_stop_kinds_stop_nothing() {
             qos: QosProfile::default(),
         })
         .unwrap();
-    let registry = RegistryServer::spawn(&net, "uddi", Arc::new(UddiRegistry::new())).unwrap();
+    let registry =
+        RegistryServer::spawn_on(&net, &exec.handle(), "uddi", Arc::new(UddiRegistry::new()))
+            .unwrap();
     let mut uddi = RegistryClient::connect(&net, "uddi-client", "uddi").unwrap();
     uddi.timeout = Duration::from_secs(2);
     let business = uddi.save_business("Acme Travel", "ops@acme").unwrap();
@@ -359,15 +419,19 @@ fn hostile_stop_kinds_stop_nothing() {
     for node in &actors {
         assert!(net.is_connected(node.as_str()), "{node} is still connected");
     }
+    drop((registry, community, central, dep, monitor));
+    exec.shutdown();
 }
 
 #[test]
 fn hostile_stop_kinds_stop_nothing_over_tcp() {
+    let exec = Executor::new(2);
     // The same from a second hub: one frame on a hub connection stops no
     // coordinator on the first hub.
     let hub_a = TcpTransport::new();
     let hub_b = TcpTransport::new();
     let dep = Deployer::new(&hub_a)
+        .with_executor(exec.handle())
         .deploy(&synth::sequence(2), &backends(2))
         .unwrap();
     let coordinator = naming::coordinator(dep.composite(), &"s1".into());
@@ -392,25 +456,36 @@ fn hostile_stop_kinds_stop_nothing_over_tcp() {
         dep.execute(input(i), Duration::from_secs(2)).unwrap();
     }
     assert!(hub_a.is_connected(coordinator.as_str()));
+    drop(dep);
+    exec.shutdown();
 }
 
 #[test]
 fn a_kill_ends_when_its_node_leaves() {
+    let exec = Executor::new(2);
     // A kill belongs to the node that was killed: undeploying a killed
     // coordinator frees its name alive, so a redeploy serves.
     let net = Network::new(NetworkConfig::instant());
     let sc = synth::sequence(2);
-    let dep = Deployer::new(&net).deploy(&sc, &backends(2)).unwrap();
+    let dep = Deployer::new(&net)
+        .with_executor(exec.handle())
+        .deploy(&sc, &backends(2))
+        .unwrap();
     let victim = naming::coordinator(&sc.name, &"s1".into());
     net.kill(&victim);
     assert!(dep.execute(input(0), Duration::from_millis(300)).is_err());
     dep.undeploy();
     assert!(!net.is_dead(&victim));
-    let dep = Deployer::new(&net).deploy(&sc, &backends(2)).unwrap();
+    let dep = Deployer::new(&net)
+        .with_executor(exec.handle())
+        .deploy(&sc, &backends(2))
+        .unwrap();
     for i in 1..4 {
         dep.execute(input(i), Duration::from_secs(5)).unwrap();
     }
     assert!(!net.is_dead(&victim));
+    drop(dep);
+    exec.shutdown();
 }
 
 #[test]

@@ -8,23 +8,37 @@
 //! sixteen), `live_workers()` equals `workers()` at every sample, and
 //! `blocked_workers()` — the blocking calls in flight — climbs to at least
 //! eight and drains back to zero.
+//!
+//! No component escapes to a pool its caller did not name: the travel demo,
+//! a service manager, a monitor and a centralized engine all run on one
+//! 1-worker executor, and the process has exactly one executor worker
+//! thread while they run and none once that executor is shut down.
 
-use selfserv::core::{kinds, Deployer, ServiceBackend, ServiceHost, SyntheticService};
+use selfserv::core::{
+    kinds, naming, CentralConfig, CentralizedOrchestrator, Deployer, EchoService, ExecutionMonitor,
+    FunctionLibrary, MonitorOptions, ServiceBackend, ServiceHost, ServiceManager, SyntheticService,
+    TravelDemo, TravelDemoConfig,
+};
 use selfserv::net::{Network, NetworkConfig};
 use selfserv::runtime::Executor;
-use selfserv::statechart::{StatechartBuilder, TaskDef, TransitionDef};
+use selfserv::statechart::{synth, StatechartBuilder, TaskDef, TransitionDef};
 use selfserv::wsdl::{MessageDoc, ParamType};
 use selfserv_expr::Value;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const CALLS: usize = 8;
 const LATENCY: Duration = Duration::from_millis(50);
 
+/// Each test owns the process's executor threads while it runs: the
+/// tests take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 #[test]
 fn blocking_backends_run_beside_a_one_worker_pool() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let exec = Executor::new(1);
     let handle = exec.handle();
     let net = Network::new(NetworkConfig::instant());
@@ -134,4 +148,91 @@ fn blocking_backends_run_beside_a_one_worker_pool() {
     deployment.undeploy();
     host.stop();
     exec.shutdown();
+}
+
+/// Threads of this process named as executor workers (`selfserv-exec-worker`,
+/// which `comm` truncates to 15 bytes), read from `/proc/self/task`.
+fn executor_workers() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task lists this process's threads")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with("selfserv-exec-w"))
+        .count()
+}
+
+/// [`executor_workers`] once it reads `expected`, or after two seconds: a
+/// joined thread may still be listed for a moment after `join` returns,
+/// a pool that nobody shuts down stays listed.
+fn settled_executor_workers(expected: usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let workers = executor_workers();
+        if workers == expected || Instant::now() >= deadline {
+            return workers;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn every_component_runs_on_the_executor_its_caller_names() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    assert_eq!(
+        settled_executor_workers(0),
+        0,
+        "no executor runs before the test"
+    );
+    let exec = Executor::new(1);
+    let handle = exec.handle();
+    let net = Network::new(NetworkConfig::instant());
+
+    let manager = ServiceManager::start_on(&net, &handle, "uddi.standalone").unwrap();
+    let demo = TravelDemo::launch(&net, &handle, TravelDemoConfig::default()).unwrap();
+    let monitor =
+        ExecutionMonitor::spawn_with(&net, &handle, "monitor", MonitorOptions::default()).unwrap();
+    let chart = synth::sequence(1);
+    let service = synth::synth_service_name(0);
+    let node = naming::service_host(&service);
+    let host = ServiceHost::spawn_on(
+        &net,
+        &handle,
+        node.clone(),
+        Arc::new(EchoService::new(service.clone())),
+    )
+    .unwrap();
+    let central = CentralizedOrchestrator::spawn_on(
+        &net,
+        &handle,
+        CentralConfig {
+            statechart: chart,
+            functions: FunctionLibrary::new(),
+            service_nodes: HashMap::from([(service, node)]),
+            community_nodes: HashMap::new(),
+        },
+    )
+    .unwrap();
+
+    let trip = demo
+        .book_trip("Eileen", "Sydney", "2002-08-20", "2002-08-27")
+        .expect("trip booked");
+    assert!(trip.get_str("flight_confirmation").is_some(), "{trip:?}");
+    central
+        .execute(
+            MessageDoc::request("execute").with("payload", Value::str("p")),
+            Duration::from_secs(5),
+        )
+        .expect("central instance completes");
+    assert_eq!(
+        settled_executor_workers(1),
+        1,
+        "the named 1-worker executor is the only pool"
+    );
+
+    drop((central, host, monitor, demo, manager));
+    exec.shutdown();
+    assert_eq!(
+        settled_executor_workers(0),
+        0,
+        "no worker outlives its executor"
+    );
 }

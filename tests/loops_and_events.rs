@@ -3,6 +3,7 @@
 
 use selfserv::core::{Deployer, EchoService, ServiceBackend, SyntheticService};
 use selfserv::net::{Network, NetworkConfig};
+use selfserv::runtime::Executor;
 use selfserv::statechart::{StatechartBuilder, TaskDef, TransitionDef};
 use selfserv::wsdl::{MessageDoc, ParamType};
 use selfserv_expr::Value;
@@ -36,6 +37,7 @@ fn retry_chart(limit: i64) -> selfserv::statechart::Statechart {
 
 #[test]
 fn retry_loop_runs_the_task_repeatedly() {
+    let exec = Executor::new(2);
     let net = Network::new(NetworkConfig::instant());
     let worker = Arc::new(SyntheticService::new("Worker"));
     let mut backends: HashMap<String, Arc<dyn ServiceBackend>> = HashMap::new();
@@ -44,6 +46,7 @@ fn retry_loop_runs_the_task_repeatedly() {
         Arc::clone(&worker) as Arc<dyn ServiceBackend>,
     );
     let dep = Deployer::new(&net)
+        .with_executor(exec.handle())
         .deploy(&retry_chart(4), &backends)
         .unwrap();
     let out = dep
@@ -51,10 +54,13 @@ fn retry_loop_runs_the_task_repeatedly() {
         .unwrap();
     assert_eq!(out.get("attempts"), Some(&Value::Int(4)));
     assert_eq!(worker.invocation_count(), 4);
+    drop(dep);
+    exec.shutdown();
 }
 
 #[test]
 fn loop_labels_are_consumed_so_reentry_is_clean() {
+    let exec = Executor::new(2);
     // Two instances through the same loop must not steal each other's
     // notifications.
     let net = Network::new(NetworkConfig::instant());
@@ -62,6 +68,7 @@ fn loop_labels_are_consumed_so_reentry_is_clean() {
     backends.insert("Worker".into(), Arc::new(EchoService::new("Worker")));
     let dep = Arc::new(
         Deployer::new(&net)
+            .with_executor(exec.handle())
             .deploy(&retry_chart(3), &backends)
             .unwrap(),
     );
@@ -78,10 +85,13 @@ fn loop_labels_are_consumed_so_reentry_is_clean() {
     for h in handles {
         h.join().unwrap();
     }
+    drop(dep);
+    exec.shutdown();
 }
 
 #[test]
 fn loops_agree_between_p2p_and_central() {
+    let exec = Executor::new(2);
     use selfserv::core::{
         naming, CentralConfig, CentralizedOrchestrator, FunctionLibrary, ServiceHost,
     };
@@ -90,17 +100,26 @@ fn loops_agree_between_p2p_and_central() {
     let net = Network::new(NetworkConfig::instant());
     let mut backends: HashMap<String, Arc<dyn ServiceBackend>> = HashMap::new();
     backends.insert("Worker".into(), Arc::new(EchoService::new("Worker")));
-    let dep = Deployer::new(&net).deploy(&sc, &backends).unwrap();
+    let dep = Deployer::new(&net)
+        .with_executor(exec.handle())
+        .deploy(&sc, &backends)
+        .unwrap();
     let p2p = dep
         .execute(MessageDoc::request("execute"), Duration::from_secs(10))
         .unwrap();
     // Central.
     let net = Network::new(NetworkConfig::instant());
     let node = naming::service_host("Worker");
-    let _host =
-        ServiceHost::spawn(&net, node.clone(), Arc::new(EchoService::new("Worker"))).unwrap();
-    let central = CentralizedOrchestrator::spawn(
+    let _host = ServiceHost::spawn_on(
         &net,
+        &exec.handle(),
+        node.clone(),
+        Arc::new(EchoService::new("Worker")),
+    )
+    .unwrap();
+    let central = CentralizedOrchestrator::spawn_on(
+        &net,
+        &exec.handle(),
         CentralConfig {
             statechart: sc,
             functions: FunctionLibrary::new(),
@@ -113,12 +132,15 @@ fn loops_agree_between_p2p_and_central() {
         .execute(MessageDoc::request("execute"), Duration::from_secs(10))
         .unwrap();
     assert_eq!(p2p.get("attempts"), cen.get("attempts"));
+    drop((central, _host, dep));
+    exec.shutdown();
 }
 
 #[test]
 fn event_gated_transition_waits_for_external_event() {
     // prepare → (on 'approved') → ship: the ship state must not start
     // until the event is raised, even though prepare completed.
+    let exec = Executor::new(2);
     let net = Network::new(NetworkConfig::instant());
     let sc = StatechartBuilder::new("Approval")
         .variable("order", ParamType::Str)
@@ -145,10 +167,15 @@ fn event_gated_transition_waits_for_external_event() {
         "Ship".into(),
         Arc::clone(&ship_counter) as Arc<dyn ServiceBackend>,
     );
-    let dep = Arc::new(Deployer::new(&net).deploy(&sc, &backends).unwrap());
+    let dep = Arc::new(
+        Deployer::new(&net)
+            .with_executor(exec.handle())
+            .deploy(&sc, &backends)
+            .unwrap(),
+    );
 
     let dep2 = Arc::clone(&dep);
-    let exec = std::thread::spawn(move || {
+    let run = std::thread::spawn(move || {
         dep2.execute(
             MessageDoc::request("execute").with("order", Value::str("o-1")),
             Duration::from_secs(10),
@@ -163,13 +190,16 @@ fn event_gated_transition_waits_for_external_event() {
     );
     // Raise the event: the instance completes.
     dep.raise_event("approved", None);
-    let out = exec.join().unwrap().unwrap();
+    let out = run.join().unwrap().unwrap();
     assert_eq!(ship_counter.invocation_count(), 1);
     assert_eq!(out.get_str("order"), Some("o-1"));
+    drop(dep);
+    exec.shutdown();
 }
 
 #[test]
 fn unraised_event_stalls_the_instance() {
+    let exec = Executor::new(2);
     let net = Network::new(NetworkConfig::instant());
     let sc = StatechartBuilder::new("NeverApproved")
         .variable("order", ParamType::Str)
@@ -184,9 +214,14 @@ fn unraised_event_stalls_the_instance() {
     let mut backends: HashMap<String, Arc<dyn ServiceBackend>> = HashMap::new();
     backends.insert("Prep".into(), Arc::new(EchoService::new("Prep")));
     backends.insert("Ship".into(), Arc::new(EchoService::new("Ship")));
-    let dep = Deployer::new(&net).deploy(&sc, &backends).unwrap();
+    let dep = Deployer::new(&net)
+        .with_executor(exec.handle())
+        .deploy(&sc, &backends)
+        .unwrap();
     let err = dep
         .execute(MessageDoc::request("execute"), Duration::from_millis(400))
         .unwrap_err();
     assert!(matches!(err, selfserv::core::ExecError::Timeout));
+    drop(dep);
+    exec.shutdown();
 }

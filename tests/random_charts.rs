@@ -6,6 +6,7 @@ use selfserv::core::{
     ServiceBackend, ServiceHost,
 };
 use selfserv::net::{Network, NetworkConfig};
+use selfserv::runtime::Executor;
 use selfserv::statechart::synth;
 use selfserv::wsdl::MessageDoc;
 use selfserv_expr::Value;
@@ -21,6 +22,7 @@ fn input() -> MessageDoc {
 
 #[test]
 fn random_charts_execute_p2p() {
+    let exec = Executor::new(2);
     for seed in 0..12u64 {
         let sc = synth::recursive(seed, 10, 3);
         let net = Network::new(NetworkConfig::instant());
@@ -28,16 +30,21 @@ fn random_charts_execute_p2p() {
         for name in sc.referenced_services() {
             backends.insert(name.clone(), Arc::new(EchoService::new(name)));
         }
-        let dep = Deployer::new(&net).deploy(&sc, &backends).unwrap();
+        let dep = Deployer::new(&net)
+            .with_executor(exec.handle())
+            .deploy(&sc, &backends)
+            .unwrap();
         let out = dep
             .execute(input(), Duration::from_secs(20))
             .unwrap_or_else(|e| panic!("seed {seed} ({}): {e}", sc.name));
         assert_eq!(out.get_str("payload"), Some("rnd"), "seed {seed}");
     }
+    exec.shutdown();
 }
 
 #[test]
 fn random_charts_agree_with_central() {
+    let exec = Executor::new(2);
     for seed in 12..20u64 {
         let sc = synth::recursive(seed, 8, 3);
         // P2P.
@@ -46,7 +53,10 @@ fn random_charts_agree_with_central() {
         for name in sc.referenced_services() {
             backends.insert(name.clone(), Arc::new(EchoService::new(name)));
         }
-        let dep = Deployer::new(&net).deploy(&sc, &backends).unwrap();
+        let dep = Deployer::new(&net)
+            .with_executor(exec.handle())
+            .deploy(&sc, &backends)
+            .unwrap();
         let p2p = dep.execute(input(), Duration::from_secs(20)).unwrap();
         // Central.
         let net = Network::new(NetworkConfig::instant());
@@ -55,13 +65,19 @@ fn random_charts_agree_with_central() {
         for name in sc.referenced_services() {
             let node = naming::service_host(&name);
             hosts.push(
-                ServiceHost::spawn(&net, node.clone(), Arc::new(EchoService::new(name.clone())))
-                    .unwrap(),
+                ServiceHost::spawn_on(
+                    &net,
+                    &exec.handle(),
+                    node.clone(),
+                    Arc::new(EchoService::new(name.clone())),
+                )
+                .unwrap(),
             );
             service_nodes.insert(name, node);
         }
-        let central = CentralizedOrchestrator::spawn(
+        let central = CentralizedOrchestrator::spawn_on(
             &net,
+            &exec.handle(),
             CentralConfig {
                 statechart: sc.clone(),
                 functions: FunctionLibrary::new(),
@@ -78,4 +94,5 @@ fn random_charts_agree_with_central() {
             sc.name
         );
     }
+    exec.shutdown();
 }

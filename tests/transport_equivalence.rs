@@ -13,6 +13,7 @@ use selfserv::core::{
     AccommodationChoice, Deployer, EchoService, ServiceBackend, TravelDemo, TravelDemoConfig,
 };
 use selfserv::net::{Network, NetworkConfig, TcpTransport, Transport};
+use selfserv::runtime::{Executor, ExecutorHandle};
 use selfserv::statechart::{Statechart, StatechartBuilder, TaskDef, TransitionDef};
 use selfserv::wsdl::{MessageDoc, ParamType};
 use selfserv_expr::Value;
@@ -78,8 +79,11 @@ const QUICKSTART_GOLDEN: [&str; 2] = [
 
 /// Runs the quickstart composite (both guard branches) over `net` and
 /// returns the normalized outputs plus a per-named-node traffic census.
-fn run_quickstart(net: &dyn Transport) -> (Vec<String>, Vec<(String, u64, u64)>) {
-    run_quickstart_with(net, Deployer::new(net))
+fn run_quickstart(
+    net: &dyn Transport,
+    exec: &ExecutorHandle,
+) -> (Vec<String>, Vec<(String, u64, u64)>) {
+    run_quickstart_with(net, Deployer::new(net).with_executor(exec.clone()))
 }
 
 /// Same, with a caller-configured deployer (e.g. pinned to an explicit
@@ -142,9 +146,10 @@ fn settled_census(net: &dyn Transport) -> Vec<(String, u64, u64)> {
 
 /// Runs the travel scenario (domestic and international bookings, far
 /// accommodation so car rental and the community both engage) over `net`.
-fn run_travel(net: &dyn Transport) -> Vec<String> {
+fn run_travel(net: &dyn Transport, exec: &ExecutorHandle) -> Vec<String> {
     let demo = TravelDemo::launch(
         net,
+        exec,
         TravelDemoConfig {
             accommodation: AccommodationChoice::FarFromAttraction,
             ..Default::default()
@@ -163,10 +168,11 @@ fn run_travel(net: &dyn Transport) -> Vec<String> {
 
 #[test]
 fn quickstart_outputs_identical_over_fabric_and_tcp() {
+    let exec = Executor::new(2);
     let fabric = Network::new(NetworkConfig::instant());
     let tcp = TcpTransport::new();
-    let (fabric_out, fabric_census) = run_quickstart(&fabric);
-    let (tcp_out, tcp_census) = run_quickstart(&tcp);
+    let (fabric_out, fabric_census) = run_quickstart(&fabric, &exec.handle());
+    let (tcp_out, tcp_census) = run_quickstart(&tcp, &exec.handle());
     assert_eq!(
         fabric_out, tcp_out,
         "output documents must be byte-identical"
@@ -182,15 +188,15 @@ fn quickstart_outputs_identical_over_fabric_and_tcp() {
     );
     // And both match the thread-per-node seed path, byte for byte.
     assert_eq!(fabric_out, QUICKSTART_GOLDEN, "seed-path golden");
+    exec.shutdown();
 }
 
 #[test]
 fn quickstart_on_a_pinned_4_worker_executor_matches_the_seed_golden() {
-    // Pinning the whole deployment onto an explicit fixed-size executor
-    // (instead of the process-wide shared one) changes scheduling only —
+    // Pinning the whole deployment onto a 4-worker executor (instead of
+    // the 2 workers the other cases name) changes scheduling only —
     // outputs and per-node protocol traffic stay byte-identical to the
     // thread-per-node seed path, on both transports.
-    use selfserv::runtime::Executor;
     let exec = Executor::new(4);
 
     let fabric = Network::new(NetworkConfig::instant());
@@ -211,10 +217,11 @@ fn quickstart_on_a_pinned_4_worker_executor_matches_the_seed_golden() {
 
 #[test]
 fn travel_scenario_outputs_identical_over_fabric_and_tcp() {
+    let exec = Executor::new(2);
     let fabric = Network::new(NetworkConfig::instant());
     let tcp = TcpTransport::new();
-    let fabric_out = run_travel(&fabric);
-    let tcp_out = run_travel(&tcp);
+    let fabric_out = run_travel(&fabric, &exec.handle());
+    let tcp_out = run_travel(&tcp, &exec.handle());
     assert_eq!(fabric_out, tcp_out, "travel outputs must be byte-identical");
     // Sanity: the runs actually exercised the interesting paths.
     assert!(fabric_out[0].contains("QF-"), "domestic flight booked");
@@ -224,10 +231,12 @@ fn travel_scenario_outputs_identical_over_fabric_and_tcp() {
     );
     assert!(fabric_out[1].contains("GW-"), "international flight booked");
     assert!(fabric_out[1].contains("POL-"), "international trip insured");
+    exec.shutdown();
 }
 
 #[test]
 fn rpc_round_trips_between_hubs_linked_only_by_register_peer() {
+    let exec = Executor::new(2);
     // Two TcpTransport hubs model two OS processes. They share nothing but
     // name → address registrations exchanged "out of band" in both
     // directions. A full request/response must round-trip by name: the
@@ -243,7 +252,8 @@ fn rpc_round_trips_between_hubs_linked_only_by_register_peer() {
     let hub_a = Hub::new();
     let hub_b = Hub::new();
     let store = Arc::new(UddiRegistry::new());
-    let server = RegistryServer::spawn(&hub_b, "uddi", Arc::clone(&store)).unwrap();
+    let server =
+        RegistryServer::spawn_on(&hub_b, &exec.handle(), "uddi", Arc::clone(&store)).unwrap();
     let client = RegistryClient::connect(&hub_a, "manager", "uddi").unwrap();
     // Exchange addresses both ways: requests flow a→b, replies b→a.
     hub_a.register_peer("uddi", hub_b.addr_of("uddi").unwrap());
@@ -264,6 +274,7 @@ fn rpc_round_trips_between_hubs_linked_only_by_register_peer() {
     let fetched = client.get_service(&key).unwrap();
     assert_eq!(fetched.description.name, "Flight Booking");
     server.stop();
+    exec.shutdown();
 }
 
 #[test]
@@ -271,9 +282,11 @@ fn tcp_deployment_survives_repeated_cycles() {
     // Deploy/undeploy repeatedly on one TcpTransport: names must free up
     // and accept threads must be joined (no listener leaks blocking
     // rebinds, no stale connections delivering to dead nodes).
+    let exec = Executor::new(2);
     let tcp = TcpTransport::new();
     for round in 0..3 {
-        let (outputs, _) = run_quickstart(&tcp);
+        let (outputs, _) = run_quickstart(&tcp, &exec.handle());
         assert_eq!(outputs.len(), 2, "round {round} produced both outputs");
     }
+    exec.shutdown();
 }

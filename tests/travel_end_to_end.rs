@@ -4,14 +4,16 @@
 use selfserv::core::{AccommodationChoice, TravelDemo, TravelDemoConfig};
 use selfserv::net::{Network, NetworkConfig};
 use selfserv::registry::{FindQuery, RegistryClient};
+use selfserv::runtime::Executor;
 use selfserv::wsdl::MessageDoc;
 use selfserv_expr::Value;
 use std::time::Duration;
 
 #[test]
 fn domestic_near_accommodation_skips_car_rental() {
+    let exec = Executor::new(2);
     let net = Network::new(NetworkConfig::instant());
-    let demo = TravelDemo::launch(&net, TravelDemoConfig::default()).unwrap();
+    let demo = TravelDemo::launch(&net, &exec.handle(), TravelDemoConfig::default()).unwrap();
     let out = demo
         .book_trip("Eileen", "Sydney", "2002-08-20", "2002-08-27")
         .unwrap();
@@ -22,13 +24,17 @@ fn domestic_near_accommodation_skips_car_rental() {
     assert_eq!(out.get_str("accommodation"), Some("Sydney CBD Hotel"));
     assert!(out.get("car_confirmation").is_none());
     assert!(out.get("insurance_policy").is_none());
+    drop(demo);
+    exec.shutdown();
 }
 
 #[test]
 fn international_far_accommodation_rents_car_and_insures() {
+    let exec = Executor::new(2);
     let net = Network::new(NetworkConfig::instant());
     let demo = TravelDemo::launch(
         &net,
+        &exec.handle(),
         TravelDemoConfig {
             accommodation: AccommodationChoice::FarFromAttraction,
             ..Default::default()
@@ -45,12 +51,15 @@ fn international_far_accommodation_rents_car_and_insures() {
     assert!(out.get_str("insurance_policy").unwrap().starts_with("POL-"));
     assert!(out.get_str("car_confirmation").unwrap().starts_with("CAR-"));
     assert_eq!(out.get_str("accommodation"), Some("Bondi Hostel"));
+    drop(demo);
+    exec.shutdown();
 }
 
 #[test]
 fn composite_discoverable_and_executable_via_remote_registry_lookup() {
+    let exec = Executor::new(2);
     let net = Network::new(NetworkConfig::instant());
-    let demo = TravelDemo::launch(&net, TravelDemoConfig::default()).unwrap();
+    let demo = TravelDemo::launch(&net, &exec.handle(), TravelDemoConfig::default()).unwrap();
     // A remote end user searches the registry over the fabric (Figure 3's
     // Search panel), then executes via the discovered binding.
     let client = RegistryClient::connect(&net, "end-user", "uddi").unwrap();
@@ -91,13 +100,17 @@ fn composite_discoverable_and_executable_via_remote_registry_lookup() {
         out.get_str("major_attraction"),
         Some("Queen Victoria Market")
     );
+    drop(demo);
+    exec.shutdown();
 }
 
 #[test]
 fn concurrent_bookings_do_not_interfere() {
+    let exec = Executor::new(2);
     let net = Network::new(NetworkConfig::instant());
     let demo = TravelDemo::launch(
         &net,
+        &exec.handle(),
         TravelDemoConfig {
             accommodation: AccommodationChoice::Mixed,
             ..Default::default()
@@ -126,12 +139,15 @@ fn concurrent_bookings_do_not_interfere() {
     for h in handles {
         h.join().unwrap();
     }
+    drop(demo);
+    exec.shutdown();
 }
 
 #[test]
 fn coordination_is_peer_to_peer_not_through_wrapper() {
+    let exec = Executor::new(2);
     let net = Network::new(NetworkConfig::instant());
-    let demo = TravelDemo::launch(&net, TravelDemoConfig::default()).unwrap();
+    let demo = TravelDemo::launch(&net, &exec.handle(), TravelDemoConfig::default()).unwrap();
     net.reset_metrics();
     demo.book_trip("Eileen", "Sydney", "2002-08-20", "2002-08-27")
         .unwrap();
@@ -152,15 +168,19 @@ fn coordination_is_peer_to_peer_not_through_wrapper() {
         coord_traffic >= 5,
         "expected P2P notifications, got {coord_traffic}"
     );
+    drop(demo);
+    exec.shutdown();
 }
 
 #[test]
 fn travel_works_over_lossy_lan_with_latency() {
+    let exec = Executor::new(2);
     // A LAN with latency (no loss — the protocol has no retransmission,
     // like the original's raw sockets).
     let net = Network::new(NetworkConfig::lan());
     let demo = TravelDemo::launch(
         &net,
+        &exec.handle(),
         TravelDemoConfig {
             service_latency: Duration::from_millis(2),
             ..Default::default()
@@ -171,17 +191,24 @@ fn travel_works_over_lossy_lan_with_latency() {
         .book_trip("Eileen", "Sydney", "2002-08-20", "2002-08-27")
         .unwrap();
     assert!(out.get("_elapsed_ms").is_some());
+    drop(demo);
+    exec.shutdown();
 }
 
 #[test]
 fn monitored_travel_run_produces_a_complete_trace() {
-    use selfserv::core::{Deployer, ExecutionMonitor, FunctionLibrary, ServiceBackend, TraceKind};
+    let exec = Executor::new(2);
+    use selfserv::core::{
+        Deployer, ExecutionMonitor, FunctionLibrary, MonitorOptions, ServiceBackend, TraceKind,
+    };
     use selfserv::statechart::travel;
     use std::collections::HashMap;
     use std::sync::Arc;
 
     let net = Network::new(NetworkConfig::instant());
-    let monitor = ExecutionMonitor::spawn(&net, "monitor").unwrap();
+    let monitor =
+        ExecutionMonitor::spawn_with(&net, &exec.handle(), "monitor", MonitorOptions::default())
+            .unwrap();
     // Deploy the travel chart manually (no community — use a direct
     // accommodation backend) so the monitor hook can be exercised without
     // the full demo.
@@ -231,6 +258,7 @@ fn monitored_travel_run_produces_a_complete_trace() {
         )),
     );
     let dep = Deployer::new(&net)
+        .with_executor(exec.handle())
         .with_functions(FunctionLibrary::travel())
         .with_monitor(monitor.node().clone())
         .deploy(&sc, &backends)
@@ -277,4 +305,6 @@ fn monitored_travel_run_produces_a_complete_trace() {
         .filter(|e| e.kind == TraceKind::Completed)
         .count();
     assert_eq!(completed, activated.len());
+    drop((dep, monitor));
+    exec.shutdown();
 }

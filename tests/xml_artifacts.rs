@@ -6,6 +6,7 @@
 use selfserv::core::{Deployer, EchoService, ServiceBackend};
 use selfserv::net::{Network, NetworkConfig};
 use selfserv::routing::RoutingPlan;
+use selfserv::runtime::Executor;
 use selfserv::statechart::{synth, travel, Statechart};
 use selfserv::wsdl::MessageDoc;
 use selfserv_expr::Value;
@@ -15,6 +16,7 @@ use std::time::Duration;
 
 #[test]
 fn deploy_from_xml_document() {
+    let exec = Executor::new(2);
     // The service editor hands the deployer an XML document, not an AST.
     let xml = synth::sequence(3).to_xml().to_pretty_xml();
     let parsed = Statechart::from_xml_str(&xml).unwrap();
@@ -23,7 +25,10 @@ fn deploy_from_xml_document() {
     for name in parsed.referenced_services() {
         backends.insert(name.clone(), Arc::new(EchoService::new(name)));
     }
-    let dep = Deployer::new(&net).deploy(&parsed, &backends).unwrap();
+    let dep = Deployer::new(&net)
+        .with_executor(exec.handle())
+        .deploy(&parsed, &backends)
+        .unwrap();
     let out = dep
         .execute(
             MessageDoc::request("execute").with("payload", Value::str("via-xml")),
@@ -31,6 +36,8 @@ fn deploy_from_xml_document() {
         )
         .unwrap();
     assert_eq!(out.get_str("payload"), Some("via-xml"));
+    drop(dep);
+    exec.shutdown();
 }
 
 #[test]
