@@ -24,11 +24,12 @@ pub struct CompositeBackend {
     /// Deadline for the nested execution (nested composites can be slow —
     /// they run a whole orchestration).
     pub timeout: Duration,
-    /// Carries blocking-path invocations ([`ServiceBackend::invoke`]);
-    /// concurrent calls demultiplex on its endpoint, so nothing is
-    /// allocated per call. Coordinators bypass it entirely — they forward
-    /// from their own node via `rpc_async` — so it connects lazily only if
-    /// a blocking caller ever shows up.
+    /// Carries blocking-path invocations ([`ServiceBackend::invoke`]),
+    /// which only a direct caller outside any node makes: coordinators and
+    /// service hosts start every call through `forward()` and relay it
+    /// from their own node with `rpc_async`. Concurrent calls demultiplex
+    /// on its endpoint, so nothing is allocated per call, and it connects
+    /// lazily, on the first such call.
     client: PersistentClient,
 }
 
@@ -60,10 +61,10 @@ impl CompositeBackend {
 }
 
 impl ServiceBackend for CompositeBackend {
-    /// Blocking form, for callers that can't suspend (e.g. a
-    /// [`crate::ServiceHost`] task). Coordinators never take this path:
-    /// they pick up [`ServiceBackend::forward`] below and await the nested
-    /// execution continuation-passing instead.
+    /// Blocking form, for a direct caller outside any node. Coordinators
+    /// and [`crate::ServiceHost`]s never take this path: their calls start
+    /// with [`ServiceBackend::forward`] below and await the nested
+    /// execution continuation-passing.
     fn invoke(&self, _operation: &str, input: &MessageDoc) -> Result<MessageDoc, String> {
         let request = self.execute_request(input);
         let reply = self

@@ -2,16 +2,14 @@
 //! optional wire latency, per-node metrics.
 
 use crate::envelope::{Envelope, MessageId, NodeId};
-use crate::fault::{
-    ChaosTarget, FaultAction, FaultPolicy, FaultSchedule, LatencyModel, LinkOverride,
-};
+use crate::fault::{ChaosTarget, FaultAction, FaultPolicy, FaultSchedule, LatencyModel};
 use crate::metrics::{CountersTable, MetricsSnapshot};
 use crate::transport::{
     ConnectError, Endpoint, NodeHome, NodeTable, SendError, Transport, TransportHandle,
 };
 use parking_lot::{Condvar, Mutex, RwLock};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use selfserv_xml::Element;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -21,11 +19,10 @@ use std::time::{Duration, Instant};
 /// Static configuration of a [`Network`].
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
-    /// Default link latency.
+    /// Link latency.
     pub latency: LatencyModel,
-    /// Default message-loss probability (0.0 – 1.0).
-    pub drop_probability: f64,
-    /// RNG seed driving jitter and loss, for reproducible experiments.
+    /// RNG seed driving latency jitter. Loss and the other random faults
+    /// come from an installed [`FaultSchedule`], which has its own seed.
     pub seed: u64,
 }
 
@@ -34,7 +31,6 @@ impl NetworkConfig {
     pub fn instant() -> Self {
         NetworkConfig {
             latency: LatencyModel::Instant,
-            drop_probability: 0.0,
             seed: 42,
         }
     }
@@ -43,7 +39,6 @@ impl NetworkConfig {
     pub fn lan() -> Self {
         NetworkConfig {
             latency: LatencyModel::Uniform(Duration::from_micros(200), Duration::from_millis(1)),
-            drop_probability: 0.0,
             seed: 42,
         }
     }
@@ -54,7 +49,6 @@ impl NetworkConfig {
     pub fn wan() -> Self {
         NetworkConfig {
             latency: LatencyModel::Uniform(Duration::from_millis(5), Duration::from_millis(25)),
-            drop_probability: 0.0,
             seed: 42,
         }
     }
@@ -62,12 +56,6 @@ impl NetworkConfig {
     /// Builder: replaces the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder: replaces the loss probability.
-    pub fn with_drop_probability(mut self, p: f64) -> Self {
-        self.drop_probability = p;
         self
     }
 }
@@ -108,10 +96,10 @@ struct Inner {
     /// The connected nodes, their counters and the fabric's ids. A fabric
     /// node has nothing to claim beyond its table entry.
     table: NodeTable,
+    /// Kills, partitions and the installed chaos schedule: one read lock
+    /// per dispatch.
     fault: RwLock<FaultPolicy>,
-    /// Installed chaos schedule, consulted on every dispatch after the
-    /// static fault policy.
-    chaos: RwLock<Option<Arc<FaultSchedule>>>,
+    /// Latency jitter only; random faults come from the schedule.
     rng: Mutex<StdRng>,
     delivery: Arc<DeliveryQueue>,
     /// Whether the delivery thread exists. Spawned eagerly for non-instant
@@ -153,14 +141,11 @@ impl Network {
     /// is not instant, a delivery thread is spawned; it exits automatically
     /// when the last [`Network`] handle is dropped.
     pub fn new(cfg: NetworkConfig) -> Self {
-        let mut fault = FaultPolicy::default();
-        fault.drop_probability = cfg.drop_probability;
         let inner = Arc::new(Inner {
             rng: Mutex::new(StdRng::seed_from_u64(cfg.seed)),
             cfg,
             table: NodeTable::new(CountersTable::new()),
-            fault: RwLock::new(fault),
-            chaos: RwLock::new(None),
+            fault: RwLock::default(),
             delivery: Arc::new(DeliveryQueue::default()),
             delivery_started: AtomicBool::new(false),
         });
@@ -241,31 +226,22 @@ impl Network {
         self.inner.fault.write().heal_all();
     }
 
-    /// Sets the fabric-wide drop probability.
-    pub fn set_drop_probability(&self, p: f64) {
-        self.inner.fault.write().drop_probability = p;
-    }
-
-    /// Overrides latency/loss on one directed link.
-    pub fn set_link(&self, from: &NodeId, to: &NodeId, link: LinkOverride) {
-        self.inner.fault.write().set_link(from, to, link);
-    }
-
-    /// Installs a chaos schedule: every subsequent dispatch consults it
-    /// (after the static [`FaultPolicy`]) and applies the sampled action —
-    /// drop, delay, duplicate, or reorder. Timed node events on the
+    /// Installs a chaos schedule, the fabric's only source of random
+    /// faults: every subsequent dispatch that no kill or partition blocks
+    /// consults it and applies the sampled action — drop, delay,
+    /// duplicate, or reorder. Timed node events on the
     /// schedule are *not* applied here; drive them with a
     /// [`crate::ChaosController`] targeting this network.
     pub fn install_chaos(&self, schedule: Arc<FaultSchedule>) {
         // Delay/reorder/duplicate actions ride the delivery heap, which an
         // instant-latency fabric never started.
         self.ensure_delivery_thread();
-        *self.inner.chaos.write() = Some(schedule);
+        self.inner.fault.write().schedule = Some(schedule);
     }
 
     /// Removes the installed chaos schedule; traffic flows normally again.
     pub fn clear_chaos(&self) {
-        *self.inner.chaos.write() = None;
+        self.inner.fault.write().schedule = None;
     }
 
     fn ensure_delivery_thread(&self) {
@@ -286,7 +262,11 @@ impl Network {
         if !self.inner.table.contains(&to) {
             return Err(SendError::UnknownNode(to));
         }
-        let latency = {
+        // Kills, partitions and the schedule are read under one lock. The
+        // schedule sees only what no kill or partition blocked. Delay and
+        // reorder both become heap entries; a duplicate schedules its copy
+        // and falls through so the original takes the normal path.
+        let action = {
             let fault = self.inner.fault.read();
             if fault.is_dead(&from) {
                 return Err(SendError::SenderDead(from));
@@ -296,67 +276,60 @@ impl Network {
                 counters.for_node(&to).record_drop();
                 return Ok(());
             }
-            let link = fault.link(&from, &to);
-            let p = link
-                .and_then(|l| l.drop_probability)
-                .unwrap_or(fault.drop_probability);
-            if p > 0.0 && self.inner.rng.lock().gen::<f64>() < p {
-                counters.for_node(&to).record_drop();
-                return Ok(());
+            match &fault.schedule {
+                Some(schedule) => schedule.decide(&from, &to, &envelope.kind),
+                None => FaultAction::Deliver,
             }
-            link.and_then(|l| l.latency)
-                .unwrap_or(self.inner.cfg.latency)
         };
-        // The chaos schedule sees the message after the static policy let
-        // it through. Delay and reorder both become heap entries; a
-        // duplicate schedules its copy and falls through so the original
-        // takes the normal path.
-        let chaos_action = self
-            .inner
-            .chaos
-            .read()
-            .as_ref()
-            .map(|s| s.decide(&from, &to, &envelope.kind));
-        match chaos_action {
-            Some(FaultAction::Drop) => {
+        match action {
+            FaultAction::Drop => {
                 counters.for_node(&to).record_drop();
                 return Ok(());
             }
-            Some(FaultAction::Delay(d)) | Some(FaultAction::Reorder(d)) => {
+            FaultAction::Delay(d) | FaultAction::Reorder(d) => {
                 self.schedule_delayed(envelope, size, d);
                 return Ok(());
             }
-            Some(FaultAction::Duplicate(d)) => {
+            FaultAction::Duplicate(d) => {
                 self.schedule_delayed(envelope.clone(), size, d);
             }
-            Some(FaultAction::Deliver) | None => {}
+            FaultAction::Deliver => {}
         }
         // Only `Uniform` draws; the fabric-wide rng lock is not worth taking
         // to learn that `Instant` is zero.
-        let delay = match latency {
+        let delay = match self.inner.cfg.latency {
             LatencyModel::Instant => Duration::ZERO,
             LatencyModel::Fixed(d) => d,
-            LatencyModel::Uniform(..) => latency.sample(&mut *self.inner.rng.lock()),
+            latency @ LatencyModel::Uniform(..) => latency.sample(&mut *self.inner.rng.lock()),
         };
         if delay.is_zero() {
-            self.deliver_now(envelope, size);
+            // Delivered within this call, so the kill check above still
+            // holds: no delivery-time re-check as in `deliver_due`.
+            self.inner.table.deliver(&to, envelope, size);
         } else {
             self.schedule_delayed(envelope, size, delay);
         }
         Ok(())
     }
 
+    /// Queues a message on the delivery heap. The delivery thread sleeps
+    /// until the earliest entry is due, so it is woken only when this one
+    /// becomes the earliest.
     fn schedule_delayed(&self, envelope: Envelope, size: usize, delay: Duration) {
+        let deliver_at = Instant::now() + delay;
         let mut heap = self.inner.delivery.heap.lock();
         heap.push(Scheduled {
-            deliver_at: Instant::now() + delay,
+            deliver_at,
             envelope,
             size,
         });
-        self.inner.delivery.cv.notify_one();
+        if heap.peek().map(|top| top.deliver_at) == Some(deliver_at) {
+            self.inner.delivery.cv.notify_one();
+        }
     }
 
-    fn deliver_now(&self, envelope: Envelope, size: usize) {
+    /// Hands a message from the delivery heap to its node.
+    fn deliver_due(&self, envelope: Envelope, size: usize) {
         let to = envelope.to.clone();
         // Re-check death at delivery time: a node killed while the message
         // was in flight never sees it.
@@ -408,7 +381,7 @@ fn spawn_delivery_thread(inner: Weak<Inner>, queue: Arc<DeliveryQueue>) {
             };
             if let Some((envelope, size)) = due {
                 match inner.upgrade() {
-                    Some(strong) => Network { inner: strong }.deliver_now(envelope, size),
+                    Some(strong) => Network { inner: strong }.deliver_due(envelope, size),
                     None => return,
                 }
             }
@@ -483,8 +456,10 @@ impl Transport for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{ChaosConfig, KindRule};
     use crate::metrics::{DEPARTED_AGGREGATE, EPHEMERAL_AGGREGATE, RETAINED_DEPARTED};
     use crate::transport::RpcError;
+    use std::collections::HashMap;
 
     fn body() -> Element {
         Element::new("ping")
@@ -549,7 +524,6 @@ mod tests {
     fn latency_delays_delivery() {
         let cfg = NetworkConfig {
             latency: LatencyModel::Fixed(Duration::from_millis(30)),
-            drop_probability: 0.0,
             seed: 1,
         };
         let net = Network::new(cfg);
@@ -569,65 +543,108 @@ mod tests {
     #[test]
     fn messages_ordered_by_deadline_not_send_order() {
         let net = Network::new(NetworkConfig {
-            latency: LatencyModel::Fixed(Duration::from_millis(40)),
-            drop_probability: 0.0,
+            latency: LatencyModel::Fixed(Duration::from_millis(10)),
             seed: 1,
         });
         let a = net.connect("a").unwrap();
         let b = net.connect("b").unwrap();
-        // Slow message first, then a fast override link message.
-        net.set_link(
-            a.node(),
-            b.node(),
-            LinkOverride {
-                latency: Some(LatencyModel::Instant),
-                drop_probability: None,
-            },
+        // Both messages ride the delivery heap: the slow one, sent first,
+        // is due at 40 ms, the fast one pushed after it at 10 ms.
+        let rule = KindRule::for_kind("slow").delay(
+            1.0,
+            Duration::from_millis(40),
+            Duration::from_millis(40),
         );
+        net.install_chaos(FaultSchedule::sample(1, ChaosConfig::default().rule(rule)));
+        a.send("b", "slow", body()).unwrap();
         a.send("b", "fast", body()).unwrap();
-        let env = b.recv_timeout(Duration::from_secs(1)).unwrap();
-        assert_eq!(env.kind, "fast");
+        let first = b.recv_timeout(Duration::from_secs(1)).unwrap();
+        assert_eq!(first.kind, "fast");
+        let second = b.recv_timeout(Duration::from_secs(1)).unwrap();
+        assert_eq!(second.kind, "slow");
+    }
+
+    /// Per sender, the indices of the messages that reached `to`'s mailbox.
+    fn delivered_by_sender(to: &Endpoint) -> HashMap<String, Vec<u32>> {
+        let mut got: HashMap<String, Vec<u32>> = HashMap::new();
+        while let Some(env) = to.try_recv() {
+            let i = env.body.attr("i").unwrap().parse().unwrap();
+            got.entry(env.from.as_str().to_string())
+                .or_default()
+                .push(i);
+        }
+        got
+    }
+
+    fn numbered(i: u32) -> Element {
+        Element::new("n").with_attr("i", i.to_string())
+    }
+
+    fn lossy(seed: u64, p: f64) -> Arc<FaultSchedule> {
+        FaultSchedule::sample(seed, ChaosConfig::default().rule(KindRule::all().drop(p)))
     }
 
     #[test]
-    fn drop_probability_loses_messages_deterministically() {
-        let net = Network::new(
-            NetworkConfig::instant()
-                .with_drop_probability(0.5)
-                .with_seed(7),
-        );
-        let a = net.connect("a").unwrap();
-        let b = net.connect("b").unwrap();
-        for _ in 0..200 {
-            a.send("b", "x", body()).unwrap();
-        }
-        let mut delivered = 0;
-        while b.try_recv().is_some() {
-            delivered += 1;
-        }
+    fn seeded_loss_loses_messages_deterministically() {
+        let run = || {
+            let net = Network::new(NetworkConfig::instant());
+            let schedule = lossy(7, 0.5);
+            net.install_chaos(Arc::clone(&schedule));
+            let a = net.connect("a").unwrap();
+            let b = net.connect("b").unwrap();
+            for i in 0..200 {
+                a.send("b", "x", numbered(i)).unwrap();
+            }
+            let delivered = delivered_by_sender(&b).remove("a").unwrap_or_default();
+            let lost = 200 - delivered.len();
+            let m = net.metrics();
+            assert_eq!(m.node("b").unwrap().received, delivered.len() as u64);
+            assert_eq!(m.node("b").unwrap().dropped_inbound, lost as u64);
+            assert_eq!(schedule.fault_count(), lost);
+            delivered
+        };
+        let delivered = run();
         assert!(
-            delivered > 50 && delivered < 150,
-            "delivered {delivered}/200"
+            delivered.len() > 50 && delivered.len() < 150,
+            "delivered {}/200",
+            delivered.len()
         );
-        let m = net.metrics();
-        assert_eq!(m.node("b").unwrap().received, delivered as u64);
-        assert_eq!(m.node("b").unwrap().dropped_inbound, 200 - delivered as u64);
-        // Same seed → same outcome.
-        let net2 = Network::new(
-            NetworkConfig::instant()
-                .with_drop_probability(0.5)
-                .with_seed(7),
+        assert_eq!(run(), delivered, "same seed, same messages delivered");
+    }
+
+    /// Two senders on threads of their own under one seed: each stream
+    /// loses the same messages on every run, however the threads
+    /// interleave.
+    #[test]
+    fn concurrent_senders_lose_the_same_messages_under_one_seed() {
+        let run = || {
+            let net = Network::new(NetworkConfig::instant());
+            net.install_chaos(lossy(11, 0.3));
+            let b = net.connect("b").unwrap();
+            let senders = [net.connect("a1").unwrap(), net.connect("a2").unwrap()];
+            let start = std::sync::Barrier::new(senders.len());
+            std::thread::scope(|s| {
+                for sender in &senders {
+                    let start = &start;
+                    s.spawn(move || {
+                        start.wait();
+                        for i in 0..500 {
+                            sender.send("b", "x", numbered(i)).unwrap();
+                        }
+                    });
+                }
+            });
+            delivered_by_sender(&b)
+        };
+        let first = run();
+        assert!(
+            first["a1"].len() < 500 && first["a2"].len() < 500,
+            "the schedule drops on both streams"
         );
-        let a2 = net2.connect("a").unwrap();
-        let b2 = net2.connect("b").unwrap();
-        for _ in 0..200 {
-            a2.send("b", "x", body()).unwrap();
+        assert_ne!(first["a1"], first["a2"], "each stream draws its own");
+        for _ in 0..3 {
+            assert_eq!(run(), first);
         }
-        let mut delivered2 = 0;
-        while b2.try_recv().is_some() {
-            delivered2 += 1;
-        }
-        assert_eq!(delivered, delivered2);
     }
 
     #[test]
@@ -973,7 +990,6 @@ mod tests {
 
     #[test]
     fn chaos_schedule_drops_delays_and_duplicates_on_instant_fabric() {
-        use crate::fault::{ChaosConfig, KindRule};
         let net = Network::new(NetworkConfig::instant());
         let a = net.connect("a").unwrap();
         let b = net.connect("b").unwrap();

@@ -3,11 +3,12 @@
 //!
 //! Two layers live here:
 //!
-//! * **Static knobs** — [`FaultPolicy`] (loss, partitions, dead nodes,
-//!   per-link overrides) and [`LatencyModel`], consulted by the fabric on
-//!   every dispatch. These are imperative: a test flips them and traffic
-//!   changes.
-//! * **The chaos engine** — a [`FaultSchedule`] samples per-message-kind
+//! * **Imperative state** — kills and partitions, which a test or a
+//!   [`ChaosController`] flips and traffic changes, and the
+//!   [`LatencyModel`]. The fabric keeps them, with the installed schedule,
+//!   in one private fault state read once per dispatch.
+//! * **The chaos engine** — the fabric's only source of random faults. A
+//!   [`FaultSchedule`] samples per-message-kind
 //!   fault actions (drop, delay, duplicate, reorder-within-window) from a
 //!   seed, plus timed whole-node crash/restart events applied by a
 //!   [`ChaosController`]. Every decision is a pure function of
@@ -67,27 +68,16 @@ impl LatencyModel {
     }
 }
 
-/// Per-link override of the network-wide defaults.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkOverride {
-    /// Latency on this link (directed).
-    pub latency: Option<LatencyModel>,
-    /// Loss probability on this link (directed).
-    pub drop_probability: Option<f64>,
-}
-
-/// Mutable fault state of the fabric: loss, partitions, dead nodes,
-/// per-link overrides.
-#[derive(Debug, Default)]
-pub struct FaultPolicy {
-    /// Network-wide probability that any message is silently dropped.
-    pub drop_probability: f64,
+/// The fabric's fault state: dead nodes, partitions and the installed
+/// chaos schedule, read together under one lock on every dispatch.
+#[derive(Default)]
+pub(crate) struct FaultPolicy {
     /// Directed blocked pairs `(from, to)`.
     partitions: HashSet<(NodeId, NodeId)>,
     /// Nodes that have been killed.
     dead: HashSet<NodeId>,
-    /// Per-link overrides.
-    links: HashMap<(NodeId, NodeId), LinkOverride>,
+    /// The seeded schedule, the fabric's only source of random faults.
+    pub(crate) schedule: Option<Arc<FaultSchedule>>,
 }
 
 impl FaultPolicy {
@@ -95,11 +85,6 @@ impl FaultPolicy {
     pub fn partition(&mut self, a: &NodeId, b: &NodeId) {
         self.partitions.insert((a.clone(), b.clone()));
         self.partitions.insert((b.clone(), a.clone()));
-    }
-
-    /// Blocks traffic from `from` to `to` only.
-    pub fn partition_directed(&mut self, from: &NodeId, to: &NodeId) {
-        self.partitions.insert((from.clone(), to.clone()));
     }
 
     /// Removes a (bidirectional) partition.
@@ -134,23 +119,6 @@ impl FaultPolicy {
         self.dead.contains(from)
             || self.dead.contains(to)
             || self.partitions.contains(&(from.clone(), to.clone()))
-    }
-
-    /// Sets a per-link override.
-    pub fn set_link(&mut self, from: &NodeId, to: &NodeId, link: LinkOverride) {
-        self.links.insert((from.clone(), to.clone()), link);
-    }
-
-    /// The per-link override for a directed pair, if any.
-    pub fn link(&self, from: &NodeId, to: &NodeId) -> Option<&LinkOverride> {
-        self.links.get(&(from.clone(), to.clone()))
-    }
-
-    /// The effective drop probability for a directed pair.
-    pub fn effective_drop(&self, from: &NodeId, to: &NodeId) -> f64 {
-        self.link(from, to)
-            .and_then(|l| l.drop_probability)
-            .unwrap_or(self.drop_probability)
     }
 }
 
@@ -727,15 +695,16 @@ mod tests {
     }
 
     #[test]
-    fn directed_partition_blocks_one_direction() {
+    fn heal_all_removes_every_partition() {
         let mut p = FaultPolicy::default();
         let a = NodeId::new("a");
         let b = NodeId::new("b");
-        p.partition_directed(&a, &b);
-        assert!(p.is_blocked(&a, &b));
-        assert!(!p.is_blocked(&b, &a));
+        let c = NodeId::new("c");
+        p.partition(&a, &b);
+        p.partition(&a, &c);
         p.heal_all();
         assert!(!p.is_blocked(&a, &b));
+        assert!(!p.is_blocked(&c, &a));
     }
 
     #[test]
@@ -749,27 +718,6 @@ mod tests {
         assert!(p.is_blocked(&b, &a), "dead nodes cannot send either");
         p.revive(&b);
         assert!(!p.is_blocked(&a, &b));
-    }
-
-    #[test]
-    fn link_overrides_take_precedence() {
-        let mut p = FaultPolicy {
-            drop_probability: 0.5,
-            ..Default::default()
-        };
-        let a = NodeId::new("a");
-        let b = NodeId::new("b");
-        assert_eq!(p.effective_drop(&a, &b), 0.5);
-        p.set_link(
-            &a,
-            &b,
-            LinkOverride {
-                latency: None,
-                drop_probability: Some(0.0),
-            },
-        );
-        assert_eq!(p.effective_drop(&a, &b), 0.0);
-        assert_eq!(p.effective_drop(&b, &a), 0.5, "override is directed");
     }
 
     #[test]

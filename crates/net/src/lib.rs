@@ -8,12 +8,15 @@
 //! crate supplies that substrate behind one seam — the object-safe
 //! [`Transport`] trait — with two first-class implementations:
 //!
-//! * [`Network`] — an **in-process fabric** with named nodes, per-link
-//!   latency/jitter, probabilistic loss, partitions, and node-kill failure
-//!   injection. All delivery decisions are driven by a seeded RNG so
-//!   experiments are reproducible. Per-node message/byte counters feed the
-//!   paper's scalability claims (experiment E4: load on the hottest node
-//!   under P2P vs. centralised orchestration).
+//! * [`Network`] — an **in-process fabric** with named nodes, seeded
+//!   latency jitter, partitions, node kills, and a seeded
+//!   [`FaultSchedule`] as its one source of random faults (loss, delay,
+//!   duplication, reordering): each message's fate is a function of the
+//!   schedule's seed and the message's place in its stream, so a run's
+//!   faults replay from the seed whichever thread sends first. Per-node
+//!   message/byte counters feed the paper's scalability claims
+//!   (experiment E4: load on the hottest node under P2P vs. centralised
+//!   orchestration).
 //! * [`TcpTransport`] — a real **TCP transport** carrying the same
 //!   length-prefixed XML envelopes over `std::net` sockets with
 //!   persistent per-peer connections, demonstrating that nothing in the
@@ -59,7 +62,7 @@ pub use envelope::{Envelope, MessageId, NodeId};
 pub use fabric::{Network, NetworkConfig};
 pub use fault::{
     minimize_schedule, ChaosConfig, ChaosController, ChaosTarget, FaultAction, FaultEvent,
-    FaultPolicy, FaultSchedule, KindRule, LatencyModel, NodeEvent, NodeFault,
+    FaultSchedule, KindRule, LatencyModel, NodeEvent, NodeFault,
 };
 pub use gossip::{GossipPayload, GossipPayloads};
 pub use metrics::{

@@ -274,8 +274,6 @@ pub struct TransportIoStats {
     pub frames_sent: u64,
     /// Wire bytes written, length prefixes included.
     pub bytes_sent: u64,
-    /// Stream flushes — one per queue-drain boundary, not per frame.
-    pub flushes: u64,
     /// Frames accepted by `send` but dropped by a failing connection
     /// writer before reaching the wire (deferred-error semantics: the
     /// failure surfaces on the *next* send to that destination).
@@ -297,7 +295,6 @@ impl TransportIoStats {
             writev_calls: self.writev_calls.saturating_sub(earlier.writev_calls),
             frames_sent: self.frames_sent.saturating_sub(earlier.frames_sent),
             bytes_sent: self.bytes_sent.saturating_sub(earlier.bytes_sent),
-            flushes: self.flushes.saturating_sub(earlier.flushes),
             frames_dropped: self.frames_dropped.saturating_sub(earlier.frames_dropped),
             max_batch_frames: self.max_batch_frames,
             backpressure_waits: self
@@ -427,7 +424,6 @@ mod tests {
                 writev_calls: 10,
                 frames_sent: 40,
                 bytes_sent: 4000,
-                flushes: 5,
                 frames_dropped: 1,
                 max_batch_frames: 16,
                 backpressure_waits: 2,
@@ -439,7 +435,6 @@ mod tests {
                 writev_calls: 12,
                 frames_sent: 104,
                 bytes_sent: 10_000,
-                flushes: 6,
                 frames_dropped: 1,
                 max_batch_frames: 33,
                 backpressure_waits: 5,
@@ -452,7 +447,6 @@ mod tests {
         assert_eq!(d.io.writev_calls, 2);
         assert_eq!(d.io.frames_sent, 64);
         assert_eq!(d.io.bytes_sent, 6000);
-        assert_eq!(d.io.flushes, 1);
         assert_eq!(d.io.frames_dropped, 0);
         assert_eq!(d.io.max_batch_frames, 33, "high-water mark carries over");
         assert_eq!(d.io.backpressure_waits, 3);

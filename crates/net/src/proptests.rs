@@ -5,8 +5,8 @@
 //! queued TCP write path, and the replicated-table laws for directory rows.
 
 use crate::{
-    DirectoryEntry, Envelope, HubId, MessageId, Network, NetworkConfig, NodeId, PeerClaim,
-    TcpTransport, Transport,
+    ChaosConfig, DirectoryEntry, Envelope, FaultSchedule, HubId, KindRule, MessageId, Network,
+    NetworkConfig, NodeId, PeerClaim, TcpTransport, Transport,
 };
 use proptest::prelude::*;
 use selfserv_xml::{Element, Node, SharedElement};
@@ -155,22 +155,27 @@ proptest! {
         prop_assert_eq!(m.total_dropped(), 0);
     }
 
-    /// With loss enabled, received + dropped still equals sent, and the
-    /// same seed reproduces the same delivery count.
+    /// Under a seeded drop schedule, received + dropped still equals sent,
+    /// and the same seed delivers the same messages.
     #[test]
     fn lossy_delivery_is_deterministic(seed in 0u64..1000, p in 0.0f64..1.0) {
         let run = |seed: u64| {
-            let net = Network::new(
-                NetworkConfig::instant().with_seed(seed).with_drop_probability(p),
-            );
+            let net = Network::new(NetworkConfig::instant());
+            let rule = KindRule::all().drop(p);
+            net.install_chaos(FaultSchedule::sample(seed, ChaosConfig::default().rule(rule)));
             let a = net.connect("a").unwrap();
-            let _b = net.connect("b").unwrap();
-            for _ in 0..50 {
-                a.send("b", "x", Element::new("b")).unwrap();
+            let b = net.connect("b").unwrap();
+            for i in 0..50 {
+                a.send("b", "x", Element::new("b").with_attr("i", i.to_string())).unwrap();
             }
             let m = net.metrics();
             assert_eq!(m.total_received() + m.total_dropped(), 50);
-            m.total_received()
+            let mut delivered = Vec::new();
+            while let Some(env) = b.try_recv() {
+                delivered.push(env.body.attr("i").unwrap().to_string());
+            }
+            assert_eq!(delivered.len() as u64, m.total_received());
+            delivered
         };
         prop_assert_eq!(run(seed), run(seed));
     }

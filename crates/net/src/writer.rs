@@ -8,8 +8,9 @@
 //! serialized frames (enqueue order defines wire order) and return
 //! immediately; a per-connection writer thread owns the socket and drains
 //! the queue in batches, emitting each batch as a single `writev` of
-//! length-prefix + payload [`IoSlice`]s and flushing only on queue-drain
-//! boundaries. A 64-frame burst is a handful of syscalls instead of ~128.
+//! length-prefix + payload [`IoSlice`]s. The socket is unbuffered, so
+//! there is nothing to flush. A 64-frame burst is a handful of syscalls
+//! instead of ~128.
 //!
 //! **Backpressure.** The queue is bounded in frames and bytes. A sender
 //! hitting the bound blocks on the queue's `space` condvar until the
@@ -97,7 +98,6 @@ pub(crate) struct IoCounters {
     writev_calls: AtomicU64,
     frames_sent: AtomicU64,
     bytes_sent: AtomicU64,
-    flushes: AtomicU64,
     frames_dropped: AtomicU64,
     max_batch_frames: AtomicU64,
     backpressure_waits: AtomicU64,
@@ -109,7 +109,6 @@ impl IoCounters {
             writev_calls: self.writev_calls.load(Ordering::Relaxed),
             frames_sent: self.frames_sent.load(Ordering::Relaxed),
             bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            flushes: self.flushes.load(Ordering::Relaxed),
             frames_dropped: self.frames_dropped.load(Ordering::Relaxed),
             max_batch_frames: self.max_batch_frames.load(Ordering::Relaxed),
             backpressure_waits: self.backpressure_waits.load(Ordering::Relaxed),
@@ -120,7 +119,6 @@ impl IoCounters {
         self.writev_calls.store(0, Ordering::Relaxed);
         self.frames_sent.store(0, Ordering::Relaxed);
         self.bytes_sent.store(0, Ordering::Relaxed);
-        self.flushes.store(0, Ordering::Relaxed);
         self.frames_dropped.store(0, Ordering::Relaxed);
         self.max_batch_frames.store(0, Ordering::Relaxed);
         self.backpressure_waits.store(0, Ordering::Relaxed);
@@ -412,8 +410,8 @@ impl ConnQueue {
 
 /// The per-connection writer: owns the socket, drains the queue in
 /// batches, gathers mid-burst, writes each batch as one (or few, under
-/// short writes) `writev`, flushes on drain boundaries, reconnects once
-/// per established stream on write failure.
+/// short writes) `writev`, reconnects once per established stream on
+/// write failure.
 fn writer_loop(conn: &Arc<ConnQueue>, addr: SocketAddr, io: &Arc<IoCounters>, epoch: u64) {
     let mut stream: Option<TcpStream> = None;
     let mut just_wrote = false;
@@ -477,15 +475,6 @@ fn writer_loop(conn: &Arc<ConnQueue>, addr: SocketAddr, io: &Arc<IoCounters>, ep
         );
         io.max_batch_frames
             .fetch_max(batch.len() as u64, Ordering::Relaxed);
-        // Flush on queue-drain boundaries only: mid-burst batches flow
-        // into the next writev.
-        if conn.len() == 0 {
-            if let Some(s) = stream.as_mut() {
-                if s.flush().is_ok() {
-                    io.flushes.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
         just_wrote = true;
     }
 }

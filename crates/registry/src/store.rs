@@ -1,13 +1,11 @@
 //! The in-memory UDDI registry store with prefix and operation indexes.
 //!
-//! The service table is **partitioned**: records shard by a stable hash
-//! of the (lowercased) service name into [`SHARD_COUNT`] independently
-//! locked sub-stores, each with its own indexes. Publishes and lookups
-//! touching different names proceed in parallel instead of serializing
-//! on one registry-wide lock — the registry stops being a single
-//! contention point as provider churn scales. Key lookups visit the shards
-//! in order; a find read-locks them all at once and sorts its hits by key,
-//! so the partitioning is invisible behind the API.
+//! Businesses, services and the indexes are one table under one lock.
+//! Every request a [`crate::RegistryServer`] serves runs on its one node
+//! turn, so the lock is taken by one caller at a time in the served path;
+//! only direct set-up calls (a `ServiceManager` publishing its members)
+//! meet it from other threads. A find read-locks the table once, resolves
+//! its index intersection and sorts its hits by key.
 
 use crate::model::{
     BusinessEntity, BusinessKey, FindQuery, RegistryError, ServiceKey, ServiceRecord,
@@ -18,27 +16,7 @@ use selfserv_wsdl::ServiceDescription;
 use selfserv_xml::Element;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Bound;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-/// Number of service-table partitions. A small power of two: enough to
-/// spread unrelated publishes across locks, small enough that whole-table
-/// scans (empty queries, key lookups) stay cheap.
-const SHARD_COUNT: usize = 8;
-
-/// Stable shard index for a service name (FNV-1a over the lowercased
-/// name). A business's duplicate check relies on this: records with the
-/// same name always land in the same shard.
-fn shard_of(service_name: &str) -> usize {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for b in service_name.to_lowercase().as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(PRIME);
-    }
-    (h % SHARD_COUNT as u64) as usize
-}
 
 #[derive(Default)]
 struct Indexes {
@@ -127,19 +105,27 @@ struct Stored {
     summary: ServiceSummary,
 }
 
-/// One partition of the service table: its records plus their indexes,
-/// under an independent lock.
+/// The registry's state: businesses, service records and their indexes,
+/// plus the counters the keys are numbered from.
 #[derive(Default)]
-struct Shard {
-    services: HashMap<ServiceKey, Stored>,
+struct Table {
+    businesses: HashMap<BusinessKey, BusinessEntity>,
+    /// Boxed, so that growing the table moves pointers, not ~280-byte
+    /// records. Inline, 2 000 records under publish/delete churn make a
+    /// table of megabytes; freeing its predecessor raises glibc's mmap
+    /// threshold, and the heap fragments under later buffers (peak RSS
+    /// +4 MiB on a 22 s compose-and-deploy run against 2 000 services).
+    services: HashMap<ServiceKey, Box<Stored>>,
     indexes: Indexes,
+    next_business: u64,
+    next_service: u64,
 }
 
-impl Shard {
-    /// The shard's keys matching `query` (every criterion intersected),
-    /// or `None` when the query carries no criteria at all. The index sets
-    /// are only borrowed: the criterion with the fewest keys is walked and
-    /// the others probed, so no key is copied.
+impl Table {
+    /// The keys matching `query` (every criterion intersected), or `None`
+    /// when the query carries no criteria at all. The index sets are only
+    /// borrowed: the criterion with the fewest keys is walked and the
+    /// others probed, so no key is copied.
     fn candidates(&self, query: &FindQuery) -> Option<Vec<&ServiceKey>> {
         // Per criterion, the index sets whose union matches it.
         let mut criteria: Vec<Vec<&HashSet<ServiceKey>>> = Vec::new();
@@ -201,22 +187,9 @@ impl Shard {
 
 /// The thread-safe UDDI registry. Cheap handle semantics are obtained by
 /// wrapping it in `Arc` where shared.
+#[derive(Default)]
 pub struct UddiRegistry {
-    businesses: RwLock<HashMap<BusinessKey, BusinessEntity>>,
-    shards: Vec<RwLock<Shard>>,
-    next_business: AtomicU64,
-    next_service: AtomicU64,
-}
-
-impl Default for UddiRegistry {
-    fn default() -> Self {
-        UddiRegistry {
-            businesses: RwLock::default(),
-            shards: (0..SHARD_COUNT).map(|_| RwLock::default()).collect(),
-            next_business: AtomicU64::new(0),
-            next_service: AtomicU64::new(0),
-        }
-    }
+    table: RwLock<Table>,
 }
 
 impl UddiRegistry {
@@ -231,30 +204,29 @@ impl UddiRegistry {
         name: impl Into<String>,
         contact: impl Into<String>,
     ) -> BusinessEntity {
-        let key = BusinessKey(format!(
-            "biz-{}",
-            self.next_business.fetch_add(1, Ordering::Relaxed) + 1
-        ));
+        let mut table = self.table.write();
+        table.next_business += 1;
         let entity = BusinessEntity {
-            key: key.clone(),
+            key: BusinessKey(format!("biz-{}", table.next_business)),
             name: name.into(),
             contact: contact.into(),
         };
-        self.businesses.write().insert(key, entity.clone());
+        table.businesses.insert(entity.key.clone(), entity.clone());
         entity
     }
 
     /// Looks up a business.
     pub fn business(&self, key: &BusinessKey) -> Option<BusinessEntity> {
-        self.businesses.read().get(key).cloned()
+        self.table.read().businesses.get(key).cloned()
     }
 
     /// All businesses whose name starts with `prefix` (case-insensitive).
     pub fn find_businesses(&self, prefix: &str) -> Vec<BusinessEntity> {
         let prefix = prefix.to_lowercase();
         let mut out: Vec<BusinessEntity> = self
-            .businesses
+            .table
             .read()
+            .businesses
             .values()
             .filter(|b| b.name.to_lowercase().starts_with(&prefix))
             .cloned()
@@ -268,9 +240,6 @@ impl UddiRegistry {
     /// publishes is an error (use [`UddiRegistry::renew`] or delete first),
     /// unless that record's lease has run out: it is absent, swept or not,
     /// and is dropped here.
-    ///
-    /// Only the name's home shard is locked: same-name records always
-    /// hash to the same shard, so the duplicate check stays complete.
     pub fn save_service(
         &self,
         business: &BusinessKey,
@@ -278,24 +247,24 @@ impl UddiRegistry {
         description: ServiceDescription,
         lease: Option<Duration>,
     ) -> Result<ServiceKey, RegistryError> {
-        let provider_name = self
+        let mut guard = self.table.write();
+        let table = &mut *guard;
+        let provider_name = table
             .businesses
-            .read()
             .get(business)
             .ok_or_else(|| RegistryError::UnknownBusiness(business.clone()))?
             .name
             .clone();
         let now = Instant::now();
-        let mut shard = self.shards[shard_of(&description.name)].write();
         // Same-name records are indexed under one lowercase name: only they
-        // are looked at, not the shard.
-        let clash = shard
+        // are looked at, not the table.
+        let clash = table
             .indexes
             .by_name
             .get(&description.name.to_lowercase())
             .into_iter()
             .flatten()
-            .filter_map(|key| shard.services.get(key))
+            .filter_map(|key| table.services.get(key))
             .find(|s| {
                 s.record.business == *business && s.record.description.name == description.name
             })
@@ -308,14 +277,12 @@ impl UddiRegistry {
                 })
             }
             Some((lapsed, true)) => {
-                shard.remove(&lapsed);
+                table.remove(&lapsed);
             }
             None => {}
         }
-        let key = ServiceKey(format!(
-            "svc-{}",
-            self.next_service.fetch_add(1, Ordering::Relaxed) + 1
-        ));
+        table.next_service += 1;
+        let key = ServiceKey(format!("svc-{}", table.next_service));
         let record = ServiceRecord {
             key: key.clone(),
             business: business.clone(),
@@ -326,31 +293,25 @@ impl UddiRegistry {
             lease,
         };
         let summary = ServiceSummary::from(&record);
-        shard.indexes.insert(&record);
-        shard
+        table.indexes.insert(&record);
+        table
             .services
-            .insert(key.clone(), Stored { record, summary });
+            .insert(key.clone(), Box::new(Stored { record, summary }));
         Ok(key)
     }
 
     /// What `read` makes of the live entry under `key` (expired leases
-    /// behave as absent). Keys don't encode the shard, so the shards are
-    /// probed in order.
+    /// behave as absent).
     fn lookup<T>(
         &self,
         key: &ServiceKey,
         read: impl FnOnce(&Stored) -> T,
     ) -> Result<T, RegistryError> {
         let now = Instant::now();
-        for shard in &self.shards {
-            if let Some(s) = shard.read().services.get(key) {
-                if s.record.is_expired(now) {
-                    break;
-                }
-                return Ok(read(s));
-            }
+        match self.table.read().services.get(key) {
+            Some(s) if !s.record.is_expired(now) => Ok(read(s)),
+            _ => Err(RegistryError::UnknownService(key.clone())),
         }
-        Err(RegistryError::UnknownService(key.clone()))
     }
 
     /// Retrieves a service record (expired leases behave as absent).
@@ -366,7 +327,7 @@ impl UddiRegistry {
 
     /// Deletes a service.
     pub fn delete_service(&self, key: &ServiceKey) -> Result<(), RegistryError> {
-        if self.shards.iter().any(|shard| shard.write().remove(key)) {
+        if self.table.write().remove(key) {
             Ok(())
         } else {
             Err(RegistryError::UnknownService(key.clone()))
@@ -378,46 +339,38 @@ impl UddiRegistry {
     /// renewed.
     pub fn renew(&self, key: &ServiceKey) -> Result<(), RegistryError> {
         let now = Instant::now();
-        for shard in &self.shards {
-            let mut shard = shard.write();
-            if let Some(s) = shard.services.get_mut(key) {
-                if s.record.is_expired(now) {
-                    shard.remove(key);
-                    break;
-                }
+        let mut table = self.table.write();
+        match table.services.get_mut(key) {
+            Some(s) if !s.record.is_expired(now) => {
                 s.record.published_at = now;
-                return Ok(());
+                Ok(())
             }
+            Some(_) => {
+                table.remove(key);
+                Err(RegistryError::UnknownService(key.clone()))
+            }
+            None => Err(RegistryError::UnknownService(key.clone())),
         }
-        Err(RegistryError::UnknownService(key.clone()))
     }
 
-    /// Removes expired records; returns how many were swept. Shards are
-    /// swept one at a time — concurrent publishes to other shards never
-    /// wait on the sweeper.
+    /// Removes expired records; returns how many were swept.
     pub fn sweep_expired(&self) -> usize {
         let now = Instant::now();
-        let mut swept = 0;
-        for shard in &self.shards {
-            let mut shard = shard.write();
-            let expired: Vec<ServiceKey> = shard
-                .services
-                .values()
-                .filter(|s| s.record.is_expired(now))
-                .map(|s| s.record.key.clone())
-                .collect();
-            for key in &expired {
-                shard.remove(key);
-            }
-            swept += expired.len();
+        let mut table = self.table.write();
+        let expired: Vec<ServiceKey> = table
+            .services
+            .values()
+            .filter(|s| s.record.is_expired(now))
+            .map(|s| s.record.key.clone())
+            .collect();
+        for key in &expired {
+            table.remove(key);
         }
-        swept
+        expired.len()
     }
 
     /// Finds services matching a query, sorted by key for determinism.
-    /// Expired records never match. Each shard resolves its own index
-    /// intersection; the hits are merged and sorted, so results are
-    /// identical to an unpartitioned scan.
+    /// Expired records never match.
     pub fn find(&self, query: &FindQuery) -> Vec<ServiceRecord> {
         self.collect_hits(query, |s| s.record.clone())
     }
@@ -429,38 +382,38 @@ impl UddiRegistry {
         self.collect_hits(query, |s| s.summary.clone())
     }
 
-    /// `read` of every live hit, in key order. The shards are read-locked
-    /// together, so the hits are sorted by the keys their records hold —
-    /// each read once, in place — before `read` copies anything out. The
-    /// number of allocations does not grow with the number of hits.
+    /// `read` of every live hit, in key order. The hits are sorted by the
+    /// keys their records hold — each read once, in place — before `read`
+    /// copies anything out. The number of allocations does not grow with
+    /// the number of hits.
     fn collect_hits<T>(&self, query: &FindQuery, read: impl Fn(&Stored) -> T) -> Vec<T> {
         let now = Instant::now();
         let live = |s: &&Stored| !s.record.is_expired(now);
-        let shards: Vec<_> = self.shards.iter().map(|shard| shard.read()).collect();
-        let candidates: Vec<_> = shards.iter().map(|shard| shard.candidates(query)).collect();
-        let most = shards
-            .iter()
-            .zip(&candidates)
-            .map(|(shard, keys)| match keys {
-                Some(keys) => keys.len(),
-                None => shard.services.len(),
-            });
-        let mut hits: Vec<(&str, &Stored)> = Vec::with_capacity(most.sum());
         fn keyed(s: &Stored) -> (&str, &Stored) {
             (s.record.key.0.as_str(), s)
         }
-        for (shard, keys) in shards.iter().zip(candidates) {
-            match keys {
-                Some(keys) => hits.extend(
+        let table = self.table.read();
+        let mut hits: Vec<(&str, &Stored)> = match table.candidates(query) {
+            Some(keys) => {
+                let mut hits = Vec::with_capacity(keys.len());
+                hits.extend(
                     keys.into_iter()
-                        .filter_map(|k| shard.services.get(k))
+                        .filter_map(|k| table.services.get(k))
+                        .map(|s| &**s)
                         .filter(live)
                         .map(keyed),
-                ),
-                // Empty query: everything (unexpired).
-                None => hits.extend(shard.services.values().filter(live).map(keyed)),
+                );
+                hits
             }
-        }
+            // Empty query: everything (unexpired).
+            None => table
+                .services
+                .values()
+                .map(|s| &**s)
+                .filter(live)
+                .map(keyed)
+                .collect(),
+        };
         hits.sort_unstable_by_key(|&(key, _)| key);
         hits.into_iter().map(|(_, s)| read(s)).collect()
     }
@@ -468,21 +421,17 @@ impl UddiRegistry {
     /// Number of live (unexpired) services.
     pub fn service_count(&self) -> usize {
         let now = Instant::now();
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .services
-                    .values()
-                    .filter(|s| !s.record.is_expired(now))
-                    .count()
-            })
-            .sum()
+        self.table
+            .read()
+            .services
+            .values()
+            .filter(|s| !s.record.is_expired(now))
+            .count()
     }
 
     /// Number of registered businesses.
     pub fn business_count(&self) -> usize {
-        self.businesses.read().len()
+        self.table.read().businesses.len()
     }
 }
 
@@ -790,29 +739,29 @@ mod tests {
     }
 
     #[test]
-    fn records_spread_across_shards_invisibly() {
+    fn many_records_count_sort_look_up_and_delete() {
         let reg = UddiRegistry::new();
         let biz = reg.save_business("Spread", "x").key;
-        let mut shards = HashSet::new();
-        let mut keys = Vec::new();
-        for i in 0..32 {
-            let name = format!("Svc-{i}");
-            shards.insert(shard_of(&name));
-            keys.push(
-                reg.save_service(&biz, "c", desc(&name, "Spread", &["op"]), None)
-                    .unwrap(),
-            );
-        }
-        assert!(shards.len() > 1, "names hash to multiple shards");
+        let keys: Vec<ServiceKey> = (0..32)
+            .map(|i| {
+                reg.save_service(
+                    &biz,
+                    "c",
+                    desc(&format!("Svc-{i}"), "Spread", &["op"]),
+                    None,
+                )
+                .unwrap()
+            })
+            .collect();
         assert_eq!(reg.service_count(), 32);
         let all = reg.find(&FindQuery::any());
         assert_eq!(all.len(), 32);
         let found: Vec<&str> = all.iter().map(|r| r.key.0.as_str()).collect();
         let mut sorted = found.clone();
         sorted.sort();
-        assert_eq!(found, sorted, "merged results stay sorted by key");
+        assert_eq!(found, sorted, "results are sorted by key");
         for key in &keys {
-            assert!(reg.get_service(key).is_ok(), "key lookup probes all shards");
+            assert!(reg.get_service(key).is_ok());
         }
         reg.delete_service(&keys[0]).unwrap();
         assert_eq!(reg.service_count(), 31);

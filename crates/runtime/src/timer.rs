@@ -192,7 +192,11 @@ impl TimerService {
             cell,
             fire,
         });
-        self.inner.cv.notify_all();
+        // The timer thread sleeps until the earliest deadline: only an
+        // entry that becomes the earliest moves its wake-up.
+        if state.heap.peek().map(|top| top.seq) == Some(seq) {
+            self.inner.cv.notify_one();
+        }
         seq
     }
 

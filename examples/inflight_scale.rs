@@ -148,7 +148,7 @@ fn main() {
         thread_count()
     );
 
-    // The community flushes after its hold; collect all 10k completions.
+    // The community answers once its hold ends; collect all 10k completions.
     let mut ok = 0usize;
     while ok < INSTANCES {
         let (_, outcome) = dep
