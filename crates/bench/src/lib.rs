@@ -73,7 +73,6 @@ pub fn deploy_central(
             statechart: sc.clone(),
             functions: FunctionLibrary::new(),
             service_nodes,
-            community_nodes: HashMap::new(),
         },
     )
     .expect("central engine");

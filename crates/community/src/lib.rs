@@ -23,13 +23,19 @@
 //! * [`CommunityServer`] — a fabric node that accepts `invoke` requests and
 //!   delegates to members either by **proxying** the call or by
 //!   **redirecting** the caller to the chosen member's binding.
+//! * [`CommunityCall`] — the caller's side of one invocation, as a sans-IO
+//!   state machine: replica routing and failover, replica and member
+//!   redirects, and the final reply. The coordinator and
+//!   [`CommunityClient`] both drive it.
 
+mod call;
 mod history;
 mod membership;
 mod policy;
 pub mod replication;
 mod server;
 
+pub use call::{CallStep, CommunityCall};
 pub use history::{ExecutionHistory, MemberStats, Outcome};
 pub use membership::{Community, CommunityError, Member, MemberId, QosProfile};
 pub use policy::{

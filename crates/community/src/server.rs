@@ -27,6 +27,7 @@
 //! backend calls on threads of their own, stays zero regardless of member
 //! latency.
 
+use crate::call::{member_redirect, replica_redirect, strip_directives, CallStep, CommunityCall};
 use crate::history::{ExecutionHistory, Outcome};
 use crate::membership::{Community, CommunityError, Member, MemberId, QosProfile};
 use crate::policy::{SelectionContext, SelectionPolicy};
@@ -34,6 +35,7 @@ use crate::replication::{
     member_from_xml, member_to_xml, membership_body, membership_rows, MemberEntry, MembershipState,
 };
 use parking_lot::RwLock;
+use selfserv_net::replica::{replica_base, replica_name};
 use selfserv_net::{
     ConnectError, Endpoint, Envelope, LivenessProbe, NodeId, PeerDirectory, PeerStatus, ReplicaSet,
     Transport,
@@ -219,18 +221,6 @@ impl Default for CommunityServerConfig {
     }
 }
 
-/// Selection directives (`weight_*` parameters) are consumed by the
-/// community, not forwarded to members.
-fn strip_directives(msg: &MessageDoc) -> MessageDoc {
-    let mut out = MessageDoc::request(msg.operation.clone());
-    for (k, v) in msg.iter() {
-        if !k.starts_with("weight_") {
-            out.set(k, v.clone());
-        }
-    }
-    out
-}
-
 /// One proxy delegation awaiting a member reply. Keyed by the `RpcToken`
 /// of the outstanding member rpc; the whole retry loop lives in
 /// [`CommunityLogic::on_rpc_done`] transitions, never on a worker's stack.
@@ -259,27 +249,6 @@ struct PendingDelegation {
 /// The membership-replication timer (namespace disjoint from the member
 /// rpc tokens, which are `RpcToken`s).
 const MEMBERSHIP_GOSSIP_TIMER: TimerToken = TimerToken(1);
-
-/// The `<base>` of a replica's naming family: `community.x.r2` → `community.x`;
-/// names without a numeric `.rN` suffix are their own base.
-fn replica_base(name: &str) -> &str {
-    if let Some((base, suffix)) = name.rsplit_once(".r") {
-        if !suffix.is_empty() && suffix.bytes().all(|b| b.is_ascii_digit()) {
-            return base;
-        }
-    }
-    name
-}
-
-/// Replica `i`'s node name in the `<base>` / `<base>.rN` convention
-/// (replica 0 is the base name itself — the name callers bind to).
-fn replica_name(base: &str, i: usize) -> String {
-    if i == 0 {
-        base.to_string()
-    } else {
-        format!("{base}.r{i}")
-    }
-}
 
 /// A running community node: a continuation-passing delegation machine.
 struct CommunityLogic {
@@ -465,17 +434,16 @@ impl CommunityServer {
         policy: Arc<dyn SelectionPolicy>,
         mut config: CommunityServerConfig,
     ) -> Result<CommunityServerHandle, ConnectError> {
-        let name = replica_name(base_name, index);
         for i in 0..total.max(1) {
             if i == index {
                 continue;
             }
-            let peer = NodeId::new(replica_name(base_name, i));
+            let peer = replica_name(base_name, i);
             if !config.replication.peers.contains(&peer) {
                 config.replication.peers.push(peer);
             }
         }
-        let endpoint = net.connect(NodeId::new(&name))?;
+        let endpoint = net.connect(replica_name(base_name, index))?;
         Ok(Self::spawn_logic(exec, endpoint, community, policy, config))
     }
 
@@ -785,10 +753,7 @@ impl CommunityLogic {
                 if let Some(m) = &self.config.metrics {
                     m.delegations.inc();
                 }
-                let body = Element::new("redirect")
-                    .with_attr("replica", "1")
-                    .with_attr("endpoint", next.as_str());
-                self.send_reply(ctx, &request, Ok(body));
+                self.send_reply(ctx, &request, Ok(replica_redirect(&next)));
                 return;
             }
             let err = CommunityError::NoMembersAvailable {
@@ -804,11 +769,7 @@ impl CommunityLogic {
             DelegationMode::Redirect => {
                 // The caller invokes the member itself; history gets no
                 // latency sample (the community never observes it).
-                let body = Element::new("redirect")
-                    .with_attr("member", &member.id.0)
-                    .with_attr("provider", &member.provider)
-                    .with_attr("endpoint", member.endpoint.as_str());
-                self.send_reply(ctx, &request, Ok(body));
+                self.send_reply(ctx, &request, Ok(member_redirect(&member)));
             }
             DelegationMode::Proxy => {
                 let now = Instant::now();
@@ -938,7 +899,8 @@ fn decode_member(body: &Element) -> Result<Member, CommunityError> {
 /// Typed client for a community node: join/leave/invoke.
 pub struct CommunityClient {
     endpoint: Endpoint,
-    community_node: NodeId,
+    /// The community's node, as the one replica this client calls.
+    community: Arc<ReplicaSet>,
     /// RPC deadline (applies to the whole delegation in proxy mode).
     pub timeout: Duration,
 }
@@ -952,113 +914,56 @@ impl CommunityClient {
     ) -> Result<Self, ConnectError> {
         Ok(CommunityClient {
             endpoint: net.connect(NodeId::new(client_name))?,
-            community_node: community_node.into(),
+            community: Arc::new(ReplicaSet::new(vec![community_node.into()])),
             timeout: Duration::from_secs(10),
         })
     }
 
     /// Registers a member with the community.
     pub fn join(&self, member: &Member) -> Result<(), CommunityError> {
-        let reply = self.call(kinds::JOIN, member_to_xml(member))?;
-        let _ = reply;
-        Ok(())
+        self.call(kinds::JOIN, member_to_xml(member))
     }
 
     /// Removes a member from the community.
     pub fn leave(&self, id: &MemberId) -> Result<(), CommunityError> {
-        self.call(kinds::LEAVE, Element::new("member").with_attr("id", &id.0))?;
-        Ok(())
+        self.call(kinds::LEAVE, Element::new("member").with_attr("id", &id.0))
     }
 
     /// Re-registers a member's QoS profile in place (same id, new
     /// attributes). The replica that takes the update gossips it to its
     /// siblings like any other membership change.
     pub fn update(&self, member: &Member) -> Result<(), CommunityError> {
-        self.call(kinds::UPDATE, member_to_xml(member))?;
-        Ok(())
+        self.call(kinds::UPDATE, member_to_xml(member))
     }
 
-    /// Invokes a generic operation through the community. Redirects are
-    /// followed automatically — both member redirects (redirect mode:
-    /// the caller talks to the selected member directly) and replica
-    /// redirects (a replica with no usable member pool hands us to a
-    /// sibling) — so callers always get the final response message.
+    /// Invokes a generic operation through the community, driving a
+    /// [`CommunityCall`] with blocking rpcs: replica and member redirects
+    /// are followed, so callers always get the final response message.
     pub fn invoke(&self, msg: &MessageDoc) -> Result<MessageDoc, CommunityError> {
-        let mut target = self.community_node.clone();
-        let mut hops: Vec<NodeId> = Vec::new();
-        let body = loop {
-            let body = self.call_at(&target, kinds::INVOKE, msg.to_xml())?;
-            if body.name == "redirect" && body.attr("replica").is_some() {
-                let next = NodeId::new(
-                    body.require_attr("endpoint")
-                        .map_err(CommunityError::Protocol)?,
-                );
-                // A replica never redirects to itself, so a repeat means
-                // the family's pools are all empty: stop rather than ring.
-                if next == target || hops.contains(&next) || hops.len() >= 4 {
-                    return Err(CommunityError::DelegationFailed(format!(
-                        "replica redirect loop via {next}"
-                    )));
+        let no_load: &dyn Fn(&NodeId) -> usize = &|_| 0;
+        let community = Arc::clone(&self.community);
+        let (mut call, mut step) = CommunityCall::start(community, "", msg.clone(), None, no_load);
+        loop {
+            match step {
+                CallStep::Send { to, kind, body } => {
+                    let result = self.endpoint.rpc(to, kind, body, self.timeout);
+                    step = call.on_reply(result, None, no_load);
                 }
-                hops.push(target);
-                target = next;
-                continue;
+                CallStep::Done(result) => return result,
             }
-            break body;
-        };
-        if body.name == "redirect" {
-            let endpoint = body
-                .require_attr("endpoint")
-                .map_err(CommunityError::Protocol)?
-                .to_string();
-            let forwarded = strip_directives(msg);
-            let reply = self
-                .endpoint
-                .rpc(
-                    endpoint.as_str(),
-                    kinds::MEMBER_INVOKE,
-                    forwarded.to_xml(),
-                    self.timeout,
-                )
-                .map_err(|e| CommunityError::DelegationFailed(e.to_string()))?;
-            let response = MessageDoc::from_xml(&reply.body)
-                .map_err(|e| CommunityError::Protocol(e.to_string()))?;
-            if response.is_fault() {
-                return Err(CommunityError::DelegationFailed(
-                    response
-                        .fault_reason()
-                        .unwrap_or("member fault")
-                        .to_string(),
-                ));
-            }
-            return Ok(response);
         }
-        let response =
-            MessageDoc::from_xml(&body).map_err(|e| CommunityError::Protocol(e.to_string()))?;
-        if response.is_fault() {
-            return Err(CommunityError::DelegationFailed(
-                response
-                    .fault_reason()
-                    .unwrap_or("member fault")
-                    .to_string(),
-            ));
-        }
-        Ok(response)
     }
 
-    fn call(&self, kind: &str, body: Element) -> Result<Element, CommunityError> {
-        self.call_at(&self.community_node.clone(), kind, body)
-    }
-
-    fn call_at(
-        &self,
-        target: &NodeId,
-        kind: &str,
-        body: Element,
-    ) -> Result<Element, CommunityError> {
+    /// A membership request to the community's node.
+    fn call(&self, kind: &str, body: Element) -> Result<(), CommunityError> {
         let reply = self
             .endpoint
-            .rpc(target.clone(), kind, body, self.timeout)
+            .rpc(
+                self.community.replicas()[0].clone(),
+                kind,
+                body,
+                self.timeout,
+            )
             .map_err(|e| CommunityError::DelegationFailed(e.to_string()))?;
         if reply.kind == kinds::FAULT {
             Err(CommunityError::DelegationFailed(
@@ -1069,7 +974,7 @@ impl CommunityClient {
                     .to_string(),
             ))
         } else {
-            Ok(reply.body)
+            Ok(())
         }
     }
 }

@@ -30,11 +30,11 @@ pub struct CentralConfig {
     pub statechart: Statechart,
     /// Guard predicates.
     pub functions: FunctionLibrary,
-    /// Service name → host node. Every direct task binding must resolve
-    /// here; the engine has no co-located backends (that is the point).
+    /// Service name → host node: the only way the engine reaches a
+    /// service. Every task binding must resolve here; the engine has no
+    /// co-located backends (that is the point) and calls no community, so
+    /// a community-bound task faults the instance.
     pub service_nodes: HashMap<String, NodeId>,
-    /// Community name → community node.
-    pub community_nodes: HashMap<String, NodeId>,
 }
 
 /// Spawner for the centralized engine.
@@ -133,9 +133,7 @@ impl NodeLogic for Engine {
     fn on_message(&mut self, ctx: &mut NodeCtx<'_>, env: Envelope) -> Flow {
         match env.kind.as_str() {
             kinds::EXECUTE => self.on_execute(ctx.endpoint(), &env),
-            kinds::INVOKE_RESULT | "community.result" | "community.fault" => {
-                self.on_reply(ctx.endpoint(), &env)
-            }
+            kinds::INVOKE_RESULT => self.on_reply(ctx.endpoint(), &env),
             _ => {}
         }
         Flow::Continue
@@ -189,15 +187,6 @@ impl Engine {
             return;
         };
         if self.instances.get(&instance).is_none_or(|i| i.finished) {
-            return;
-        }
-        if env.kind == "community.fault" {
-            let reason = env
-                .body
-                .attr("reason")
-                .unwrap_or("community fault")
-                .to_string();
-            self.fault(endpoint, instance, &format!("state '{state_id}': {reason}"));
             return;
         }
         let response = match MessageDoc::from_xml(&env.body) {
@@ -263,35 +252,21 @@ impl Engine {
                         return;
                     }
                 };
-                let (target, kind): (NodeId, &str) = match &spec.binding {
-                    ServiceBinding::Service { service, .. } => {
-                        match self.cfg.service_nodes.get(service) {
-                            Some(node) => (node.clone(), kinds::INVOKE),
-                            None => {
-                                self.fault(
-                                    endpoint,
-                                    instance,
-                                    &format!("no host for service '{service}'"),
-                                );
-                                return;
-                            }
-                        }
-                    }
+                let target = match &spec.binding {
+                    ServiceBinding::Service { service, .. } => self
+                        .cfg
+                        .service_nodes
+                        .get(service)
+                        .ok_or_else(|| format!("no host for service '{service}'")),
                     ServiceBinding::Community { community, .. } => {
-                        match self.cfg.community_nodes.get(community) {
-                            Some(node) => (node.clone(), "community.invoke"),
-                            None => {
-                                self.fault(
-                                    endpoint,
-                                    instance,
-                                    &format!("no node for community '{community}'"),
-                                );
-                                return;
-                            }
-                        }
+                        Err(format!("no node for community '{community}'"))
                     }
                 };
-                match endpoint.send(target, kind, input.to_xml()) {
+                let target = match target {
+                    Ok(node) => node.clone(),
+                    Err(reason) => return self.fault(endpoint, instance, &reason),
+                };
+                match endpoint.send(target, kinds::INVOKE, input.to_xml()) {
                     Ok(mid) => {
                         self.pending.insert(mid, (instance, state_id.clone()));
                     }
@@ -479,7 +454,6 @@ mod tests {
                 statechart: sc.clone(),
                 functions: FunctionLibrary::new(),
                 service_nodes,
-                community_nodes: HashMap::new(),
             },
         )
         .unwrap();

@@ -9,10 +9,9 @@
 use crate::backend::{BackendCall, ServiceBackend};
 use crate::functions::FunctionLibrary;
 use crate::protocol::{fault_body, kinds, naming, InstanceId, NotifyPayload};
+use selfserv_community::{CallStep, CommunityCall};
 use selfserv_expr::Value;
-use selfserv_net::{
-    ConnectError, Envelope, LivenessProbe, NodeId, ReplicaSet, RpcError, Transport,
-};
+use selfserv_net::{ConnectError, Envelope, LivenessProbe, NodeId, ReplicaSet, Transport};
 use selfserv_routing::{NotificationLabel, Participant, RoutingTable};
 use selfserv_runtime::{
     ExecutorHandle, Flow, NodeCtx, NodeHandle, NodeLogic, RpcDone, RpcToken, TimerToken,
@@ -76,17 +75,14 @@ pub enum TaskRuntime {
         /// Output captures (response parameter → instance variable).
         outputs: Vec<OutputMapping>,
     },
-    /// A community-delegated operation: a remote call to the community
-    /// node, which picks the concrete provider.
+    /// A community-delegated operation: a remote call to the community,
+    /// which picks the concrete provider.
     Community {
-        /// The community's canonical fabric node.
-        node: NodeId,
-        /// Every server replica of the community, `node` included. Empty
-        /// means unreplicated (route everything to `node`). The
-        /// coordinator rendezvous-hashes each instance over this set and
-        /// fails a timed-out or unreachable replica over to the next one
-        /// before faulting the instance.
-        replicas: Vec<NodeId>,
+        /// Every server replica of the community, its canonical node
+        /// first; never empty. Each instance's [`CommunityCall`] is
+        /// rendezvous-routed over the set and fails a timed-out or
+        /// unreachable replica over to another before the instance faults.
+        replicas: Arc<ReplicaSet>,
         /// Generic operation to request.
         operation: String,
         /// Input parameter mappings.
@@ -183,21 +179,11 @@ impl InstanceSlot {
     }
 }
 
-/// Which reply an in-flight invocation is awaiting — the explicit phases
-/// the blocking `invoke` used to pass through while parked on a worker.
+/// Which reply an in-flight invocation is awaiting.
 enum InvokePhase {
-    /// Awaiting the community's proxy-mode reply (or redirect decision).
-    /// `input` is kept so a redirect can re-issue the same request to the
-    /// chosen member; `node` is the replica serving this attempt and
-    /// `tried` every replica already attempted, so a dead replica fails
-    /// over to a survivor before the instance faults.
-    Community {
-        input: MessageDoc,
-        node: NodeId,
-        tried: Vec<NodeId>,
-    },
-    /// Awaiting a redirect-mode member's direct reply.
-    Redirect { member: String },
+    /// Awaiting the next reply of a community call: a replica's or, after
+    /// a member redirect, the member's.
+    Community(CommunityCall),
     /// Awaiting a co-located backend's call, however it is carried (see
     /// [`BackendCall::start`]).
     Backend(BackendCall),
@@ -513,7 +499,6 @@ impl CoordinatorLogic {
                 self.track(token, instance, vars, InvokePhase::Backend(call));
             }
             TaskRuntime::Community {
-                node,
                 replicas,
                 operation,
                 inputs,
@@ -523,57 +508,48 @@ impl CoordinatorLogic {
                     Ok(input) => input,
                     Err(reason) => return self.fault(ctx, instance, &reason),
                 };
-                // Replica routing: rendezvous-hash the instance over the
-                // community's replica set (instances keep their affinity;
-                // load breaks ties), falling back to the canonical node
-                // when unreplicated.
-                let node = if replicas.is_empty() {
-                    node.clone()
-                } else {
-                    let set = ReplicaSet::new(replicas.clone());
-                    let load = &self.replica_load;
-                    set.route(
-                        &format!("{}/{instance}", self.cfg.composite),
-                        self.cfg.liveness.as_deref(),
-                        &[],
-                        &|n| load.get(n).copied().unwrap_or(0),
-                    )
-                    .unwrap_or_else(|| node.clone())
-                };
-                *self.replica_load.entry(node.clone()).or_default() += 1;
-                let body = input.to_xml();
-                let token = self.issue_token(
-                    instance,
-                    vars,
-                    InvokePhase::Community {
-                        input,
-                        node: node.clone(),
-                        tried: vec![node.clone()],
-                    },
+                // The instance is the routing key: it keeps its replica
+                // while that one lives, and load breaks ties.
+                let load = &self.replica_load;
+                let (call, step) = CommunityCall::start(
+                    Arc::clone(replicas),
+                    format_args!("{}/{instance}", self.cfg.composite),
+                    input,
+                    self.cfg.liveness.as_deref(),
+                    &|n| load.get(n).copied().unwrap_or(0),
                 );
-                ctx.rpc_async(
-                    node,
-                    "community.invoke",
-                    body,
-                    self.cfg.invoke_timeout,
-                    token,
-                );
+                self.advance_call(ctx, instance, vars, call, step);
             }
         }
     }
 
-    /// Records the continuation of a dispatched invocation under a fresh
-    /// token and marks its instance busy.
-    fn issue_token(
+    /// Carries a community call one step: sends its next rpc, counted
+    /// against the replica it goes to, or ends the invocation with the
+    /// call's outcome.
+    fn advance_call(
         &mut self,
+        ctx: &mut NodeCtx<'_>,
         instance: InstanceId,
-        vars: BTreeMap<String, Value>,
-        phase: InvokePhase,
-    ) -> RpcToken {
-        self.next_token += 1;
-        let token = RpcToken(self.next_token);
-        self.track(token, instance, vars, phase);
-        token
+        mut vars: BTreeMap<String, Value>,
+        call: CommunityCall,
+        step: CallStep,
+    ) {
+        match step {
+            CallStep::Send { to, kind, body } => {
+                if let Some(replica) = call.awaiting_replica() {
+                    *self.replica_load.entry(replica.clone()).or_default() += 1;
+                }
+                self.next_token += 1;
+                let token = RpcToken(self.next_token);
+                self.track(token, instance, vars, InvokePhase::Community(call));
+                ctx.rpc_async(to, kind, body, self.cfg.invoke_timeout, token);
+            }
+            CallStep::Done(Ok(response)) => {
+                apply_outputs(self.task_outputs(), &response, &mut vars);
+                self.finish_invoke(ctx, instance, vars);
+            }
+            CallStep::Done(Err(e)) => self.fault(ctx, instance, &e.to_string()),
+        }
     }
 
     /// Records the continuation of an invocation dispatched under `token`
@@ -598,26 +574,6 @@ impl CoordinatorLogic {
         }
     }
 
-    /// Picks an untried community replica for a failover attempt, or
-    /// `None` when the community is unreplicated or every replica has
-    /// been tried.
-    fn failover_replica(&self, instance: &InstanceId, tried: &[NodeId]) -> Option<NodeId> {
-        let TaskRuntime::Community { replicas, .. } = &self.cfg.task else {
-            return None;
-        };
-        if replicas.len() <= 1 {
-            return None;
-        }
-        let set = ReplicaSet::new(replicas.clone());
-        let load = &self.replica_load;
-        set.route(
-            &format!("{}/{instance}", self.cfg.composite),
-            self.cfg.liveness.as_deref(),
-            tried,
-            &|n| load.get(n).copied().unwrap_or(0),
-        )
-    }
-
     /// In-flight → post-invoke: resumes the invocation whose reply (or
     /// task completion) arrived, by phase. The instance may have been
     /// cleaned up mid-flight; the completion is then dropped.
@@ -633,8 +589,11 @@ impl CoordinatorLogic {
         // The replica's in-flight slot frees regardless of whether the
         // instance still cares about the completion — the load gauge must
         // match outstanding rpcs exactly.
-        if let InvokePhase::Community { node, .. } = &phase {
-            if let Some(load) = self.replica_load.get_mut(node) {
+        if let InvokePhase::Community(call) = &phase {
+            if let Some(load) = call
+                .awaiting_replica()
+                .and_then(|replica| self.replica_load.get_mut(replica))
+            {
                 *load = load.saturating_sub(1);
             }
         }
@@ -660,153 +619,12 @@ impl CoordinatorLogic {
                 apply_outputs(self.task_outputs(), &response, &mut vars);
                 self.finish_invoke(ctx, instance, vars);
             }
-            InvokePhase::Community { input, node, tried } => {
-                let reply = match done.result {
-                    Ok(reply) => reply,
-                    Err(e) => {
-                        // The replica timed out or became unreachable
-                        // mid-delegation: fail over to an untried survivor
-                        // before faulting the instance. Unreplicated
-                        // communities (no survivors) fault exactly as
-                        // before.
-                        if let Some(next) = self.failover_replica(&instance, &tried) {
-                            *self.replica_load.entry(next.clone()).or_default() += 1;
-                            let body = input.to_xml();
-                            let mut tried = tried;
-                            tried.push(next.clone());
-                            let token = self.issue_token(
-                                instance,
-                                vars,
-                                InvokePhase::Community {
-                                    input,
-                                    node: next.clone(),
-                                    tried,
-                                },
-                            );
-                            ctx.rpc_async(
-                                next,
-                                "community.invoke",
-                                body,
-                                self.cfg.invoke_timeout,
-                                token,
-                            );
-                            return;
-                        }
-                        return match e {
-                            RpcError::Timeout => {
-                                self.fault(ctx, instance, &format!("community '{node}' timed out"))
-                            }
-                            RpcError::Send(s) => self.fault(
-                                ctx,
-                                instance,
-                                &format!("community '{node}' unreachable: {s}"),
-                            ),
-                        };
-                    }
-                };
-                if reply.kind == "community.fault" {
-                    let reason = reply
-                        .body
-                        .attr("reason")
-                        .unwrap_or("community fault")
-                        .to_string();
-                    return self.fault(ctx, instance, &reason);
-                }
-                // A replica redirect: the replica's member pool could not
-                // serve and it named the rendezvous-ranked next replica.
-                // Re-issue the *community* invoke there, carrying the
-                // tried-set so a ring of unservable replicas terminates in
-                // a fault instead of orbiting.
-                if reply.body.name == "redirect" && reply.body.attr("replica").is_some() {
-                    let next = match reply.body.require_attr("endpoint") {
-                        Ok(m) => NodeId::new(m),
-                        Err(e) => {
-                            return self.fault(ctx, instance, &format!("bad redirect: {e}"));
-                        }
-                    };
-                    if tried.contains(&next) {
-                        return self.fault(
-                            ctx,
-                            instance,
-                            &format!("community replica redirect loop via '{next}'"),
-                        );
-                    }
-                    *self.replica_load.entry(next.clone()).or_default() += 1;
-                    let body = input.to_xml();
-                    let mut tried = tried;
-                    tried.push(next.clone());
-                    let token = self.issue_token(
-                        instance,
-                        vars,
-                        InvokePhase::Community {
-                            input,
-                            node: next.clone(),
-                            tried,
-                        },
-                    );
-                    ctx.rpc_async(
-                        next,
-                        "community.invoke",
-                        body,
-                        self.cfg.invoke_timeout,
-                        token,
-                    );
-                    return;
-                }
-                // Redirect-mode communities return the chosen member's
-                // binding; the coordinator then invokes it directly —
-                // another await, same continuation machinery.
-                if reply.body.name == "redirect" {
-                    let member = match reply.body.require_attr("endpoint") {
-                        Ok(m) => m.to_string(),
-                        Err(e) => {
-                            return self.fault(ctx, instance, &format!("bad redirect: {e}"));
-                        }
-                    };
-                    let body = input.to_xml();
-                    let to = NodeId::new(&member);
-                    let token = self.issue_token(instance, vars, InvokePhase::Redirect { member });
-                    ctx.rpc_async(to, "invoke", body, self.cfg.invoke_timeout, token);
-                    return;
-                }
-                let response = match MessageDoc::from_xml(&reply.body) {
-                    Ok(r) => r,
-                    Err(e) => return self.fault(ctx, instance, &e.to_string()),
-                };
-                if response.is_fault() {
-                    let reason = response
-                        .fault_reason()
-                        .unwrap_or("member fault")
-                        .to_string();
-                    return self.fault(ctx, instance, &reason);
-                }
-                apply_outputs(self.task_outputs(), &response, &mut vars);
-                self.finish_invoke(ctx, instance, vars);
-            }
-            InvokePhase::Redirect { member } => {
-                let reply = match done.result {
-                    Ok(reply) => reply,
-                    Err(e) => {
-                        return self.fault(
-                            ctx,
-                            instance,
-                            &format!("redirected member '{member}' failed: {e}"),
-                        );
-                    }
-                };
-                let response = match MessageDoc::from_xml(&reply.body) {
-                    Ok(r) => r,
-                    Err(e) => return self.fault(ctx, instance, &e.to_string()),
-                };
-                if response.is_fault() {
-                    let reason = response
-                        .fault_reason()
-                        .unwrap_or("member fault")
-                        .to_string();
-                    return self.fault(ctx, instance, &reason);
-                }
-                apply_outputs(self.task_outputs(), &response, &mut vars);
-                self.finish_invoke(ctx, instance, vars);
+            InvokePhase::Community(mut call) => {
+                let load = &self.replica_load;
+                let step = call.on_reply(done.result, self.cfg.liveness.as_deref(), &|n| {
+                    load.get(n).copied().unwrap_or(0)
+                });
+                self.advance_call(ctx, instance, vars, call, step);
             }
         }
     }

@@ -22,8 +22,8 @@ use crate::functions::FunctionLibrary;
 use crate::protocol::{kinds, naming, ExecError, InstanceId, PersistentClient};
 use crate::wrapper::{CompositeWrapper, WrapperConfig, WrapperHandle};
 use selfserv_net::{
-    ConnectError, Endpoint, Envelope, LivenessProbe, MessageId, NodeId, RecvError, RpcError,
-    SendError, Transport, TransportHandle,
+    ConnectError, Endpoint, Envelope, LivenessProbe, MessageId, NodeId, RecvError, ReplicaSet,
+    RpcError, SendError, Transport, TransportHandle,
 };
 use selfserv_routing::{NotificationLabel, RoutingError, RoutingPlan};
 use selfserv_runtime::ExecutorHandle;
@@ -251,7 +251,7 @@ impl Deployer {
                             // must not hide the survivors behind it), giving
                             // up after a run of consecutive misses.
                             const REPLICA_PROBE_GAP: usize = 4;
-                            let mut replicas = vec![node.clone()];
+                            let mut replicas = vec![node];
                             let mut misses = 0;
                             for i in 1.. {
                                 let replica = naming::community_replica(community, i);
@@ -265,12 +265,8 @@ impl Deployer {
                                     }
                                 }
                             }
-                            if replicas.len() == 1 {
-                                replicas.clear(); // unreplicated: legacy routing
-                            }
                             TaskRuntime::Community {
-                                node,
-                                replicas,
+                                replicas: Arc::new(ReplicaSet::new(replicas)),
                                 operation: operation.clone(),
                                 inputs: spec.inputs.clone(),
                                 outputs: spec.outputs.clone(),
@@ -545,7 +541,11 @@ pub(crate) fn decode_execute_reply(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{EchoService, FailingService, SyntheticService};
+    use crate::backend::{EchoService, FailingService, ServiceHost, SyntheticService};
+    use selfserv_community::{
+        Community, CommunityServer, CommunityServerConfig, DelegationMode, Member, MemberId,
+        QosProfile, ReplicationConfig, RoundRobin,
+    };
     use selfserv_expr::Value;
     use selfserv_net::{Network, NetworkConfig};
     use selfserv_runtime::Executor;
@@ -1189,6 +1189,167 @@ mod tests {
         }
         drop(dep);
         exec.shutdown();
+    }
+
+    fn community_member(endpoint: &str) -> Member {
+        Member {
+            id: MemberId(endpoint.into()),
+            provider: endpoint.into(),
+            endpoint: NodeId::new(endpoint),
+            qos: QosProfile::default(),
+        }
+    }
+
+    /// A member in redirect mode is invoked by the coordinator itself, and
+    /// gets the request as a proxying community would forward it: without
+    /// the `weight_*` selection directives.
+    #[test]
+    fn redirected_members_get_no_weight_directives() {
+        let exec = Executor::new(2);
+        let net = Network::new(NetworkConfig::instant());
+        let community = CommunityServer::spawn_on(
+            &net,
+            &exec.handle(),
+            naming::community("weighted").as_str(),
+            Community::new("weighted", "redirect mode"),
+            Arc::new(RoundRobin::new()),
+            CommunityServerConfig {
+                mode: DelegationMode::Redirect,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        community
+            .membership()
+            .write()
+            .join(community_member("svc.counter"))
+            .unwrap();
+        // The member answers with the number of parameters it received.
+        let member = net.connect("svc.counter").unwrap();
+        let member_thread = std::thread::spawn(move || {
+            while let Ok(req) = member.recv() {
+                if req.kind == "stop" {
+                    return;
+                }
+                let msg = MessageDoc::from_xml(&req.body).unwrap();
+                let reply = MessageDoc::response(msg.operation.clone())
+                    .with("param_count", Value::Int(msg.len() as i64));
+                let _ = member.reply(&req, "invoke.result", reply.to_xml());
+            }
+        });
+        let chart = StatechartBuilder::new("Weighted")
+            .variable("payload", ParamType::Str)
+            .variable("param_count", ParamType::Int)
+            .initial("a")
+            .task(
+                TaskDef::new("a", "A")
+                    .community("weighted", "op")
+                    .input("payload", "payload")
+                    .input("weight_cost", "2.0")
+                    .output("param_count", "param_count"),
+            )
+            .final_state("f")
+            .transition(TransitionDef::new("t", "a", "f"))
+            .build()
+            .unwrap();
+        let dep = Deployer::new(&net)
+            .with_executor(exec.handle())
+            .deploy(&chart, &HashMap::new())
+            .unwrap();
+        let out = dep
+            .execute(
+                MessageDoc::request("execute").with("payload", Value::str("x")),
+                Duration::from_secs(5),
+            )
+            .unwrap();
+        assert_eq!(out.get("param_count"), Some(&Value::Int(1)));
+        dep.undeploy();
+        net.connect("stopper")
+            .unwrap()
+            .send("svc.counter", "stop", Element::new("s"))
+            .unwrap();
+        member_thread.join().unwrap();
+        drop(community);
+        exec.shutdown();
+    }
+
+    /// A deployed chart over a two-replica community whose replica 0 knows
+    /// no member: replica 0 redirects to replica 1, which serves. With both
+    /// pools empty the redirects end in a loop fault, and every
+    /// coordinator and the wrapper let go of the faulted instances.
+    #[test]
+    fn an_empty_replica_hands_the_coordinator_to_its_sibling() {
+        let exec = Executor::new(2);
+        // The replicas' gossip timers live on an executor of their own, so
+        // the deployment's executor counts only its nodes' timers.
+        let community_exec = Executor::new(1);
+        let net = Network::new(NetworkConfig::instant());
+        let _member = ServiceHost::spawn_on(
+            &net,
+            &community_exec.handle(),
+            "svc.member",
+            Arc::new(EchoService::new("Member")),
+        )
+        .unwrap();
+        let replicas = CommunityServer::spawn_replicas_on(
+            &net,
+            &community_exec.handle(),
+            naming::community("split").as_str(),
+            2,
+            Community::new("split", "two replicas"),
+            Arc::new(RoundRobin::new()),
+            CommunityServerConfig {
+                replication: ReplicationConfig {
+                    gossip_interval: Some(Duration::from_secs(3600)),
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        // Only replica 1 knows the member (a direct table write, no push).
+        replicas[1]
+            .membership()
+            .write()
+            .join(community_member("svc.member"))
+            .unwrap();
+        let dep = Deployer::new(&net)
+            .with_executor(exec.handle())
+            .deploy(&community_chart("split"), &HashMap::new())
+            .unwrap();
+        // Instances spread over both replicas; each completes.
+        let input =
+            |i: u64| MessageDoc::request("execute").with("payload", Value::str(format!("p{i}")));
+        run_all(&dep, 16, input);
+        let served = &replicas[1].history().stats(&MemberId("svc.member".into()));
+        assert_eq!(served.completed, 16, "replica 1 served every instance");
+        let asked_first = net.metrics().node("community.split").unwrap().received;
+        assert!(asked_first > 0, "some instances were routed to replica 0");
+        assert_timers_drain(&exec.handle(), "served");
+
+        replicas[1]
+            .membership()
+            .write()
+            .leave(&MemberId("svc.member".into()))
+            .unwrap();
+        for i in 0..16 {
+            dep.submit(input(i)).unwrap();
+        }
+        for _ in 0..16 {
+            let (_, outcome) = dep.collect_result(Duration::from_secs(10)).unwrap();
+            match outcome {
+                Err(ExecError::Fault(reason)) => {
+                    assert!(reason.contains("redirect loop"), "{reason}")
+                }
+                other => panic!("expected a fault, got {other:?}"),
+            }
+        }
+        assert_timers_drain(&exec.handle(), "faulted");
+        assert_eq!(exec.handle().in_flight_rpcs(), 0);
+        drop(dep);
+        drop(replicas);
+        exec.shutdown();
+        community_exec.shutdown();
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod gossip;
 pub mod lww;
 mod lww_laws;
 mod metrics;
-mod replica;
+pub mod replica;
 pub mod tcp;
 mod transport;
 mod writer;

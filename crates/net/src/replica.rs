@@ -17,6 +17,11 @@
 //! "power of two choices" refinement): keys keep their affinity when load
 //! is even, and hot spots shed excess onto their runner-up instead of
 //! queueing behind one mailbox.
+//!
+//! The replicas of one service share a naming family: replica 0 is the
+//! `<base>` name callers bind to, replica `i` is `<base>.r<i>`.
+//! [`replica_name`] writes that rule and [`replica_base`] reads it; nothing
+//! else formats or parses the suffix.
 
 use crate::directory::{LivenessProbe, PeerDirectory, PeerStatus};
 use crate::envelope::NodeId;
@@ -42,16 +47,10 @@ impl ReplicaSet {
     /// required, because a crashed middle replica must not hide the
     /// survivors behind it.
     pub fn discover(base: &str, directory: &PeerDirectory) -> ReplicaSet {
-        let prefix = format!("{base}.r");
         let replicas = directory
             .names()
             .into_iter()
-            .filter(|n| {
-                let s = n.as_str();
-                s == base
-                    || s.strip_prefix(&prefix)
-                        .is_some_and(|i| !i.is_empty() && i.bytes().all(|b| b.is_ascii_digit()))
-            })
+            .filter(|n| n.as_str() == base || replica_base(n.as_str()) == base)
             .collect();
         ReplicaSet { replicas }
     }
@@ -122,6 +121,27 @@ impl ReplicaSet {
                 }
             }
         }
+    }
+}
+
+/// Replica `index`'s node name in the `<base>` / `<base>.rN` family:
+/// replica 0 is the base name itself.
+pub fn replica_name(base: &str, index: usize) -> NodeId {
+    if index == 0 {
+        NodeId::new(base)
+    } else {
+        NodeId::new(format!("{base}.r{index}"))
+    }
+}
+
+/// The `<base>` of a replica's naming family: `community.x.r2` →
+/// `community.x`. A name without a numeric `.rN` suffix is its own base.
+pub fn replica_base(name: &str) -> &str {
+    match name.rsplit_once(".r") {
+        Some((base, index)) if !index.is_empty() && index.bytes().all(|b| b.is_ascii_digit()) => {
+            base
+        }
+        _ => name,
     }
 }
 
@@ -214,6 +234,26 @@ mod tests {
             names,
             vec!["community.x", "community.x.r1", "community.x.r2"]
         );
+    }
+
+    #[test]
+    fn replica_names_parse_back_to_their_base() {
+        assert_eq!(replica_name("community.x", 0).as_str(), "community.x");
+        assert_eq!(replica_name("community.x", 12).as_str(), "community.x.r12");
+        for i in 0..20 {
+            assert_eq!(
+                replica_base(replica_name("community.x", i).as_str()),
+                "community.x"
+            );
+        }
+        for own_base in [
+            "community.rooms",
+            "community.x.r",
+            "community.x.rogue",
+            "svc",
+        ] {
+            assert_eq!(replica_base(own_base), own_base);
+        }
     }
 
     #[test]

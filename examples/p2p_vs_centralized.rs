@@ -98,7 +98,6 @@ fn run_central(exec: &ExecutorHandle, n: usize) -> u64 {
             statechart: sc.clone(),
             functions: FunctionLibrary::new(),
             service_nodes,
-            community_nodes: HashMap::new(),
         },
     )
     .unwrap();

@@ -53,7 +53,6 @@ fn run_both(sc: &Statechart, input: MessageDoc) -> (MessageDoc, MessageDoc) {
             statechart: sc.clone(),
             functions: FunctionLibrary::new(),
             service_nodes,
-            community_nodes: HashMap::new(),
         },
     )
     .unwrap();

@@ -92,7 +92,6 @@ fn dead_central_engine_kills_everything() {
             statechart: sc,
             functions: FunctionLibrary::new(),
             service_nodes,
-            community_nodes: HashMap::new(),
         },
     )
     .unwrap();
@@ -318,7 +317,6 @@ fn hostile_stop_kinds_stop_nothing() {
             statechart: sc.clone(),
             functions: FunctionLibrary::new(),
             service_nodes,
-            community_nodes: HashMap::new(),
         },
     )
     .unwrap();

@@ -207,7 +207,6 @@ fn every_component_runs_on_the_executor_its_caller_names() {
             statechart: chart,
             functions: FunctionLibrary::new(),
             service_nodes: HashMap::from([(service, node)]),
-            community_nodes: HashMap::new(),
         },
     )
     .unwrap();

@@ -124,7 +124,6 @@ fn loops_agree_between_p2p_and_central() {
             statechart: sc,
             functions: FunctionLibrary::new(),
             service_nodes: HashMap::from([("Worker".to_string(), node)]),
-            community_nodes: HashMap::new(),
         },
     )
     .unwrap();

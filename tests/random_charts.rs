@@ -82,7 +82,6 @@ fn random_charts_agree_with_central() {
                 statechart: sc.clone(),
                 functions: FunctionLibrary::new(),
                 service_nodes,
-                community_nodes: HashMap::new(),
             },
         )
         .unwrap();
