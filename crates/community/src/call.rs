@@ -124,9 +124,10 @@ impl CommunityCall {
 
     /// Takes the outcome of the last [`CallStep::Send`]. A replica that
     /// timed out or was unreachable is replaced by an untried one while
-    /// any is left; a replica redirect to a replica already asked is a
-    /// loop; a member redirect sends the request on without its `weight_*`
-    /// directives. A member's failed rpc ends the call.
+    /// any is left, and so is a replica whose redirect names a replica
+    /// already asked (a loop, once none is left); a member redirect sends
+    /// the request on without its `weight_*` directives. A member's failed
+    /// rpc ends the call.
     pub fn on_reply(
         &mut self,
         result: Result<Envelope, RpcError>,
@@ -139,44 +140,49 @@ impl CommunityCall {
                 Err(e) => failed(format!("redirected member '{member}' failed: {e}")),
             };
         }
-        let reply = match result {
-            Ok(reply) => reply,
-            Err(e) => {
-                if let Some(next) = self.replicas.route(&self.key, liveness, &self.tried, load) {
-                    return self.ask(next);
+        let reason = match result {
+            Ok(reply) => {
+                if reply.kind == kinds::FAULT {
+                    let reason = reply.body.attr("reason").unwrap_or("community fault");
+                    return failed(reason.to_string());
                 }
+                if reply.body.name != "redirect" {
+                    return CallStep::Done(decode(&reply.body));
+                }
+                let to = match reply.body.require_attr("endpoint") {
+                    Ok(endpoint) => NodeId::new(endpoint),
+                    Err(e) => {
+                        let e = CommunityError::Protocol(format!("bad redirect: {e}"));
+                        return CallStep::Done(Err(e));
+                    }
+                };
+                if reply.body.attr("replica").is_none() {
+                    self.member = Some(to.clone());
+                    return CallStep::Send {
+                        to,
+                        kind: kinds::MEMBER_INVOKE,
+                        body: strip_directives(&self.input).to_xml(),
+                    };
+                }
+                if !self.tried.contains(&to) {
+                    return self.ask(to);
+                }
+                // Empty replicas rank their siblings alike, so two of them
+                // can name each other while a third, untried one could serve.
+                format!("community replica redirect loop via '{to}'")
+            }
+            Err(e) => {
                 let replica = self.tried.last().map_or("", NodeId::as_str);
-                return failed(match e {
+                match e {
                     RpcError::Timeout => format!("community '{replica}' timed out"),
                     RpcError::Send(s) => format!("community '{replica}' unreachable: {s}"),
-                });
+                }
             }
         };
-        if reply.kind == kinds::FAULT {
-            let reason = reply.body.attr("reason").unwrap_or("community fault");
-            return failed(reason.to_string());
+        match self.replicas.route(&self.key, liveness, &self.tried, load) {
+            Some(next) => self.ask(next),
+            None => failed(reason),
         }
-        if reply.body.name != "redirect" {
-            return CallStep::Done(decode(&reply.body));
-        }
-        let to = match reply.body.require_attr("endpoint") {
-            Ok(endpoint) => NodeId::new(endpoint),
-            Err(e) => {
-                return CallStep::Done(Err(CommunityError::Protocol(format!("bad redirect: {e}"))))
-            }
-        };
-        if reply.body.attr("replica").is_none() {
-            self.member = Some(to.clone());
-            return CallStep::Send {
-                to,
-                kind: kinds::MEMBER_INVOKE,
-                body: strip_directives(&self.input).to_xml(),
-            };
-        }
-        if self.tried.contains(&to) {
-            return failed(format!("community replica redirect loop via '{to}'"));
-        }
-        self.ask(to)
     }
 
     /// Sends the request to `replica`.
@@ -368,6 +374,26 @@ mod tests {
             reason(result),
             "delegation failed: community replica redirect loop via 'c'"
         );
+    }
+
+    #[test]
+    fn a_redirect_loop_moves_on_to_an_untried_replica() {
+        let names = ["c", "c.r1", "c.r2"];
+        let set = ReplicaSet::new(names.iter().map(NodeId::new).collect());
+        let first = set.route("instance/1", None, &[], &|_| 0).unwrap();
+        let mut others = names.into_iter().filter(|n| *n != first.as_str());
+        let (second, third) = (others.next().unwrap(), others.next().unwrap());
+        let (sent, result) = run(
+            &names,
+            vec![
+                Outcome::Reply(replica(second)),
+                Outcome::Reply(replica(first.as_str())),
+                Outcome::Reply(response("m3")),
+            ],
+        );
+        let asked: Vec<&str> = sent.iter().map(|(to, _, _)| to.as_str()).collect();
+        assert_eq!(asked, [first.as_str(), second, third]);
+        assert_eq!(served_by(&result), "m3");
     }
 
     #[test]

@@ -1352,6 +1352,74 @@ mod tests {
         community_exec.shutdown();
     }
 
+    /// Three replicas, and only the one every empty replica ranks last
+    /// knows the member: the two empty ones redirect to each other, and
+    /// the coordinator moves on to the replica it has not asked yet.
+    #[test]
+    fn a_redirect_loop_moves_the_coordinator_to_an_untried_replica() {
+        let exec = Executor::new(2);
+        let net = Network::new(NetworkConfig::instant());
+        let _member = ServiceHost::spawn_on(
+            &net,
+            &exec.handle(),
+            "svc.member",
+            Arc::new(EchoService::new("Member")),
+        )
+        .unwrap();
+        let base = naming::community("ring");
+        let replicas = CommunityServer::spawn_replicas_on(
+            &net,
+            &exec.handle(),
+            base.as_str(),
+            3,
+            Community::new("ring", "three replicas"),
+            Arc::new(RoundRobin::new()),
+            CommunityServerConfig {
+                replication: ReplicationConfig {
+                    gossip_interval: Some(Duration::from_secs(3600)),
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        // An empty replica redirects to its top-ranked sibling for
+        // `<community>/<operation>`; the member goes to the one ranked last.
+        let names: Vec<NodeId> = (0..3)
+            .map(|i| naming::community_replica("ring", i))
+            .collect();
+        let set = ReplicaSet::new(names.clone());
+        let top = set.route("ring/op", None, &[], &|_| 0).unwrap();
+        let second = set
+            .route("ring/op", None, std::slice::from_ref(&top), &|_| 0)
+            .unwrap();
+        let last = names
+            .iter()
+            .position(|n| *n != top && *n != second)
+            .unwrap();
+        replicas[last]
+            .membership()
+            .write()
+            .join(community_member("svc.member"))
+            .unwrap();
+        let dep = Deployer::new(&net)
+            .with_executor(exec.handle())
+            .deploy(&community_chart("ring"), &HashMap::new())
+            .unwrap();
+        let input =
+            |i: u64| MessageDoc::request("execute").with("payload", Value::str(format!("p{i}")));
+        run_all(&dep, 16, input);
+        let served = replicas[last]
+            .history()
+            .stats(&MemberId("svc.member".into()));
+        assert_eq!(served.completed, 16);
+        let top_asked = net.metrics().node(top.as_str()).unwrap().received;
+        assert!(top_asked > 0, "some instances met the loop");
+        drop(dep);
+        drop(replicas);
+        exec.shutdown();
+    }
+
     #[test]
     fn idle_instance_is_faulted_by_the_timer_alone() {
         let exec = Executor::new(2);

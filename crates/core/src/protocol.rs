@@ -109,8 +109,9 @@ pub mod naming {
     /// Node of the `index`-th replica of a community. Replica 0 is the
     /// community's canonical node (so a single-replica deployment is
     /// byte-identical to the unreplicated one); further replicas append
-    /// an `.rN` suffix ([`selfserv_net::replica::replica_name`]). Deployers probe these names in order to discover
-    /// how many replicas a community is running.
+    /// an `.rN` suffix ([`selfserv_net::replica::replica_name`]).
+    /// Deployers probe these names in order to discover how many replicas
+    /// a community is running.
     pub fn community_replica(name: &str, index: usize) -> NodeId {
         selfserv_net::replica::replica_name(community(name).as_str(), index)
     }
